@@ -34,6 +34,7 @@ from .fields import (
 from .norms import (
     CutoffSpec,
     UlocNormParams,
+    _cutoff_integrals,
     cutoff_phi,
     cutoff_phi_gradient,
     lp_norm,
@@ -262,17 +263,16 @@ def uloc_combined(state: State, params: Params, R: float) -> float:
 
 
 def moment(state: State, j: int, k: int, cutoff: CutoffSpec) -> float:
-    """Weighted moment integral of n^j |grad c|^(2k-2j) over the cutoff."""
+    """Weighted moment integral of n^j |grad c|^(2k-2j) over the cutoff.
+
+    One center of the sliding cutoff integral ``combined_y`` reads everywhere.
+    """
     if not 0 <= j <= k:
         raise ValueError("moment order j must satisfy 0 <= j <= k")
-    phi = cutoff_phi(state.grid, cutoff).values
-    integrand = phi
-    if j > 0:
-        integrand = integrand * state.n.values**j
-    if 2 * k - 2 * j > 0:
-        gc = magnitude(gradient(state.c)).values
-        integrand = integrand * gc ** (2 * k - 2 * j)
-    return integrate(ScalarField(state.grid, integrand))
+    integrand = state.n.values**j
+    if j < k:
+        integrand = integrand * magnitude(gradient(state.c)).values ** (2 * k - 2 * j)
+    return float(_cutoff_integrals(integrand, state.grid, cutoff.radius, (cutoff.center,))[0])
 
 
 def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
@@ -284,16 +284,20 @@ def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
 
 
 def combined_y(state: State, config: MomentConfig) -> float:
-    """Max over centers of y = m_0 + sum_j b_j m_j, the coupled functional."""
-    b = moment_coefficients(config.k, config.tau, config.C0)
-    best = -math.inf
-    for center in config.centers:
-        spec = CutoffSpec(center=center, radius=config.R)
-        y = moment(state, 0, config.k, spec)
-        for j in range(1, config.k + 1):
-            y += b[j] * moment(state, j, config.k, spec)
-        best = max(best, y)
-    return float(best)
+    """Max over centers of y = m_0 + sum_j b_j m_j, the coupled functional.
+
+    y is linear in the moment integrands, so their weighted sum
+    |grad c|^(2k) + sum_j b_j n^j |grad c|^(2k-2j) is formed once and every
+    center is read from one sliding cutoff integral.
+    """
+    k = config.k
+    b = moment_coefficients(k, config.tau, config.C0)
+    n = state.n.values
+    gc = magnitude(gradient(state.c)).values
+    integrand = gc ** (2 * k)
+    for j in range(1, k + 1):
+        integrand = integrand + b[j] * n**j * gc ** (2 * k - 2 * j)
+    return float(np.max(_cutoff_integrals(integrand, state.grid, config.R, config.centers)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,47 +383,37 @@ def mu_zero_estimate(k: int, params: Params) -> MuZeroReport:
 # Coupled differential inequalities along a sampled trajectory
 
 
-def _ode_ingredients(state: State, k: int, spec: CutoffSpec) -> dict[str, float]:
-    """All cutoff-weighted integrals entering the coupled inequalities."""
+def _ode_ingredients(
+    state: State, k: int, R: float, centers: tuple[tuple[float, ...], ...]
+) -> dict[str, np.ndarray]:
+    """All cutoff-weighted integrals entering the coupled inequalities.
+
+    The derivative fields are formed once per state; each integrand is one
+    sliding cutoff integral, read at every center (arrays follow ``centers``).
+    """
     grid = state.grid
     n = state.n.values
-    phi = cutoff_phi(grid, spec).values
-    grad_n = gradient(state.n)
-    grad_c = gradient(state.c)
-    gn2 = sum(comp.values**2 for comp in grad_n.components)
-    gc = magnitude(grad_c).values
-    gc2 = gc * gc
-    grad_gc2 = gradient(ScalarField(grid, gc2))
-    ggc2_sq = sum(comp.values**2 for comp in grad_gc2.components)
+    gn2 = sum(comp.values**2 for comp in gradient(state.n).components)
+    gc = magnitude(gradient(state.c)).values
+    ggc2_sq = sum(comp.values**2 for comp in gradient(ScalarField(grid, gc * gc)).components)
     hess_sq = hessian_sq(state.c).values
-    hd = grid.spacing**grid.d
-
-    def integral(arr) -> float:
-        return float(hd * np.sum(arr))
-
-    out: dict[str, float] = {}
-    for j in range(0, k + 2):
-        exp_c = 2 * k - 2 * j
-        if exp_c < 0:
-            continue
-        term = phi * (n**j if j else 1.0)
-        if exp_c:
-            term = term * gc**exp_c
-        out[f"m_{j}"] = integral(term)
-    out["m2_top"] = integral(phi * n**2 * gc ** (2 * k - 2))
-    out["m_kp1"] = integral(phi * n ** (k + 1))
-    out["gradc_2km2"] = integral(phi * gc ** (2 * k - 2))
-    out["diss_n_k"] = integral(phi * gn2 * n ** (k - 2))
-    out["diss_c"] = integral(phi * ggc2_sq * gc ** (2 * k - 4))
-    out["hess_c"] = integral(phi * hess_sq * gc ** (2 * k - 2))
-    out["mixed_diss_a"] = integral(phi * ggc2_sq * n * gc ** (2 * k - 6)) if k >= 3 else 0.0
-    out["mixed_diss_b"] = integral(phi * hess_sq * n * gc ** (2 * k - 4))
-    out["mixed_cross"] = integral(phi * gn2 * gc ** (2 * k - 4))
+    integrands = {f"m_{j}": n**j * gc ** (2 * k - 2 * j) for j in range(0, k + 1)}
+    integrands.update(
+        m2_top=n**2 * gc ** (2 * k - 2),
+        m_kp1=n ** (k + 1),
+        gradc_2km2=gc ** (2 * k - 2),
+        diss_n_k=gn2 * n ** (k - 2),
+        diss_c=ggc2_sq * gc ** (2 * k - 4),
+        hess_c=hess_sq * gc ** (2 * k - 2),
+        mixed_diss_a=ggc2_sq * n * gc ** (2 * k - 6),
+        mixed_diss_b=hess_sq * n * gc ** (2 * k - 4),
+        mixed_cross=gn2 * gc ** (2 * k - 4),
+    )
     for j in range(2, k):
-        out[f"diss35_{j}"] = integral(phi * gn2 * n ** (j - 2) * gc ** (2 * k - 2 * j))
-        out[f"cross35_{j}"] = integral(phi * gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2))
-        out[f"m35_next_{j}"] = integral(phi * n ** (j + 1) * gc ** (2 * k - 2 * j))
-    return out
+        integrands[f"diss35_{j}"] = gn2 * n ** (j - 2) * gc ** (2 * k - 2 * j)
+        integrands[f"cross35_{j}"] = gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2)
+        integrands[f"m35_next_{j}"] = n ** (j + 1) * gc ** (2 * k - 2 * j)
+    return {name: _cutoff_integrals(f, grid, R, centers) for name, f in integrands.items()}
 
 
 def dyadic_ode_residuals(
@@ -449,103 +443,74 @@ def dyadic_ode_residuals(
             "monitor rate or relax max_sample_dt"
         )
     k, R, tau = config.k, config.R, params.tau
-    mu, lam, chi, d = params.mu, params.lam, params.chi, params.d
-    report = mu_zero_estimate(k, params)
-    c_j = report.c_j
+    mu, lam, d = params.mu, params.lam, params.d
+    c_j = mu_zero_estimate(k, params).c_j
     grid = states[0].grid
     three_d = 3.0**d
 
-    uloc_nk = []
-    uloc_gc2k = []
-    ing_by_center = {center: [] for center in config.centers}
-    for state in states:
-        uloc_nk.append(
-            uloc_norm(state.n, UlocNormParams.defaults_for(grid, k, R)) ** k
-        )
-        uloc_gc2k.append(
-            uloc_norm(
-                magnitude(gradient(state.c)),
-                UlocNormParams.defaults_for(grid, 2 * k, R),
-            )
-            ** (2 * k)
-        )
-        for center in config.centers:
-            spec = CutoffSpec(center=center, radius=R)
-            ing_by_center[center].append(_ode_ingredients(state, k, spec))
+    # Interior samples: uniformly local series, ingredients as (samples x centers).
+    mid = states[1:-1]
+    nk_params = UlocNormParams.defaults_for(grid, k, R)
+    gc_params = UlocNormParams.defaults_for(grid, 2 * k, R)
+    nk = np.array([uloc_norm(s.n, nk_params) ** k for s in mid])
+    gc2k = np.array([uloc_norm(magnitude(gradient(s.c)), gc_params) ** (2 * k) for s in mid])
+    per_state = [_ode_ingredients(s, k, R, config.centers) for s in states]
+    ing = {name: np.array([x[name] for x in per_state]) for name in per_state[0]}
+    cur = {name: arr[1:-1] for name, arr in ing.items()}
+    span = (times[2:] - times[:-2])[:, None]
 
-    interior = range(1, len(states) - 1)
+    def ddt(name: str) -> np.ndarray:
+        return (ing[name][2:] - ing[name][:-2]) / span
+
+    # For each inequality: the explicit margin LHS - RHS per sample and center,
+    # then maximized over centers, and the generic-term series, which does not
+    # depend on the center.
+    raw: dict[str, tuple[np.ndarray, np.ndarray]] = {
+        "density_power": (
+            ddt(f"m_{k}")
+            + k * (k - 1) / 4.0 * cur["diss_n_k"]
+            - (k * cur["m2_top"] + (c_j[k] - mu * k) * cur["m_kp1"]),
+            three_d * k / (2.0 * (k - 1) * R**2) * nk
+            + three_d * k / R ** (2 * k) * gc2k
+            + (lam + 1.0) * R**d * k,
+        ),
+        "gradient_power": (
+            ddt("m_0")
+            + k * (k - 1) / (4.0 * tau) * cur["diss_c"]
+            + k / tau * cur["hess_c"]
+            + 2.0 * k / tau * cur["m_0"]
+            - (d + 1.0 + 2.0 * (k - 1.0)) * k / tau * cur["m2_top"],
+            three_d * k / (tau * R**2) * gc2k,
+        ),
+        "mixed_first": (
+            ddt("m_1")
+            + (k - 1.0) * (k - 2.0) / (2.0 * tau) * cur["mixed_diss_a"]
+            + (2.0 * k - 2.0) / tau * cur["mixed_diss_b"]
+            - (
+                c_j[1] * cur["diss_c"]
+                + lam / 2.0 * cur["gradc_2km2"]
+                + (c_j[1] - mu) * cur["m2_top"]
+                + cur["mixed_cross"]
+            ),
+            three_d * (1.0 + 1.0 / tau) / R**2 * gc2k + three_d / (tau * R**2) * nk,
+        ),
+    }
+    for j in range(2, k):
+        raw[f"mixed_order_{j}"] = (
+            ddt(f"m_{j}")
+            + j * (j - 1) / 4.0 * cur[f"diss35_{j}"]
+            - (
+                cur[f"cross35_{j}"]
+                + c_j[j] * cur["diss_c"]
+                + (c_j[j] - mu * j) * cur[f"m35_next_{j}"]
+                + lam * j * cur["gradc_2km2"]
+                + c_j[j] * cur["m2_top"]
+            ),
+            lam * j * R**d + c_j[j] / R**2 * (nk + gc2k),
+        )
+
+    raw = {name: (np.max(explicit, axis=1), generic) for name, (explicit, generic) in raw.items()}
     t_mid = times[1:-1]
-
-    def ddt(series: list[float], i: int) -> float:
-        return (series[i + 1] - series[i - 1]) / (times[i + 1] - times[i - 1])
-
-    # For each inequality: explicit-margin series and the generic-term series,
-    # maximized over centers sample by sample.
-    names: list[str] = (
-        ["density_power", "gradient_power", "mixed_first"]
-        + [f"mixed_order_{j}" for j in range(2, k)]
-    )
-    raw: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name in names:
-        explicit = np.full(len(t_mid), -np.inf)
-        generic = np.zeros(len(t_mid))
-        for center in config.centers:
-            ing = ing_by_center[center]
-            exp_c = np.empty(len(t_mid))
-            gen_c = np.empty(len(t_mid))
-            for pos, i in enumerate(interior):
-                cur = ing[i]
-                if name == "density_power":
-                    lhs = ddt([x[f"m_{k}"] for x in ing], i)
-                    lhs += k * (k - 1) / 4.0 * cur["diss_n_k"]
-                    rhs = k * cur["m2_top"] + (c_j[k] - mu * k) * cur["m_kp1"]
-                    gen = (
-                        three_d * k / (2.0 * (k - 1) * R**2) * uloc_nk[i]
-                        + three_d * k / R ** (2 * k) * uloc_gc2k[i]
-                        + (lam + 1.0) * R**d * k
-                    )
-                elif name == "gradient_power":
-                    lhs = ddt([x["m_0"] for x in ing], i)
-                    lhs += k * (k - 1) / (4.0 * tau) * cur["diss_c"]
-                    lhs += k / tau * cur["hess_c"]
-                    lhs += 2.0 * k / tau * cur["m_0"]
-                    rhs = (d + 1.0 + 2.0 * (k - 1.0)) * k / tau * cur["m2_top"]
-                    gen = three_d * k / (tau * R**2) * uloc_gc2k[i]
-                elif name == "mixed_first":
-                    lhs = ddt([x["m_1"] for x in ing], i)
-                    lhs += (k - 1.0) * (k - 2.0) / (2.0 * tau) * cur["mixed_diss_a"]
-                    lhs += (2.0 * k - 2.0) / tau * cur["mixed_diss_b"]
-                    rhs = (
-                        c_j[1] * cur["diss_c"]
-                        + lam / 2.0 * cur["gradc_2km2"]
-                        + (c_j[1] - mu) * cur["m2_top"]
-                        + cur["mixed_cross"]
-                    )
-                    gen = (
-                        three_d * (1.0 + 1.0 / tau) / R**2 * uloc_gc2k[i]
-                        + three_d / (tau * R**2) * uloc_nk[i]
-                    )
-                else:
-                    j = int(name.rsplit("_", 1)[1])
-                    lhs = ddt([x[f"m_{j}"] for x in ing], i)
-                    lhs += j * (j - 1) / 4.0 * cur[f"diss35_{j}"]
-                    rhs = (
-                        cur[f"cross35_{j}"]
-                        + c_j[j] * cur["diss_c"]
-                        + (c_j[j] - mu * j) * cur[f"m35_next_{j}"]
-                        + lam * j * cur["gradc_2km2"]
-                        + c_j[j] * cur["m2_top"]
-                    )
-                    gen = (
-                        lam * j * R**d
-                        + c_j[j] / R**2 * (uloc_nk[i] + uloc_gc2k[i])
-                    )
-                exp_c[pos] = lhs - rhs
-                gen_c[pos] = gen
-            keep = exp_c > explicit
-            explicit = np.where(keep, exp_c, explicit)
-            generic = np.where(keep, gen_c, generic)
-        raw[name] = (explicit, generic)
 
     fitted: dict[str, float] = {}
     if calibration is None:

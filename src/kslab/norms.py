@@ -10,15 +10,18 @@ Two cutoff families are provided:
 * ``cutoff_psi`` -- a smooth plateau equal to 1 on B_M(0) and 0 outside
   B_{2M}(0), used to truncate initial data to compact support.
 
-The uniformly local norm sup_x ||f||_{L^p(B_R(x))} is evaluated by scanning
-ball integrals over grid-point centers; the scan is a circular convolution
-with the ball indicator, computed via the FFT for all centers at once.
+Every localized functional is one sliding-weight integral int f(y) w(y - x) dy,
+with w the ball indicator for sup_x ||f||_{L^p(B_R(x))} and ``cutoff_phi``
+for the moments.  ``_sliding_integrals`` evaluates it for all grid-point
+centers at once as an FFT convolution with a cached weight spectrum; an
+off-grid center is served by a weight shifted by its sub-grid offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +48,6 @@ __all__ = [
     "cutoff_psi",
     "uloc_norm",
     "uloc_covering_check",
-    "ball_indicator",
 ]
 
 # Exponent underflows exp() far before this; used to silence 0*inf in the
@@ -214,42 +216,73 @@ def cutoff_psi(grid: Grid, M: float) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def ball_indicator(grid: Grid, radius: float) -> np.ndarray:
-    """Boolean mask of samples with wrapped distance to the origin below radius."""
-    return grid.radius() < radius
+@lru_cache(maxsize=16)
+def _weight_hat(grid: Grid, kind: str, radius: float, shift: tuple[float, ...]) -> np.ndarray:
+    """Half spectrum of the weight at offsets o*h + shift (offset 0 at index 0).
 
-
-def _index_offset_ball(grid: Grid, radius: float) -> np.ndarray:
-    """Ball membership kernel indexed by sample offset (offset 0 at index 0)."""
-    n, h = grid.n_axis, grid.spacing
-    offsets = ((np.arange(n) + n // 2) % n - n // 2) * h
-    dist_sq = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        shape = [1] * grid.d
-        shape[ax] = n
-        dist_sq = dist_sq + offsets.reshape(shape) ** 2
-    return (dist_sq < radius * radius).astype(np.float64)
-
-
-def _ball_integrals(f_pow: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
-    """Integral of ``f_pow`` over B_radius(x) for every grid center x at once.
-
-    Circular convolution with the offset-indexed ball kernel via the
-    convolution theorem; computes exactly the sample-in-ball sums of the
-    direct center scan, up to FFT roundoff.
+    ``kind`` is "ball" (strict dist^2 < radius^2) or "phi" (``cutoff_phi``).
     """
-    kernel = _index_offset_ball(grid, radius)
-    conv = _irfft(_rfft(f_pow) * _rfft(kernel), grid)
-    return np.maximum(conv, 0.0) * grid.spacing**grid.d
+    if kind == "ball":
+        n, h = grid.n_axis, grid.spacing
+        offsets = ((np.arange(n) + n // 2) % n - n // 2) * h
+        dist_sq = np.zeros(grid.shape)
+        for ax, s in enumerate(shift):
+            shape = [1] * grid.d
+            shape[ax] = n
+            dist_sq = dist_sq + (offsets + s).reshape(shape) ** 2
+        weight = (dist_sq < radius * radius).astype(np.float64)
+    else:
+        # Centered at the first sample minus the shift, sample o is at o*h + shift.
+        corner = tuple(-0.5 * grid.box_len - s for s in shift)
+        weight = cutoff_phi(grid, CutoffSpec(center=corner, radius=radius)).values
+    hat = _rfft(weight)
+    hat.setflags(write=False)
+    return hat
+
+
+def _sliding_integrals(
+    f: np.ndarray, grid: Grid, kind: str, radius: float, shift: tuple[float, ...]
+) -> np.ndarray:
+    """Integral of f(y) w(y - x) over y for every center x = grid point + shift.
+
+    Equals the direct sample sum of each center up to FFT roundoff relative
+    to the largest value; signed wherever ``f`` is.
+    """
+    conv = _irfft(_rfft(f) * _weight_hat(grid, kind, radius, shift), grid)
+    return conv * grid.spacing**grid.d
+
+
+def _cutoff_integrals(
+    f: np.ndarray, grid: Grid, radius: float, centers: tuple[tuple[float, ...], ...]
+) -> np.ndarray:
+    """Integral of f against the cutoff weight at each center, in order.
+
+    A center splits into its nearest grid point and the sub-grid shift from
+    it; centers sharing a shift read one convolution.
+    """
+    L, h, n = grid.box_len, grid.spacing, grid.n_axis
+    convs: dict[tuple[float, ...], np.ndarray] = {}
+    out = []
+    for center in centers:
+        CutoffSpec(center=center, radius=radius).validate(grid)
+        idx = [round((c + 0.5 * L) / h) for c in center]
+        # Same expression as Grid.axis_coords, so grid centers get shift 0.
+        shift = tuple(c - (-0.5 * L + h * i) for c, i in zip(center, idx))
+        if shift not in convs:
+            convs[shift] = _sliding_integrals(f, grid, "phi", radius, shift)
+        out.append(convs[shift][tuple(i % n for i in idx)])
+    return np.array(out)
 
 
 def uloc_norm(f: ScalarField, params: UlocNormParams) -> float:
     """Sup over scanned centers of the local L^p norm on wrapped balls."""
     params.validate(f.grid)
     f_pow = np.abs(f.values) ** params.p
-    integrals = _ball_integrals(f_pow, f.grid, params.ball_radius)
+    zero = (0.0,) * f.grid.d
+    integrals = _sliding_integrals(f_pow, f.grid, "ball", params.ball_radius, zero)
     s = params.center_stride
-    sub = integrals[(slice(None, None, s),) * f.grid.d]
+    # Ball integrals of |f|^p are nonnegative: clamp the FFT roundoff.
+    sub = np.maximum(integrals[(slice(None, None, s),) * f.grid.d], 0.0)
     return float(np.max(sub) ** (1.0 / params.p))
 
 

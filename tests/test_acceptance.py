@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from kslab.cli import _trend_slope
 from kslab.dyadic import DyadicConfig, dyadic_block, generalized_young_check, reconstruct
 from kslab.fields import ScalarField, gradient, magnitude, make_grid
 from kslab.monitors import (
@@ -275,17 +276,6 @@ def test_criterion_09_picard_stepper_cross_validation():
     )
 
 
-def _log_trend_slope(trace, t_lo, t_hi):
-    ts, ys = [], []
-    for s in trace:
-        if t_lo <= s.t <= t_hi:
-            gauge = s.values["linf_n"] + s.values["w1inf_c"]
-            if gauge > 0:
-                ts.append(s.t)
-                ys.append(math.log(gauge))
-    return float(np.polyfit(np.array(ts), np.array(ys), 1)[0])
-
-
 def test_criterion_10_global_boundedness_headline():
     started = time.monotonic()
     grid = make_grid(3, 64, 20.0)
@@ -294,7 +284,7 @@ def test_criterion_10_global_boundedness_headline():
     p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=3)
     initial = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5)
     res = run(initial, p, RunConfig(t_end=20.0, dt=None, monitor_every=10))
-    slope = _log_trend_slope(res.trace, 10.0, 20.0)
+    slope = _trend_slope(res.trace, 10.0, 20.0)
     damped_ok = res.status is RunStatus.COMPLETED and slope <= 1e-3
 
     p0 = Params(chi=1.0, tau=1.0, lam=1.0, mu=0.0, d=3)
@@ -324,7 +314,7 @@ def test_criterion_11_low_dimension_boundedness():
             p = Params(chi=1.0, tau=1.0, lam=0.0, mu=mu, d=d)
             initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
             res = run(initial, p, RunConfig(t_end=4.0, dt=None, monitor_every=5))
-            slope = _log_trend_slope(res.trace, 2.0, 4.0)
+            slope = _trend_slope(res.trace, 2.0, 4.0)
             run_ok = res.status is RunStatus.COMPLETED and slope <= 1e-3
             ok &= run_ok
             if not run_ok:

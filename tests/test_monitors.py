@@ -14,6 +14,8 @@ from kslab.fields import (
 )
 from kslab.monitors import (
     MomentConfig,
+    _ode_ingredients,
+    argmax_center,
     combined_y,
     default_centers,
     dyadic_ode_residuals,
@@ -215,6 +217,90 @@ class TestCombinedFunctional:
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             moment_coefficients(2, 1.0, 1.0)
+
+
+def undershooting_state(d, rng):
+    """A bump in n over a band-limited wiggle that dips below zero, and a smooth c."""
+    grid = make_grid(d, {1: 256, 2: 64, 3: 32}[d], {1: 40.0, 2: 40.0, 3: 20.0}[d])
+    r2 = sum(x**2 for x in grid.mesh())
+    wiggle = band_limited(grid, rng, grid.n_axis // 8).values
+    n = ScalarField(grid, 2.0 * np.exp(-r2 / 4.0) + 0.2 * wiggle)
+    assert n.values.min() < 0.0
+    c = ScalarField(grid, 1.0 + band_limited(grid, rng, grid.n_axis // 8).values)
+    return State(0.0, n, c)
+
+
+def oracle_centers(state):
+    """The default lattice, the argmax of n and the off-grid point (3, ..., 3)."""
+    return default_centers(state.grid) + (argmax_center(state.n), (3.0,) * state.grid.d)
+
+
+def assert_per_center(got, direct):
+    direct = np.asarray(direct)
+    scale = np.max(np.abs(direct))
+    assert np.all(np.abs(np.asarray(got) - direct) <= 1e-12 * scale)
+
+
+class TestSlidingCutoffOracle:
+    """The one-convolution moments against direct cutoff-weighted quadrature."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_moments_and_combined_functional(self, d, rng):
+        state = undershooting_state(d, rng)
+        grid, k, R = state.grid, 3, 2.0
+        centers = oracle_centers(state)
+        n = state.n.values
+        gc = magnitude(gradient(state.c)).values
+        b = moment_coefficients(k, 1.0, 0.5)
+        phis = [cutoff_phi(grid, CutoffSpec(center, R)) for center in centers]
+        for j in range(k + 1):
+            direct = [integrate(phi * (n**j * gc ** (2 * k - 2 * j))) for phi in phis]
+            got = [moment(state, j, k, CutoffSpec(center, R)) for center in centers]
+            assert_per_center(got, direct)
+        integrand = gc ** (2 * k) + sum(
+            b[j] * n**j * gc ** (2 * k - 2 * j) for j in range(1, k + 1)
+        )
+        direct = [integrate(phi * integrand) for phi in phis]
+        got = [
+            combined_y(state, MomentConfig(k=k, R=R, centers=(center,), C0=0.5))
+            for center in centers
+        ]
+        assert_per_center(got, direct)
+        y = combined_y(state, MomentConfig(k=k, R=R, centers=centers, C0=0.5))
+        assert abs(y - max(direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ode_ingredients(self, d, rng):
+        state = undershooting_state(d, rng)
+        grid, k, R = state.grid, 4, 2.0
+        centers = oracle_centers(state)
+        n = state.n.values
+        gn2 = sum(comp.values**2 for comp in gradient(state.n).components)
+        gc = magnitude(gradient(state.c)).values
+        ggc2_sq = sum(
+            comp.values**2 for comp in gradient(ScalarField(grid, gc * gc)).components
+        )
+        hess = hessian_sq(state.c).values
+        integrands = {f"m_{j}": n**j * gc ** (2 * k - 2 * j) for j in range(k + 1)}
+        integrands["m2_top"] = n**2 * gc ** (2 * k - 2)
+        integrands["m_kp1"] = n ** (k + 1)
+        integrands["gradc_2km2"] = gc ** (2 * k - 2)
+        integrands["diss_n_k"] = gn2 * n ** (k - 2)
+        integrands["diss_c"] = ggc2_sq * gc ** (2 * k - 4)
+        integrands["hess_c"] = hess * gc ** (2 * k - 2)
+        integrands["mixed_diss_a"] = ggc2_sq * n * gc ** (2 * k - 6)
+        integrands["mixed_diss_b"] = hess * n * gc ** (2 * k - 4)
+        integrands["mixed_cross"] = gn2 * gc ** (2 * k - 4)
+        for j in range(2, k):
+            integrands[f"diss35_{j}"] = gn2 * n ** (j - 2) * gc ** (2 * k - 2 * j)
+            integrands[f"cross35_{j}"] = gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2)
+            integrands[f"m35_next_{j}"] = n ** (j + 1) * gc ** (2 * k - 2 * j)
+
+        got = _ode_ingredients(state, k, R, centers)
+        assert set(got) == set(integrands)
+        phis = [cutoff_phi(grid, CutoffSpec(center, R)) for center in centers]
+        for name, f in integrands.items():
+            assert_per_center(got[name], [integrate(phi * f) for phi in phis])
 
 
 class TestMuZero:

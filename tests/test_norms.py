@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kslab.fields import ScalarField, gradient, magnitude, make_grid
+from kslab.fields import ScalarField, gradient, integrate, magnitude, make_grid
 from kslab.norms import (
     CutoffSpec,
     UlocNormParams,
@@ -253,18 +253,29 @@ class TestUlocNorm:
         assert abs(mine - uloc_brute_force(f, 1, R, stride=stride)) <= 1e-10
 
     def test_ball_integrals_aligned_per_center(self, rng):
-        # The convolution must assign each ball sum to its own center, not a
-        # shifted one; check a specific off-center ball against a direct sum.
-        from kslab.norms import _ball_integrals
+        # The convolution must assign each weighted integral to its own
+        # center, not a shifted one; check specific off-center balls and
+        # cutoffs, on and off the grid, against direct sums.
+        from kslab.norms import _sliding_integrals
 
         grid = make_grid(1, 64, 20.0)
         f = ScalarField(grid, rng.standard_normal(grid.shape) ** 2)
-        integrals = _ball_integrals(f.values, grid, 1.5)
+        integrals = _sliding_integrals(f.values, grid, "ball", 1.5, (0.0,))
         coords = grid.axis_coords()
         for idx in (0, 7, 33):
             delta = (coords - coords[idx] + 10.0) % 20.0 - 10.0
             direct = grid.spacing * np.sum(f.values[np.abs(delta) < 1.5])
             assert abs(integrals[idx] - direct) <= 1e-10
+
+        for shift in (0.0, 0.1, -0.13):
+            phi_integrals = _sliding_integrals(f.values, grid, "phi", 1.5, (shift,))
+            direct = [
+                integrate(f * cutoff_phi(grid, CutoffSpec((coords[idx] + shift,), 1.5)))
+                for idx in (0, 7, 33)
+            ]
+            scale = max(abs(x) for x in direct)
+            for idx, want in zip((0, 7, 33), direct):
+                assert abs(phi_integrals[idx] - want) <= 1e-12 * scale
 
     def test_norm_axioms(self, grid2d, rng):
         f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
