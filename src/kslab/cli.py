@@ -20,7 +20,6 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .config import ConfigError, ExperimentConfig, SweepSpec
-from .fields import ScalarField, gradient, magnitude
 from .monitors import (
     TraceRecorder,
     mu_zero_estimate,
@@ -84,7 +83,7 @@ class _CliRecorder:
     def __call__(self, state: State) -> dict[str, float]:
         values = dict(self.trace_rec(state))
         values.update(self.prop22_rec(state))
-        values["linf_gradc"] = magnitude(gradient(state.c)).max_abs()
+        values["linf_gradc"] = state.c.grad_abs.max_abs()
         values["lk_uloc_n"] = uloc_norm(state.n, self.uloc_k_params)
         return values
 
@@ -189,6 +188,14 @@ def _residual_reports(
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
+    calibration = None
+    if mode == "assert":
+        cal_path = out / "calibration.json"
+        if not cal_path.exists():
+            print(f"assert mode needs {cal_path} from a prior calibrate run", file=sys.stderr)
+            return EXIT_USAGE
+        calibration = json.loads(cal_path.read_text())
+
     params = cfg.params()
     grid = cfg.grid()
     initial = build_initial(
@@ -201,13 +208,6 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
     _write_trace_csv(out / "trace.csv", result.trace)
     save_checkpoint(out / "final.kslb", result.final)
 
-    calibration = None
-    if mode == "assert":
-        cal_path = out / "calibration.json"
-        if not cal_path.exists():
-            print(f"assert mode needs {cal_path} from a prior calibrate run", file=sys.stderr)
-            return EXIT_USAGE
-        calibration = json.loads(cal_path.read_text())
     rows, fitted, verdicts = _residual_reports(cfg, result, calibration)
     _write_residuals_csv(out / "residuals.csv", rows)
     if mode == "calibrate":

@@ -28,6 +28,7 @@ Lines starting with '#' and blank lines are ignored.  Values 'auto', 'on',
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -57,9 +58,12 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 def _to_float(val: str, key: str) -> float:
     try:
-        return float(val)
+        out = float(val)
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number: '{val}'") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: must be finite, got '{val}'")
+    return out
 
 
 def _to_int(val: str, key: str) -> int:
@@ -100,14 +104,13 @@ class ExperimentConfig:
     def params(self) -> Params:
         return Params(chi=self.chi, tau=self.tau, lam=self.lam, mu=self.mu, d=self.d)
 
-    def run_config(self, keep_states: bool = False) -> RunConfig:
+    def run_config(self) -> RunConfig:
         return RunConfig(
             t_end=self.t_end,
             dt=self.dt,
             monitor_every=self.monitor_every,
             blowup_cap=self.blowup_cap,
             dealias=self.dealias,
-            keep_states=keep_states,
         )
 
     def effective_width(self) -> float:

@@ -13,7 +13,7 @@ conjugate symmetry of a real field's transform is an explicit invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,7 +102,12 @@ def make_grid(d: int, n_axis: int, box_len: float) -> Grid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real samples on a grid, row-major.  Values are frozen after construction."""
+    """Real samples on a grid, row-major.  Values are frozen after construction.
+
+    The stored array is read-only, but the array passed in may stay writable
+    and share its memory: it must not be changed through that alias, or the
+    cached ``grad_abs`` goes stale.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -123,6 +128,11 @@ class ScalarField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def grad_abs(self) -> "ScalarField":
+        """|grad f|, formed once per field and shared by every consumer."""
+        return magnitude(gradient(self))
 
     def __add__(self, other):
         return ScalarField(self.grid, self.values + _vals(other))

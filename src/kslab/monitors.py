@@ -29,7 +29,6 @@ from .fields import (
     hessian_sq,
     integrate,
     laplacian,
-    magnitude,
 )
 from .norms import (
     CutoffSpec,
@@ -130,7 +129,7 @@ def z_field(state: State, params: Params) -> ScalarField:
     """z = (tau/2)|grad c|^2 + n/chi, the scalar comparison function."""
     if not params.chi > 0:
         raise ValueError("the comparison function requires chi > 0")
-    gc2 = magnitude(gradient(state.c)).values ** 2
+    gc2 = state.c.grad_abs.values ** 2
     return ScalarField(state.grid, 0.5 * params.tau * gc2 + state.n.values / params.chi)
 
 
@@ -178,7 +177,7 @@ def prop22_recorder():
 
     def record(state: State) -> dict[str, float]:
         n, c = state.n, state.c
-        grad_c = magnitude(gradient(c))
+        grad_c = c.grad_abs
         l2sq_c = lp_norm(c, 2) ** 2
         l2sq_gradc = lp_norm(grad_c, 2) ** 2
         hesssq_c = integrate(hessian_sq(c))
@@ -252,9 +251,7 @@ def uloc_combined(state: State, params: Params, R: float) -> float:
     """F(t) = ||n||_{L^1_uloc(R)} + (chi tau / 4) ||grad c||^2_{L^2_uloc(R)}."""
     grid = state.grid
     n_part = uloc_norm(state.n, UlocNormParams.defaults_for(grid, 1.0, R))
-    g_part = uloc_norm(
-        magnitude(gradient(state.c)), UlocNormParams.defaults_for(grid, 2.0, R)
-    )
+    g_part = uloc_norm(state.c.grad_abs, UlocNormParams.defaults_for(grid, 2.0, R))
     return float(n_part + 0.25 * params.chi * params.tau * g_part**2)
 
 
@@ -271,7 +268,7 @@ def moment(state: State, j: int, k: int, cutoff: CutoffSpec) -> float:
         raise ValueError("moment order j must satisfy 0 <= j <= k")
     integrand = state.n.values**j
     if j < k:
-        integrand = integrand * magnitude(gradient(state.c)).values ** (2 * k - 2 * j)
+        integrand = integrand * state.c.grad_abs.values ** (2 * k - 2 * j)
     return float(_cutoff_integrals(integrand, state.grid, cutoff.radius, (cutoff.center,))[0])
 
 
@@ -293,7 +290,7 @@ def combined_y(state: State, config: MomentConfig) -> float:
     k = config.k
     b = moment_coefficients(k, config.tau, config.C0)
     n = state.n.values
-    gc = magnitude(gradient(state.c)).values
+    gc = state.c.grad_abs.values
     integrand = gc ** (2 * k)
     for j in range(1, k + 1):
         integrand = integrand + b[j] * n**j * gc ** (2 * k - 2 * j)
@@ -394,7 +391,7 @@ def _ode_ingredients(
     grid = state.grid
     n = state.n.values
     gn2 = sum(comp.values**2 for comp in gradient(state.n).components)
-    gc = magnitude(gradient(state.c)).values
+    gc = state.c.grad_abs.values
     ggc2_sq = sum(comp.values**2 for comp in gradient(ScalarField(grid, gc * gc)).components)
     hess_sq = hessian_sq(state.c).values
     integrands = {f"m_{j}": n**j * gc ** (2 * k - 2 * j) for j in range(0, k + 1)}
@@ -453,7 +450,7 @@ def dyadic_ode_residuals(
     nk_params = UlocNormParams.defaults_for(grid, k, R)
     gc_params = UlocNormParams.defaults_for(grid, 2 * k, R)
     nk = np.array([uloc_norm(s.n, nk_params) ** k for s in mid])
-    gc2k = np.array([uloc_norm(magnitude(gradient(s.c)), gc_params) ** (2 * k) for s in mid])
+    gc2k = np.array([uloc_norm(s.c.grad_abs, gc_params) ** (2 * k) for s in mid])
     per_state = [_ode_ingredients(s, k, R, config.centers) for s in states]
     ing = {name: np.array([x[name] for x in per_state]) for name in per_state[0]}
     cur = {name: arr[1:-1] for name, arr in ing.items()}
@@ -562,7 +559,7 @@ def interpolation_check(u: ScalarField, k: int) -> float:
     target = lp_norm(u, 2) ** 2
     if target == 0.0:
         return 0.0
-    a = integrate(ScalarField(u.grid, magnitude(gradient(u)).values ** 2))
+    a = integrate(ScalarField(u.grid, u.grad_abs.values ** 2))
     b = integrate(ScalarField(u.grid, np.abs(u.values) ** (2.0 / k))) ** k
 
     def shortfall(c: float) -> float:
@@ -618,9 +615,7 @@ def linf_reconstruction_check(
     if not k > grid.d:
         raise ValueError("summability of the high-frequency tail needs k > d")
     c0 = states[0].c
-    grad0_uloc = uloc_norm(
-        magnitude(gradient(c0)), UlocNormParams.defaults_for(grid, 2.0, uloc_R)
-    )
+    grad0_uloc = uloc_norm(c0.grad_abs, UlocNormParams.defaults_for(grid, 2.0, uloc_R))
     c0_w1inf = w1inf_norm(c0)
     times = np.array([s.t for s in states])
     ratios = np.empty(len(states))
@@ -630,7 +625,7 @@ def linf_reconstruction_check(
             running_nk,
             uloc_norm(state.n, UlocNormParams.defaults_for(grid, float(k), uloc_R)),
         )
-        lhs = magnitude(gradient(state.c)).max_abs()
+        lhs = state.c.grad_abs.max_abs()
         rhs = grad0_uloc + c0_w1inf + running_nk
         ratios[i] = lhs / rhs if rhs > 0 else 0.0
     split = _low_high_split_error(states[-1].c)
@@ -649,9 +644,8 @@ def linf_reconstruction_check(
 class TraceRecorder:
     """Computes the canonical trace row for each sampled state.
 
-    Produces the keys (mass, l1_uloc_n, l2_uloc_gradc, linf_n, w1inf_c, y,
-    z_max, min_n, min_c); mass/linf/w1inf/min are also recorded by the run
-    loop itself, duplicated here so the recorder is self-contained.
+    Produces the keys (l1_uloc_n, l2_uloc_gradc, y, z_max); the run loop
+    itself records mass, linf_n, w1inf_c, min_n and min_c.
     """
 
     def __init__(
@@ -682,11 +676,9 @@ class TraceRecorder:
         config = MomentConfig(
             k=self.k, R=self.R, centers=centers, C0=self.C0, tau=p.tau
         )
-        grad_c = magnitude(gradient(state.c))
+        grad_c = state.c.grad_abs
         if p.chi > 0:
-            z_max = float(
-                np.max(0.5 * p.tau * grad_c.values**2 + state.n.values / p.chi)
-            )
+            z_max = float(np.max(z_field(state, p).values))
         else:
             # With no chemotaxis the density term of z is undefined; track the
             # gradient part so the trace stays finite.

@@ -31,9 +31,7 @@ from .fields import (
     VectorField,
     _irfft,
     _rfft,
-    gradient,
     integrate,
-    magnitude,
 )
 
 __all__ = [
@@ -116,7 +114,7 @@ def lp_norm(f: ScalarField, p: float) -> float:
 
 def w1inf_norm(c: ScalarField) -> float:
     """Sup norm of the field plus the sup of the Euclidean gradient norm."""
-    return c.max_abs() + magnitude(gradient(c)).max_abs()
+    return c.max_abs() + c.grad_abs.max_abs()
 
 
 def _phi_exponent(r: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:

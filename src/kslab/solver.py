@@ -33,9 +33,7 @@ from .fields import (
     _k_axes_odd_r,
     _k_squared_r,
     _rfft,
-    gradient,
     integrate,
-    magnitude,
 )
 from .norms import cutoff_psi, lp_norm, w1inf_norm
 
@@ -75,6 +73,8 @@ class Params:
     d: int = 2
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.chi, self.tau, self.lam, self.mu)):
+            raise ValueError("chi, tau, lambda and mu must be finite")
         # chi = 0 is admitted so decoupled heat-flow oracles can run.
         if self.chi < 0:
             raise ValueError("chi must be nonnegative")
@@ -131,9 +131,12 @@ class RunConfig:
     monitor_every: int = 10
     blowup_cap: float | None = None
     dealias: bool = True
-    keep_states: bool = False
 
     def __post_init__(self):
+        for name in ("t_end", "dt", "blowup_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_end > 0:
@@ -151,7 +154,6 @@ class RunResult:
     trace: list[FunctionalSample]
     final: State
     mass_ledger_rel_max: float
-    states: list[State] | None = None
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -291,7 +293,7 @@ def step(state: State, params: Params, dt: float, dealias: bool = True) -> State
 
 def suggest_dt(state: State, params: Params) -> float:
     """Explicit-nonlinearity step-size heuristic, re-evaluated between samples."""
-    grad_c_max = magnitude(gradient(state.c)).max_abs()
+    grad_c_max = state.c.grad_abs.max_abs()
     n_max = state.n.max_abs()
     rate = params.chi * grad_c_max + params.lam + 2.0 * params.mu * n_max + 1.0
     return 0.25 * min(1.0, 1.0 / rate)
@@ -343,12 +345,11 @@ def run(
 
     state = initial
     trace = [sample(state)]
-    states: list[State] | None = [state] if config.keep_states else None
     ledger_rel_max = 0.0
     status = RunStatus.COMPLETED
     status_time = initial.t + config.t_end
     t_end = initial.t + config.t_end
-    steppers: dict[float, _Stepper] = {}
+    stepper: _Stepper | None = None
     eps = 1e-12 * max(1.0, abs(t_end))
 
     while state.t < t_end - eps:
@@ -358,10 +359,8 @@ def run(
             dt_step = min(dt, t_end - state.t)
             if dt_step <= eps:
                 break
-            stepper = steppers.get(dt_step)
-            if stepper is None:
+            if stepper is None or stepper.dt != dt_step:
                 stepper = _Stepper(grid, params, dt_step, config.dealias)
-                steppers[dt_step] = stepper
             state, ledger, d_int_n, d_int_n2 = stepper.advance(state)
             if not state.is_finite():
                 status = RunStatus.NUMERICAL_FAILURE
@@ -375,8 +374,6 @@ def run(
         if failed:
             break
         trace.append(sample(state))
-        if states is not None:
-            states.append(state)
         gauge = trace[-1].values["linf_n"] + trace[-1].values["w1inf_c"]
         if gauge > cap:
             status = RunStatus.BLOWUP_SUSPECTED
@@ -391,7 +388,6 @@ def run(
         trace=trace,
         final=state,
         mass_ledger_rel_max=ledger_rel_max,
-        states=states,
     )
 
 
@@ -450,7 +446,7 @@ def data_bound(initial: State) -> float:
     """Size gauge of the initial data used by the horizon formulas."""
     n, c = initial.n, initial.c
     m_n = lp_norm(n, 1) + lp_norm(n, math.inf)
-    grad_c = magnitude(gradient(c))
+    grad_c = c.grad_abs
     m_c = (
         math.sqrt(lp_norm(c, 2) ** 2 + lp_norm(grad_c, 2) ** 2)
         + c.max_abs()

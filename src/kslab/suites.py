@@ -118,7 +118,7 @@ def suite_fields() -> list[CheckResult]:
     lap_sq = laplacian(c).values ** 2
     hess = hessian_sq(c).values
     gap1 = np.max(lap_sq - grid.d * hess)
-    gc = magnitude(gradient(c)).values
+    gc = c.grad_abs.values
     gsq = gradient(ScalarField(grid, gc * gc))
     lhs2 = sum(comp.values**2 for comp in gsq.components)
     gap2 = np.max(lhs2 - 4.0 * hess * gc * gc)
@@ -171,8 +171,8 @@ def suite_norms() -> list[CheckResult]:
         )
 
     grid2 = make_grid(2, 64, 40.0)
-    f = _random_field_for_norms(grid2, rng)
-    g = _random_field_for_norms(grid2, rng)
+    f = _random_field(grid2, rng)
+    g = _random_field(grid2, rng)
     params = UlocNormParams.defaults_for(grid2, 2.0, 2.0)
     nf, ng = uloc_norm(f, params), uloc_norm(g, params)
     nsum = uloc_norm(f + g, params)
@@ -198,16 +198,12 @@ def suite_norms() -> list[CheckResult]:
     return out
 
 
-def _random_field_for_norms(grid, rng) -> ScalarField:
-    return ScalarField(grid, rng.standard_normal(grid.shape))
-
-
 def suite_dyadic() -> list[CheckResult]:
     rng = np.random.default_rng(13)
     out = []
     grid = make_grid(1, 256, 40.0)
     cfg = dy.DyadicConfig.for_grid(grid)
-    f = _random_field_for_norms(grid, rng)
+    f = _random_field(grid, rng)
     rec = dy.reconstruct(f, cfg)
     gap = np.max(np.abs(rec.values - f.values))
     out.append(_result("dyadic.partition_of_unity", gap <= 1e-10, f"gap {gap:.2e}"))
@@ -224,7 +220,7 @@ def suite_dyadic() -> list[CheckResult]:
         bj = dy.dyadic_block(f, j)
         denom = bj.max_abs()
         if denom > 1e-12:
-            consts.append(magnitude(gradient(bj)).max_abs() / denom / 2.0**j)
+            consts.append(bj.grad_abs.max_abs() / denom / 2.0**j)
     spread = max(consts) / min(consts)
     out.append(
         _result(
@@ -299,9 +295,15 @@ def suite_monitors() -> list[CheckResult]:
     grid = make_grid(1, 256, 40.0)
     initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
     p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
-    res = run(initial, p, RunConfig(t_end=0.2, dt=1e-3, monitor_every=20, keep_states=True))
+    states: list[State] = []
+    run(
+        initial,
+        p,
+        RunConfig(t_end=0.2, dt=1e-3, monitor_every=20),
+        monitors=lambda s: states.append(s) or {},
+    )
     worst = -math.inf
-    for prev, nxt in zip(res.states[:-1], res.states[1:]):
+    for prev, nxt in zip(states[:-1], states[1:]):
         _, rmax = z_residual(prev, nxt, p)
         worst = max(worst, rmax)
     out.append(
@@ -312,7 +314,7 @@ def suite_monitors() -> list[CheckResult]:
         )
     )
 
-    state = res.states[-1]
+    state = states[-1]
     config = MomentConfig(
         k=3, R=2.0, centers=default_centers(grid), C0=mu_zero_estimate(3, p).C0, tau=p.tau
     )

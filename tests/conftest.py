@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kslab.fields import ScalarField, make_grid
+from kslab.solver import run
 
 
 @pytest.fixture
@@ -36,3 +37,10 @@ def band_limited(grid, rng, max_index):
     vals = np.fft.ifftn(fhat).real
     peak = np.max(np.abs(vals))
     return ScalarField(grid, vals / peak if peak > 0 else vals)
+
+
+def run_states(initial, params, config):
+    """Run with a monitor that keeps every sampled state; returns (result, states)."""
+    states = []
+    result = run(initial, params, config, monitors=lambda s: states.append(s) or {})
+    return result, states

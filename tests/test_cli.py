@@ -1,13 +1,25 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kslab import fields
 from kslab.checkpoint import load_checkpoint
-from kslab.cli import EXIT_BLOWUP, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, TRACE_COLUMNS, main
+from kslab.cli import (
+    EXIT_BLOWUP,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    EXIT_USAGE,
+    TRACE_COLUMNS,
+    _CliRecorder,
+    main,
+)
 from kslab.config import ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
+from kslab.presets import build_initial
+from kslab.solver import _builtin_sample, suggest_dt
 
 FAST_CONFIG = """
 # small deterministic run
@@ -136,16 +148,54 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line", ["params.mu=nan", "run.t_end=inf", "params.lambda=inf", "params.chi=inf"]
+    )
+    def test_non_finite_value_is_usage_error_without_artifacts(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + line + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_assert_mode_needs_prior_calibration(self, fast_config, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
         assert code == EXIT_USAGE
+        assert not (out / "trace.csv").exists()
 
     def test_calibrate_then_assert(self, fast_config, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
         assert code == EXIT_OK
+
+
+class TestSampleCost:
+    def test_one_gradient_per_sampled_state(self, monkeypatch):
+        # The run loop's own sample, the CLI monitors and the next dt all need
+        # |grad c| of the same state; it must be formed once.
+        cfg = ExperimentConfig(n_axis=64).validate()
+        params = cfg.params()
+        state = build_initial(
+            cfg.grid(), cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M()
+        )
+        recorder = _CliRecorder(cfg)
+        original = fields.gradient
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kslab") and getattr(module, "gradient", None) is original:
+                monkeypatch.setattr(module, "gradient", counted)
+        _builtin_sample(state, params)
+        recorder(state)
+        suggest_dt(state, params)
+        assert len(calls) == 1
 
 
 class TestSweepCommand:

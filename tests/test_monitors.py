@@ -36,7 +36,7 @@ from kslab.norms import CutoffSpec, cutoff_phi
 from kslab.presets import build_initial
 from kslab.solver import Params, RunConfig, RunStatus, State, run
 
-from conftest import band_limited
+from conftest import band_limited, run_states
 
 
 def zero_state(grid):
@@ -71,9 +71,9 @@ class TestComparisonFunction:
         chi, d = 1.0, 2
         p = Params(chi=chi, tau=1.0, lam=0.0, mu=d * chi / 2.0, d=d)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        res = run(initial, p, RunConfig(t_end=0.2, dt=1e-3, monitor_every=20, keep_states=True))
+        _, states = run_states(initial, p, RunConfig(t_end=0.2, dt=1e-3, monitor_every=20))
         worst = max(
-            z_residual(a, b, p)[1] for a, b in zip(res.states[:-1], res.states[1:])
+            z_residual(a, b, p)[1] for a, b in zip(states[:-1], states[1:])
         )
         assert worst <= 1e-4
 
@@ -81,10 +81,10 @@ class TestComparisonFunction:
         grid = make_grid(2, 64, 40.0)
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=2)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        res = run(initial, p, RunConfig(t_end=0.5, dt=2e-3, monitor_every=25, keep_states=True))
-        z0 = z_field(res.states[0], p).max_abs()
+        _, states = run_states(initial, p, RunConfig(t_end=0.5, dt=2e-3, monitor_every=25))
+        z0 = z_field(states[0], p).max_abs()
         cap = max(z0, z_comparison_level(p))
-        sup = max(z_field(s, p).max_abs() for s in res.states)
+        sup = max(z_field(s, p).max_abs() for s in states)
         assert sup <= cap + 1e-3
 
 
@@ -142,16 +142,16 @@ class TestUlocCombined:
             ScalarField(grid1d, np.full(grid1d.shape, a)),
             ScalarField(grid1d, np.full(grid1d.shape, a)),
         )
-        res = run(state, p, RunConfig(t_end=0.5, dt=0.01, monitor_every=10, keep_states=True))
-        values = [uloc_combined(s, p, 2.0) for s in res.states]
+        _, states = run_states(state, p, RunConfig(t_end=0.5, dt=0.01, monitor_every=10))
+        values = [uloc_combined(s, p, 2.0) for s in states]
         assert max(values) - min(values) <= 1e-10
 
     def test_flat_after_transient_2d(self):
         grid = make_grid(2, 64, 40.0)
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=2)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        res = run(initial, p, RunConfig(t_end=1.0, dt=5e-3, monitor_every=40, keep_states=True))
-        values = [uloc_combined(s, p, 2.0) for s in res.states]
+        _, states = run_states(initial, p, RunConfig(t_end=1.0, dt=5e-3, monitor_every=40))
+        values = [uloc_combined(s, p, 2.0) for s in states]
         base = 4 * values[0]  # crude headroom: the bound's data part
         assert max(values) <= base + 1.0
 
@@ -360,8 +360,8 @@ class TestOdeResiduals:
     def short_run(self, grid1d):
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        res = run(initial, p, RunConfig(t_end=0.1, dt=1e-3, monitor_every=5, keep_states=True))
-        return res, p
+        _, states = run_states(initial, p, RunConfig(t_end=0.1, dt=1e-3, monitor_every=5))
+        return states, p
 
     def test_zero_state_margins_nonpositive(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
@@ -379,21 +379,21 @@ class TestOdeResiduals:
             assert r.max_margin() <= 0.0
 
     def test_calibrate_then_assert(self, short_run):
-        res, p = short_run
+        states, p = short_run
         cfg = MomentConfig(
             k=3, R=2.0, centers=((0.0,), (3.0,)), C0=mu_zero_estimate(3, p).C0, tau=p.tau
         )
-        reports, fitted = dyadic_ode_residuals(res.states, cfg, p)
+        reports, fitted = dyadic_ode_residuals(states, cfg, p)
         assert set(fitted) == {"density_power", "gradient_power", "mixed_first", "mixed_order_2"}
-        frozen, _ = dyadic_ode_residuals(res.states, cfg, p, calibration=fitted)
+        frozen, _ = dyadic_ode_residuals(states, cfg, p, calibration=fitted)
         for r in frozen:
             assert r.max_margin() <= 1e-9
 
     def test_sparse_sampling_refused(self, short_run):
-        res, p = short_run
+        states, p = short_run
         cfg = MomentConfig(k=3, R=2.0, centers=((0.0,),), C0=1.0, tau=p.tau)
         with pytest.raises(ValueError, match="sampling too sparse"):
-            dyadic_ode_residuals(res.states[::4], cfg, p)
+            dyadic_ode_residuals(states[::4], cfg, p)
 
     def test_integration_by_parts_identity(self, grid1d):
         x = grid1d.mesh()[0]
@@ -461,9 +461,9 @@ class TestReconstruction:
         grid = make_grid(3, 64, 20.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=2.0, d=3)
         initial = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5)
-        res = run(initial, p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10, keep_states=True))
+        res, states = run_states(initial, p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10))
         assert res.status is RunStatus.COMPLETED
-        rep = linf_reconstruction_check(res.states, 4)
+        rep = linf_reconstruction_check(states, 4)
         assert rep.split_error <= 1e-10
         assert np.all(np.isfinite(rep.ratios))
         assert rep.fitted <= 10.0

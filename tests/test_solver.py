@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from kslab.solver import (
     RunConfig,
     RunStatus,
     State,
+    _Stepper,
     approx_initial,
     data_bound,
     default_picard_horizon,
@@ -23,6 +25,8 @@ from kslab.solver import (
     step,
     suggest_dt,
 )
+
+from conftest import run_states
 
 
 @pytest.fixture
@@ -45,6 +49,12 @@ class TestParamsAndState:
         with pytest.raises(ValueError):
             Params(chi=1.0, tau=1.0, lam=-0.1, d=1)
 
+    @pytest.mark.parametrize("name", ["chi", "tau", "lam", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            Params(**{"chi": 1.0, "d": 1, name: value})
+
     def test_state_requires_shared_grid(self, grid1d):
         other = make_grid(1, 128, 40.0)
         with pytest.raises(ValueError):
@@ -61,6 +71,14 @@ class TestParamsAndState:
             RunConfig(t_end=0.0)
         with pytest.raises(ValueError):
             RunConfig(t_end=1.0, monitor_every=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.inf}, {"blowup_cap": math.nan}],
+    )
+    def test_run_config_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(**{"t_end": 1.0, **kwargs})
 
 
 class TestRhs:
@@ -171,8 +189,8 @@ class TestRun:
 
     def test_pure_heat_trajectory_matches_propagator(self, gauss_state):
         p = Params(chi=0.0, tau=1.0, lam=0.0, mu=0.0, d=1)
-        res = run(gauss_state, p, RunConfig(t_end=0.4, dt=0.02, monitor_every=4, keep_states=True))
-        for st in res.states:
+        _, states = run_states(gauss_state, p, RunConfig(t_end=0.4, dt=0.02, monitor_every=4))
+        for st in states:
             exact = heat_propagate(gauss_state.n, st.t)
             assert np.max(np.abs(st.n.values - exact.values)) <= 1e-10
 
@@ -192,6 +210,22 @@ class TestRun:
     def test_adaptive_dt_heuristic_positive_and_capped(self, gauss_state):
         dt = suggest_dt(gauss_state, PARAMS_1D)
         assert 0 < dt <= 0.25
+
+    def test_one_live_stepper_across_auto_dt_intervals(self, gauss_state):
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        alive = []
+
+        def count_steppers(state):
+            steppers = [o for o in gc.get_objects() if isinstance(o, _Stepper)]
+            alive.append(sum(1 for s in steppers if s.params is p))
+            return {}
+
+        config = RunConfig(t_end=0.5, dt=None, monitor_every=1)
+        res = run(gauss_state, p, config, monitors=count_steppers)
+        # One step per interval, so each trace gap is that interval's dt.
+        dts = np.diff([s.t for s in res.trace])
+        assert len(dts) >= 5 and len(set(dts)) >= 5
+        assert max(alive) == 1
 
     def test_trace_times_strictly_increasing(self, gauss_state):
         res = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.3, dt=None, monitor_every=7))
