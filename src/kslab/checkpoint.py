@@ -9,11 +9,16 @@ Layout (little-endian throughout):
     t       f64
     n       n_axis^d f64 samples, row-major
     c       n_axis^d f64 samples, row-major
+
+Every artifact file is written through ``atomic_open``: a temporary sibling
+renamed over the target once it is complete.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +26,14 @@ import numpy as np
 from .fields import Grid, ScalarField, make_grid
 from .solver import State
 
-__all__ = ["MAGIC", "save_checkpoint", "load_checkpoint", "state_to_bytes", "state_from_bytes"]
+__all__ = [
+    "MAGIC",
+    "atomic_open",
+    "save_checkpoint",
+    "load_checkpoint",
+    "state_to_bytes",
+    "state_from_bytes",
+]
 
 MAGIC = b"KSLB1"
 _HEADER = struct.Struct("<IIdd")
@@ -57,8 +69,28 @@ def state_from_bytes(blob: bytes) -> State:
     )
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Write through a temporary sibling of ``path``, renamed over it on success.
+
+    If the body raises, the temporary file is removed and ``path`` is left as
+    it was, so a reader never sees a partial artifact.  Text mode writes
+    ``\n`` line ends untranslated.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path: str | Path, state: State) -> None:
-    Path(path).write_bytes(state_to_bytes(state))
+    with atomic_open(path, "wb") as fh:
+        fh.write(state_to_bytes(state))
 
 
 def load_checkpoint(path: str | Path) -> State:

@@ -1,8 +1,9 @@
 """Command line driver: single runs, parameter sweeps, truncation-convergence
 studies, property suites, and report rendering.
 
-Exit codes: 0 completed/pass, 2 blow-up suspected, 3 numerical failure,
-4 invariant failure, 64 usage error.
+Exit codes: 0 completed/pass, 2 blow-up suspected, 3 numerical failure
+(including an arithmetic overflow anywhere in the computation), 4 invariant
+failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .config import ConfigError, ExperimentConfig, SweepSpec
 from .monitors import (
     TraceRecorder,
@@ -89,7 +90,7 @@ class _CliRecorder:
 
 
 def _write_trace_csv(path: Path, trace: list[FunctionalSample]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for sample in trace:
             row = [sample.t] + [sample.values[c] for c in TRACE_COLUMNS[1:]]
@@ -97,7 +98,7 @@ def _write_trace_csv(path: Path, trace: list[FunctionalSample]) -> None:
 
 
 def _write_residuals_csv(path: Path, rows: list[tuple[float, str, float, float | None]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("t,name,margin,calibration\n")
         for t, name, margin, calibration in rows:
             cal = "" if calibration is None else _fmt(calibration)
@@ -211,7 +212,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
     rows, fitted, verdicts = _residual_reports(cfg, result, calibration)
     _write_residuals_csv(out / "residuals.csv", rows)
     if mode == "calibrate":
-        (out / "calibration.json").write_text(json.dumps(fitted, sort_keys=True, indent=1))
+        with atomic_open(out / "calibration.json") as fh:
+            fh.write(json.dumps(fitted, sort_keys=True, indent=1))
 
     verdicts["mass_ledger_per_step"] = bool(result.mass_ledger_rel_max <= 1e-10)
     min_n = min(s.values["min_n"] for s in result.trace)
@@ -238,7 +240,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
         "verdicts": verdicts,
         "mode": mode,
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+    with atomic_open(out / "summary.json") as fh:
+        fh.write(json.dumps(summary, sort_keys=True, indent=1))
 
     for name, ok in sorted(verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -285,7 +288,7 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
         results = [_sweep_worker(job) for job in jobs]
 
     mu0 = mu_zero_estimate(spec.base.monitor_k, spec.base.params()).mu0
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    with atomic_open(out / "sweep.csv") as fh:
         fh.write("value,status,sup_linf_n,bounded,mu_zero_reference\n")
         for value, res in zip(spec.values, results):
             if res["ok"]:
@@ -325,7 +328,7 @@ def cmd_mconv(cfg: ExperimentConfig, m_values: list[float], out: Path) -> int:
         diff_n = float(np.max(np.abs(f_a.n.values[mask] - f_b.n.values[mask])))
         diff_c = float(np.max(np.abs(f_a.c.values[mask] - f_b.c.values[mask])))
         rows.append((m_a, m_b, diff_n, diff_c))
-    with open(out / "mconv.csv", "w", newline="") as fh:
+    with atomic_open(out / "mconv.csv") as fh:
         fh.write("M_a,M_b,sup_diff_n,sup_diff_c\n")
         for m_a, m_b, dn, dc in rows:
             fh.write(f"{_fmt(m_a)},{_fmt(m_b)},{_fmt(dn)},{_fmt(dc)}\n")
@@ -376,7 +379,7 @@ def cmd_report(out: Path) -> int:
     if not rows:
         print(f"no CSV artifacts found under {out}", file=sys.stderr)
         return EXIT_USAGE
-    with open(out / "report_long.csv", "w", newline="") as fh:
+    with atomic_open(out / "report_long.csv") as fh:
         fh.write("source,key,name,value\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
@@ -456,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # overflow or division by zero in the numerics
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     raise AssertionError("unreachable")
 
 

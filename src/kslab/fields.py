@@ -197,12 +197,37 @@ class SpectralField:
 # Half-spectrum plumbing shared by every operator
 
 
-def _rfft(values: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(values)
+def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum transform into ``out`` (default: one fresh array).
+
+    Every axis pass of ``np.fft.rfftn`` writes into ``out``, so the passes
+    after the first run in place; the bytes match ``np.fft.rfftn(values)``.
+    """
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), np.complex128)
+    return np.fft.rfftn(values, out=out)
 
 
-def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
+def _irfft(
+    coeffs: np.ndarray,
+    grid: Grid,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inverse of ``_rfft`` into ``out`` (default: a fresh array).
+
+    ``ifft`` runs over the leading axes into the complex half-spectrum
+    buffer ``work`` (default: one fresh array) and in place there, then
+    ``irfft`` writes the last axis into ``out``.  The passes and their order
+    are those of ``np.fft.irfftn``, and so are the bytes; with both buffers
+    given nothing is allocated.  ``work`` may be ``coeffs`` itself when the
+    coefficients are spent.
+    """
+    if work is None:
+        work = np.empty(grid.rshape, np.complex128)
+    for axis in range(grid.d - 1):
+        coeffs = np.fft.ifft(coeffs, axis=axis, out=work)
+    return np.fft.irfft(coeffs, grid.n_axis, axis=grid.d - 1, out=out)
 
 
 @lru_cache(maxsize=64)

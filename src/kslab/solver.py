@@ -178,36 +178,79 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonlinear_hat(grid: Grid, params: Params, nhat, chat, n_phys, mask, k_odd):
-    """Spectral nonlinear tendencies plus the box integrals of n and n^2.
+class _Workspace:
+    """Half-spectrum and physical buffers for the nonlinear tendencies and ETD-RK2.
 
-    Operates in the half-spectrum layout.  The integrals are read off the
-    zero modes; the transport divergence contributes nothing there by
-    construction, which is what makes the mass ledger exact.
+    ``run`` allocates one per run and hands it to every ``_Stepper`` it
+    builds, so a step allocates only the two arrays of the new State.
+    The buffers are overwritten by every call: a workspace, and a
+    ``_Stepper`` holding one, must not be used by two threads at once.
     """
-    p = params
-    flux_hat = np.zeros(grid.rshape, dtype=np.complex128)
-    for ka in k_odd:
-        prod_hat = _rfft(n_phys * _irfft(1j * ka * chat, grid))
-        if mask is not None:
-            prod_hat[~mask] = 0.0
-        flux_hat += 1j * ka * prod_hat
-    n2_hat = _rfft(n_phys * n_phys)
-    if mask is not None:
-        n2_hat[~mask] = 0.0
-    nn_hat = -p.chi * flux_hat + p.lam * nhat - p.mu * n2_hat
-    nc_hat = nhat / p.tau
+
+    def __init__(self, grid: Grid, dealias: bool):
+        self.grid = grid
+        # Modes the 2/3 rule zeroes after each product, and i*k per axis.
+        self.drop = ~_dealias_mask_r(grid) if dealias else None
+        self.ik_odd = tuple(1j * ka for ka in _k_axes_odd_r(grid))
+        half = lambda: np.empty(grid.rshape, dtype=np.complex128)
+        self.nhat, self.chat = half(), half()  # state transforms, then stage a
+        self.nn_u, self.nc_u = half(), half()
+        self.nn_a, self.nc_a = half(), half()
+        self.prod = half()  # transform scratch
+        self.phys = np.empty(grid.shape)  # product scratch
+        self.a_n = np.empty(grid.shape)  # stage-a density
+
+
+def _nonlinear_hat(params: Params, ws: _Workspace, nhat, chat, n_phys, nn, nc):
+    """Spectral nonlinear tendencies into ``nn`` and ``nc``; returns
+    ``(nn, nc, int n, int n^2)``.
+
+    Operates in the half-spectrum layout with ``ws.prod``/``ws.phys`` as
+    scratch; ``nn`` and ``nc`` must be other buffers than the inputs.  The
+    integrals are read off the zero modes; the transport divergence
+    contributes nothing there by construction, which is what makes the mass
+    ledger exact.  Every product is formed in place, one operation at a
+    time, in the order of ``-chi div(n grad c) + lam n - mu n^2``.
+    """
+    p, grid, prod, phys = params, ws.grid, ws.prod, ws.phys
+    flux = nn
+    flux.fill(0.0)
+    for ik in ws.ik_odd:
+        _irfft(np.multiply(ik, chat, out=prod), grid, out=phys, work=prod)
+        _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
+        if ws.drop is not None:
+            prod[ws.drop] = 0.0
+        flux += np.multiply(ik, prod, out=prod)
+    n2_hat = _rfft(np.multiply(n_phys, n_phys, out=phys), out=prod)
+    if ws.drop is not None:
+        n2_hat[ws.drop] = 0.0
     zero = (0,) * grid.d
     hd = grid.spacing**grid.d
     int_n = hd * nhat[zero].real
     int_n2 = hd * n2_hat[zero].real
-    return nn_hat, nc_hat, int_n, int_n2
+    np.multiply(-p.chi, flux, out=nn)
+    nn += np.multiply(p.lam, nhat, out=nc)
+    nn -= np.multiply(p.mu, n2_hat, out=n2_hat)
+    np.divide(nhat, p.tau, out=nc)
+    return nn, nc, int_n, int_n2
 
 
 class _Stepper:
-    """ETD-RK2 stepper with precomputed multipliers for one (grid, params, dt)."""
+    """ETD-RK2 stepper with precomputed multipliers for one (grid, params, dt).
 
-    def __init__(self, grid: Grid, params: Params, dt: float, dealias: bool):
+    ``workspace`` is a ``_Workspace`` to reuse (same grid and dealiasing),
+    such as the one ``run`` hands to every stepper it builds; by default the
+    stepper allocates its own.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        params: Params,
+        dt: float,
+        dealias: bool,
+        workspace: _Workspace | None = None,
+    ):
         self.grid = grid
         self.params = params
         self.dt = dt
@@ -220,46 +263,51 @@ class _Stepper:
         self.p1_c = dt * _phi1(z_c)
         self.p2_n = dt * _phi2(z_n)
         self.p2_c = dt * _phi2(z_c)
-        self.k_odd = _k_axes_odd_r(grid)
-        self.mask = _dealias_mask_r(grid) if dealias else None
-
-    def _nonlinear(self, nhat, chat, n_phys):
-        return _nonlinear_hat(
-            self.grid, self.params, nhat, chat, n_phys, self.mask, self.k_odd
-        )
+        self.ws = workspace if workspace is not None else _Workspace(grid, dealias)
 
     def advance(self, state: State) -> tuple[State, float, float, float]:
         """One step; returns (state, ledger residual, d int(n) dt, d int(n^2) dt).
 
         The two trailing values are the step's contribution to the running
         time integrals of int(n) and int(n^2), in the same stage quadrature
-        the zero mode actually evolves by.
+        the zero mode actually evolves by.  Everything but the new state's
+        two arrays lives in the workspace.
         """
+        ws, grid, p = self.ws, self.grid, self.params
         n_phys = state.n.values
-        nhat = _rfft(n_phys)
-        chat = _rfft(state.c.values)
-        nn_u, nc_u, int_n_u, int_n2_u = self._nonlinear(nhat, chat, n_phys)
+        nhat = _rfft(n_phys, out=ws.nhat)
+        chat = _rfft(state.c.values, out=ws.chat)
+        nn_u, nc_u, int_n_u, int_n2_u = _nonlinear_hat(
+            p, ws, nhat, chat, n_phys, ws.nn_u, ws.nc_u
+        )
 
-        a_n_hat = self.exp_n * nhat + self.p1_n * nn_u
-        a_c_hat = self.exp_c * chat + self.p1_c * nc_u
-        a_n = _irfft(a_n_hat, self.grid)
-        nn_a, nc_a, int_n_a, int_n2_a = self._nonlinear(a_n_hat, a_c_hat, a_n)
+        # Stage a: exp * hat + p1 * N_u, over the spent state transforms.
+        a_n_hat = np.multiply(self.exp_n, nhat, out=nhat)
+        a_n_hat += np.multiply(self.p1_n, nn_u, out=ws.prod)
+        a_c_hat = np.multiply(self.exp_c, chat, out=chat)
+        a_c_hat += np.multiply(self.p1_c, nc_u, out=ws.prod)
+        a_n = _irfft(a_n_hat, grid, out=ws.a_n, work=ws.prod)
+        nn_a, nc_a, int_n_a, int_n2_a = _nonlinear_hat(
+            p, ws, a_n_hat, a_c_hat, a_n, ws.nn_a, ws.nc_a
+        )
 
-        new_n_hat = a_n_hat + self.p2_n * (nn_a - nn_u)
-        new_c_hat = a_c_hat + self.p2_c * (nc_a - nc_u)
-        new_n = _irfft(new_n_hat, self.grid)
-        new_c = _irfft(new_c_hat, self.grid)
+        # New state: a_hat + p2 * (N_a - N_u), transformed out of place.
+        nn_a -= nn_u
+        a_n_hat += np.multiply(self.p2_n, nn_a, out=nn_a)
+        nc_a -= nc_u
+        a_c_hat += np.multiply(self.p2_c, nc_a, out=nc_a)
+        new_n = _irfft(a_n_hat, grid, out=np.empty(grid.shape), work=a_n_hat)
+        new_c = _irfft(a_c_hat, grid, out=np.empty(grid.shape), work=a_c_hat)
 
-        hd = self.grid.spacing**self.grid.d
+        hd = grid.spacing**grid.d
         mass_delta = hd * (np.sum(new_n) - np.sum(n_phys))
         d_int_n = self.dt * 0.5 * (int_n_u + int_n_a)
         d_int_n2 = self.dt * 0.5 * (int_n2_u + int_n2_a)
-        p = self.params
         ledger = abs(mass_delta - (p.lam * d_int_n - p.mu * d_int_n2))
         new_state = State(
             t=state.t + self.dt,
-            n=ScalarField(self.grid, new_n),
-            c=ScalarField(self.grid, new_c),
+            n=ScalarField(grid, new_n),
+            c=ScalarField(grid, new_c),
         )
         return new_state, ledger, d_int_n, d_int_n2
 
@@ -267,11 +315,11 @@ class _Stepper:
 def rhs(state: State, params: Params, dealias: bool = True) -> tuple[ScalarField, ScalarField]:
     """Instantaneous tendencies (dn/dt, dc/dt) with dealiased products."""
     grid = state.grid
-    mask = _dealias_mask_r(grid) if dealias else None
-    nhat = _rfft(state.n.values)
-    chat = _rfft(state.c.values)
+    ws = _Workspace(grid, dealias)
+    nhat = _rfft(state.n.values, out=ws.nhat)
+    chat = _rfft(state.c.values, out=ws.chat)
     nn_hat, nc_hat, _, _ = _nonlinear_hat(
-        grid, params, nhat, chat, state.n.values, mask, _k_axes_odd_r(grid)
+        params, ws, nhat, chat, state.n.values, ws.nn_u, ws.nc_u
     )
     ksq = _k_squared_r(grid)
     dn_hat = -ksq * nhat + nn_hat
@@ -349,18 +397,26 @@ def run(
     status = RunStatus.COMPLETED
     status_time = initial.t + config.t_end
     t_end = initial.t + config.t_end
+    # One workspace for the whole run; each rebuilt stepper takes it over.
+    workspace = _Workspace(grid, config.dealias)
     stepper: _Stepper | None = None
     eps = 1e-12 * max(1.0, abs(t_end))
 
     while state.t < t_end - eps:
         dt = config.dt if config.dt is not None else suggest_dt(state, params)
+        if not dt > eps:
+            # A step this small (an underflowed heuristic) cannot advance the
+            # run: report it as a numerical failure instead of looping on.
+            status = RunStatus.NUMERICAL_FAILURE
+            status_time = state.t
+            break
         failed = False
         for _ in range(config.monitor_every):
             dt_step = min(dt, t_end - state.t)
             if dt_step <= eps:
                 break
             if stepper is None or stepper.dt != dt_step:
-                stepper = _Stepper(grid, params, dt_step, config.dealias)
+                stepper = _Stepper(grid, params, dt_step, config.dealias, workspace)
             state, ledger, d_int_n, d_int_n2 = stepper.advance(state)
             if not state.is_finite():
                 status = RunStatus.NUMERICAL_FAILURE
@@ -506,7 +562,7 @@ def picard_local_solve(
     dt = T / Q
     ksq = _k_squared_r(grid)
     k_odd = _k_axes_odd_r(grid)
-    mask = _dealias_mask_r(grid) if dealias else None
+    ws = _Workspace(grid, dealias)
 
     # Propagator multipliers at node and midpoint offsets.
     prop_n_node = [np.exp(-(i * dt) * ksq) for i in range(Q + 1)]
@@ -524,7 +580,8 @@ def picard_local_solve(
 
     def source_n_hat(n_hat: np.ndarray, c_hat: np.ndarray) -> np.ndarray:
         n_phys = _irfft(n_hat, grid)
-        nn_hat, _, _, _ = _nonlinear_hat(grid, p, n_hat, c_hat, n_phys, mask, k_odd)
+        nn_hat = np.empty(grid.rshape, dtype=np.complex128)
+        _nonlinear_hat(p, ws, n_hat, c_hat, n_phys, nn_hat, ws.nc_u)
         return nn_hat
 
     def apply_map(ns, cs):

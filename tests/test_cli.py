@@ -7,19 +7,21 @@ import numpy as np
 import pytest
 
 from kslab import fields
-from kslab.checkpoint import load_checkpoint
+from kslab.checkpoint import atomic_open, load_checkpoint
 from kslab.cli import (
     EXIT_BLOWUP,
     EXIT_INVARIANT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     TRACE_COLUMNS,
     _CliRecorder,
+    _write_trace_csv,
     main,
 )
 from kslab.config import ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
 from kslab.presets import build_initial
-from kslab.solver import _builtin_sample, suggest_dt
+from kslab.solver import FunctionalSample, _builtin_sample, suggest_dt
 
 FAST_CONFIG = """
 # small deterministic run
@@ -159,6 +161,20 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_vanishing_auto_dt_exits_numerical(self, tmp_path):
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(FAST_CONFIG + "run.dt=auto\nparams.mu=1e308\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("line", ["params.lambda=1e308", "init.width=1e308", "monitor.k=100"])
+    def test_arithmetic_overflow_exits_numerical(self, tmp_path, capsys, line):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FAST_CONFIG + line + "\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "OverflowError" in capsys.readouterr().err
+
     def test_assert_mode_needs_prior_calibration(self, fast_config, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
@@ -170,6 +186,44 @@ class TestRunCommand:
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
         assert code == EXIT_OK
+
+
+class TestAtomicWrites:
+    def _trace(self, rows):
+        full = {name: 1.0 for name in TRACE_COLUMNS[1:]}
+        # The last sample lacks its columns, so the write fails after the
+        # header and the first rows are out.
+        return [FunctionalSample(t=float(i), values=full) for i in range(rows)] + [
+            FunctionalSample(t=float(rows), values={})
+        ]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(KeyError):
+            _write_trace_csv(tmp_path / "trace.csv", self._trace(3))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("previous\n")
+        with pytest.raises(KeyError):
+            _write_trace_csv(path, self._trace(3))
+        assert path.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_binary_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "final.kslb"
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_open(path, "wb") as fh:
+                fh.write(b"KSLB1 half a state")
+                raise OSError("disk full")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_leaves_only_its_artifacts(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        main(["run", "--config", str(fast_config), "--out", str(out)])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "calibration.json", "final.kslb", "residuals.csv", "summary.json", "trace.csv"
+        ]
 
 
 class TestSampleCost:

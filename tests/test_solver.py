@@ -1,11 +1,20 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kslab.checkpoint import load_checkpoint, save_checkpoint, state_from_bytes, state_to_bytes
-from kslab.fields import ScalarField, heat_propagate, integrate, make_grid
+from kslab.fields import (
+    ScalarField,
+    _dealias_mask_r,
+    _k_axes_odd_r,
+    _k_squared_r,
+    heat_propagate,
+    integrate,
+    make_grid,
+)
 from kslab.presets import build_initial
 from kslab.solver import (
     Params,
@@ -14,6 +23,9 @@ from kslab.solver import (
     RunStatus,
     State,
     _Stepper,
+    _Workspace,
+    _phi1,
+    _phi2,
     approx_initial,
     data_bound,
     default_picard_horizon,
@@ -156,6 +168,120 @@ class TestStep:
             step(gauss_state, PARAMS_1D, 0.0)
 
 
+def _allocating_etd_rk2(state, p, dt, dealias):
+    """The ETD-RK2 step written with fresh arrays for every operation.
+
+    Returns (n, c, ledger, d_int_n, d_int_n2); the workspace stepper must
+    reproduce every value bit for bit.
+    """
+    g = state.grid
+
+    def irfft(coeffs):
+        return np.fft.irfftn(coeffs, s=g.shape, axes=tuple(range(g.d)))
+
+    ksq = _k_squared_r(g)
+    z_n, z_c = -dt * ksq, dt * (-1.0 - ksq) / p.tau
+    mask = _dealias_mask_r(g) if dealias else None
+    zero, hd = (0,) * g.d, g.spacing**g.d
+
+    def nonlinear(nhat, chat, n_phys):
+        flux = np.zeros(g.rshape, dtype=np.complex128)
+        for ka in _k_axes_odd_r(g):
+            prod = np.fft.rfftn(n_phys * irfft(1j * ka * chat))
+            if mask is not None:
+                prod[~mask] = 0.0
+            flux += 1j * ka * prod
+        n2 = np.fft.rfftn(n_phys * n_phys)
+        if mask is not None:
+            n2[~mask] = 0.0
+        nn = -p.chi * flux + p.lam * nhat - p.mu * n2
+        return nn, nhat / p.tau, hd * nhat[zero].real, hd * n2[zero].real
+
+    n_phys = state.n.values
+    nhat, chat = np.fft.rfftn(n_phys), np.fft.rfftn(state.c.values)
+    nn_u, nc_u, i_u, i2_u = nonlinear(nhat, chat, n_phys)
+    a_n_hat = np.exp(z_n) * nhat + dt * _phi1(z_n) * nn_u
+    a_c_hat = np.exp(z_c) * chat + dt * _phi1(z_c) * nc_u
+    nn_a, nc_a, i_a, i2_a = nonlinear(a_n_hat, a_c_hat, irfft(a_n_hat))
+    new_n = irfft(a_n_hat + dt * _phi2(z_n) * (nn_a - nn_u))
+    new_c = irfft(a_c_hat + dt * _phi2(z_c) * (nc_a - nc_u))
+    d_int_n = dt * 0.5 * (i_u + i_a)
+    d_int_n2 = dt * 0.5 * (i2_u + i2_a)
+    mass_delta = hd * (np.sum(new_n) - np.sum(n_phys))
+    ledger = abs(mass_delta - (p.lam * d_int_n - p.mu * d_int_n2))
+    return new_n, new_c, ledger, d_int_n, d_int_n2
+
+
+def _random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = 1.0 + 0.5 * rng.standard_normal(grid.shape)
+    return State(0.0, ScalarField(grid, n), ScalarField(grid, rng.standard_normal(grid.shape)))
+
+
+class TestWorkspaceStep:
+    P = dict(chi=1.3, tau=0.7, lam=0.4, mu=2.1)
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_bitwise_equal_to_allocating_formula(self, d, n_axis, dealias):
+        grid = make_grid(d, n_axis, 20.0)
+        p = Params(d=d, **self.P)
+        stepper = _Stepper(grid, p, 0.01, dealias)
+        state = _random_state(grid, d)
+        for _ in range(3):
+            new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
+            n, c, *scalars = _allocating_etd_rk2(state, p, 0.01, dealias)
+            assert new.n.values.tobytes() == n.tobytes()
+            assert new.c.values.tobytes() == c.tobytes()
+            assert [ledger, d_int_n, d_int_n2] == scalars
+            state = new
+
+    def test_states_do_not_alias_the_workspace(self):
+        grid = make_grid(2, 32, 20.0)
+        stepper = _Stepper(grid, Params(d=2, **self.P), 0.01, True)
+        start = _random_state(grid, 7)
+        kept = stepper.advance(start)[0]
+        kept_bytes = kept.n.values.tobytes() + kept.c.values.tobytes()
+        later = kept
+        for _ in range(3):
+            later = stepper.advance(later)[0]
+        assert kept.n.values.tobytes() + kept.c.values.tobytes() == kept_bytes
+        again = stepper.advance(start)[0]
+        assert again.n.values.tobytes() + again.c.values.tobytes() == kept_bytes
+        buffers = [b for b in vars(stepper.ws).values() if isinstance(b, np.ndarray)]
+        for field in (kept.n, kept.c, later.n, later.c, again.n, again.c):
+            assert not any(np.shares_memory(field.values, b) for b in buffers)
+
+    def test_warm_step_allocates_only_the_new_state(self):
+        grid = make_grid(3, 32, 20.0)
+        stepper = _Stepper(grid, Params(d=3, **self.P), 1e-3, True)
+        state = _random_state(grid, 3)
+        stepper.advance(stepper.advance(state)[0])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = stepper.advance(state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out[0].t > state.t
+        assert peak <= 2.1 * 8 * grid.npoints
+
+    def test_run_reuses_one_workspace_across_rebuilds(self, gauss_state):
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        seen = []
+
+        def record(state):
+            spaces = [o for o in gc.get_objects() if isinstance(o, _Workspace)]
+            seen.append({id(w) for w in spaces if w.grid is gauss_state.grid})
+            return {}
+
+        res = run(gauss_state, p, RunConfig(t_end=0.5, dt=None, monitor_every=1), monitors=record)
+        assert len(set(np.diff([s.t for s in res.trace]))) >= 5  # >= 5 stepper builds
+        assert len(set().union(*seen[1:])) == 1
+
+
 class TestRun:
     def test_zero_data_completes_at_zero(self, grid1d):
         zero = ScalarField(grid1d, np.zeros(grid1d.shape))
@@ -226,6 +352,13 @@ class TestRun:
         dts = np.diff([s.t for s in res.trace])
         assert len(dts) >= 5 and len(set(dts)) >= 5
         assert max(alive) == 1
+
+    def test_vanishing_auto_dt_is_numerical_failure(self, gauss_state):
+        # The heuristic's rate is ~1e307, so its dt is below any usable step.
+        p = Params(chi=0.0, tau=1.0, lam=0.0, mu=1e308, d=1)
+        res = run(gauss_state, p, RunConfig(t_end=0.05, dt=None))
+        assert res.status is RunStatus.NUMERICAL_FAILURE
+        assert res.status_time == 0.0 and len(res.trace) == 1
 
     def test_trace_times_strictly_increasing(self, gauss_state):
         res = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.3, dt=None, monitor_every=7))
