@@ -10,11 +10,9 @@ residual monitors.
 from .fields import (
     Grid,
     ScalarField,
-    SpectralField,
     VectorField,
     dealias,
     divergence,
-    from_spectral,
     gradient,
     heat_propagate,
     hessian_sq,
@@ -22,7 +20,6 @@ from .fields import (
     laplacian,
     magnitude,
     make_grid,
-    to_spectral,
 )
 from .norms import (
     CutoffSpec,

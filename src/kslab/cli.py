@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -23,12 +22,13 @@ from .checkpoint import atomic_open, save_checkpoint
 from .config import ConfigError, ExperimentConfig, SweepSpec
 from .monitors import (
     TraceRecorder,
+    linf_reconstruction_check,
     mu_zero_estimate,
     prop22_check,
     prop22_recorder,
-    z_comparison_level,
+    uloc_combined_check,
+    z_sup_cap_check,
 )
-from .norms import UlocNormParams, uloc_norm
 from .presets import build_initial
 from .solver import NONNEG_TOL, FunctionalSample, RunResult, RunStatus, State, run
 from .suites import run_suite
@@ -60,32 +60,21 @@ def _fmt(x: float) -> str:
 
 
 class _CliRecorder:
-    """Combined per-sample monitor: canonical schema + ledger ingredients."""
+    """Per-sample monitor of ``kslab run``: the trace recorder plus the ledger ingredients."""
 
     def __init__(self, cfg: ExperimentConfig):
-        params = cfg.params()
-        grid = cfg.grid()
-        self.cfg = cfg
-        self.params = params
-        self.grid = grid
         self.trace_rec = TraceRecorder(
-            params,
-            grid,
+            cfg.params(),
+            cfg.grid(),
             k=cfg.monitor_k,
             R=cfg.monitor_R,
             track_max_center=(cfg.monitor_centers == "max+lattice"),
         )
         self.prop22_rec = prop22_recorder()
-        # Unit balls when the grid resolves them, else the smallest radius the
-        # center scan can see.
-        ball = max(1.0, 2.0 * grid.spacing)
-        self.uloc_k_params = UlocNormParams.defaults_for(grid, float(cfg.monitor_k), ball)
 
     def __call__(self, state: State) -> dict[str, float]:
-        values = dict(self.trace_rec(state))
+        values = self.trace_rec(state)
         values.update(self.prop22_rec(state))
-        values["linf_gradc"] = state.c.grad_abs.max_abs()
-        values["lk_uloc_n"] = uloc_norm(state.n, self.uloc_k_params)
         return values
 
 
@@ -126,65 +115,16 @@ def _residual_reports(
     """Margins along the trace, fitted or asserted constants, and verdicts."""
     params = cfg.params()
     trace = result.trace
+    uloc, fitted = uloc_combined_check(trace, params, calibration)
+    linf, linf_fitted = linf_reconstruction_check(trace, params, cfg.monitor_k, calibration)
+    fitted.update(linf_fitted)
     rows: list[tuple[float, str, float, float | None]] = []
     verdicts: dict[str, bool] = {}
-    fitted: dict[str, float] = {}
-
-    for report in prop22_check(trace, params):
+    for report in prop22_check(trace, params) + uloc + linf + z_sup_cap_check(trace, params):
         for t, margin in zip(report.times, report.margins):
-            rows.append((t, report.name, float(margin), None))
-        if report.name != "mass_ledger_printed":
-            scale = max(1.0, max(abs(s.values["l1_n"]) for s in trace))
-            verdicts[report.name] = bool(report.max_margin() <= 1e-6 * scale)
-
-    # Combined uniformly local bound: sup_t F(t) <= base + fitted headroom.
-    chi_tau = params.chi * params.tau
-    f_series = [
-        s.values["l1_uloc_n"] + 0.25 * chi_tau * s.values["l2_uloc_gradc"] ** 2
-        for s in trace
-    ]
-    base = 4.0 * trace[0].values["l1_uloc_n"] + 2.0 * chi_tau * trace[0].values[
-        "l2_uloc_gradc"
-    ] ** 2
-    if calibration is None:
-        headroom = max(0.0, max(f_series) - base)
-        fitted["uloc_combined"] = headroom
-    else:
-        headroom = calibration.get("uloc_combined", 0.0)
-    margins = [f - base - headroom for f in f_series]
-    for s, m in zip(trace, margins):
-        rows.append((s.t, "uloc_combined", m, headroom))
-    verdicts["uloc_combined"] = bool(max(margins) <= 1e-6 * max(1.0, base + headroom))
-
-    # Gradient sup-norm reconstruction ratio against its three ingredients.
-    rhs0 = trace[0].values["l2_uloc_gradc"] + trace[0].values["w1inf_c"]
-    running = 0.0
-    ratios = []
-    for s in trace:
-        running = max(running, s.values["lk_uloc_n"])
-        denom = rhs0 + running
-        ratios.append(s.values["linf_gradc"] / denom if denom > 0 else 0.0)
-    if calibration is None:
-        const = max(ratios) if ratios else 0.0
-        fitted["linf_reconstruction"] = const
-    else:
-        const = calibration.get("linf_reconstruction", 0.0)
-    for s, r in zip(trace, ratios):
-        rows.append((s.t, "linf_reconstruction", r - const, const))
-    verdicts["linf_reconstruction"] = bool(
-        max(r - const for r in ratios) <= 1e-6 * max(1.0, const)
-    )
-
-    # Comparison-function cap in the tau=1 regime.
-    if params.tau == 1.0 and params.chi > 0 and params.mu > params.d * params.chi / 4.0:
-        level = z_comparison_level(params)
-        cap = max(trace[0].values["z_max"], level)
-        for s in trace:
-            rows.append((s.t, "z_sup_cap", s.values["z_max"] - cap, level))
-        verdicts["z_sup_cap"] = bool(
-            max(s.values["z_max"] for s in trace) <= cap + 1e-3
-        )
-
+            rows.append((t, report.name, float(margin), report.calibration))
+        if report.tolerance is not None:
+            verdicts[report.name] = bool(report.max_margin() <= report.tolerance)
     return rows, fitted, verdicts
 
 
@@ -417,12 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     add_common(p_sweep)
     p_sweep.add_argument("--param", choices=("mu", "chi"), required=True)
     p_sweep.add_argument("--values", type=str, required=True, help="comma-separated list")
-    p_sweep.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("KSLB_WORKERS", "1")),
-        help="parallel rows (falls back to KSLB_WORKERS)",
-    )
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel rows")
 
     p_mconv = sub.add_parser("mconv", help="truncation-radius convergence study")
     add_common(p_mconv)

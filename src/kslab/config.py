@@ -125,12 +125,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"init.preset must be one of {PRESET_NAMES}")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError("run.dt must be positive or auto")
-        if not self.t_end > 0:
-            raise ConfigError("run.t_end must be positive")
-        if self.monitor_every < 1:
-            raise ConfigError("run.monitor_every must be >= 1")
+        try:
+            self.run_config()
+        except ValueError as exc:
+            raise ConfigError(f"run.{exc}") from exc
         if not 2.0 * self.effective_M() < self.box_len / 2.0:
             raise ConfigError("init.M too large: need 2M < box_len/2")
         if self.monitor_centers not in ("max+lattice", "lattice"):
@@ -205,5 +203,4 @@ class SweepSpec:
             raise ConfigError("sweep value list must be nonempty")
 
     def configs(self) -> list[ExperimentConfig]:
-        attr = {"mu": "mu", "chi": "chi"}[self.parameter]
-        return [replace(self.base, **{attr: v}).validate() for v in self.values]
+        return [replace(self.base, **{self.parameter: v}).validate() for v in self.values]

@@ -5,9 +5,7 @@ the whole space.  All derivatives are Fourier multipliers, quadrature is
 the periodic midpoint rule (spectrally accurate on the torus), and
 nonlinear products are formed in physical space with 2/3-rule dealiasing.
 
-Real fields travel through the half-spectrum (rfft) layout internally;
-the public SpectralField type carries the full complex layout, where the
-conjugate symmetry of a real field's transform is an explicit invariant.
+Real fields travel through the half-spectrum (rfft) layout.
 """
 
 from __future__ import annotations
@@ -21,10 +19,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "SpectralField",
     "make_grid",
-    "to_spectral",
-    "from_spectral",
     "gradient",
     "laplacian",
     "divergence",
@@ -121,11 +116,6 @@ class ScalarField:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
 
-    def require_finite(self) -> "ScalarField":
-        if not self.is_finite():
-            raise ValueError("field contains non-finite samples")
-        return self
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -172,25 +162,6 @@ def magnitude(v: VectorField) -> ScalarField:
     """Pointwise Euclidean norm of a vector field."""
     sq = sum(c.values**2 for c in v.components)
     return ScalarField(v.grid, np.sqrt(sq))
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex DFT coefficients in the standard full fftn layout."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).reshape(self.grid.shape)
-        object.__setattr__(self, "coeffs", np.ascontiguousarray(arr))
-
-    def hermitian_defect(self) -> float:
-        """Max deviation from the conjugate symmetry of a real field's transform."""
-        flipped = self.coeffs
-        for ax in range(self.grid.d):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        return float(np.max(np.abs(self.coeffs - np.conj(flipped))))
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +253,6 @@ def _dealias_mask_r(grid: Grid) -> np.ndarray:
         shape[ax] = len(keep)
         mask = mask & keep.reshape(shape)
     return mask
-
-
-def to_spectral(f: ScalarField) -> SpectralField:
-    f.require_finite()
-    return SpectralField(f.grid, np.fft.fftn(f.values))
-
-
-def from_spectral(F: SpectralField) -> ScalarField:
-    return ScalarField(F.grid, np.fft.ifftn(F.coeffs).real)
 
 
 def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:

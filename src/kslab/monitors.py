@@ -12,6 +12,11 @@ two modes: "calibrate" fits the constant on a designated reference
 trajectory, "assert" freezes it and requires the signed margins to stay
 nonpositive.  Margins follow the convention LHS - RHS, so negative means
 satisfied.
+
+The verdicts of ``kslab run`` are the trace-level checks (``prop22_check``,
+``uloc_combined_check``, ``linf_reconstruction_check``, ``z_sup_cap_check``):
+they read only the keys ``TraceRecorder``, ``prop22_recorder`` and the run
+loop put in a trace, and each report carries its own pass tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .norms import (
     cutoff_phi_gradient,
     lp_norm,
     uloc_norm,
-    w1inf_norm,
 )
 from .solver import FunctionalSample, Params, State
 
@@ -49,15 +53,18 @@ __all__ = [
     "FunctionalSample",
     "z_field",
     "z_residual",
+    "z_sup_cap_check",
     "prop22_recorder",
     "prop22_check",
-    "uloc_combined",
+    "uloc_combined_series",
+    "uloc_combined_check",
     "moment",
     "moment_coefficients",
     "combined_y",
     "dyadic_ode_residuals",
     "mu_zero_estimate",
     "interpolation_check",
+    "low_high_split_error",
     "linf_reconstruction_check",
     "integration_by_parts_gap",
     "default_centers",
@@ -86,15 +93,32 @@ class MomentConfig:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Signed margins LHS - RHS of one inequality along a trace."""
+    """Signed margins LHS - RHS of one inequality along a trace.
+
+    ``calibration`` is the constant the margins were taken against and
+    ``tolerance`` the largest margin that still passes; a report without a
+    tolerance is informational and carries no verdict.
+    """
 
     name: str
     times: np.ndarray
     margins: np.ndarray
     calibration: float | None = None
+    tolerance: float | None = None
 
     def max_margin(self) -> float:
         return float(np.max(self.margins)) if len(self.margins) else -math.inf
+
+
+def _times(trace: list[FunctionalSample]) -> np.ndarray:
+    return np.array([s.t for s in trace])
+
+
+def _column(trace: list[FunctionalSample], key: str) -> np.ndarray:
+    """One recorded functional along a trace."""
+    if key not in trace[0].values:
+        raise ValueError(f"trace lacks required functional '{key}'")
+    return np.array([s.values[key] for s in trace])
 
 
 def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
@@ -139,6 +163,24 @@ def z_comparison_level(params: Params) -> float:
     if not denom > 0:
         raise ValueError("comparison level requires mu > d chi / 4")
     return (params.lam + 1.0) ** 2 / denom
+
+
+def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[ResidualReport]:
+    """Margins of sup_x z(t) <= max(sup_x z(0), level) along a trace (key ``z_max``).
+
+    The comparison inequality is claimed only for tau = 1 and mu > d chi / 4;
+    outside that regime there is no report.  The report's constant is the
+    level and it passes within 1e-3.
+    """
+    p = params
+    if not (p.tau == 1.0 and p.chi > 0 and p.mu > p.d * p.chi / 4.0):
+        return []
+    level = z_comparison_level(p)
+    z_max = _column(trace, "z_max")
+    cap = max(float(z_max[0]), level)
+    return [
+        ResidualReport("z_sup_cap", _times(trace), z_max - cap, calibration=level, tolerance=1e-3)
+    ]
 
 
 def z_residual(
@@ -206,13 +248,11 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
 
     The mass ledger is reported in both the printed form (no damping factor on
     the dissipation integral) and the Gronwall-consistent form carrying mu.
+    The printed form is informational; the others pass within
+    1e-6 max(1, sup_t ||n||_1).
     """
-    required = ("l1_n", "l2sq_n", "l2sq_c", "h1sq_c", "l2sq_gradc", "h1sq_gradc")
-    for key in required:
-        if key not in trace[0].values:
-            raise ValueError(f"trace lacks required functional '{key}'")
-    t = np.array([s.t for s in trace])
-    get = lambda key: np.array([s.values[key] for s in trace])
+    t = _times(trace)
+    get = lambda key: _column(trace, key)
     l1_n = get("l1_n")
     growth = np.exp(params.lam * (t - t[0])) * l1_n[0]
     if "int_l2sq_n" in trace[0].values:
@@ -224,13 +264,15 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
     int_h1sq_c = _cumtrapz(t, get("h1sq_c"))
     int_h1sq_gradc = _cumtrapz(t, get("h1sq_gradc"))
     tau = params.tau
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(l1_n))))
     reports = [
         ResidualReport("mass_ledger_printed", t, l1_n + int_l2sq_n - growth),
-        ResidualReport("mass_ledger", t, l1_n + params.mu * int_l2sq_n - growth),
+        ResidualReport("mass_ledger", t, l1_n + params.mu * int_l2sq_n - growth, tolerance=tol),
         ResidualReport(
             "chem_energy",
             t,
             tau * get("l2sq_c") + int_h1sq_c - (tau * get("l2sq_c")[0] + growth),
+            tolerance=tol,
         ),
         ResidualReport(
             "chem_gradient_energy",
@@ -238,6 +280,7 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
             tau * get("l2sq_gradc")
             + int_h1sq_gradc
             - (tau * get("l2sq_gradc")[0] + growth),
+            tolerance=tol,
         ),
     ]
     return reports
@@ -247,12 +290,44 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
 # Combined uniformly local bound
 
 
-def uloc_combined(state: State, params: Params, R: float) -> float:
-    """F(t) = ||n||_{L^1_uloc(R)} + (chi tau / 4) ||grad c||^2_{L^2_uloc(R)}."""
-    grid = state.grid
-    n_part = uloc_norm(state.n, UlocNormParams.defaults_for(grid, 1.0, R))
-    g_part = uloc_norm(state.c.grad_abs, UlocNormParams.defaults_for(grid, 2.0, R))
-    return float(n_part + 0.25 * params.chi * params.tau * g_part**2)
+def uloc_combined_series(trace: list[FunctionalSample], params: Params) -> np.ndarray:
+    """F(t) = ||n||_{L^1_uloc(R)} + (chi tau / 4) ||grad c||^2_{L^2_uloc(R)} along a trace.
+
+    Reads ``l1_uloc_n`` and ``l2_uloc_gradc``, so R is the recorder's radius.
+    """
+    chi_tau = params.chi * params.tau
+    return _column(trace, "l1_uloc_n") + 0.25 * chi_tau * _column(trace, "l2_uloc_gradc") ** 2
+
+
+def uloc_combined_check(
+    trace: list[FunctionalSample],
+    params: Params,
+    calibration: dict[str, float] | None = None,
+) -> tuple[list[ResidualReport], dict[str, float]]:
+    """Margins of F(t) <= base + headroom along a trace.
+
+    base = 4 ||n_0||_{L^1_uloc} + 2 chi tau ||grad c_0||^2_{L^2_uloc} is the
+    data part of the bound, read from the first sample.  The headroom is the
+    generic constant: fitted as the smallest one closing the trace when
+    ``calibration`` is None, else frozen from it.  Returns the report and the
+    headroom used.
+    """
+    f = uloc_combined_series(trace, params)
+    chi_tau = params.chi * params.tau
+    first = trace[0].values
+    base = 4.0 * first["l1_uloc_n"] + 2.0 * chi_tau * first["l2_uloc_gradc"] ** 2
+    if calibration is None:
+        headroom = max(0.0, float(np.max(f)) - base)
+    else:
+        headroom = calibration.get("uloc_combined", 0.0)
+    report = ResidualReport(
+        "uloc_combined",
+        _times(trace),
+        f - base - headroom,
+        calibration=headroom,
+        tolerance=1e-6 * max(1.0, base + headroom),
+    )
+    return [report], {"uloc_combined": headroom}
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +655,7 @@ def interpolation_check(u: ScalarField, k: int) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Sup-norm reconstruction ratios and the low/high split fidelity."""
-
-    times: np.ndarray
-    ratios: np.ndarray
-    fitted: float
-    split_error: float
-
-
-def _low_high_split_error(c: ScalarField) -> float:
+def low_high_split_error(c: ScalarField) -> float:
     """Max error of grad c = S_0 grad c + sum_{j>=0} block_j grad c."""
     cfg = DyadicConfig.for_grid(c.grid)
     worst = 0.0
@@ -603,38 +668,39 @@ def _low_high_split_error(c: ScalarField) -> float:
 
 
 def linf_reconstruction_check(
-    states: list[State], k: int, uloc_R: float = 1.0
-) -> ReconstructionReport:
+    trace: list[FunctionalSample],
+    params: Params,
+    k: int,
+    calibration: dict[str, float] | None = None,
+) -> tuple[list[ResidualReport], dict[str, float]]:
     """Ratio of ||grad c||_inf to its three-ingredient reconstruction bound.
 
-    The bound controls the gradient sup norm by the initial gradient in the
-    uniformly local L^2 norm, the initial W^(1,inf) size, and the running
-    sup of the density's uniformly local L^k norm; it requires k > d.
+    The bound controls the gradient sup norm (``linf_gradc``) by the initial
+    gradient in the uniformly local L^2 norm (``l2_uloc_gradc``), the initial
+    W^(1,inf) size (``w1inf_c``), and the running sup of the density's
+    uniformly local L^k norm (``lk_uloc_n``).  The high-frequency tail is
+    summable only for k > d; outside that regime there is no report.  The
+    ratio constant is fitted as the largest ratio when ``calibration`` is
+    None, else frozen from it.  Returns the report and the constant used.
     """
-    grid = states[0].grid
-    if not k > grid.d:
-        raise ValueError("summability of the high-frequency tail needs k > d")
-    c0 = states[0].c
-    grad0_uloc = uloc_norm(c0.grad_abs, UlocNormParams.defaults_for(grid, 2.0, uloc_R))
-    c0_w1inf = w1inf_norm(c0)
-    times = np.array([s.t for s in states])
-    ratios = np.empty(len(states))
-    running_nk = 0.0
-    for i, state in enumerate(states):
-        running_nk = max(
-            running_nk,
-            uloc_norm(state.n, UlocNormParams.defaults_for(grid, float(k), uloc_R)),
-        )
-        lhs = state.c.grad_abs.max_abs()
-        rhs = grad0_uloc + c0_w1inf + running_nk
-        ratios[i] = lhs / rhs if rhs > 0 else 0.0
-    split = _low_high_split_error(states[-1].c)
-    return ReconstructionReport(
-        times=times,
-        ratios=ratios,
-        fitted=float(np.max(ratios)) if len(ratios) else 0.0,
-        split_error=split,
+    if not k > params.d:
+        return [], {}
+    running = np.maximum.accumulate(_column(trace, "lk_uloc_n"))
+    denom = _column(trace, "l2_uloc_gradc")[0] + _column(trace, "w1inf_c")[0] + running
+    linf = _column(trace, "linf_gradc")
+    ratios = np.divide(linf, denom, out=np.zeros_like(linf), where=denom > 0)
+    if calibration is None:
+        const = float(np.max(ratios))
+    else:
+        const = calibration.get("linf_reconstruction", 0.0)
+    report = ResidualReport(
+        "linf_reconstruction",
+        _times(trace),
+        ratios - const,
+        calibration=const,
+        tolerance=1e-6 * max(1.0, const),
     )
+    return [report], {"linf_reconstruction": const}
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +710,10 @@ def linf_reconstruction_check(
 class TraceRecorder:
     """Computes the canonical trace row for each sampled state.
 
-    Produces the keys (l1_uloc_n, l2_uloc_gradc, y, z_max); the run loop
-    itself records mass, linf_n, w1inf_c, min_n and min_c.
+    Produces the keys (l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc,
+    lk_uloc_n); the run loop itself records mass, linf_n, w1inf_c, min_n and
+    min_c.  ``lk_uloc_n`` takes unit balls when the grid resolves them, else
+    the smallest radius the center scan can see (2h).
     """
 
     def __init__(
@@ -667,6 +735,9 @@ class TraceRecorder:
         self.C0 = C0
         self.centers = centers if centers is not None else default_centers(grid)
         self.track_max_center = track_max_center
+        self.l1_params = UlocNormParams.defaults_for(grid, 1.0, R)
+        self.l2_params = UlocNormParams.defaults_for(grid, 2.0, R)
+        self.lk_params = UlocNormParams.defaults_for(grid, float(k), max(1.0, 2.0 * grid.spacing))
 
     def __call__(self, state: State) -> dict[str, float]:
         p = self.params
@@ -684,12 +755,10 @@ class TraceRecorder:
             # gradient part so the trace stays finite.
             z_max = float(np.max(0.5 * p.tau * grad_c.values**2))
         return {
-            "l1_uloc_n": uloc_norm(
-                state.n, UlocNormParams.defaults_for(self.grid, 1.0, self.R)
-            ),
-            "l2_uloc_gradc": uloc_norm(
-                grad_c, UlocNormParams.defaults_for(self.grid, 2.0, self.R)
-            ),
+            "l1_uloc_n": uloc_norm(state.n, self.l1_params),
+            "l2_uloc_gradc": uloc_norm(grad_c, self.l2_params),
             "y": combined_y(state, config),
             "z_max": z_max,
+            "linf_gradc": grad_c.max_abs(),
+            "lk_uloc_n": uloc_norm(state.n, self.lk_params),
         }

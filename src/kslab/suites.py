@@ -17,8 +17,9 @@ from . import dyadic as dy
 from .fields import (
     ScalarField,
     dealias,
+    _irfft,
+    _rfft,
     divergence,
-    from_spectral,
     gradient,
     heat_propagate,
     hessian_sq,
@@ -26,7 +27,6 @@ from .fields import (
     laplacian,
     magnitude,
     make_grid,
-    to_spectral,
 )
 from .monitors import (
     MomentConfig,
@@ -85,8 +85,8 @@ def suite_fields() -> list[CheckResult]:
     for d, n in ((1, 256), (2, 64), (3, 16)):
         grid = make_grid(d, n, 40.0)
         f = _random_field(grid, rng)
-        back = from_spectral(to_spectral(f))
-        err = np.max(np.abs(back.values - f.values)) / max(f.max_abs(), 1e-30)
+        back = _irfft(_rfft(f.values), grid)
+        err = np.max(np.abs(back - f.values)) / max(f.max_abs(), 1e-30)
         out.append(_result(f"fields.roundtrip_d{d}", err <= 1e-12, f"rel err {err:.2e}"))
 
     grid = make_grid(2, 64, 40.0)

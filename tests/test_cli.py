@@ -20,8 +20,16 @@ from kslab.cli import (
     main,
 )
 from kslab.config import ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
+from kslab.monitors import (
+    TraceRecorder,
+    linf_reconstruction_check,
+    prop22_check,
+    prop22_recorder,
+    uloc_combined_check,
+    z_sup_cap_check,
+)
 from kslab.presets import build_initial
-from kslab.solver import FunctionalSample, _builtin_sample, suggest_dt
+from kslab.solver import FunctionalSample, _builtin_sample, run, suggest_dt
 
 FAST_CONFIG = """
 # small deterministic run
@@ -187,6 +195,18 @@ class TestRunCommand:
         code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
         assert code == EXIT_OK
 
+    def test_assert_fails_below_fitted_constant(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
+        cal_path = out / "calibration.json"
+        fitted = json.loads(cal_path.read_text())
+        assert fitted["linf_reconstruction"] > 1e-3
+        cal_path.write_text(json.dumps({**fitted, "linf_reconstruction": 0.0}))
+        code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
+        assert code == EXIT_INVARIANT
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        assert [name for name, ok in verdicts.items() if not ok] == ["linf_reconstruction"]
+
 
 class TestAtomicWrites:
     def _trace(self, rows):
@@ -224,6 +244,39 @@ class TestAtomicWrites:
         assert sorted(p.name for p in out.iterdir()) == [
             "calibration.json", "final.kslb", "residuals.csv", "summary.json", "trace.csv"
         ]
+
+
+class TestVerdictParity:
+    def test_library_checks_reproduce_run_residuals(self, fast_config, tmp_path):
+        # The library recorders and checks, with no CLI code in between, must
+        # give the residuals.csv rows and calibration.json of `kslab run`.
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
+        cfg = ExperimentConfig.from_file(fast_config)
+        params, grid = cfg.params(), cfg.grid()
+        trace_rec = TraceRecorder(params, grid, k=cfg.monitor_k, R=cfg.monitor_R)
+        ledgers = prop22_recorder()
+        initial = build_initial(
+            grid, cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M(), seed=cfg.seed
+        )
+        trace = run(
+            initial, params, cfg.run_config(), monitors=lambda s: {**trace_rec(s), **ledgers(s)}
+        ).trace
+
+        uloc, fitted = uloc_combined_check(trace, params)
+        linf, linf_fitted = linf_reconstruction_check(trace, params, cfg.monitor_k)
+        fitted.update(linf_fitted)
+        reports = prop22_check(trace, params) + uloc + linf + z_sup_cap_check(trace, params)
+        assert [r.name for r in reports] == [
+            "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
+            "uloc_combined", "linf_reconstruction", "z_sup_cap",
+        ]
+        lines = ["t,name,margin,calibration"]
+        for r in reports:
+            cal = "" if r.calibration is None else f"{r.calibration:.17g}"
+            lines += [f"{t:.17g},{r.name},{m:.17g},{cal}" for t, m in zip(r.times, r.margins)]
+        assert "\n".join(lines) + "\n" == (out / "residuals.csv").read_text()
+        assert json.dumps(fitted, sort_keys=True, indent=1) == (out / "calibration.json").read_text()
 
 
 class TestSampleCost:
@@ -312,21 +365,6 @@ class TestSweepCommand:
         )
         assert code == EXIT_OK
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
-
-    def test_workers_env_fallback(self, monkeypatch, fast_config, tmp_path):
-        monkeypatch.setenv("KSLB_WORKERS", "2")
-        out = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep",
-                "--config", str(fast_config),
-                "--out", str(out),
-                "--param", "mu",
-                "--values", "1.0",
-            ]
-        )
-        assert code == EXIT_OK
-        assert (out / "sweep.csv").exists()
 
 
 class TestMconvCommand:

@@ -5,10 +5,10 @@ import pytest
 
 from kslab.fields import (
     ScalarField,
-    SpectralField,
+    _irfft,
+    _rfft,
     dealias,
     divergence,
-    from_spectral,
     gradient,
     heat_propagate,
     hessian_sq,
@@ -16,7 +16,6 @@ from kslab.fields import (
     laplacian,
     magnitude,
     make_grid,
-    to_spectral,
 )
 
 from conftest import band_limited
@@ -54,34 +53,26 @@ class TestMakeGrid:
 
 class TestSpectralTransform:
     def test_constant_is_pure_dc(self, grid1d):
-        F = to_spectral(ScalarField(grid1d, np.ones(grid1d.shape)))
-        coeffs = F.coeffs.copy()
+        coeffs = _rfft(np.ones(grid1d.shape))
+        assert coeffs.shape == grid1d.rshape
         assert abs(coeffs[0] - grid1d.n_axis) < 1e-9
         coeffs[0] = 0.0
         assert np.max(np.abs(coeffs)) < 1e-12
 
     def test_single_cosine_two_modes(self, grid1d):
+        # The half spectrum stores mode +1 only; its conjugate partner -1 is
+        # implied, so each carries half the cosine: N/2.
         x = grid1d.mesh()[0]
-        f = ScalarField(grid1d, np.cos(2 * np.pi * x / grid1d.box_len))
-        coeffs = to_spectral(f).coeffs
+        coeffs = _rfft(np.cos(2 * np.pi * x / grid1d.box_len))
         big = np.abs(coeffs) > 1e-8
-        assert big.sum() == 2
-        assert big[1] and big[-1]
+        assert big.sum() == 1
+        assert big[1]
+        assert abs(abs(coeffs[1]) - grid1d.n_axis / 2) < 1e-9
 
     def test_round_trip(self, grid2d, rng):
         f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
-        back = from_spectral(to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * f.max_abs()
-
-    def test_real_field_is_hermitian(self, grid2d, rng):
-        f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
-        assert to_spectral(f).hermitian_defect() <= 1e-10
-
-    def test_rejects_non_finite(self, grid1d):
-        vals = np.zeros(grid1d.shape)
-        vals[3] = np.nan
-        with pytest.raises(ValueError):
-            to_spectral(ScalarField(grid1d, vals))
+        back = _irfft(_rfft(f.values), grid2d)
+        assert np.max(np.abs(back - f.values)) <= 1e-12 * f.max_abs()
 
     def test_values_frozen(self, grid1d):
         f = ScalarField(grid1d, np.zeros(grid1d.shape))
@@ -213,10 +204,3 @@ class TestDealias:
         n = grid1d.n_axis
         assert np.max(np.abs(coeffs[n // 3 + 1 : n - n // 3])) <= 1e-9
 
-
-class TestSpectralFieldType:
-    def test_hermitian_defect_detects_asymmetry(self, grid1d):
-        coeffs = np.zeros(grid1d.shape, dtype=np.complex128)
-        coeffs[1] = 1.0 + 0.5j  # no conjugate partner at -1
-        F = SpectralField(grid1d, coeffs)
-        assert F.hermitian_defect() > 0.1

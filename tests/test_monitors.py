@@ -14,6 +14,7 @@ from kslab.fields import (
 )
 from kslab.monitors import (
     MomentConfig,
+    TraceRecorder,
     _ode_ingredients,
     argmax_center,
     combined_y,
@@ -22,19 +23,21 @@ from kslab.monitors import (
     integration_by_parts_gap,
     interpolation_check,
     linf_reconstruction_check,
+    low_high_split_error,
     moment,
     moment_coefficients,
     mu_zero_estimate,
     prop22_check,
     prop22_recorder,
-    uloc_combined,
+    uloc_combined_check,
+    uloc_combined_series,
     z_comparison_level,
     z_field,
     z_residual,
 )
 from kslab.norms import CutoffSpec, cutoff_phi
 from kslab.presets import build_initial
-from kslab.solver import Params, RunConfig, RunStatus, State, run
+from kslab.solver import FunctionalSample, Params, RunConfig, RunStatus, State, run
 
 from conftest import band_limited, run_states
 
@@ -42,6 +45,11 @@ from conftest import band_limited, run_states
 def zero_state(grid):
     zero = ScalarField(grid, np.zeros(grid.shape))
     return State(0.0, zero, zero)
+
+
+def recorded_run(initial, params, config, **recorder):
+    """Run with a ``TraceRecorder`` as the monitor; returns the ``RunResult``."""
+    return run(initial, params, config, monitors=TraceRecorder(params, initial.grid, **recorder))
 
 
 class TestComparisonFunction:
@@ -132,7 +140,11 @@ class TestGlobalLedgers:
 class TestUlocCombined:
     def test_zero_state(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
-        assert uloc_combined(zero_state(grid1d), p, 2.0) == 0.0
+        res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.02, dt=0.01), R=2.0)
+        assert np.all(uloc_combined_series(res.trace, p) == 0.0)
+        reports, fitted = uloc_combined_check(res.trace, p)
+        assert fitted == {"uloc_combined": 0.0}
+        assert np.all(reports[0].margins == 0.0)
 
     def test_equilibrium_constant_in_time(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
@@ -142,18 +154,27 @@ class TestUlocCombined:
             ScalarField(grid1d, np.full(grid1d.shape, a)),
             ScalarField(grid1d, np.full(grid1d.shape, a)),
         )
-        _, states = run_states(state, p, RunConfig(t_end=0.5, dt=0.01, monitor_every=10))
-        values = [uloc_combined(s, p, 2.0) for s in states]
+        res = recorded_run(state, p, RunConfig(t_end=0.5, dt=0.01, monitor_every=10), R=2.0)
+        values = uloc_combined_series(res.trace, p)
+        assert len(values) == 6
         assert max(values) - min(values) <= 1e-10
 
     def test_flat_after_transient_2d(self):
         grid = make_grid(2, 64, 40.0)
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=2)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        _, states = run_states(initial, p, RunConfig(t_end=1.0, dt=5e-3, monitor_every=40))
-        values = [uloc_combined(s, p, 2.0) for s in states]
+        res = recorded_run(initial, p, RunConfig(t_end=1.0, dt=5e-3, monitor_every=40), R=2.0)
+        values = uloc_combined_series(res.trace, p)
         base = 4 * values[0]  # crude headroom: the bound's data part
         assert max(values) <= base + 1.0
+        # The fitted headroom closes the trace; frozen at zero it need not.
+        reports, fitted = uloc_combined_check(res.trace, p)
+        assert reports[0].max_margin() <= reports[0].tolerance
+        frozen, _ = uloc_combined_check(res.trace, p, fitted)
+        assert np.array_equal(frozen[0].margins, reports[0].margins)
+        if fitted["uloc_combined"] > 0:
+            strict, _ = uloc_combined_check(res.trace, p, {})
+            assert strict[0].max_margin() > strict[0].tolerance
 
 
 class TestMoments:
@@ -442,28 +463,37 @@ class TestInterpolation:
 
 class TestReconstruction:
     def test_zero_chemical_gives_zero_ratios(self, grid1d):
-        states = [zero_state(grid1d)]
-        rep = linf_reconstruction_check(states, 3)
-        assert rep.fitted == 0.0
-        assert rep.split_error <= 1e-10
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+        res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.02, dt=0.01))
+        reports, fitted = linf_reconstruction_check(res.trace, p, 3)
+        assert fitted == {"linf_reconstruction": 0.0}
+        assert np.all(reports[0].margins == 0.0)
+        assert low_high_split_error(res.final.c) <= 1e-10
 
     def test_split_exact_on_any_state(self, grid2d, rng):
         c = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
-        n = ScalarField(grid2d, np.zeros(grid2d.shape))
-        rep = linf_reconstruction_check([State(0.0, n, c)], 3, uloc_R=2.0)
-        assert rep.split_error <= 1e-10
+        assert low_high_split_error(c) <= 1e-10
 
-    def test_rejects_insufficient_order(self, grid2d):
-        with pytest.raises(ValueError):
-            linf_reconstruction_check([zero_state(grid2d)], 2)
+    def test_no_report_unless_order_exceeds_dimension(self):
+        # Ratio 3 / (1 + 1 + 1): the check runs for k > d and only then.
+        keys = ("l2_uloc_gradc", "w1inf_c", "lk_uloc_n")
+        trace = [FunctionalSample(0.0, {"linf_gradc": 3.0, **{key: 1.0 for key in keys}})]
+        for d, k in ((2, 2), (3, 3), (3, 2)):
+            assert linf_reconstruction_check(trace, Params(chi=1.0, d=d), k) == ([], {})
+        reports, fitted = linf_reconstruction_check(trace, Params(chi=1.0, d=2), 3)
+        assert [r.name for r in reports] == ["linf_reconstruction"]
+        assert fitted == {"linf_reconstruction": 1.0}
 
     def test_ratio_bounded_along_3d_run(self):
         grid = make_grid(3, 64, 20.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=2.0, d=3)
         initial = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5)
-        res, states = run_states(initial, p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10))
+        # R = 1: unit balls for the initial gradient, as for the density.
+        res = recorded_run(
+            initial, p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10), k=4, R=1.0
+        )
         assert res.status is RunStatus.COMPLETED
-        rep = linf_reconstruction_check(states, 4)
-        assert rep.split_error <= 1e-10
-        assert np.all(np.isfinite(rep.ratios))
-        assert rep.fitted <= 10.0
+        reports, fitted = linf_reconstruction_check(res.trace, p, 4)
+        assert low_high_split_error(res.final.c) <= 1e-10
+        assert np.all(np.isfinite(reports[0].margins))
+        assert fitted["linf_reconstruction"] <= 10.0
