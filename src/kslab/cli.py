@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_open, save_checkpoint
-from .config import ConfigError, ExperimentConfig, SweepSpec
+from .config import ConfigError, ExperimentConfig, SweepSpec, _to_float
 from .monitors import (
     TraceRecorder,
     linf_reconstruction_check,
@@ -128,6 +128,18 @@ def _residual_reports(
     return rows, fitted, verdicts
 
 
+def _initial(cfg: ExperimentConfig) -> State:
+    """The initial data of ``cfg``; a blow-up cap at or below their gauge is a usage error."""
+    initial = build_initial(
+        cfg.grid(), cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M(), seed=cfg.seed
+    )
+    try:
+        cfg.run_config().cap_for(initial)
+    except ValueError as exc:
+        raise ConfigError(f"run.{exc}") from exc
+    return initial
+
+
 def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
     calibration = None
     if mode == "assert":
@@ -135,13 +147,14 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
         if not cal_path.exists():
             print(f"assert mode needs {cal_path} from a prior calibrate run", file=sys.stderr)
             return EXIT_USAGE
-        calibration = json.loads(cal_path.read_text())
+        try:
+            calibration = json.loads(cal_path.read_text())
+        except json.JSONDecodeError as exc:
+            print(f"{cal_path} is not valid JSON: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     params = cfg.params()
-    grid = cfg.grid()
-    initial = build_initial(
-        grid, cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M(), seed=cfg.seed
-    )
+    initial = _initial(cfg)
     recorder = _CliRecorder(cfg)
     result = run(initial, params, cfg.run_config(), monitors=recorder)
 
@@ -246,19 +259,9 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
 
 def cmd_mconv(cfg: ExperimentConfig, m_values: list[float], out: Path) -> int:
     grid = cfg.grid()
-    for m in m_values:
-        if not 2.0 * m < cfg.box_len / 2.0:
-            print(f"M={m} exceeds the box: need 2M < box_len/2", file=sys.stderr)
-            return EXIT_USAGE
+    subs = [replace(cfg, M=m).validate() for m in m_values]
     out.mkdir(parents=True, exist_ok=True)
-    finals: list[State] = []
-    for m in m_values:
-        sub = replace(cfg, M=m).validate()
-        initial = build_initial(
-            grid, sub.preset, sub.amplitude, sub.effective_width(), m, seed=sub.seed
-        )
-        result = run(initial, sub.params(), sub.run_config())
-        finals.append(result.final)
+    finals = [run(_initial(sub), sub.params(), sub.run_config()).final for sub in subs]
     m_min = min(m_values)
     mask = grid.radius() < m_min
     rows = []
@@ -306,8 +309,7 @@ def cmd_report(out: Path) -> int:
     residuals = out / "residuals.csv"
     if residuals.exists():
         for line in residuals.read_text().splitlines()[1:]:
-            t, name, margin, _cal = line.split(",")
-            rows.append(("residual", t, name, margin))
+            rows.append(("residual", *line.split(",")[:3]))
     sweep = out / "sweep.csv"
     if sweep.exists():
         lines = sweep.read_text().splitlines()
@@ -375,11 +377,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(_load_config(args), args.out, args.mode)
         if args.command == "sweep":
-            values = tuple(float(v) for v in args.values.split(",") if v.strip())
+            values = tuple(_to_float(v, "--values") for v in args.values.split(",") if v.strip())
             spec = SweepSpec(parameter=args.param, values=values, base=_load_config(args))
             return cmd_sweep(spec, args.out, max(1, args.workers), args.mode)
         if args.command == "mconv":
-            m_values = [float(v) for v in args.M.split(",") if v.strip()]
+            m_values = [_to_float(v, "--M") for v in args.M.split(",") if v.strip()]
             if not m_values:
                 print("mconv needs at least one M", file=sys.stderr)
                 return EXIT_USAGE
@@ -390,9 +392,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # overflow or division by zero in the numerics
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)

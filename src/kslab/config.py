@@ -123,18 +123,33 @@ class ExperimentConfig:
         return 0.24 * self.box_len
 
     def validate(self) -> "ExperimentConfig":
+        for section, build in (("grid", self.grid), ("params", self.params), ("run", self.run_config)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{exc}") from exc
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"init.preset must be one of {PRESET_NAMES}")
-        try:
-            self.run_config()
-        except ValueError as exc:
-            raise ConfigError(f"run.{exc}") from exc
+        if not self.amplitude >= 0:
+            raise ConfigError("init.amplitude must be nonnegative")
+        if self.width is not None and not self.width > 0:
+            raise ConfigError("init.width must be positive")
+        if self.M is not None and not self.M > 0:
+            raise ConfigError("init.M must be positive")
         if not 2.0 * self.effective_M() < self.box_len / 2.0:
             raise ConfigError("init.M too large: need 2M < box_len/2")
+        if self.seed < 0:
+            raise ConfigError("init.seed must be nonnegative")
+        if self.monitor_k < 3:
+            raise ConfigError("monitor.k must be >= 3")
+        # The moment cutoff needs R >= 1; the uniformly local scans need R >= 2h.
+        min_R = max(1.0, 2.0 * self.grid().spacing)
+        if not self.monitor_R >= min_R:
+            raise ConfigError(f"monitor.R must be >= max(1, 2h) = {min_R:g}")
+        if not 2.0 * self.monitor_R < self.box_len / 2.0:
+            raise ConfigError("monitor.R too large: need 2R < box_len/2")
         if self.monitor_centers not in ("max+lattice", "lattice"):
             raise ConfigError("monitor.centers must be 'max+lattice' or 'lattice'")
-        self.grid()
-        self.params()
         return self
 
     @staticmethod
@@ -146,7 +161,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
-        return ExperimentConfig.from_mapping(parse_kv_text(Path(path).read_text()))
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a text file") from exc
+        return ExperimentConfig.from_mapping(parse_kv_text(text))
 
 
 def _parse_switch(v: str, key: str) -> bool:

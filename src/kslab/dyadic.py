@@ -120,7 +120,7 @@ def generalized_young_check(f: ScalarField, p: float, j: int) -> float:
     """
     if j < 0:
         raise ValueError("the scaling bound is stated for j >= 0")
-    base = uloc_norm(f, UlocNormParams.defaults_for(f.grid, p, 1.0))
+    base = uloc_norm(f, UlocNormParams(p, 1.0))
     if base == 0.0:
         return 0.0
     numer = dyadic_block(f, j).max_abs() + low_freq(f, j).max_abs()

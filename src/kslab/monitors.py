@@ -13,10 +13,12 @@ trajectory, "assert" freezes it and requires the signed margins to stay
 nonpositive.  Margins follow the convention LHS - RHS, so negative means
 satisfied.
 
-The verdicts of ``kslab run`` are the trace-level checks (``prop22_check``,
-``uloc_combined_check``, ``linf_reconstruction_check``, ``z_sup_cap_check``):
-they read only the keys ``TraceRecorder``, ``prop22_recorder`` and the run
-loop put in a trace, and each report carries its own pass tolerance.
+A recorder puts quantities of one state in the trace of ``run``; a
+trace-level check turns them into reports with their own pass tolerance.
+The time derivatives in ``coupled_recorder`` and ``z_residual`` are taken
+from the tendencies of ``solver.rhs``, so no margin depends on the sampling
+rate.  ``kslab run`` reports ``prop22_check``, ``uloc_combined_check``,
+``linf_reconstruction_check`` and ``z_sup_cap_check``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .norms import (
     lp_norm,
     uloc_norm,
 )
-from .solver import FunctionalSample, Params, State
+from .solver import FunctionalSample, Params, State, rhs
 
 __all__ = [
     "MomentConfig",
@@ -61,7 +63,8 @@ __all__ = [
     "moment",
     "moment_coefficients",
     "combined_y",
-    "dyadic_ode_residuals",
+    "coupled_recorder",
+    "coupled_check",
     "mu_zero_estimate",
     "interpolation_check",
     "low_high_split_error",
@@ -183,31 +186,21 @@ def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[Resid
     ]
 
 
-def z_residual(
-    state_prev: State, state_next: State, params: Params
-) -> tuple[ScalarField, float]:
-    """Discrete residual of z_t - (Delta z) + z <= level between two states.
+def z_residual(state: State, params: Params) -> tuple[ScalarField, float]:
+    """Residual z_t - Delta z + z - level of the comparison inequality at one state.
 
-    Centered difference in time around the midpoint state; valid only in the
-    tau = 1, mu > d chi / 4 regime where the comparison inequality is claimed.
+    z_t = tau grad c . grad c_t + n_t / chi from the tendencies of ``rhs``;
+    valid only in the tau = 1, mu > d chi / 4 regime where the comparison
+    inequality is claimed.
     """
     if params.tau != 1.0:
         raise ValueError("the comparison inequality is claimed only for tau = 1")
     level = z_comparison_level(params)
-    dt = state_next.t - state_prev.t
-    if not dt > 0:
-        raise ValueError("states must be ordered in time")
-    zp = z_field(state_prev, params)
-    zn = z_field(state_next, params)
-    zmid = ScalarField(zp.grid, 0.5 * (zp.values + zn.values))
-    resid = (
-        (zn.values - zp.values) / dt
-        - laplacian(zmid).values
-        + zmid.values
-        - level
-    )
-    r = ScalarField(zp.grid, resid)
-    return r, float(np.max(resid))
+    z = z_field(state, params)
+    n_t, c_t = rhs(state, params)
+    z_t = params.tau * _grad_dot(state.c, c_t) + n_t.values / params.chi
+    resid = z_t - laplacian(z).values + z.values - level
+    return ScalarField(state.grid, resid), float(np.max(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -452,156 +445,156 @@ def mu_zero_estimate(k: int, params: Params) -> MuZeroReport:
 
 
 # ---------------------------------------------------------------------------
-# Coupled differential inequalities along a sampled trajectory
+# Coupled differential inequalities at one state
 
 
-def _ode_ingredients(
-    state: State, k: int, R: float, centers: tuple[tuple[float, ...], ...]
-) -> dict[str, np.ndarray]:
-    """All cutoff-weighted integrals entering the coupled inequalities.
+def _grad_dot(f: ScalarField, g: ScalarField) -> np.ndarray:
+    """Pointwise grad f . grad g; |grad f|^2 takes one gradient when g is f."""
+    grad_f = gradient(f)
+    grad_g = grad_f if g is f else gradient(g)
+    return sum(a.values * b.values for a, b in zip(grad_f.components, grad_g.components))
 
-    The derivative fields are formed once per state; each integrand is one
-    sliding cutoff integral, read at every center (arrays follow ``centers``).
+
+def _moment_rate(
+    n: np.ndarray, n_t: np.ndarray, g: np.ndarray, g_dot: np.ndarray, j: int, k: int
+) -> np.ndarray:
+    """Pointwise time derivative of n^j g^(2k-2j), g = |grad c|, g_dot = grad c . grad c_t.
+
+    j n^(j-1) n_t g^(2k-2j) + (2k-2j) n^j g^(2k-2j-2) g_dot; a term whose
+    coefficient vanishes is left out, so no negative power is formed.
     """
-    grid = state.grid
-    n = state.n.values
-    gn2 = sum(comp.values**2 for comp in gradient(state.n).components)
-    gc = state.c.grad_abs.values
-    ggc2_sq = sum(comp.values**2 for comp in gradient(ScalarField(grid, gc * gc)).components)
-    hess_sq = hessian_sq(state.c).values
-    integrands = {f"m_{j}": n**j * gc ** (2 * k - 2 * j) for j in range(0, k + 1)}
-    integrands.update(
-        m2_top=n**2 * gc ** (2 * k - 2),
-        m_kp1=n ** (k + 1),
-        gradc_2km2=gc ** (2 * k - 2),
-        diss_n_k=gn2 * n ** (k - 2),
-        diss_c=ggc2_sq * gc ** (2 * k - 4),
-        hess_c=hess_sq * gc ** (2 * k - 2),
-        mixed_diss_a=ggc2_sq * n * gc ** (2 * k - 6),
-        mixed_diss_b=hess_sq * n * gc ** (2 * k - 4),
-        mixed_cross=gn2 * gc ** (2 * k - 4),
-    )
-    for j in range(2, k):
-        integrands[f"diss35_{j}"] = gn2 * n ** (j - 2) * gc ** (2 * k - 2 * j)
-        integrands[f"cross35_{j}"] = gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2)
-        integrands[f"m35_next_{j}"] = n ** (j + 1) * gc ** (2 * k - 2 * j)
-    return {name: _cutoff_integrals(f, grid, R, centers) for name, f in integrands.items()}
+    m = k - j
+    rate = np.zeros_like(n)
+    if j > 0:
+        rate += j * n ** (j - 1) * n_t * g ** (2 * m)
+    if m > 0:
+        rate += 2 * m * n**j * g ** (2 * m - 2) * g_dot
+    return rate
 
 
-def dyadic_ode_residuals(
-    states: list[State],
-    config: MomentConfig,
-    params: Params,
-    calibration: dict[str, float] | None = None,
-    max_sample_dt: float = 0.01,
-) -> tuple[list[ResidualReport], dict[str, float]]:
-    """Signed margins of the coupled moment inequalities along sampled states.
+def coupled_recorder(
+    params: Params, k: int, R: float, centers: tuple[tuple[float, ...], ...]
+):
+    """Monitor callable recording the coupled moment inequalities at each state.
 
-    The time derivative of each moment uses centered differences on the
-    sampling grid; every other term is evaluated at the midpoint sample.
-    Generic constants multiplying the 1/R^2 uniformly-local terms and the R^d
-    offsets are calibration inputs: when ``calibration`` is None they are
-    fitted (smallest constant closing every interior sample, worst center)
-    and returned for freezing.
+    The families are ``density_power``, ``gradient_power``, ``mixed_first`` and
+    ``mixed_order_j`` for 2 <= j < k, on the moments int phi n^j |grad c|^(2k-2j)
+    with cutoff radius R.  Each time derivative comes from the tendencies of
+    ``rhs``, so every margin is a quantity of one state.  Per family the
+    record holds ``<family>_explicit``, the largest explicit margin LHS - RHS
+    over ``centers`` (one combined integrand, one sliding cutoff integral),
+    and ``<family>_generic``, the uniformly local series that the fitted
+    constant of ``coupled_check`` multiplies.
     """
-    if len(states) < 3:
-        raise ValueError("need at least three samples for centered differences")
-    times = np.array([s.t for s in states])
-    gaps = np.diff(times)
-    if np.max(gaps) > max_sample_dt + 1e-12:
-        raise ValueError(
-            f"sampling too sparse for finite-difference margins: max gap "
-            f"{np.max(gaps):.3g} exceeds {max_sample_dt:.3g}; increase the "
-            "monitor rate or relax max_sample_dt"
-        )
-    k, R, tau = config.k, config.R, params.tau
-    mu, lam, d = params.mu, params.lam, params.d
+    tau, mu, lam, d = params.tau, params.mu, params.lam, params.d
     c_j = mu_zero_estimate(k, params).c_j
-    grid = states[0].grid
     three_d = 3.0**d
+    nk_params = UlocNormParams(float(k), R)
+    gc_params = UlocNormParams(2.0 * k, R)
 
-    # Interior samples: uniformly local series, ingredients as (samples x centers).
-    mid = states[1:-1]
-    nk_params = UlocNormParams.defaults_for(grid, k, R)
-    gc_params = UlocNormParams.defaults_for(grid, 2 * k, R)
-    nk = np.array([uloc_norm(s.n, nk_params) ** k for s in mid])
-    gc2k = np.array([uloc_norm(s.c.grad_abs, gc_params) ** (2 * k) for s in mid])
-    per_state = [_ode_ingredients(s, k, R, config.centers) for s in states]
-    ing = {name: np.array([x[name] for x in per_state]) for name in per_state[0]}
-    cur = {name: arr[1:-1] for name, arr in ing.items()}
-    span = (times[2:] - times[:-2])[:, None]
-
-    def ddt(name: str) -> np.ndarray:
-        return (ing[name][2:] - ing[name][:-2]) / span
-
-    # For each inequality: the explicit margin LHS - RHS per sample and center,
-    # then maximized over centers, and the generic-term series, which does not
-    # depend on the center.
-    raw: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "density_power": (
-            ddt(f"m_{k}")
-            + k * (k - 1) / 4.0 * cur["diss_n_k"]
-            - (k * cur["m2_top"] + (c_j[k] - mu * k) * cur["m_kp1"]),
-            three_d * k / (2.0 * (k - 1) * R**2) * nk
+    def record(state: State) -> dict[str, float]:
+        grid = state.grid
+        n_t, c_t = rhs(state, params)
+        n = state.n.values
+        gc = state.c.grad_abs.values
+        g_dot = _grad_dot(state.c, c_t)
+        gn2 = _grad_dot(state.n, state.n)
+        gc2 = ScalarField(grid, gc * gc)
+        ggc2_sq = _grad_dot(gc2, gc2)
+        hess_sq = hessian_sq(state.c).values
+        rate = lambda j: _moment_rate(n, n_t.values, gc, g_dot, j, k)
+        m2_top = n**2 * gc ** (2 * k - 2)
+        diss_c = ggc2_sq * gc ** (2 * k - 4)
+        gradc_2km2 = gc ** (2 * k - 2)
+        explicit = {
+            "density_power": rate(k)
+            + k * (k - 1) / 4.0 * gn2 * n ** (k - 2)
+            - (k * m2_top + (c_j[k] - mu * k) * n ** (k + 1)),
+            "gradient_power": rate(0)
+            + k * (k - 1) / (4.0 * tau) * diss_c
+            + k / tau * hess_sq * gc ** (2 * k - 2)
+            + 2.0 * k / tau * gc ** (2 * k)
+            - (d + 1.0 + 2.0 * (k - 1.0)) * k / tau * m2_top,
+            "mixed_first": rate(1)
+            + (k - 1.0) * (k - 2.0) / (2.0 * tau) * ggc2_sq * n * gc ** (2 * k - 6)
+            + (2.0 * k - 2.0) / tau * hess_sq * n * gc ** (2 * k - 4)
+            - (
+                c_j[1] * diss_c
+                + lam / 2.0 * gradc_2km2
+                + (c_j[1] - mu) * m2_top
+                + gn2 * gc ** (2 * k - 4)
+            ),
+        }
+        nk = uloc_norm(state.n, nk_params) ** k
+        gc2k = uloc_norm(state.c.grad_abs, gc_params) ** (2 * k)
+        generic = {
+            "density_power": three_d * k / (2.0 * (k - 1) * R**2) * nk
             + three_d * k / R ** (2 * k) * gc2k
             + (lam + 1.0) * R**d * k,
-        ),
-        "gradient_power": (
-            ddt("m_0")
-            + k * (k - 1) / (4.0 * tau) * cur["diss_c"]
-            + k / tau * cur["hess_c"]
-            + 2.0 * k / tau * cur["m_0"]
-            - (d + 1.0 + 2.0 * (k - 1.0)) * k / tau * cur["m2_top"],
-            three_d * k / (tau * R**2) * gc2k,
-        ),
-        "mixed_first": (
-            ddt("m_1")
-            + (k - 1.0) * (k - 2.0) / (2.0 * tau) * cur["mixed_diss_a"]
-            + (2.0 * k - 2.0) / tau * cur["mixed_diss_b"]
-            - (
-                c_j[1] * cur["diss_c"]
-                + lam / 2.0 * cur["gradc_2km2"]
-                + (c_j[1] - mu) * cur["m2_top"]
-                + cur["mixed_cross"]
-            ),
-            three_d * (1.0 + 1.0 / tau) / R**2 * gc2k + three_d / (tau * R**2) * nk,
-        ),
-    }
-    for j in range(2, k):
-        raw[f"mixed_order_{j}"] = (
-            ddt(f"m_{j}")
-            + j * (j - 1) / 4.0 * cur[f"diss35_{j}"]
-            - (
-                cur[f"cross35_{j}"]
-                + c_j[j] * cur["diss_c"]
-                + (c_j[j] - mu * j) * cur[f"m35_next_{j}"]
-                + lam * j * cur["gradc_2km2"]
-                + c_j[j] * cur["m2_top"]
-            ),
-            lam * j * R**d + c_j[j] / R**2 * (nk + gc2k),
-        )
+            "gradient_power": three_d * k / (tau * R**2) * gc2k,
+            "mixed_first": three_d * (1.0 + 1.0 / tau) / R**2 * gc2k
+            + three_d / (tau * R**2) * nk,
+        }
+        for j in range(2, k):
+            explicit[f"mixed_order_{j}"] = (
+                rate(j)
+                + j * (j - 1) / 4.0 * gn2 * n ** (j - 2) * gc ** (2 * k - 2 * j)
+                - (
+                    gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2)
+                    + c_j[j] * diss_c
+                    + (c_j[j] - mu * j) * n ** (j + 1) * gc ** (2 * k - 2 * j)
+                    + lam * j * gradc_2km2
+                    + c_j[j] * m2_top
+                )
+            )
+            generic[f"mixed_order_{j}"] = lam * j * R**d + c_j[j] / R**2 * (nk + gc2k)
+        out: dict[str, float] = {}
+        for name, integrand in explicit.items():
+            margins = _cutoff_integrals(integrand, grid, R, centers)
+            out[f"{name}_explicit"] = float(np.max(margins))
+            out[f"{name}_generic"] = float(generic[name])
+        return out
 
-    raw = {name: (np.max(explicit, axis=1), generic) for name, (explicit, generic) in raw.items()}
-    t_mid = times[1:-1]
+    return record
 
-    fitted: dict[str, float] = {}
-    if calibration is None:
-        for name, (explicit, generic) in raw.items():
+
+def coupled_check(
+    trace: list[FunctionalSample],
+    params: Params,
+    k: int,
+    calibration: dict[str, float] | None = None,
+) -> tuple[list[ResidualReport], dict[str, float]]:
+    """Margins explicit - C generic of the coupled moment inequalities along a trace.
+
+    Reads the keys of ``coupled_recorder`` for exponent k.  The generic
+    constant C of each family is fitted as the smallest one closing every
+    sample whose generic series exceeds 1e-300 when ``calibration`` is None,
+    else frozen from it.  Each report passes within
+    1e-6 max(1, sup_t |explicit|).  ``params`` is not read: the recorder has
+    already applied it, and the argument keeps the signature of the other
+    trace checks.  Returns the reports and the constants used.
+    """
+    t = _times(trace)
+    reports, fitted = [], {}
+    for name in ["density_power", "gradient_power", "mixed_first"] + [
+        f"mixed_order_{j}" for j in range(2, k)
+    ]:
+        explicit = _column(trace, f"{name}_explicit")
+        generic = _column(trace, f"{name}_generic")
+        if calibration is None:
             usable = generic > 1e-300
             need = explicit[usable] / generic[usable]
-            fitted[name] = float(max(0.0, np.max(need))) if usable.any() else 0.0
-    else:
-        fitted = dict(calibration)
-
-    reports = []
-    for name, (explicit, generic) in raw.items():
-        const = fitted.get(name, 0.0)
+            const = float(max(0.0, np.max(need))) if usable.any() else 0.0
+        else:
+            const = calibration.get(name, 0.0)
+        fitted[name] = const
         reports.append(
             ResidualReport(
-                name=name,
-                times=t_mid,
-                margins=explicit - const * generic,
+                name,
+                t,
+                explicit - const * generic,
                 calibration=const,
+                tolerance=1e-6 * max(1.0, float(np.max(np.abs(explicit)))),
             )
         )
     return reports, fitted
@@ -735,9 +728,9 @@ class TraceRecorder:
         self.C0 = C0
         self.centers = centers if centers is not None else default_centers(grid)
         self.track_max_center = track_max_center
-        self.l1_params = UlocNormParams.defaults_for(grid, 1.0, R)
-        self.l2_params = UlocNormParams.defaults_for(grid, 2.0, R)
-        self.lk_params = UlocNormParams.defaults_for(grid, float(k), max(1.0, 2.0 * grid.spacing))
+        self.l1_params = UlocNormParams(1.0, R)
+        self.l2_params = UlocNormParams(2.0, R)
+        self.lk_params = UlocNormParams(float(k), max(1.0, 2.0 * grid.spacing))
 
     def __call__(self, state: State) -> dict[str, float]:
         p = self.params

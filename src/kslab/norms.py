@@ -74,33 +74,19 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class UlocNormParams:
-    """Exponent, ball radius and center stride for the sliding-sup scan."""
+    """Exponent and ball radius of the sliding-sup scan over every grid point."""
 
     p: float
     ball_radius: float = 1.0
-    center_stride: int = 1
 
     def validate(self, grid: Grid) -> "UlocNormParams":
         if not self.p >= 1:
             raise ValueError("exponent p must be >= 1")
-        if not self.ball_radius > 0:
-            raise ValueError("ball radius must be positive")
-        if self.center_stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.center_stride * grid.spacing > self.ball_radius / 2.0:
+        if not self.ball_radius >= 2.0 * grid.spacing:
             raise ValueError(
-                "stride too coarse: need stride*spacing <= R/2 so the scan "
-                "resolves the ball scale"
+                "ball radius must be at least 2h so the scan resolves the ball scale"
             )
         return self
-
-    @staticmethod
-    def defaults_for(grid: Grid, p: float, ball_radius: float = 1.0) -> "UlocNormParams":
-        """Every grid point for d=1,2; stride 2 in 3D when the radius allows it."""
-        stride = 2 if grid.d == 3 else 1
-        while stride > 1 and stride * grid.spacing > ball_radius / 2.0:
-            stride -= 1
-        return UlocNormParams(p=p, ball_radius=ball_radius, center_stride=stride)
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
@@ -273,23 +259,21 @@ def _cutoff_integrals(
 
 
 def uloc_norm(f: ScalarField, params: UlocNormParams) -> float:
-    """Sup over scanned centers of the local L^p norm on wrapped balls."""
+    """Sup over every grid-point center of the local L^p norm on wrapped balls."""
     params.validate(f.grid)
     f_pow = np.abs(f.values) ** params.p
     zero = (0.0,) * f.grid.d
     integrals = _sliding_integrals(f_pow, f.grid, "ball", params.ball_radius, zero)
-    s = params.center_stride
     # Ball integrals of |f|^p are nonnegative: clamp the FFT roundoff.
-    sub = np.maximum(integrals[(slice(None, None, s),) * f.grid.d], 0.0)
-    return float(np.max(sub) ** (1.0 / params.p))
+    return float(np.max(np.maximum(integrals, 0.0)) ** (1.0 / params.p))
 
 
 def uloc_covering_check(f: ScalarField, p: float, R: float) -> float:
     """Ratio ||f||_{p,R}^p / (R^d ||f||_{p,1}^p); bounded uniformly by covering."""
     if not R >= 1:
         raise ValueError("covering check requires R >= 1")
-    base = uloc_norm(f, UlocNormParams.defaults_for(f.grid, p, 1.0))
+    base = uloc_norm(f, UlocNormParams(p, 1.0))
     if base == 0.0:
         return 0.0
-    wide = uloc_norm(f, UlocNormParams.defaults_for(f.grid, p, R))
+    wide = uloc_norm(f, UlocNormParams(p, R))
     return float(wide**p / (R**f.grid.d * base**p))

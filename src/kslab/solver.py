@@ -144,6 +144,15 @@ class RunConfig:
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
 
+    def cap_for(self, initial: State) -> float:
+        """The blow-up cap for a run from ``initial``: ``blowup_cap``, else
+        1000x the initial continuation gauge ||n||_inf + ||c||_{W^{1,inf}}."""
+        gauge = initial.n.max_abs() + w1inf_norm(initial.c)
+        cap = self.blowup_cap if self.blowup_cap is not None else 1e3 * max(gauge, 1.0)
+        if not cap > gauge:
+            raise ValueError("blowup_cap must exceed the initial continuation gauge")
+        return cap
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -371,12 +380,7 @@ def run(
     initial value).
     """
     grid = initial.grid
-    init_gauge = initial.n.max_abs() + w1inf_norm(initial.c)
-    cap = config.blowup_cap
-    if cap is None:
-        cap = 1e3 * max(init_gauge, 1.0)
-    if not cap > init_gauge:
-        raise ValueError("blowup_cap must exceed the initial continuation gauge")
+    cap = config.cap_for(initial)
 
     int_n = 0.0
     int_n2 = 0.0

@@ -173,7 +173,7 @@ def suite_norms() -> list[CheckResult]:
     grid2 = make_grid(2, 64, 40.0)
     f = _random_field(grid2, rng)
     g = _random_field(grid2, rng)
-    params = UlocNormParams.defaults_for(grid2, 2.0, 2.0)
+    params = UlocNormParams(2.0, 2.0)
     nf, ng = uloc_norm(f, params), uloc_norm(g, params)
     nsum = uloc_norm(f + g, params)
     alpha = 1.7
@@ -295,17 +295,13 @@ def suite_monitors() -> list[CheckResult]:
     grid = make_grid(1, 256, 40.0)
     initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
     p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
-    states: list[State] = []
-    run(
+    res = run(
         initial,
         p,
         RunConfig(t_end=0.2, dt=1e-3, monitor_every=20),
-        monitors=lambda s: states.append(s) or {},
+        monitors=lambda s: {"z_residual": z_residual(s, p)[1]},
     )
-    worst = -math.inf
-    for prev, nxt in zip(states[:-1], states[1:]):
-        _, rmax = z_residual(prev, nxt, p)
-        worst = max(worst, rmax)
+    worst = max(s.values["z_residual"] for s in res.trace)
     out.append(
         _result(
             "monitors.comparison_residual",
@@ -314,7 +310,7 @@ def suite_monitors() -> list[CheckResult]:
         )
     )
 
-    state = states[-1]
+    state = res.final
     config = MomentConfig(
         k=3, R=2.0, centers=default_centers(grid), C0=mu_zero_estimate(3, p).C0, tau=p.tau
     )

@@ -42,8 +42,6 @@ from kslab.solver import (
     run,
 )
 
-from conftest import run_states
-
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     tag = "PASS" if ok else "FAIL"
@@ -117,13 +115,16 @@ def test_criterion_04_comparison_inequality_regime():
     chi, d = 1.0, 2
     p = Params(chi=chi, tau=1.0, lam=0.0, mu=d * chi / 2.0, d=d)
     initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-    _, states = run_states(initial, p, RunConfig(t_end=0.15, dt=1e-3, monitor_every=1))
-    worst = max(
-        z_residual(a, b, p)[1] for a, b in zip(states[:-1], states[1:])
+    res = run(
+        initial,
+        p,
+        RunConfig(t_end=0.15, dt=1e-3, monitor_every=1),
+        monitors=lambda s: {"z_residual": z_residual(s, p)[1], "z_sup": z_field(s, p).max_abs()},
     )
+    worst = max(s.values["z_residual"] for s in res.trace)
     level = z_comparison_level(p)
-    z_sup = max(z_field(s, p).max_abs() for s in states)
-    cap = max(z_field(states[0], p).max_abs(), level)
+    z_sup = max(s.values["z_sup"] for s in res.trace)
+    cap = max(res.trace[0].values["z_sup"], level)
     ok = worst <= 1e-3 and z_sup <= cap + 1e-3
     _verdict(
         4,

@@ -169,6 +169,36 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            ("monitor.k=2", "monitor.k"),
+            ("monitor.R=0.5", "monitor.R"),
+            ("grid.n_axis=16\nmonitor.R=4", "monitor.R"),  # h = 2.5: R < 2h
+            ("monitor.R=10", "monitor.R"),  # 2R = box_len/2
+            ("run.blowup_cap=0.5", "run.blowup_cap"),  # below the initial gauge
+        ],
+    )
+    def test_monitor_settings_are_usage_errors_without_artifacts(
+        self, tmp_path, capsys, lines, key
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + lines + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_value_error_after_validation_is_not_a_usage_error(
+        self, fast_config, tmp_path, monkeypatch
+    ):
+        def faulty(self, state):
+            raise ValueError("fault inside a monitor")
+
+        monkeypatch.setattr(_CliRecorder, "__call__", faulty)
+        with pytest.raises(ValueError, match="fault inside a monitor"):
+            main(["run", "--config", str(fast_config), "--out", str(tmp_path / "out")])
+
     def test_vanishing_auto_dt_exits_numerical(self, tmp_path):
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(FAST_CONFIG + "run.dt=auto\nparams.mu=1e308\n")
@@ -412,6 +442,10 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_all_suites_pass(self, capsys):
+        assert main(["check", "all"]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_unknown_suite_usage_error(self):
         assert main(["check", "nonsense"]) == EXIT_USAGE

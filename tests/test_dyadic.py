@@ -145,7 +145,7 @@ class TestGeneralizedYoung:
         # by the uniformly local L^1 norm of f, uniformly over fields.
         grid = make_grid(1, 512, 40.0)
         kernel = cutoff_phi(grid, CutoffSpec((0.0,), 1.0))
-        params = UlocNormParams.defaults_for(grid, 1.0, 1.0)
+        params = UlocNormParams(1.0, 1.0)
         ratios = []
         for _ in range(5):
             f = ScalarField(grid, rng.standard_normal(grid.shape))

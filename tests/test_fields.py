@@ -17,8 +17,7 @@ from kslab.fields import (
     magnitude,
     make_grid,
 )
-
-from conftest import band_limited
+from kslab.suites import _random_field
 
 
 class TestMakeGrid:
@@ -127,12 +126,12 @@ class TestHessian:
         assert hessian_sq(ScalarField(grid2d, np.ones(grid2d.shape))).max_abs() == 0.0
 
     def test_laplacian_bound(self, grid2d, rng):
-        c = band_limited(grid2d, rng, grid2d.n_axis // 8)
+        c = _random_field(grid2d, rng, grid2d.n_axis // 8)
         lap_sq = laplacian(c).values ** 2
         assert np.max(lap_sq - grid2d.d * hessian_sq(c).values) <= 1e-9
 
     def test_gradient_square_bound(self, grid2d, rng):
-        c = band_limited(grid2d, rng, grid2d.n_axis // 8)
+        c = _random_field(grid2d, rng, grid2d.n_axis // 8)
         gc = magnitude(gradient(c)).values
         lhs = sum(
             comp.values**2
@@ -197,7 +196,7 @@ class TestIntegrate:
 class TestDealias:
     def test_removes_high_modes_only(self, grid1d, rng):
         f = ScalarField(grid1d, rng.standard_normal(grid1d.shape))
-        low = band_limited(grid1d, rng, grid1d.n_axis // 4)
+        low = _random_field(grid1d, rng, grid1d.n_axis // 4)
         assert np.max(np.abs(dealias(low).values - low.values)) <= 1e-12
         fd = dealias(f)
         coeffs = np.fft.fft(fd.values)

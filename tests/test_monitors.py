@@ -15,11 +15,13 @@ from kslab.fields import (
 from kslab.monitors import (
     MomentConfig,
     TraceRecorder,
-    _ode_ingredients,
+    _grad_dot,
+    _moment_rate,
     argmax_center,
     combined_y,
+    coupled_check,
+    coupled_recorder,
     default_centers,
-    dyadic_ode_residuals,
     integration_by_parts_gap,
     interpolation_check,
     linf_reconstruction_check,
@@ -35,11 +37,10 @@ from kslab.monitors import (
     z_field,
     z_residual,
 )
-from kslab.norms import CutoffSpec, cutoff_phi
+from kslab.norms import CutoffSpec, _cutoff_integrals, cutoff_phi
 from kslab.presets import build_initial
-from kslab.solver import FunctionalSample, Params, RunConfig, RunStatus, State, run
-
-from conftest import band_limited, run_states
+from kslab.solver import FunctionalSample, Params, RunConfig, RunStatus, State, rhs, run
+from kslab.suites import _random_field
 
 
 def zero_state(grid):
@@ -55,45 +56,46 @@ def recorded_run(initial, params, config, **recorder):
 class TestComparisonFunction:
     def test_zero_state_residual_is_minus_level(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        prev = zero_state(grid1d)
-        nxt = State(0.01, prev.n, prev.c)
-        r, rmax = z_residual(prev, nxt, p)
+        r, rmax = z_residual(zero_state(grid1d), p)
         level = z_comparison_level(p)
         assert abs(rmax + level) <= 1e-12
         assert np.max(np.abs(r.values + level)) <= 1e-12
 
     def test_rejects_wrong_relaxation_scale(self, grid1d):
         p = Params(chi=1.0, tau=2.0, lam=0.0, mu=1.0, d=1)
-        s = zero_state(grid1d)
         with pytest.raises(ValueError):
-            z_residual(s, State(0.01, s.n, s.c), p)
+            z_residual(zero_state(grid1d), p)
 
     def test_rejects_weak_damping(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=0.1, d=1)  # mu <= d chi/4
-        s = zero_state(grid1d)
         with pytest.raises(ValueError):
-            z_residual(s, State(0.01, s.n, s.c), p)
+            z_residual(zero_state(grid1d), p)
 
     def test_residual_small_along_smooth_run(self):
         grid = make_grid(2, 64, 40.0)
         chi, d = 1.0, 2
         p = Params(chi=chi, tau=1.0, lam=0.0, mu=d * chi / 2.0, d=d)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        _, states = run_states(initial, p, RunConfig(t_end=0.2, dt=1e-3, monitor_every=20))
-        worst = max(
-            z_residual(a, b, p)[1] for a, b in zip(states[:-1], states[1:])
+        res = run(
+            initial,
+            p,
+            RunConfig(t_end=0.2, dt=1e-3, monitor_every=20),
+            monitors=lambda s: {"z_residual": z_residual(s, p)[1]},
         )
-        assert worst <= 1e-4
+        assert max(s.values["z_residual"] for s in res.trace) <= 1e-4
 
     def test_sup_z_respects_comparison_cap(self):
         grid = make_grid(2, 64, 40.0)
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=2)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        _, states = run_states(initial, p, RunConfig(t_end=0.5, dt=2e-3, monitor_every=25))
-        z0 = z_field(states[0], p).max_abs()
-        cap = max(z0, z_comparison_level(p))
-        sup = max(z_field(s, p).max_abs() for s in states)
-        assert sup <= cap + 1e-3
+        res = run(
+            initial,
+            p,
+            RunConfig(t_end=0.5, dt=2e-3, monitor_every=25),
+            monitors=lambda s: {"z_sup": z_field(s, p).max_abs()},
+        )
+        cap = max(res.trace[0].values["z_sup"], z_comparison_level(p))
+        assert max(s.values["z_sup"] for s in res.trace) <= cap + 1e-3
 
 
 class TestGlobalLedgers:
@@ -244,10 +246,10 @@ def undershooting_state(d, rng):
     """A bump in n over a band-limited wiggle that dips below zero, and a smooth c."""
     grid = make_grid(d, {1: 256, 2: 64, 3: 32}[d], {1: 40.0, 2: 40.0, 3: 20.0}[d])
     r2 = sum(x**2 for x in grid.mesh())
-    wiggle = band_limited(grid, rng, grid.n_axis // 8).values
+    wiggle = _random_field(grid, rng, grid.n_axis // 8).values
     n = ScalarField(grid, 2.0 * np.exp(-r2 / 4.0) + 0.2 * wiggle)
     assert n.values.min() < 0.0
-    c = ScalarField(grid, 1.0 + band_limited(grid, rng, grid.n_axis // 8).values)
+    c = ScalarField(grid, 1.0 + _random_field(grid, rng, grid.n_axis // 8).values)
     return State(0.0, n, c)
 
 
@@ -292,17 +294,33 @@ class TestSlidingCutoffOracle:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ode_ingredients(self, d, rng):
+        # Each family's explicit margin at each center, against the sum of
+        # its terms, every term a direct cutoff-weighted quadrature.
         state = undershooting_state(d, rng)
         grid, k, R = state.grid, 4, 2.0
-        centers = oracle_centers(state)
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=d)
+        c_j = mu_zero_estimate(k, p).c_j
         n = state.n.values
+        n_t, c_t = rhs(state, p)
+        grad_c = gradient(state.c).components
+        g_dot = sum(a.values * b.values for a, b in zip(grad_c, gradient(c_t).components))
         gn2 = sum(comp.values**2 for comp in gradient(state.n).components)
         gc = magnitude(gradient(state.c)).values
         ggc2_sq = sum(
             comp.values**2 for comp in gradient(ScalarField(grid, gc * gc)).components
         )
         hess = hessian_sq(state.c).values
+
+        def rate(j):
+            out = np.zeros(grid.shape)
+            if j > 0:
+                out += j * n ** (j - 1) * n_t.values * gc ** (2 * k - 2 * j)
+            if j < k:
+                out += (2 * k - 2 * j) * n**j * gc ** (2 * k - 2 * j - 2) * g_dot
+            return out
+
         integrands = {f"m_{j}": n**j * gc ** (2 * k - 2 * j) for j in range(k + 1)}
+        integrands.update({f"dm_{j}": rate(j) for j in range(k + 1)})
         integrands["m2_top"] = n**2 * gc ** (2 * k - 2)
         integrands["m_kp1"] = n ** (k + 1)
         integrands["gradc_2km2"] = gc ** (2 * k - 2)
@@ -317,11 +335,46 @@ class TestSlidingCutoffOracle:
             integrands[f"cross35_{j}"] = gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2)
             integrands[f"m35_next_{j}"] = n ** (j + 1) * gc ** (2 * k - 2 * j)
 
-        got = _ode_ingredients(state, k, R, centers)
-        assert set(got) == set(integrands)
-        phis = [cutoff_phi(grid, CutoffSpec(center, R)) for center in centers]
-        for name, f in integrands.items():
-            assert_per_center(got[name], [integrate(phi * f) for phi in phis])
+        for center in oracle_centers(state):
+            phi = cutoff_phi(grid, CutoffSpec(center, R))
+            m = {name: integrate(phi * f) for name, f in integrands.items()}
+            want = {
+                "density_power": m[f"dm_{k}"]
+                + k * (k - 1) / 4.0 * m["diss_n_k"]
+                - (k * m["m2_top"] + (c_j[k] - p.mu * k) * m["m_kp1"]),
+                "gradient_power": m["dm_0"]
+                + k * (k - 1) / 4.0 * m["diss_c"]
+                + k * m["hess_c"]
+                + 2.0 * k * m["m_0"]
+                - (d + 1.0 + 2.0 * (k - 1.0)) * k * m["m2_top"],
+                "mixed_first": m["dm_1"]
+                + (k - 1.0) * (k - 2.0) / 2.0 * m["mixed_diss_a"]
+                + (2.0 * k - 2.0) * m["mixed_diss_b"]
+                - (
+                    c_j[1] * m["diss_c"]
+                    + p.lam / 2.0 * m["gradc_2km2"]
+                    + (c_j[1] - p.mu) * m["m2_top"]
+                    + m["mixed_cross"]
+                ),
+            }
+            for j in range(2, k):
+                want[f"mixed_order_{j}"] = (
+                    m[f"dm_{j}"]
+                    + j * (j - 1) / 4.0 * m[f"diss35_{j}"]
+                    - (
+                        m[f"cross35_{j}"]
+                        + c_j[j] * m["diss_c"]
+                        + (c_j[j] - p.mu * j) * m[f"m35_next_{j}"]
+                        + p.lam * j * m["gradc_2km2"]
+                        + c_j[j] * m["m2_top"]
+                    )
+                )
+            got = coupled_recorder(p, k, R, (center,))(state)
+            assert set(got) == {f"{name}_{part}" for name in want for part in ("explicit", "generic")}
+            # Roundoff relative to the largest weighted term.
+            scale = max(c_j.values()) * max(abs(v) for v in m.values())
+            for name, value in want.items():
+                assert abs(got[f"{name}_explicit"] - value) <= 1e-12 * scale
 
 
 class TestMuZero:
@@ -377,44 +430,117 @@ class TestMuZero:
 
 
 class TestOdeResiduals:
+    FAMILIES = {"density_power", "gradient_power", "mixed_first", "mixed_order_2"}
+
     @pytest.fixture
     def short_run(self, grid1d):
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        _, states = run_states(initial, p, RunConfig(t_end=0.1, dt=1e-3, monitor_every=5))
-        return states, p
+        recorder = coupled_recorder(p, 3, 2.0, ((0.0,), (3.0,)))
+        res = run(initial, p, RunConfig(t_end=0.1, dt=1e-3, monitor_every=5), monitors=recorder)
+        return res.trace, p
 
     def test_zero_state_margins_nonpositive(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        states = [
-            State(0.001 * i, ScalarField(grid1d, np.zeros(grid1d.shape)),
-                  ScalarField(grid1d, np.zeros(grid1d.shape)))
-            for i in range(5)
-        ]
-        cfg = MomentConfig(k=3, R=2.0, centers=((0.0,),), C0=1.0, tau=1.0)
-        reports, _ = dyadic_ode_residuals(
-            states, cfg, p, calibration={"density_power": 1.0, "gradient_power": 1.0,
-                                         "mixed_first": 1.0, "mixed_order_2": 1.0}
-        )
+        recorder = coupled_recorder(p, 3, 2.0, ((0.0,),))
+        res = run(zero_state(grid1d), p, RunConfig(t_end=0.004, dt=1e-3, monitor_every=1), monitors=recorder)
+        reports, _ = coupled_check(res.trace, p, 3, calibration=dict.fromkeys(self.FAMILIES, 1.0))
+        assert {r.name for r in reports} == self.FAMILIES
         for r in reports:
+            assert len(r.margins) == 5
             assert r.max_margin() <= 0.0
 
     def test_calibrate_then_assert(self, short_run):
-        states, p = short_run
-        cfg = MomentConfig(
-            k=3, R=2.0, centers=((0.0,), (3.0,)), C0=mu_zero_estimate(3, p).C0, tau=p.tau
-        )
-        reports, fitted = dyadic_ode_residuals(states, cfg, p)
-        assert set(fitted) == {"density_power", "gradient_power", "mixed_first", "mixed_order_2"}
-        frozen, _ = dyadic_ode_residuals(states, cfg, p, calibration=fitted)
+        trace, p = short_run
+        reports, fitted = coupled_check(trace, p, 3)
+        assert set(fitted) == self.FAMILIES
+        for r in reports:
+            assert r.max_margin() <= r.tolerance
+        frozen, _ = coupled_check(trace, p, 3, calibration=fitted)
         for r in frozen:
             assert r.max_margin() <= 1e-9
 
-    def test_sparse_sampling_refused(self, short_run):
-        states, p = short_run
-        cfg = MomentConfig(k=3, R=2.0, centers=((0.0,),), C0=1.0, tau=p.tau)
-        with pytest.raises(ValueError, match="sampling too sparse"):
-            dyadic_ode_residuals(states[::4], cfg, p)
+    def test_fit_picks_largest_ratio(self):
+        # Synthetic trace with positive explicit margins: the fit is the
+        # largest explicit/generic ratio over samples with a usable generic
+        # series, freezing it reproduces the margins, and a frozen constant
+        # below it fails.
+        rows = [(0.5, 1.0), (3.0, 2.0), (1.0, 4.0), (0.0, 0.0)]
+        trace = [
+            FunctionalSample(
+                float(i),
+                {f"{name}_{part}": value for name in self.FAMILIES for part, value in
+                 zip(("explicit", "generic"), row)},
+            )
+            for i, row in enumerate(rows)
+        ]
+        p = Params(chi=1.0, d=1)
+        reports, fitted = coupled_check(trace, p, 3)
+        assert fitted == dict.fromkeys(self.FAMILIES, 1.5)
+        for r in reports:
+            assert np.array_equal(r.margins, [-1.0, 0.0, -5.0, 0.0])
+            assert r.max_margin() <= r.tolerance
+        frozen, refit = coupled_check(trace, p, 3, calibration=fitted)
+        assert refit == fitted
+        for r, f in zip(reports, frozen):
+            assert np.array_equal(r.margins, f.margins)
+        strict, _ = coupled_check(trace, p, 3, calibration=dict.fromkeys(self.FAMILIES, 1.4))
+        for r in strict:
+            assert r.max_margin() > r.tolerance
+
+    def test_sampling_rate_independent(self, grid1d):
+        # Margins are quantities of one state: sampling every step or every
+        # 20th step records the same values at shared times, and a gap of 0.2
+        # is as good as any.
+        initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        recorder = coupled_recorder(p, 3, 2.0, default_centers(grid1d))
+        dense, sparse = (
+            run(initial, p, RunConfig(t_end=0.4, dt=0.01, monitor_every=every), monitors=recorder)
+            for every in (1, 20)
+        )
+        assert [s.t for s in sparse.trace] == [s.t for s in dense.trace[::20]]
+        for a, b in zip(sparse.trace, dense.trace[::20]):
+            assert a.values == b.values
+        reports, fitted = coupled_check(sparse.trace, p, 3)
+        assert set(fitted) == self.FAMILIES
+        for r in reports:
+            assert len(r.margins) == 3
+            assert np.all(np.isfinite(r.margins))
+
+    def test_moment_rate_matches_centred_differences(self, grid1d):
+        # d/dt int phi n^j |grad c|^(2k-2j) from the tendencies, against
+        # centred differences of ``moment`` on a dense run: the error falls
+        # about 4x each time the gap halves.
+        initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        k, spec = 3, CutoffSpec((0.0,), 2.0)
+
+        def record(state):
+            n_t, c_t = rhs(state, p)
+            g_dot = _grad_dot(state.c, c_t)
+            values = {}
+            for j in range(k + 1):
+                values[f"m_{j}"] = moment(state, j, k, spec)
+                integrand = _moment_rate(
+                    state.n.values, n_t.values, state.c.grad_abs.values, g_dot, j, k
+                )
+                values[f"dm_{j}"] = float(
+                    _cutoff_integrals(integrand, state.grid, spec.radius, (spec.center,))[0]
+                )
+            return values
+
+        res = run(initial, p, RunConfig(t_end=0.016, dt=1e-4, monitor_every=1), monitors=record)
+        mid = 80
+        for j in range(k + 1):
+            at = lambda i: res.trace[i].values[f"m_{j}"]
+            rate = res.trace[mid].values[f"dm_{j}"]
+            errors = [
+                abs((at(mid + h) - at(mid - h)) / (res.trace[mid + h].t - res.trace[mid - h].t) - rate)
+                for h in (80, 40, 20)
+            ]
+            for coarse, fine in zip(errors, errors[1:]):
+                assert 3.0 <= coarse / fine <= 5.0, (j, errors)
 
     def test_integration_by_parts_identity(self, grid1d):
         x = grid1d.mesh()[0]
@@ -425,7 +551,7 @@ class TestOdeResiduals:
 
     def test_gradient_laplacian_identity(self, grid2d, rng):
         # grad(Lap c) . grad c = 1/2 Lap |grad c|^2 - |D^2 c|^2 pointwise.
-        c = band_limited(grid2d, rng, grid2d.n_axis // 8)
+        c = _random_field(grid2d, rng, grid2d.n_axis // 8)
         gc = gradient(c)
         lhs = sum(
             a.values * b.values

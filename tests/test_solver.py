@@ -38,8 +38,6 @@ from kslab.solver import (
     suggest_dt,
 )
 
-from conftest import run_states
-
 
 @pytest.fixture
 def gauss_state(grid1d):
@@ -315,10 +313,17 @@ class TestRun:
 
     def test_pure_heat_trajectory_matches_propagator(self, gauss_state):
         p = Params(chi=0.0, tau=1.0, lam=0.0, mu=0.0, d=1)
-        _, states = run_states(gauss_state, p, RunConfig(t_end=0.4, dt=0.02, monitor_every=4))
-        for st in states:
-            exact = heat_propagate(gauss_state.n, st.t)
-            assert np.max(np.abs(st.n.values - exact.values)) <= 1e-10
+        res = run(
+            gauss_state,
+            p,
+            RunConfig(t_end=0.4, dt=0.02, monitor_every=4),
+            monitors=lambda s: {
+                "err": np.max(np.abs(s.n.values - heat_propagate(gauss_state.n, s.t).values))
+            },
+        )
+        assert len(res.trace) == 6
+        for sample in res.trace:
+            assert sample.values["err"] <= 1e-10
 
     def test_chemical_equation_exact_when_density_zero(self, grid1d):
         c0_vals = np.exp(-(grid1d.mesh()[0] ** 2) / 6.0)
