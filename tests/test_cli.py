@@ -200,8 +200,10 @@ class TestRunCommand:
             main(["run", "--config", str(fast_config), "--out", str(tmp_path / "out")])
 
     def test_vanishing_auto_dt_exits_numerical(self, tmp_path):
+        # The transport cap is ~1e-51.  chi = 1e308 would overflow earlier,
+        # in the mu_0 assembly, and never reach the step.
         cfg = tmp_path / "stiff.cfg"
-        cfg.write_text(FAST_CONFIG + "run.dt=auto\nparams.mu=1e308\n")
+        cfg.write_text(FAST_CONFIG + "run.dt=auto\nparams.chi=1e50\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
 
@@ -368,6 +370,28 @@ class TestSweepCommand:
             value, status, sup, bounded, _ = line.split(",")
             assert status == "completed"
             assert float(sup) < 10.0
+
+    def test_damped_2d_rows_stay_nonnegative(self, tmp_path):
+        # The damped rows of the benchmark's 2D sweep: random_smooth data of
+        # amplitude 20 on 128^2, auto dt to t = 10.
+        cfg = tmp_path / "sweep2d.cfg"
+        cfg.write_text(
+            "grid.d=2\ngrid.n_axis=128\ngrid.box_len=40\n"
+            "params.chi=1.0\nparams.tau=1.0\nparams.lambda=0.0\nparams.mu=1.0\n"
+            "init.preset=random_smooth\ninit.amplitude=20.0\n"
+            "run.dt=auto\nrun.t_end=10.0\nrun.monitor_every=10\n"
+            "monitor.k=3\nmonitor.centers=max+lattice\n"
+        )
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1",
+                "--param", "mu", "--values", "1,10"]
+        assert main(argv) == EXIT_OK
+        for value in ("1", "10"):
+            summary = json.loads((out / f"mu_{value}" / "summary.json").read_text())
+            assert summary["status"] == "completed"
+            assert summary["verdicts"]["nonnegativity_n"]
+            assert summary["verdicts"]["nonnegativity_c"]
+            assert summary["mass_ledger_rel_max"] <= 1e-10
 
     def test_empty_values_usage_error(self, fast_config, tmp_path):
         code = main(

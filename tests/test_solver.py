@@ -15,13 +15,17 @@ from kslab.fields import (
     integrate,
     make_grid,
 )
+from kslab.monitors import mu_zero_estimate
 from kslab.presets import build_initial
 from kslab.solver import (
+    PROBE_TOL,
     Params,
     PicardConfig,
     RunConfig,
     RunStatus,
     State,
+    _doubling_error,
+    _probe,
     _Stepper,
     _Workspace,
     _phi1,
@@ -166,11 +170,123 @@ class TestStep:
             step(gauss_state, PARAMS_1D, 0.0)
 
 
-def _allocating_etd_rk2(state, p, dt, dealias):
-    """The ETD-RK2 step written with fresh arrays for every operation.
+def _rk4_logistic(n, lam, mu, s, steps=4000):
+    """RK4 of (n, int n, int n^2)' = (lam n - mu n^2, n, n^2) over [0, s]."""
 
-    Returns (n, c, ledger, d_int_n, d_int_n2); the workspace stepper must
-    reproduce every value bit for bit.
+    def f(y):
+        return np.stack([lam * y[0] - mu * y[0] ** 2, y[0], y[0] ** 2])
+
+    y = np.stack([n, np.zeros_like(n), np.zeros_like(n)])
+    h = s / steps
+    for _ in range(steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+class TestLogisticSubstep:
+    N = np.array([-0.05, 0.0, 0.01, 0.3, 1.0, 2.5, 4.0, 7.0])  # one 8-point grid
+
+    @pytest.mark.parametrize(
+        "lam,mu",
+        [
+            (0.8, 2.0),
+            (0.0, 3.0),  # q = s
+            (1.5, 0.0),  # the mu = 0 limits
+            (1.0, 1e-9),  # mu q n << 1: log1p, not log(1 + x)
+            (1e-10, 1.0),  # lam s << 1: expm1, not exp(x) - 1
+        ],
+    )
+    def test_closed_form_matches_rk4(self, lam, mu):
+        grid = make_grid(1, 8, 8.0)
+        stepper = _Stepper(grid, Params(chi=1.0, lam=lam, mu=mu, d=1), 0.2, True)
+        out = np.empty_like(self.N)
+        int_n, int_n2, damped = stepper._logistic(self.N, out)
+        n_ref, int_n_ref, int_n2_ref = _rk4_logistic(self.N, lam, mu, 0.1)
+        assert np.allclose(out, n_ref, rtol=1e-12, atol=0.0)
+        assert int_n == pytest.approx(np.sum(int_n_ref), rel=1e-12)
+        # mu int n^2 comes from the mass balance, exact to roundoff of the
+        # mass; int n^2 = (mu int n^2)/mu inherits that error over mu.
+        mass_roundoff = 4 * np.finfo(float).eps * np.sum(np.abs(self.N))
+        assert damped == pytest.approx(mu * np.sum(int_n2_ref), rel=1e-12, abs=mass_roundoff)
+        rel = 1e-12 if mu * 0.1 > 1e-3 or mu == 0 else 1e-5
+        assert int_n2 == pytest.approx(np.sum(int_n2_ref), rel=rel)
+
+    def test_in_place_flow_matches_out_of_place(self):
+        grid = make_grid(1, 8, 8.0)
+        stepper = _Stepper(grid, Params(chi=1.0, lam=0.8, mu=2.0, d=1), 0.2, True)
+        out = np.empty_like(self.N)
+        sums = stepper._logistic(self.N, out)
+        n = self.N.copy()
+        assert stepper._logistic(n, n) == sums
+        assert n.tobytes() == out.tobytes()
+
+    def test_nonpositive_denominator_is_numerical_failure(self, grid1d):
+        # 1 + mu q n = 1 - 100 * 0.05 * 1 < 0 where n = -1: the logistic ODE
+        # takes that value to -infinity within the substep.
+        n = np.full(grid1d.shape, 0.1)
+        n[10] = -1.0
+        zero = ScalarField(grid1d, np.zeros(grid1d.shape))
+        state = State(0.0, ScalarField(grid1d, n), zero)
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=100.0, d=1)
+        with pytest.raises(FloatingPointError, match="1 \\+ mu q n"):
+            step(state, p, 0.1)
+        res = run(state, p, RunConfig(t_end=0.5, dt=0.1))
+        assert res.status is RunStatus.NUMERICAL_FAILURE
+        assert res.status_time == 0.0 and len(res.trace) == 1
+
+
+def _headline_damped(d, n_axis):
+    """The damped headline data and parameters (mu = mu_0 at k = 4) on a smaller grid."""
+    grid = make_grid(d, n_axis, 20.0)
+    mu0 = mu_zero_estimate(4, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=d)).mu0
+    p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=d)
+    return build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5), p
+
+
+class TestAutoStep:
+    @pytest.mark.parametrize("d,n_axis", [(3, 16), (3, 32), (2, 32)])
+    def test_headline_damping_completes_on_coarse_grids(self, d, n_axis):
+        # The explicit logistic step reported blow-up on these grids, from
+        # undershoots of about -2.4e3 that -mu n^2 amplified.
+        initial, p = _headline_damped(d, n_axis)
+        res = run(initial, p, RunConfig(t_end=2.0, dt=None, monitor_every=10))
+        assert res.status is RunStatus.COMPLETED
+        assert min(s.values["min_n"] for s in res.trace) >= -1e-4
+        assert res.mass_ledger_rel_max <= 1e-10
+
+    def test_probe_rejects_above_tolerance(self):
+        initial, p = _headline_damped(1, 64)
+        h0 = suggest_dt(initial, p)
+        ws = _Workspace(initial.grid, True)
+        coarse = step(initial, p, 2 * h0).n.values
+        fine = step(step(initial, p, h0), p, h0).n.values
+        assert _doubling_error(coarse, fine, ws.phys) > PROBE_TOL
+        h, merged, err = _probe(initial, p, h0, 1e-12, ws, True)
+        assert h < h0 and err <= PROBE_TOL
+        assert merged[0].t == 2 * h
+        kept = step(step(initial, p, h), p, h)
+        assert merged[0].n.values.tobytes() == kept.n.values.tobytes()
+
+    def test_doubling_error_norms(self):
+        fine = np.array([1.0, -1.0, 2.0, 0.0])
+        coarse = fine + np.array([0.1, 0.0, 0.0, 0.0])
+        scratch = np.empty(4)
+        # L1: 0.1 / 4; sup: 0.1 / 2.
+        assert _doubling_error(coarse, fine, scratch) == pytest.approx(0.05)
+        assert _doubling_error(fine, fine, scratch) == 0.0
+        assert _doubling_error(coarse, np.zeros(4), scratch) == math.inf
+        assert _doubling_error(coarse * np.nan, fine, scratch) == math.inf
+
+
+def _allocating_split_step(state, p, dt, dealias):
+    """The split step L(dt/2) T(dt) L(dt/2) written with fresh arrays for every operation.
+
+    Returns (n, c, relative ledger, d_int_n, d_int_n2); the workspace stepper
+    must reproduce every value bit for bit.
     """
     g = state.grid
 
@@ -180,34 +296,59 @@ def _allocating_etd_rk2(state, p, dt, dealias):
     ksq = _k_squared_r(g)
     z_n, z_c = -dt * ksq, dt * (-1.0 - ksq) / p.tau
     mask = _dealias_mask_r(g) if dealias else None
-    zero, hd = (0,) * g.d, g.spacing**g.d
+    hd = g.spacing**g.d
+    s = dt / 2
+    growth = math.exp(p.lam * s)
+    q = math.expm1(p.lam * s) / p.lam if p.lam > 0 else s
 
-    def nonlinear(nhat, chat, n_phys):
+    def logistic(n):
+        """(n(s), sum int n ds, sum int n^2 ds, sum mu int n^2 ds)."""
+        if p.mu == 0:
+            n2 = q * (1.0 + 0.5 * p.lam * q) * float(np.sum(n * n))
+            return n * growth, q * float(np.sum(n)), n2, 0.0
+        x = n * (p.mu * q)
+        int_n = float(np.sum(np.log1p(x))) / p.mu
+        out = n / (x + 1.0) * growth
+        damped = p.lam * int_n - (float(np.sum(out)) - float(np.sum(n)))
+        return out, int_n, damped / p.mu, damped
+
+    def transport(chat, n_phys):
         flux = np.zeros(g.rshape, dtype=np.complex128)
         for ka in _k_axes_odd_r(g):
             prod = np.fft.rfftn(n_phys * irfft(1j * ka * chat))
             if mask is not None:
                 prod[~mask] = 0.0
             flux += 1j * ka * prod
-        n2 = np.fft.rfftn(n_phys * n_phys)
-        if mask is not None:
-            n2[~mask] = 0.0
-        nn = -p.chi * flux + p.lam * nhat - p.mu * n2
-        return nn, nhat / p.tau, hd * nhat[zero].real, hd * n2[zero].real
+        return -p.chi * flux
 
-    n_phys = state.n.values
-    nhat, chat = np.fft.rfftn(n_phys), np.fft.rfftn(state.c.values)
-    nn_u, nc_u, i_u, i2_u = nonlinear(nhat, chat, n_phys)
+    n0 = state.n.values
+    n1, i_a, i2_a, damped_a = logistic(n0)
+    nhat, chat = np.fft.rfftn(n1), np.fft.rfftn(state.c.values)
+    nn_u, nc_u = transport(chat, n1), nhat / p.tau
     a_n_hat = np.exp(z_n) * nhat + dt * _phi1(z_n) * nn_u
     a_c_hat = np.exp(z_c) * chat + dt * _phi1(z_c) * nc_u
-    nn_a, nc_a, i_a, i2_a = nonlinear(a_n_hat, a_c_hat, irfft(a_n_hat))
-    new_n = irfft(a_n_hat + dt * _phi2(z_n) * (nn_a - nn_u))
+    nn_a, nc_a = transport(a_c_hat, irfft(a_n_hat)), a_n_hat / p.tau
+    n2 = irfft(a_n_hat + dt * _phi2(z_n) * (nn_a - nn_u))
     new_c = irfft(a_c_hat + dt * _phi2(z_c) * (nc_a - nc_u))
-    d_int_n = dt * 0.5 * (i_u + i_a)
-    d_int_n2 = dt * 0.5 * (i2_u + i2_a)
-    mass_delta = hd * (np.sum(new_n) - np.sum(n_phys))
-    ledger = abs(mass_delta - (p.lam * d_int_n - p.mu * d_int_n2))
-    return new_n, new_c, ledger, d_int_n, d_int_n2
+    new_n, i_b, i2_b, damped_b = logistic(n2)
+    d_int_n = hd * (i_a + i_b)
+    mass_delta = hd * (np.sum(new_n) - np.sum(n0))
+    ledger = abs(mass_delta - (p.lam * d_int_n - hd * (damped_a + damped_b)))
+    l1 = hd * max(np.sum(np.abs(n0)), np.sum(np.abs(new_n)))
+    return new_n, new_c, float(ledger / max(l1, 1e-300)), d_int_n, hd * (i2_a + i2_b)
+
+
+def _count_builds(monkeypatch):
+    """Record every ``_Stepper`` construction from here on in the returned list."""
+    builds = []
+    init = _Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "__init__", counted)
+    return builds
 
 
 def _random_state(grid, seed):
@@ -223,16 +364,17 @@ class TestWorkspaceStep:
     @pytest.mark.parametrize("dealias", [True, False])
     def test_bitwise_equal_to_allocating_formula(self, d, n_axis, dealias):
         grid = make_grid(d, n_axis, 20.0)
-        p = Params(d=d, **self.P)
-        stepper = _Stepper(grid, p, 0.01, dealias)
-        state = _random_state(grid, d)
-        for _ in range(3):
-            new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
-            n, c, *scalars = _allocating_etd_rk2(state, p, 0.01, dealias)
-            assert new.n.values.tobytes() == n.tobytes()
-            assert new.c.values.tobytes() == c.tobytes()
-            assert [ledger, d_int_n, d_int_n2] == scalars
-            state = new
+        for mu in (self.P["mu"], 0.0):  # the logistic flow and its mu = 0 limit
+            p = Params(d=d, **{**self.P, "mu": mu})
+            stepper = _Stepper(grid, p, 0.01, dealias)
+            state = _random_state(grid, d)
+            for _ in range(3):
+                new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
+                n, c, *scalars = _allocating_split_step(state, p, 0.01, dealias)
+                assert new.n.values.tobytes() == n.tobytes()
+                assert new.c.values.tobytes() == c.tobytes()
+                assert [ledger, d_int_n, d_int_n2] == scalars
+                state = new
 
     def test_states_do_not_alias_the_workspace(self):
         grid = make_grid(2, 32, 20.0)
@@ -266,17 +408,18 @@ class TestWorkspaceStep:
         assert out[0].t > state.t
         assert peak <= 2.1 * 8 * grid.npoints
 
-    def test_run_reuses_one_workspace_across_rebuilds(self, gauss_state):
+    def test_run_reuses_one_workspace_across_rebuilds(self, gauss_state, monkeypatch):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
         seen = []
+        builds = _count_builds(monkeypatch)
 
         def record(state):
             spaces = [o for o in gc.get_objects() if isinstance(o, _Workspace)]
             seen.append({id(w) for w in spaces if w.grid is gauss_state.grid})
             return {}
 
-        res = run(gauss_state, p, RunConfig(t_end=0.5, dt=None, monitor_every=1), monitors=record)
-        assert len(set(np.diff([s.t for s in res.trace]))) >= 5  # >= 5 stepper builds
+        run(gauss_state, p, RunConfig(t_end=2.0, dt=None, monitor_every=1), monitors=record)
+        assert len(builds) >= 5
         assert len(set().union(*seen[1:])) == 1
 
 
@@ -341,29 +484,45 @@ class TestRun:
     def test_adaptive_dt_heuristic_positive_and_capped(self, gauss_state):
         dt = suggest_dt(gauss_state, PARAMS_1D)
         assert 0 < dt <= 0.25
+        # The damping no longer limits the step: only the transport does.
+        strong = Params(chi=1.0, tau=1.0, lam=0.5, mu=1e6, d=1)
+        assert suggest_dt(gauss_state, strong) == dt
 
-    def test_one_live_stepper_across_auto_dt_intervals(self, gauss_state):
+    def test_one_live_stepper_across_auto_dt_intervals(self, gauss_state, monkeypatch):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
         alive = []
+        builds = _count_builds(monkeypatch)
 
         def count_steppers(state):
             steppers = [o for o in gc.get_objects() if isinstance(o, _Stepper)]
             alive.append(sum(1 for s in steppers if s.params is p))
             return {}
 
-        config = RunConfig(t_end=0.5, dt=None, monitor_every=1)
+        # Each interval's probe builds the steppers of h and 2h, then the run
+        # builds its own for the interval's last two steps.
+        config = RunConfig(t_end=2.0, dt=None, monitor_every=4)
         res = run(gauss_state, p, config, monitors=count_steppers)
-        # One step per interval, so each trace gap is that interval's dt.
-        dts = np.diff([s.t for s in res.trace])
-        assert len(dts) >= 5 and len(set(dts)) >= 5
+        assert len(res.trace) >= 3 and len(builds) >= 5
         assert max(alive) == 1
 
     def test_vanishing_auto_dt_is_numerical_failure(self, gauss_state):
-        # The heuristic's rate is ~1e307, so its dt is below any usable step.
-        p = Params(chi=0.0, tau=1.0, lam=0.0, mu=1e308, d=1)
+        # The transport cap's rate is ~1e307, so its dt is below any usable step.
+        p = Params(chi=1e308, tau=1.0, lam=0.0, mu=1.0, d=1)
         res = run(gauss_state, p, RunConfig(t_end=0.05, dt=None))
         assert res.status is RunStatus.NUMERICAL_FAILURE
         assert res.status_time == 0.0 and len(res.trace) == 1
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_overwhelming_damping_keeps_a_finite_ledger(self, gauss_state, dt):
+        # mu n t >> 1 everywhere, so n(t) -> 1/(mu t) uniformly and the mass
+        # falls to L/(mu t) ~ 8e-306; the ledger stays relative to the mass
+        # the step started from, not to that remnant.
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1e308, d=1)
+        res = run(gauss_state, p, RunConfig(t_end=0.05, dt=dt))
+        assert res.status is RunStatus.COMPLETED
+        assert res.mass_ledger_rel_max <= 1e-10
+        remnant = gauss_state.grid.box_len / (p.mu * 0.05)
+        assert res.trace[-1].values["mass"] == pytest.approx(remnant, rel=1e-3)
 
     def test_trace_times_strictly_increasing(self, gauss_state):
         res = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.3, dt=None, monitor_every=7))
@@ -504,6 +663,10 @@ class TestNonnegativity:
 class TestDeterminism:
     def test_identical_runs(self, gauss_state):
         cfg = RunConfig(t_end=0.2, dt=5e-3, monitor_every=8)
+        assert determinism_check(gauss_state, PARAMS_1D, cfg)
+
+    def test_identical_auto_dt_runs(self, gauss_state):
+        cfg = RunConfig(t_end=2.0, dt=None, monitor_every=4)
         assert determinism_check(gauss_state, PARAMS_1D, cfg)
 
     def test_monitor_stride_does_not_change_dynamics(self, gauss_state):
