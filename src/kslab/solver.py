@@ -137,8 +137,9 @@ class RunConfig:
     ``dt=None`` sizes the step ``h`` by error control.  Each monitor
     interval opens with a step-doubling probe from its first state: one step
     of ``2h`` against two of ``h``.  The probe shrinks ``h`` while their gap
-    exceeds ``PROBE_TOL``, keeps the two steps of ``h`` and takes the rest
-    of the interval at ``h``.  The gap then proposes the next interval's
+    exceeds ``PROBE_TOL`` or a trial's logistic substep has no flow, keeps
+    the two steps of ``h`` and takes the rest of the interval with the
+    stepper of ``h``.  The gap then proposes the next interval's
     ``h`` (safety 0.9, exponent 1/3, growth at most 5x), and the transport
     cap ``suggest_dt`` bounds it.  The step is fixed within an interval and
     a function of the state alone, so reruns are bitwise identical.
@@ -447,27 +448,31 @@ def _probe(state: State, params: Params, h: float, eps: float, workspace: _Works
            dealias: bool):
     """Step-doubling probe of the automatic step ``h`` from ``state``.
 
-    Compares two steps of ``h`` with one of ``2h`` by ``_doubling_error`` and
-    shrinks ``h`` while the gap exceeds ``PROBE_TOL``.  Returns the accepted
-    ``h``, its two steps merged into one ``advance`` result, and the gap; or
-    None once ``h`` falls to ``eps``.  At most one stepper and two states
-    besides ``state`` are alive at a time.
+    Compares one step of ``2h`` with two of ``h`` by ``_doubling_error`` and
+    shrinks ``h`` while the gap exceeds ``PROBE_TOL``.  A trial whose
+    logistic substep has no flow to follow counts as an infinite gap: the
+    step was too large, not the run beyond repair.  Returns the stepper of
+    the accepted ``h``, its two steps merged into one ``advance`` result, and
+    the gap.  Once ``h`` falls to ``eps`` it cannot advance the run, which
+    raises FloatingPointError instead of looping on.  At most one stepper,
+    the coarse density and two states besides ``state`` are alive at a time.
     """
     grid = state.grid
     while h > eps:
-        stepper = _Stepper(grid, params, h, dealias, workspace)
-        mid, *first = stepper.advance(state)
-        end, *second = stepper.advance(mid)
-        del stepper, mid
-        coarse = _Stepper(grid, params, 2.0 * h, dealias, workspace).advance(state)[0]
-        err = _doubling_error(coarse.n.values, end.n.values, workspace.phys)
-        del coarse
+        coarse = stepper = mid = end = None  # the last trial's, before this one allocates
+        try:
+            coarse = _Stepper(grid, params, 2.0 * h, dealias, workspace).advance(state)[0].n
+            stepper = _Stepper(grid, params, h, dealias, workspace)
+            mid, *first = stepper.advance(state)
+            end, *second = stepper.advance(mid)
+            err = _doubling_error(coarse.values, end.n.values, workspace.phys)
+        except FloatingPointError:
+            err = math.inf
         if err <= PROBE_TOL:
             merged = (end, max(first[0], second[0]), first[1] + second[1], first[2] + second[2])
-            return h, merged, err
-        del end  # before the next trial allocates its own
+            return stepper, merged, err
         h *= _step_factor(err, 0.5)
-    return None
+    raise FloatingPointError("automatic dt underflowed")
 
 
 def _step_factor(err: float, most: float) -> float:
@@ -500,8 +505,9 @@ def run(
     step-doubling probe (see ``RunConfig``) whose two half steps count as two
     of its steps.  Blow-up is surveilled through the continuation quantity
     ||n||_inf + ||c||_{W^{1,inf}} against ``blowup_cap`` (default: 1000x its
-    initial value).  A step with a non-finite result, or a logistic substep
-    with no flow to follow, ends the run as a numerical failure.
+    initial value).  A step with a non-finite result, a logistic substep
+    with no flow to follow (outside the probe's trials, which reject it), or
+    a step too small to advance the clock ends the run as a numerical failure.
     """
     grid = initial.grid
     cap = config.cap_for(initial)
@@ -546,15 +552,14 @@ def run(
             if h is None:
                 h = min(h_next, suggest_dt(state, params), 0.5 * (t_end - state.t))
                 stepper = None  # one stepper alive at a time: the probe builds its own
-                probe = _probe(state, params, h, eps, workspace, config.dealias)
-                if probe is None:
-                    # A step this small cannot advance the run: report it as
-                    # a numerical failure instead of looping on.
-                    raise FloatingPointError("automatic dt underflowed")
-                h, merged, err = probe
+                stepper, merged, err = _probe(state, params, h, eps, workspace, config.dealias)
                 take(merged)
+                del merged  # its state is `state` now: hold no older one
+                h = stepper.dt
                 steps = 2
                 h_next = h * _step_factor(err, 5.0)
+            elif not h > eps:
+                raise FloatingPointError("dt underflowed")
             while steps < config.monitor_every:
                 dt_step = min(h, t_end - state.t)
                 if dt_step <= eps:

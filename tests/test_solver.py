@@ -238,6 +238,20 @@ class TestLogisticSubstep:
         assert res.status is RunStatus.NUMERICAL_FAILURE
         assert res.status_time == 0.0 and len(res.trace) == 1
 
+    def test_probe_shrinks_past_a_nonpositive_denominator(self, grid1d):
+        # The probe's step of 2h = 0.03 has 1 + mu q n = 1 - 100 * 0.015 < 0
+        # at n = -1; a step that large is rejected, not the end of the run.
+        n = np.full(grid1d.shape, 0.1)
+        n[10] = -1.0
+        zero = ScalarField(grid1d, np.zeros(grid1d.shape))
+        state = State(0.0, ScalarField(grid1d, n), zero)
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=100.0, d=1)
+        with pytest.raises(FloatingPointError, match="1 \\+ mu q n"):
+            step(state, p, 0.03)
+        stepper, merged, err = _probe(state, p, 0.015, 1e-12, _Workspace(grid1d, True), True)
+        assert stepper.dt < 0.01 and err <= PROBE_TOL
+        assert merged[0].t == 2 * stepper.dt and merged[0].is_finite()
+
 
 def _headline_damped(d, n_axis):
     """The damped headline data and parameters (mu = mu_0 at k = 4) on a smaller grid."""
@@ -265,11 +279,29 @@ class TestAutoStep:
         coarse = step(initial, p, 2 * h0).n.values
         fine = step(step(initial, p, h0), p, h0).n.values
         assert _doubling_error(coarse, fine, ws.phys) > PROBE_TOL
-        h, merged, err = _probe(initial, p, h0, 1e-12, ws, True)
+        stepper, merged, err = _probe(initial, p, h0, 1e-12, ws, True)
+        h = stepper.dt
         assert h < h0 and err <= PROBE_TOL
         assert merged[0].t == 2 * h
         kept = step(step(initial, p, h), p, h)
         assert merged[0].n.values.tobytes() == kept.n.values.tobytes()
+
+    def test_probe_rejected_trials_do_not_end_the_run(self, gauss_state, monkeypatch):
+        # Stand in for an undershoot that only the larger trial steps reach:
+        # every logistic substep of a step above 0.05 has no flow to follow.
+        flow = _Stepper._logistic
+        refused = []
+
+        def logistic(self, n, out):
+            if self.dt > 0.05:
+                refused.append(self.dt)
+                raise FloatingPointError("1 + mu q n <= 0")
+            return flow(self, n, out)
+
+        monkeypatch.setattr(_Stepper, "_logistic", logistic)
+        res = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.5, dt=None, monitor_every=4))
+        assert refused and res.status is RunStatus.COMPLETED
+        assert res.final.t == pytest.approx(0.5)
 
     def test_doubling_error_norms(self):
         fine = np.array([1.0, -1.0, 2.0, 0.0])
@@ -492,23 +524,37 @@ class TestRun:
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
         alive = []
         builds = _count_builds(monkeypatch)
+        init = _Stepper.__init__
 
-        def count_steppers(state):
+        def count_steppers(*_):
             steppers = [o for o in gc.get_objects() if isinstance(o, _Stepper)]
             alive.append(sum(1 for s in steppers if s.params is p))
             return {}
 
-        # Each interval's probe builds the steppers of h and 2h, then the run
-        # builds its own for the interval's last two steps.
+        def build_and_count(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            count_steppers()
+
+        # Each interval's probe builds the steppers of 2h and h, and the run
+        # takes the interval's last two steps with the second one; counting at
+        # every build too sees the probe's own steppers.
+        monkeypatch.setattr(_Stepper, "__init__", build_and_count)
         config = RunConfig(t_end=2.0, dt=None, monitor_every=4)
         res = run(gauss_state, p, config, monitors=count_steppers)
         assert len(res.trace) >= 3 and len(builds) >= 5
-        assert max(alive) == 1
+        assert len(alive) == len(builds) + len(res.trace) and max(alive) == 1
 
     def test_vanishing_auto_dt_is_numerical_failure(self, gauss_state):
         # The transport cap's rate is ~1e307, so its dt is below any usable step.
         p = Params(chi=1e308, tau=1.0, lam=0.0, mu=1.0, d=1)
         res = run(gauss_state, p, RunConfig(t_end=0.05, dt=None))
+        assert res.status is RunStatus.NUMERICAL_FAILURE
+        assert res.status_time == 0.0 and len(res.trace) == 1
+
+    def test_vanishing_fixed_dt_is_numerical_failure(self, gauss_state):
+        # dt is below the clock's resolution eps = 1e-12 max(1, t_end): the
+        # run could not advance, so it must stop instead of sampling forever.
+        res = run(gauss_state, PARAMS_1D, RunConfig(t_end=1.0, dt=1e-13))
         assert res.status is RunStatus.NUMERICAL_FAILURE
         assert res.status_time == 0.0 and len(res.trace) == 1
 
