@@ -1,4 +1,7 @@
-"""Binary checkpoint format for run restart and final-state capture.
+"""Binary format for capturing the final state of a run.
+
+A file holds one state (grid, time, n and c) and nothing of the run that
+produced it, so it cannot restart a run.
 
 Layout (little-endian throughout):
 

@@ -298,26 +298,18 @@ def cmd_check(suite: str) -> int:
 def cmd_report(out: Path) -> int:
     """Re-render the run CSVs into one long-format table for plotting."""
     rows: list[tuple[str, str, str, str]] = []
-    trace = out / "trace.csv"
-    if trace.exists():
-        lines = trace.read_text().splitlines()
-        header = lines[0].split(",")
-        for line in lines[1:]:
-            parts = line.split(",")
-            for name, value in zip(header[1:], parts[1:]):
-                rows.append(("trace", parts[0], name, value))
+    for source in ("trace", "sweep"):
+        wide = out / f"{source}.csv"
+        if wide.exists():
+            header, *lines = wide.read_text().splitlines()
+            names = header.split(",")[1:]
+            for line in lines:
+                key, *values = line.split(",")
+                rows.extend((source, key, name, value) for name, value in zip(names, values))
     residuals = out / "residuals.csv"
     if residuals.exists():
         for line in residuals.read_text().splitlines()[1:]:
             rows.append(("residual", *line.split(",")[:3]))
-    sweep = out / "sweep.csv"
-    if sweep.exists():
-        lines = sweep.read_text().splitlines()
-        header = lines[0].split(",")
-        for line in lines[1:]:
-            parts = line.split(",")
-            for name, value in zip(header[1:], parts[1:]):
-                rows.append(("sweep", parts[0], name, value))
     if not rows:
         print(f"no CSV artifacts found under {out}", file=sys.stderr)
         return EXIT_USAGE

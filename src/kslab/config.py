@@ -17,13 +17,13 @@ Example::
     run.t_end=1.0
     run.monitor_every=10
     run.blowup_cap=auto
-    run.dealias=on
     monitor.k=3
     monitor.R=2.0
     monitor.centers=max+lattice
 
-Lines starting with '#' and blank lines are ignored.  Values 'auto', 'on',
-'off' carry their obvious meanings.
+Lines starting with '#' and blank lines are ignored.  'auto' lets the run
+choose the step or the blow-up cap.  Products are always dealiased by the
+2/3 rule, so there is no switch for it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class ExperimentConfig:
     t_end: float = 1.0
     monitor_every: int = 10
     blowup_cap: float | None = None
-    dealias: bool = True
     monitor_k: int = 3
     monitor_R: float = 2.0
     monitor_centers: str = "max+lattice"
@@ -110,7 +109,6 @@ class ExperimentConfig:
             dt=self.dt,
             monitor_every=self.monitor_every,
             blowup_cap=self.blowup_cap,
-            dealias=self.dealias,
         )
 
     def effective_width(self) -> float:
@@ -168,14 +166,6 @@ class ExperimentConfig:
         return ExperimentConfig.from_mapping(parse_kv_text(text))
 
 
-def _parse_switch(v: str, key: str) -> bool:
-    if v in ("on", "true", "1", "yes"):
-        return True
-    if v in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected on/off, got '{v}'")
-
-
 def _apply(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
     """Set one dotted key on an existing config; unknown keys are errors."""
     mapping = {
@@ -195,7 +185,6 @@ def _apply(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
         "run.t_end": ("t_end", lambda v: _to_float(v, key)),
         "run.monitor_every": ("monitor_every", lambda v: _to_int(v, key)),
         "run.blowup_cap": ("blowup_cap", lambda v: None if v == "auto" else _to_float(v, key)),
-        "run.dealias": ("dealias", lambda v: _parse_switch(v, key)),
         "monitor.k": ("monitor_k", lambda v: _to_int(v, key)),
         "monitor.R": ("monitor_R", lambda v: _to_float(v, key)),
         "monitor.centers": ("monitor_centers", str),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicConfig, dyadic_block, low_freq
+from .dyadic import DyadicConfig, reconstruct
 from .fields import (
     Grid,
     ScalarField,
@@ -650,12 +650,10 @@ def interpolation_check(u: ScalarField, k: int) -> float:
 
 def low_high_split_error(c: ScalarField) -> float:
     """Max error of grad c = S_0 grad c + sum_{j>=0} block_j grad c."""
-    cfg = DyadicConfig.for_grid(c.grid)
+    cfg = DyadicConfig(0, DyadicConfig.for_grid(c.grid).j_max)
     worst = 0.0
     for comp in gradient(c).components:
-        total = low_freq(comp, 0).values.copy()
-        for j in range(0, cfg.j_max + 1):
-            total = total + dyadic_block(comp, j).values
+        total = reconstruct(comp, cfg).values
         worst = max(worst, float(np.max(np.abs(total - comp.values))))
     return worst
 
@@ -706,7 +704,9 @@ class TraceRecorder:
     Produces the keys (l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc,
     lk_uloc_n); the run loop itself records mass, linf_n, w1inf_c, min_n and
     min_c.  ``lk_uloc_n`` takes unit balls when the grid resolves them, else
-    the smallest radius the center scan can see (2h).
+    the smallest radius the center scan can see (2h).  ``y`` takes the
+    ``C0`` of ``mu_zero_estimate`` and the ``default_centers`` of the grid,
+    plus the argmax of n when ``track_max_center``.
     """
 
     def __init__(
@@ -715,18 +715,14 @@ class TraceRecorder:
         grid: Grid,
         k: int = 3,
         R: float = 2.0,
-        C0: float | None = None,
-        centers: tuple[tuple[float, ...], ...] | None = None,
         track_max_center: bool = True,
     ):
         self.params = params
         self.grid = grid
         self.k = k
         self.R = R
-        if C0 is None:
-            C0 = mu_zero_estimate(k, params).C0
-        self.C0 = C0
-        self.centers = centers if centers is not None else default_centers(grid)
+        self.C0 = mu_zero_estimate(k, params).C0
+        self.centers = default_centers(grid)
         self.track_max_center = track_max_center
         self.l1_params = UlocNormParams(1.0, R)
         self.l2_params = UlocNormParams(2.0, R)

@@ -149,7 +149,6 @@ class RunConfig:
     dt: float | None = None
     monitor_every: int = 10
     blowup_cap: float | None = None
-    dealias: bool = True
 
     def __post_init__(self):
         for name in ("t_end", "dt", "blowup_cap"):
@@ -213,10 +212,10 @@ class _Scratch:
     ``_Workspace`` extends it with the buffers of a whole step.
     """
 
-    def __init__(self, grid: Grid, dealias: bool):
+    def __init__(self, grid: Grid):
         self.grid = grid
         # Modes the 2/3 rule zeroes after each product, and i*k per axis.
-        self.drop = ~_dealias_mask_r(grid) if dealias else None
+        self.drop = ~_dealias_mask_r(grid)
         self.ik_odd = tuple(1j * ka for ka in _k_axes_odd_r(grid))
         self.prod = np.empty(grid.rshape, dtype=np.complex128)  # transform scratch
         self.phys = np.empty(grid.shape)  # product scratch
@@ -231,8 +230,8 @@ class _Workspace(_Scratch):
     ``_Stepper`` holding one, must not be used by two threads at once.
     """
 
-    def __init__(self, grid: Grid, dealias: bool):
-        super().__init__(grid, dealias)
+    def __init__(self, grid: Grid):
+        super().__init__(grid)
         half = lambda: np.empty(grid.rshape, dtype=np.complex128)
         self.nhat, self.chat = half(), half()  # state transforms, then stage a
         self.nn_u, self.nc_u = half(), half()
@@ -252,8 +251,7 @@ def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
     for ik in ws.ik_odd:
         _irfft(np.multiply(ik, chat, out=prod), grid, out=phys, work=prod)
         _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
-        if ws.drop is not None:
-            prod[ws.drop] = 0.0
+        prod[ws.drop] = 0.0
         out += np.multiply(ik, prod, out=prod)
     return np.multiply(-params.chi, out, out=out)
 
@@ -268,8 +266,7 @@ def _source_hat(params: Params, ws: _Scratch, nhat, chat, n_phys, out):
     nn = _transport_hat(params, ws, chat, n_phys, out)
     nn += np.multiply(params.lam, nhat, out=ws.prod)
     n2_hat = _rfft(np.multiply(n_phys, n_phys, out=ws.phys), out=ws.prod)
-    if ws.drop is not None:
-        n2_hat[ws.drop] = 0.0
+    n2_hat[ws.drop] = 0.0
     nn -= np.multiply(params.mu, n2_hat, out=n2_hat)
     return nn
 
@@ -279,7 +276,7 @@ class _Stepper:
 
     ``L`` is the exact logistic flow, ``T`` the ETD-RK2 step of the heat
     flows and the transport term, with multipliers precomputed here.
-    ``workspace`` is a ``_Workspace`` to reuse (same grid and dealiasing),
+    ``workspace`` is a ``_Workspace`` to reuse (same grid),
     such as the one ``run`` hands to every stepper it builds; by default the
     stepper allocates its own.
     """
@@ -289,7 +286,6 @@ class _Stepper:
         grid: Grid,
         params: Params,
         dt: float,
-        dealias: bool,
         workspace: _Workspace | None = None,
     ):
         self.grid = grid
@@ -308,7 +304,7 @@ class _Stepper:
         s = 0.5 * dt
         self.growth = math.exp(params.lam * s)
         self.q = math.expm1(params.lam * s) / params.lam if params.lam > 0 else s
-        self.ws = workspace if workspace is not None else _Workspace(grid, dealias)
+        self.ws = workspace if workspace is not None else _Workspace(grid)
 
     def _logistic(self, n: np.ndarray, out: np.ndarray) -> tuple[float, float, float]:
         """Exact flow of ``n' = lam n - mu n^2`` over dt/2, from ``n`` into ``out``.
@@ -390,10 +386,10 @@ class _Stepper:
         return new_state, float(ledger / max(l1, 1e-300)), d_int_n, hd * (int_n2_a + int_n2_b)
 
 
-def rhs(state: State, params: Params, dealias: bool = True) -> tuple[ScalarField, ScalarField]:
+def rhs(state: State, params: Params) -> tuple[ScalarField, ScalarField]:
     """Instantaneous tendencies (dn/dt, dc/dt) with dealiased products."""
     grid = state.grid
-    ws = _Scratch(grid, dealias)
+    ws = _Scratch(grid)
     n_phys = state.n.values
     nhat = _rfft(n_phys)
     chat = _rfft(state.c.values)
@@ -410,11 +406,11 @@ def rhs(state: State, params: Params, dealias: bool = True) -> tuple[ScalarField
     return dn, dc
 
 
-def step(state: State, params: Params, dt: float, dealias: bool = True) -> State:
+def step(state: State, params: Params, dt: float) -> State:
     """One deterministic split step of size dt."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    new_state, _, _, _ = _Stepper(state.grid, params, dt, dealias).advance(state)
+    new_state, _, _, _ = _Stepper(state.grid, params, dt).advance(state)
     return new_state
 
 
@@ -444,8 +440,7 @@ def _doubling_error(coarse: np.ndarray, fine: np.ndarray, scratch: np.ndarray) -
     return max(l1_gap / l1, sup_gap / sup)
 
 
-def _probe(state: State, params: Params, h: float, eps: float, workspace: _Workspace,
-           dealias: bool):
+def _probe(state: State, params: Params, h: float, eps: float, workspace: _Workspace):
     """Step-doubling probe of the automatic step ``h`` from ``state``.
 
     Compares one step of ``2h`` with two of ``h`` by ``_doubling_error`` and
@@ -461,8 +456,8 @@ def _probe(state: State, params: Params, h: float, eps: float, workspace: _Works
     while h > eps:
         coarse = stepper = mid = end = None  # the last trial's, before this one allocates
         try:
-            coarse = _Stepper(grid, params, 2.0 * h, dealias, workspace).advance(state)[0].n
-            stepper = _Stepper(grid, params, h, dealias, workspace)
+            coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(state)[0].n
+            stepper = _Stepper(grid, params, h, workspace)
             mid, *first = stepper.advance(state)
             end, *second = stepper.advance(mid)
             err = _doubling_error(coarse.values, end.n.values, workspace.phys)
@@ -508,8 +503,11 @@ def run(
     initial value).  A step with a non-finite result, a logistic substep
     with no flow to follow (outside the probe's trials, which reject it), or
     a step too small to advance the clock ends the run as a numerical failure.
+    ``params.d`` must be the grid's dimension, which the monitors read from it.
     """
     grid = initial.grid
+    if params.d != grid.d:
+        raise ValueError(f"params.d = {params.d} differs from the grid dimension {grid.d}")
     cap = config.cap_for(initial)
 
     int_n = 0.0
@@ -531,7 +529,7 @@ def run(
     status = RunStatus.COMPLETED
     t_end = initial.t + config.t_end
     # One workspace for the whole run; each rebuilt stepper takes it over.
-    workspace = _Workspace(grid, config.dealias)
+    workspace = _Workspace(grid)
     stepper: _Stepper | None = None
     eps = 1e-12 * max(1.0, abs(t_end))
     h_next = math.inf  # the controller's proposal for the next interval's step
@@ -552,7 +550,7 @@ def run(
             if h is None:
                 h = min(h_next, suggest_dt(state, params), 0.5 * (t_end - state.t))
                 stepper = None  # one stepper alive at a time: the probe builds its own
-                stepper, merged, err = _probe(state, params, h, eps, workspace, config.dealias)
+                stepper, merged, err = _probe(state, params, h, eps, workspace)
                 take(merged)
                 del merged  # its state is `state` now: hold no older one
                 h = stepper.dt
@@ -565,7 +563,7 @@ def run(
                 if dt_step <= eps:
                     break
                 if stepper is None or stepper.dt != dt_step:
-                    stepper = _Stepper(grid, params, dt_step, config.dealias, workspace)
+                    stepper = _Stepper(grid, params, dt_step, workspace)
                 take(stepper.advance(state))
                 steps += 1
         except FloatingPointError:
@@ -610,12 +608,11 @@ def approx_initial(
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Horizon, iteration count, Duhamel quadrature resolution and data bound."""
+    """Horizon, iteration count and Duhamel quadrature resolution."""
 
     horizon: float
     iterations: int = 8
     quadrature_nodes: int = 16
-    data_bound: float | None = None
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -668,12 +665,11 @@ def default_picard_horizon(params: Params, M: float) -> float:
     return min(cands)
 
 
-def contractive_picard_horizon(
-    initial: State, params: Params, max_halvings: int = 8
-) -> float:
-    """Formula horizon, halved until a cheap probe shows contraction factor < 1."""
+def contractive_picard_horizon(initial: State, params: Params) -> float:
+    """Formula horizon, halved up to 8 times until a cheap probe shows
+    contraction factor < 1."""
     T = default_picard_horizon(params, data_bound(initial))
-    for _ in range(max_halvings + 1):
+    for _ in range(9):
         probe = picard_local_solve(
             initial, params, PicardConfig(horizon=T, iterations=3, quadrature_nodes=4)
         )
@@ -683,9 +679,7 @@ def contractive_picard_horizon(
     raise FloatingPointError("no contractive horizon found after repeated halving")
 
 
-def picard_local_solve(
-    initial: State, params: Params, config: PicardConfig, dealias: bool = True
-) -> PicardResult:
+def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> PicardResult:
     """Iterate the mild-solution map on [0, T] and report contraction behaviour.
 
     Iterates live on a uniform grid of quadrature_nodes sub-intervals; the
@@ -701,7 +695,7 @@ def picard_local_solve(
     dt = T / Q
     ksq = _k_squared_r(grid)
     k_odd = _k_axes_odd_r(grid)
-    ws = _Scratch(grid, dealias)
+    ws = _Scratch(grid)
 
     # Propagator multipliers at node and midpoint offsets.
     prop_n_node = [np.exp(-(i * dt) * ksq) for i in range(Q + 1)]

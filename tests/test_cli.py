@@ -47,7 +47,6 @@ init.M=8.0
 run.dt=0.005
 run.t_end=0.4
 run.monitor_every=10
-run.dealias=on
 monitor.k=3
 monitor.R=2.0
 """
@@ -68,11 +67,12 @@ class TestConfigParsing:
         assert cfg.n_axis == 128
         assert cfg.mu == 1.0
         assert cfg.dt == 0.005
-        assert cfg.dealias is True
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_mapping({"grid.points": "64"})
+        # run.dealias is gone: products are always dealiased.
+        for kv in ({"grid.points": "64"}, {"run.dealias": "on"}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_mapping(kv)
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -483,6 +483,20 @@ class TestReportCommand:
         lines = (out / "report_long.csv").read_text().splitlines()
         assert lines[0] == "source,key,name,value"
         assert len(lines) > 10
+
+    def test_long_table_from_sweep(self, fast_config, tmp_path):
+        out = tmp_path / "sweep"
+        main(["sweep", "--config", str(fast_config), "--out", str(out),
+              "--param", "mu", "--values", "0.5,1.0"])
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        lines = (out / "report_long.csv").read_text().splitlines()
+        assert lines[0] == "source,key,name,value"
+        names = ("status", "sup_linf_n", "bounded", "mu_zero_reference")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:3] for row in rows] == [
+            ["sweep", value, name] for value in ("0.5", "1") for name in names
+        ]
+        assert [row[3] for row in rows if row[2] == "status"] == ["completed", "completed"]
 
     def test_empty_directory_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == EXIT_USAGE

@@ -52,7 +52,6 @@ VALID = {
     "run.t_end": _floats(1e-4, 0.05),
     "run.monitor_every": _ints(1, 6),
     "run.blowup_cap": st.one_of(st.just("auto"), _floats(0.0, 1e4)),
-    "run.dealias": st.sampled_from(["on", "off"]),
     "monitor.k": _ints(3, 6),
     "monitor.R": _floats(2.0, 3.0),
     "monitor.centers": st.sampled_from(["max+lattice", "lattice"]),

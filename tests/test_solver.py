@@ -202,7 +202,7 @@ class TestLogisticSubstep:
     )
     def test_closed_form_matches_rk4(self, lam, mu):
         grid = make_grid(1, 8, 8.0)
-        stepper = _Stepper(grid, Params(chi=1.0, lam=lam, mu=mu, d=1), 0.2, True)
+        stepper = _Stepper(grid, Params(chi=1.0, lam=lam, mu=mu, d=1), 0.2)
         out = np.empty_like(self.N)
         int_n, int_n2, damped = stepper._logistic(self.N, out)
         n_ref, int_n_ref, int_n2_ref = _rk4_logistic(self.N, lam, mu, 0.1)
@@ -217,7 +217,7 @@ class TestLogisticSubstep:
 
     def test_in_place_flow_matches_out_of_place(self):
         grid = make_grid(1, 8, 8.0)
-        stepper = _Stepper(grid, Params(chi=1.0, lam=0.8, mu=2.0, d=1), 0.2, True)
+        stepper = _Stepper(grid, Params(chi=1.0, lam=0.8, mu=2.0, d=1), 0.2)
         out = np.empty_like(self.N)
         sums = stepper._logistic(self.N, out)
         n = self.N.copy()
@@ -248,7 +248,7 @@ class TestLogisticSubstep:
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=100.0, d=1)
         with pytest.raises(FloatingPointError, match="1 \\+ mu q n"):
             step(state, p, 0.03)
-        stepper, merged, err = _probe(state, p, 0.015, 1e-12, _Workspace(grid1d, True), True)
+        stepper, merged, err = _probe(state, p, 0.015, 1e-12, _Workspace(grid1d))
         assert stepper.dt < 0.01 and err <= PROBE_TOL
         assert merged[0].t == 2 * stepper.dt and merged[0].is_finite()
 
@@ -275,11 +275,11 @@ class TestAutoStep:
     def test_probe_rejects_above_tolerance(self):
         initial, p = _headline_damped(1, 64)
         h0 = suggest_dt(initial, p)
-        ws = _Workspace(initial.grid, True)
+        ws = _Workspace(initial.grid)
         coarse = step(initial, p, 2 * h0).n.values
         fine = step(step(initial, p, h0), p, h0).n.values
         assert _doubling_error(coarse, fine, ws.phys) > PROBE_TOL
-        stepper, merged, err = _probe(initial, p, h0, 1e-12, ws, True)
+        stepper, merged, err = _probe(initial, p, h0, 1e-12, ws)
         h = stepper.dt
         assert h < h0 and err <= PROBE_TOL
         assert merged[0].t == 2 * h
@@ -314,7 +314,7 @@ class TestAutoStep:
         assert _doubling_error(coarse * np.nan, fine, scratch) == math.inf
 
 
-def _allocating_split_step(state, p, dt, dealias):
+def _allocating_split_step(state, p, dt):
     """The split step L(dt/2) T(dt) L(dt/2) written with fresh arrays for every operation.
 
     Returns (n, c, relative ledger, d_int_n, d_int_n2); the workspace stepper
@@ -327,7 +327,7 @@ def _allocating_split_step(state, p, dt, dealias):
 
     ksq = _k_squared_r(g)
     z_n, z_c = -dt * ksq, dt * (-1.0 - ksq) / p.tau
-    mask = _dealias_mask_r(g) if dealias else None
+    drop = ~_dealias_mask_r(g)
     hd = g.spacing**g.d
     s = dt / 2
     growth = math.exp(p.lam * s)
@@ -348,8 +348,7 @@ def _allocating_split_step(state, p, dt, dealias):
         flux = np.zeros(g.rshape, dtype=np.complex128)
         for ka in _k_axes_odd_r(g):
             prod = np.fft.rfftn(n_phys * irfft(1j * ka * chat))
-            if mask is not None:
-                prod[~mask] = 0.0
+            prod[drop] = 0.0
             flux += 1j * ka * prod
         return -p.chi * flux
 
@@ -393,16 +392,15 @@ class TestWorkspaceStep:
     P = dict(chi=1.3, tau=0.7, lam=0.4, mu=2.1)
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_bitwise_equal_to_allocating_formula(self, d, n_axis, dealias):
+    def test_bitwise_equal_to_allocating_formula(self, d, n_axis):
         grid = make_grid(d, n_axis, 20.0)
         for mu in (self.P["mu"], 0.0):  # the logistic flow and its mu = 0 limit
             p = Params(d=d, **{**self.P, "mu": mu})
-            stepper = _Stepper(grid, p, 0.01, dealias)
+            stepper = _Stepper(grid, p, 0.01)
             state = _random_state(grid, d)
             for _ in range(3):
                 new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
-                n, c, *scalars = _allocating_split_step(state, p, 0.01, dealias)
+                n, c, *scalars = _allocating_split_step(state, p, 0.01)
                 assert new.n.values.tobytes() == n.tobytes()
                 assert new.c.values.tobytes() == c.tobytes()
                 assert [ledger, d_int_n, d_int_n2] == scalars
@@ -410,7 +408,7 @@ class TestWorkspaceStep:
 
     def test_states_do_not_alias_the_workspace(self):
         grid = make_grid(2, 32, 20.0)
-        stepper = _Stepper(grid, Params(d=2, **self.P), 0.01, True)
+        stepper = _Stepper(grid, Params(d=2, **self.P), 0.01)
         start = _random_state(grid, 7)
         kept = stepper.advance(start)[0]
         kept_bytes = kept.n.values.tobytes() + kept.c.values.tobytes()
@@ -426,7 +424,7 @@ class TestWorkspaceStep:
 
     def test_warm_step_allocates_only_the_new_state(self):
         grid = make_grid(3, 32, 20.0)
-        stepper = _Stepper(grid, Params(d=3, **self.P), 1e-3, True)
+        stepper = _Stepper(grid, Params(d=3, **self.P), 1e-3)
         state = _random_state(grid, 3)
         stepper.advance(stepper.advance(state)[0])
         tracemalloc.start()
@@ -512,6 +510,15 @@ class TestRun:
     def test_blowup_cap_must_exceed_initial_gauge(self, gauss_state):
         with pytest.raises(ValueError):
             run(gauss_state, PARAMS_1D, RunConfig(t_end=0.1, dt=0.01, blowup_cap=0.5))
+
+    def test_params_dimension_must_match_grid(self, gauss_state):
+        # The monitors read d from Params; d = 2 on a 1D grid would make the
+        # regime tests of z_sup_cap_check and mu_zero_estimate silently wrong.
+        sampled = []
+        with pytest.raises(ValueError, match="dimension"):
+            run(gauss_state, Params(chi=1.0, mu=0.4), RunConfig(t_end=0.1, dt=0.01),
+                monitors=lambda state: sampled.append(state) or {})
+        assert sampled == []
 
     def test_adaptive_dt_heuristic_positive_and_capped(self, gauss_state):
         dt = suggest_dt(gauss_state, PARAMS_1D)
