@@ -22,9 +22,13 @@ Positivity is never enforced: undershoots are recorded by
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -67,11 +71,21 @@ NONNEG_TOL = 1e-8
 
 # Tolerance of the automatic step's probe on the gap between one step of 2h
 # and two of h (the larger of its L^1- and sup-relative norms in n).  On the
-# damped 64^3 headline run to t = 0.5 it takes 31 step evaluations and ends
-# 2.4e-3 off the benchmark's reference mass; 3e-2 ends 1.2e-2 off, past that
-# reference's 1e-2 tolerance, and 3e-3 takes 42 evaluations for 1.6e-3
-# (table in CHANGES.md).
+# damped 64^3 headline run to t = 0.5, before the probe reused its halved
+# trials and regrew the step, it took 31 step evaluations and ended 2.4e-3
+# off the benchmark's reference mass; 3e-2 ended 1.2e-2 off, past that
+# reference's 1e-2 tolerance, and 3e-3 took 42 evaluations for 1.6e-3
+# (table in CHANGES.md).  It now takes 23 evaluations and ends 2.7e-3 off.
 PROBE_TOL = 1e-2
+
+# Grids of at least this many points run a step's independent transforms in
+# pairs on two threads (see ``_Workspace``).  Median warm split step, serial
+# against two lanes, on a shared 2-core Xeon: 3.0 against 3.7 ms at 2D
+# 128^2 (lanes slower in 30 of 30 rounds); 12.1 against 10.5 ms at 32^3 and
+# 14.3 against 11.4 ms at 2D 256^2 (lanes faster in 22 and 26 of 30, but
+# up to 7% slower in other runs); 90.8 against 69.1 ms at 64^3 (faster in
+# every run).  The threshold keeps one size of margin above the crossover.
+LANE_MIN_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -137,12 +151,15 @@ class RunConfig:
     ``dt=None`` sizes the step ``h`` by error control.  Each monitor
     interval opens with a step-doubling probe from its first state: one step
     of ``2h`` against two of ``h``.  The probe shrinks ``h`` while their gap
-    exceeds ``PROBE_TOL`` or a trial's logistic substep has no flow, keeps
-    the two steps of ``h`` and takes the rest of the interval with the
-    stepper of ``h``.  The gap then proposes the next interval's
-    ``h`` (safety 0.9, exponent 1/3, growth at most 5x), and the transport
-    cap ``suggest_dt`` bounds it.  The step is fixed within an interval and
-    a function of the state alone, so reruns are bitwise identical.
+    exceeds ``PROBE_TOL`` or a trial's logistic substep has no flow, and
+    keeps the two steps of ``h``.  The gap then proposes the next ``h``
+    (safety 0.9, exponent 1/3, growth at most 5x), and the transport cap
+    ``suggest_dt`` and half the time left bound it.  When that bound is at
+    least ``2h`` and the interval has room for two more steps, the run
+    probes again from there (regrow); otherwise it takes the rest of the
+    interval with the stepper of ``h``, and the proposal opens the next
+    interval.  The step is a function of the state alone, so reruns are
+    bitwise identical.
     """
 
     t_end: float
@@ -205,6 +222,14 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _k_squared_levels(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of |k|^2 on the half spectrum, and the index of
+    each entry's value (4,541 values for 135,168 entries at 64^3)."""
+    levels, where = np.unique(_k_squared_r(grid), return_inverse=True)
+    return levels, where.reshape(grid.rshape)
+
+
 class _Scratch:
     """Buffers and masks for one evaluation of the dealiased transport term.
 
@@ -226,8 +251,13 @@ class _Workspace(_Scratch):
 
     ``run`` allocates one per run and hands it to every ``_Stepper`` it
     builds, so a step allocates only the two arrays of the new State.
-    The buffers are overwritten by every call: a workspace, and a
-    ``_Stepper`` holding one, must not be used by two threads at once.
+    With ``lanes`` set (grids of at least ``LANE_MIN_POINTS`` points, on a
+    process allowed two or more CPUs) the step runs its independent
+    transforms in pairs, the second of each pair on the process's lane
+    thread.  That lane borrows buffers the step leaves idle at the time, so
+    the two lanes never share one.  The buffers are overwritten by every
+    call: a workspace, and a ``_Stepper`` holding one, must not be used by
+    two threads at once.
     """
 
     def __init__(self, grid: Grid):
@@ -237,22 +267,79 @@ class _Workspace(_Scratch):
         self.nn_u, self.nc_u = half(), half()
         self.nn_a, self.nc_a = half(), half()
         self.a_n = np.empty(grid.shape)  # stage-a density, logistic scratch
+        self.lanes = grid.npoints >= LANE_MIN_POINTS and _cpus() >= 2
 
 
-def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_lane_thread: tuple[int, ThreadPoolExecutor] | None = None  # (owning pid, executor)
+
+
+def _lane() -> ThreadPoolExecutor:
+    """The process's one lane thread, made on first use.
+
+    A forked child inherits the executor but not its thread, and work
+    submitted there would never run, so each process makes its own.  Two
+    threads that race at the first use may each make one; either serves.
+    """
+    global _lane_thread
+    if _lane_thread is None or _lane_thread[0] != os.getpid():
+        _lane_thread = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="kslab-lane"))
+    return _lane_thread[1]
+
+
+def _pair(lanes: bool, here: Callable, there: Callable) -> tuple:
+    """``(here(), there())``; with ``lanes``, ``there`` runs on the lane thread
+    meanwhile, in a copy of the caller's context (and so its numpy error
+    state).  The two calls must write disjoint buffers."""
+    if not lanes:
+        return here(), there()
+    pending = _lane().submit(contextvars.copy_context().run, there)
+    try:
+        mine = here()
+    finally:
+        pending.exception()  # wait: ``there``'s buffers are in use until it ends
+    return mine, pending.result()
+
+
+def _flux_hat(ws: _Scratch, ik, chat, n_phys, prod, phys):
+    """One axis of the transport flux, ``i k_a (n d_a c)^`` dealiased, into ``prod``.
+
+    ``phys`` is a real scratch buffer; neither may be ``chat`` or ``n_phys``.
+    """
+    _irfft(np.multiply(ik, chat, out=prod), ws.grid, out=phys, work=prod)
+    _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
+    prod[ws.drop] = 0.0
+    return np.multiply(ik, prod, out=prod)
+
+
+def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out, spare=None):
     """Spectral transport term ``-chi div(n grad c)`` into ``out``.
 
     Operates in the half-spectrum layout with ``ws.prod``/``ws.phys`` as
     scratch; ``out`` must be another buffer than ``chat``.  Each product is
     dealiased; the divergence has no zero mode, so the term moves no mass.
+    Given ``spare``, an idle (half-spectrum, physical) buffer pair, the axes
+    run two at a time, the second on the lane thread in ``spare``; the
+    fluxes are still added in axis order, so the bytes are the serial ones.
     """
-    grid, prod, phys = ws.grid, ws.prod, ws.phys
+    flux = lambda ik, prod, phys: partial(_flux_hat, ws, ik, chat, n_phys, prod, phys)
+    iks = ws.ik_odd
+    pairs = len(iks) // 2 if spare is not None else 0
     out.fill(0.0)
-    for ik in ws.ik_odd:
-        _irfft(np.multiply(ik, chat, out=prod), grid, out=phys, work=prod)
-        _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
-        prod[ws.drop] = 0.0
-        out += np.multiply(ik, prod, out=prod)
+    for a in range(pairs):
+        first, second = _pair(
+            True, flux(iks[2 * a], ws.prod, ws.phys), flux(iks[2 * a + 1], *spare)
+        )
+        out += first
+        out += second
+    for ik in iks[2 * pairs :]:
+        out += flux(ik, ws.prod, ws.phys)()
     return np.multiply(-params.chi, out, out=out)
 
 
@@ -291,15 +378,16 @@ class _Stepper:
         self.grid = grid
         self.params = params
         self.dt = dt
-        ksq = _k_squared_r(grid)
+        # Each multiplier is evaluated once per distinct |k|^2, then gathered.
+        ksq, where = _k_squared_levels(grid)
         z_n = -dt * ksq
         z_c = dt * (-1.0 - ksq) / params.tau
-        self.exp_n = np.exp(z_n)
-        self.exp_c = np.exp(z_c)
-        self.p1_n = dt * _phi1(z_n)
-        self.p1_c = dt * _phi1(z_c)
-        self.p2_n = dt * _phi2(z_n)
-        self.p2_c = dt * _phi2(z_c)
+        self.exp_n = np.exp(z_n)[where]
+        self.exp_c = np.exp(z_c)[where]
+        self.p1_n = (dt * _phi1(z_n))[where]
+        self.p1_c = (dt * _phi1(z_c))[where]
+        self.p2_n = (dt * _phi2(z_n))[where]
+        self.p2_c = (dt * _phi2(z_c))[where]
         # Logistic substep of length s = dt/2: e^{lam s} and q = expm1(lam s)/lam.
         s = 0.5 * dt
         self.growth = math.exp(params.lam * s)
@@ -344,7 +432,11 @@ class _Stepper:
         logistic substeps, which are the only ones to change the mass.  The
         ledger is the step's mass imbalance relative to the larger L^1 mass
         before and after it.  Everything but the new state's two arrays
-        lives in the workspace.
+        lives in the workspace.  With ``ws.lanes`` the two state transforms,
+        the transport axes and the two closing inverse transforms run in
+        pairs; the second lane borrows ``ws.nc_a``, which stays idle until
+        stage a ends, with ``ws.a_n`` in the first transport and the spent
+        ``new_n`` in the second.
         """
         ws, grid, p = self.ws, self.grid, self.params
         n_phys = state.n.values
@@ -352,16 +444,19 @@ class _Stepper:
         int_n_a, int_n2_a, damped_a = self._logistic(n_phys, new_n)
 
         # T(dt) from (new_n, c): the state transforms, then stage a over them.
-        nhat = _rfft(new_n, out=ws.nhat)
-        chat = _rfft(state.c.values, out=ws.chat)
-        nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u)
+        nhat, chat = _pair(
+            ws.lanes, partial(_rfft, new_n, ws.nhat), partial(_rfft, state.c.values, ws.chat)
+        )
+        spare = (ws.nc_a, ws.a_n) if ws.lanes else None
+        nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u, spare)
         nc_u = np.divide(nhat, p.tau, out=ws.nc_u)
         a_n_hat = np.multiply(self.exp_n, nhat, out=nhat)
         a_n_hat += np.multiply(self.p1_n, nn_u, out=ws.prod)
         a_c_hat = np.multiply(self.exp_c, chat, out=chat)
         a_c_hat += np.multiply(self.p1_c, nc_u, out=ws.prod)
         a_n = _irfft(a_n_hat, grid, out=ws.a_n, work=ws.prod)
-        nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a)
+        spare = (ws.nc_a, new_n) if ws.lanes else None
+        nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a, spare)
         nc_a = np.divide(a_n_hat, p.tau, out=ws.nc_a)
 
         # a_hat + p2 * (N_a - N_u), transformed into the new state's arrays.
@@ -369,8 +464,11 @@ class _Stepper:
         a_n_hat += np.multiply(self.p2_n, nn_a, out=nn_a)
         nc_a -= nc_u
         a_c_hat += np.multiply(self.p2_c, nc_a, out=nc_a)
-        _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
-        new_c = _irfft(a_c_hat, grid, out=np.empty(grid.shape), work=a_c_hat)
+        _, new_c = _pair(
+            ws.lanes,
+            partial(_irfft, a_n_hat, grid, new_n, a_n_hat),
+            partial(_irfft, a_c_hat, grid, np.empty(grid.shape), a_c_hat),
+        )
         int_n_b, int_n2_b, damped_b = self._logistic(new_n, new_n)
 
         hd = grid.spacing**grid.d
@@ -446,17 +544,23 @@ def _probe(state: State, params: Params, h: float, eps: float, workspace: _Works
     Compares one step of ``2h`` with two of ``h`` by ``_doubling_error`` and
     shrinks ``h`` while the gap exceeds ``PROBE_TOL``.  A trial whose
     logistic substep has no flow to follow counts as an infinite gap: the
-    step was too large, not the run beyond repair.  Returns the stepper of
-    the accepted ``h``, its two steps merged into one ``advance`` result, and
-    the gap.  Once ``h`` falls to ``eps`` it cannot advance the run, which
-    raises FloatingPointError instead of looping on.  At most one stepper,
-    the coarse density and two states besides ``state`` are alive at a time.
+    step was too large, not the run beyond repair.  A rejection that halves
+    ``h`` exactly (every finite gap up to 5.8 ``PROBE_TOL``) keeps the
+    trial's first step of ``h`` as the next trial's step of ``2h``, which it
+    is bit for bit: r such halvings cost 3 + 2r step evaluations and r + 2
+    stepper builds.  Returns the stepper of the accepted ``h``, its two
+    steps merged into one ``advance`` result, and the gap.  Once ``h`` falls
+    to ``eps`` it cannot advance the run, which raises FloatingPointError
+    instead of looping on.  At most one stepper, the coarse density and two
+    states besides ``state`` are alive at a time.
     """
     grid = state.grid
+    coarse = None  # the density one step of 2h reaches, once a trial has it
     while h > eps:
-        coarse = stepper = mid = end = None  # the last trial's, before this one allocates
+        stepper = mid = end = None  # the last trial's, before this one allocates
         try:
-            coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(state)[0].n
+            if coarse is None:
+                coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(state)[0].n
             stepper = _Stepper(grid, params, h, workspace)
             mid, *first = stepper.advance(state)
             end, *second = stepper.advance(mid)
@@ -466,7 +570,10 @@ def _probe(state: State, params: Params, h: float, eps: float, workspace: _Works
         if err <= PROBE_TOL:
             merged = (end, max(first[0], second[0]), first[1] + second[1], first[2] + second[2])
             return stepper, merged, err
-        h *= _step_factor(err, 0.5)
+        factor = _step_factor(err, 0.5)
+        h *= factor
+        # 2.0 * (0.5 * h) == h: the next step of 2h is the step of h just taken.
+        coarse = mid.n if factor == 0.5 else None
     raise FloatingPointError("automatic dt underflowed")
 
 
@@ -497,12 +604,13 @@ def run(
 
     Monitor samples are taken at t=0, every ``monitor_every`` steps, and at the
     end.  With ``config.dt=None`` each monitor interval opens with a
-    step-doubling probe (see ``RunConfig``) whose two half steps count as two
-    of its steps.  Blow-up is surveilled through the continuation quantity
-    ||n||_inf + ||c||_{W^{1,inf}} against ``blowup_cap`` (default: 1000x its
-    initial value).  A step with a non-finite result, a logistic substep
-    with no flow to follow (outside the probe's trials, which reject it), or
-    a step too small to advance the clock ends the run as a numerical failure.
+    step-doubling probe (see ``RunConfig``), and may probe again; each
+    probe's two half steps count as two of its steps.  Blow-up is surveilled
+    through the continuation quantity ||n||_inf + ||c||_{W^{1,inf}} against
+    ``blowup_cap`` (default: 1000x its initial value).  A step with a
+    non-finite result, a logistic substep with no flow to follow (outside
+    the probe's trials, which reject it), or a step too small to advance the
+    clock ends the run as a numerical failure.
     ``params.d`` must be the grid's dimension, which the monitors read from it.
     """
     grid = initial.grid
@@ -549,13 +657,23 @@ def run(
             h = config.dt
             if h is None:
                 h = min(h_next, suggest_dt(state, params), 0.5 * (t_end - state.t))
-                stepper = None  # one stepper alive at a time: the probe builds its own
-                stepper, merged, err = _probe(state, params, h, eps, workspace)
-                take(merged)
-                del merged  # its state is `state` now: hold no older one
-                h = stepper.dt
-                steps = 2
-                h_next = h * _step_factor(err, 5.0)
+                while True:
+                    stepper = None  # one stepper alive at a time: the probe builds its own
+                    stepper, merged, err = _probe(state, params, h, eps, workspace)
+                    take(merged)
+                    del merged  # its state is `state` now: hold no older one
+                    h, steps = stepper.dt, steps + 2
+                    h_next = h * _step_factor(err, 5.0)
+                    # Regrow: with room for two more steps and at least 2x
+                    # headroom, probe again from here instead of going on at
+                    # h.  The transport cap costs a gradient, so it comes last.
+                    grown = min(h_next, 0.5 * (t_end - state.t))
+                    if steps + 2 > config.monitor_every or grown < 2.0 * h:
+                        break
+                    grown = min(grown, suggest_dt(state, params))
+                    if grown < 2.0 * h:
+                        break
+                    h = grown
             elif not h > eps:
                 raise FloatingPointError("dt underflowed")
             while steps < config.monitor_every:

@@ -1,10 +1,14 @@
 import gc
 import math
+import multiprocessing
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as PoolTimeout
 
 import numpy as np
 import pytest
 
+from kslab import solver
 from kslab.checkpoint import load_checkpoint, save_checkpoint, state_from_bytes, state_to_bytes
 from kslab.fields import (
     ScalarField,
@@ -272,19 +276,51 @@ class TestAutoStep:
         assert min(s.values["min_n"] for s in res.trace) >= -1e-4
         assert res.mass_ledger_rel_max <= 1e-10
 
-    def test_probe_rejects_above_tolerance(self):
+    def test_probe_rejects_above_tolerance(self, monkeypatch):
         initial, p = _headline_damped(1, 64)
         h0 = suggest_dt(initial, p)
         ws = _Workspace(initial.grid)
         coarse = step(initial, p, 2 * h0).n.values
         fine = step(step(initial, p, h0), p, h0).n.values
         assert _doubling_error(coarse, fine, ws.phys) > PROBE_TOL
+        builds, advances = _count_builds(monkeypatch), _count_advances(monkeypatch)
         stepper, merged, err = _probe(initial, p, h0, 1e-12, ws)
         h = stepper.dt
         assert h < h0 and err <= PROBE_TOL
+        # Each rejection here halves h, so its first step of h is the next
+        # trial's step of 2h: r halvings take 3 + 2r steps and r + 2 builds.
+        r = round(math.log2(h0 / h))
+        assert h == h0 / 2**r and r >= 2
+        assert (len(advances), len(builds)) == (3 + 2 * r, r + 2)
         assert merged[0].t == 2 * h
         kept = step(step(initial, p, h), p, h)
         assert merged[0].n.values.tobytes() == kept.n.values.tobytes()
+
+    def test_regrow_probes_again_within_the_interval(self, monkeypatch):
+        # Past the opening transient a probe's gap leaves far more than 2x
+        # headroom; the run probes again at the larger step instead of
+        # finishing the interval at the small one.
+        initial, p = _headline_damped(1, 64)
+        config = RunConfig(t_end=2.0, dt=None, monitor_every=10)
+        advances = _count_advances(monkeypatch)
+        _run_without_regrow(initial, p, config)
+        before = len(advances)
+        advances.clear()
+        probes, samples = [], []
+
+        def probe(state, params, h, *args):
+            out = _probe(state, params, h, *args)
+            probes.append((state.t, h, out[0].dt))  # start, first h, accepted h
+            return out
+
+        monkeypatch.setattr(solver, "_probe", probe)
+        res = run(initial, p, config, monitors=lambda s: samples.append(s.t) or {})
+        assert res.status is RunStatus.COMPLETED and res.final.t == pytest.approx(2.0)
+        regrown = [i for i, (t, _, _) in enumerate(probes) if t not in samples]
+        assert regrown
+        for i in regrown:
+            assert probes[i][1] >= 2 * probes[i - 1][2]
+        assert len(advances) < before
 
     def test_probe_rejected_trials_do_not_end_the_run(self, gauss_state, monkeypatch):
         # Stand in for an undershoot that only the larger trial steps reach:
@@ -369,6 +405,38 @@ def _allocating_split_step(state, p, dt):
     return new_n, new_c, float(ledger / max(l1, 1e-300)), d_int_n, hd * (i2_a + i2_b)
 
 
+def _count_advances(monkeypatch):
+    """Record the step of every ``_Stepper.advance`` call from here on."""
+    steps = []
+    advance = _Stepper.advance
+
+    def counted(self, state):
+        steps.append(self.dt)
+        return advance(self, state)
+
+    monkeypatch.setattr(_Stepper, "advance", counted)
+    return steps
+
+
+def _run_without_regrow(initial, p, config):
+    """``run``'s automatic step before regrow, to its final state: one probe
+    per monitor interval, the rest of the interval at the probe's step."""
+    state, h_next = initial, math.inf
+    ws = _Workspace(initial.grid)
+    while state.t < config.t_end - 1e-12:
+        h = min(h_next, suggest_dt(state, p), 0.5 * (config.t_end - state.t))
+        stepper, (state, *_), err = _probe(state, p, h, 1e-12, ws)
+        h_next = stepper.dt * solver._step_factor(err, 5.0)
+        for _ in range(config.monitor_every - 2):
+            dt = min(stepper.dt, config.t_end - state.t)
+            if dt <= 1e-12:
+                break
+            if dt != stepper.dt:
+                stepper = _Stepper(state.grid, p, dt, ws)
+            state = stepper.advance(state)[0]
+    return state
+
+
 def _count_builds(monkeypatch):
     """Record every ``_Stepper`` construction from here on in the returned list."""
     builds = []
@@ -388,16 +456,30 @@ def _random_state(grid, seed):
     return State(0.0, ScalarField(grid, n), ScalarField(grid, rng.standard_normal(grid.shape)))
 
 
+def _engage_lanes(monkeypatch):
+    """Run the two-lane step on every grid from here on, on any host."""
+    monkeypatch.setattr(solver, "LANE_MIN_POINTS", 0)
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+
+
+def _lane_step_bytes(d, n_axis):
+    """Bytes of one split step from seeded data (module level, for a pool worker)."""
+    grid = make_grid(d, n_axis, 20.0)
+    stepper = _Stepper(grid, Params(d=d, **TestWorkspaceStep.P), 0.01)
+    assert stepper.ws.lanes
+    new = stepper.advance(_random_state(grid, d))[0]
+    return new.n.values.tobytes() + new.c.values.tobytes()
+
+
 class TestWorkspaceStep:
     P = dict(chi=1.3, tau=0.7, lam=0.4, mu=2.1)
 
-    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    def test_bitwise_equal_to_allocating_formula(self, d, n_axis):
-        grid = make_grid(d, n_axis, 20.0)
+    def _assert_matches_allocating_formula(self, grid, lanes):
         for mu in (self.P["mu"], 0.0):  # the logistic flow and its mu = 0 limit
-            p = Params(d=d, **{**self.P, "mu": mu})
+            p = Params(d=grid.d, **{**self.P, "mu": mu})
             stepper = _Stepper(grid, p, 0.01)
-            state = _random_state(grid, d)
+            assert stepper.ws.lanes is lanes
+            state = _random_state(grid, grid.d)
             for _ in range(3):
                 new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
                 n, c, *scalars = _allocating_split_step(state, p, 0.01)
@@ -405,6 +487,31 @@ class TestWorkspaceStep:
                 assert new.c.values.tobytes() == c.tobytes()
                 assert [ledger, d_int_n, d_int_n2] == scalars
                 state = new
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_bitwise_equal_to_allocating_formula(self, d, n_axis):
+        self._assert_matches_allocating_formula(make_grid(d, n_axis, 20.0), lanes=False)
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_lanes_bitwise_equal_to_allocating_formula(self, d, n_axis, monkeypatch):
+        _engage_lanes(monkeypatch)
+        self._assert_matches_allocating_formula(make_grid(d, n_axis, 20.0), lanes=True)
+
+    def test_lanes_run_in_a_forked_worker(self, monkeypatch):
+        # A forked child inherits the lane executor but not its thread: work
+        # submitted to that executor there would never run.
+        _engage_lanes(monkeypatch)
+        here = _lane_step_bytes(3, 16)  # starts this process's lane thread
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+        try:
+            there = pool.submit(_lane_step_bytes, 3, 16).result(timeout=30)
+        except PoolTimeout:
+            for proc in pool._processes.values():  # stuck on the inherited lane
+                proc.terminate()
+            raise
+        finally:
+            pool.shutdown()
+        assert there == here
 
     def test_states_do_not_alias_the_workspace(self):
         grid = make_grid(2, 32, 20.0)
