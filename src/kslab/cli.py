@@ -228,11 +228,11 @@ def _sweep_worker(args: tuple[ExperimentConfig, str, str]) -> dict:
 
 def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     configs = spec.configs()
+    rows = [f"{spec.parameter}_{value:g}" for value in spec.values]
+    if len(set(rows)) < len(rows):
+        raise ConfigError(f"sweep values must name distinct row directories, got {rows}")
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for value, cfg in zip(spec.values, configs):
-        subdir = out / f"{spec.parameter}_{value:g}"
-        jobs.append((cfg, str(subdir), mode))
+    jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -331,8 +331,16 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 64 (usage error), not argparse's 2, which means blow-up here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kslab",
         description="Chemotaxis-with-logistic-growth laboratory on periodic boxes",
     )
@@ -341,14 +349,13 @@ def main(argv: list[str] | None = None) -> int:
     def add_common(p):
         p.add_argument("--config", type=Path, default=None, help="key=value config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--mode", choices=("calibrate", "assert"), default="calibrate")
         p.add_argument("--seed", type=int, default=None, help="seed for random_smooth data")
 
     p_run = sub.add_parser("run", help="single trajectory with monitors")
-    add_common(p_run)
-
     p_sweep = sub.add_parser("sweep", help="one run per parameter value")
-    add_common(p_sweep)
+    for p in (p_run, p_sweep):
+        add_common(p)
+        p.add_argument("--mode", choices=("calibrate", "assert"), default="calibrate")
     p_sweep.add_argument("--param", choices=("mu", "chi"), required=True)
     p_sweep.add_argument("--values", type=str, required=True, help="comma-separated list")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel rows")
@@ -369,9 +376,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(_load_config(args), args.out, args.mode)
         if args.command == "sweep":
+            if args.workers < 1:
+                p_sweep.error("--workers must be at least 1")
             values = tuple(_to_float(v, "--values") for v in args.values.split(",") if v.strip())
             spec = SweepSpec(parameter=args.param, values=values, base=_load_config(args))
-            return cmd_sweep(spec, args.out, max(1, args.workers), args.mode)
+            return cmd_sweep(spec, args.out, args.workers, args.mode)
         if args.command == "mconv":
             m_values = [_to_float(v, "--M") for v in args.M.split(",") if v.strip()]
             if not m_values:

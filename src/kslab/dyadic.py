@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Grid, ScalarField, _irfft, _k_squared_r, _rfft
-from .norms import UlocNormParams, uloc_norm
+from .fields import Grid, ScalarField, _apply_multiplier, _k_squared_r
+from .norms import UlocNormParams, _smoothstep_down, uloc_norm
 
 __all__ = [
     "DyadicConfig",
@@ -33,19 +33,6 @@ __all__ = [
 
 _LOW_EDGE = 0.75
 _HIGH_EDGE = 4.0 / 3.0
-
-
-def _smoothstep_down(t: np.ndarray) -> np.ndarray:
-    """C-infinity transition from 1 (t <= 0) to 0 (t >= 1)."""
-    t = np.asarray(t, dtype=np.float64)
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
-    up = t < 1.0
-    dn = t > 0.0
-    a[up] = np.exp(-1.0 / (1.0 - t[up]))
-    b[dn] = np.exp(-1.0 / t[dn])
-    out = np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
-    return out
 
 
 def lowpass_profile(r: np.ndarray) -> np.ndarray:
@@ -92,15 +79,12 @@ def dyadic_block(f: ScalarField, j: int) -> ScalarField:
     # also keeps 2**j away from floating underflow in the profile argument.
     if j > cfg.j_max + 1 or j < cfg.j_min - 40:
         return ScalarField(grid, np.zeros(grid.shape))
-    mult = block_profile(_k_radial(grid) / 2.0**j)
-    return ScalarField(grid, _irfft(_rfft(f.values) * mult, grid))
+    return _apply_multiplier(f, block_profile(_k_radial(grid) / 2.0**j))
 
 
 def low_freq(f: ScalarField, j: int) -> ScalarField:
     """Smooth low-pass keeping |xi| below ~(4/3) 2^j; the DC mode always passes."""
-    grid = f.grid
-    mult = lowpass_profile(_k_radial(grid) / 2.0**j)
-    return ScalarField(grid, _irfft(_rfft(f.values) * mult, grid))
+    return _apply_multiplier(f, lowpass_profile(_k_radial(f.grid) / 2.0**j))
 
 
 def reconstruct(f: ScalarField, cfg: DyadicConfig | None = None) -> ScalarField:

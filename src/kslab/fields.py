@@ -259,31 +259,13 @@ def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
     return ScalarField(f.grid, _irfft(_rfft(f.values) * mult, f.grid))
 
 
-def gradient(f: ScalarField) -> VectorField:
-    """Spectral gradient; exact for band-limited fields."""
-    fhat = _rfft(f.values)
-    comps = tuple(
-        ScalarField(f.grid, _irfft(1j * ka * fhat, f.grid))
-        for ka in _k_axes_odd_r(f.grid)
-    )
-    return VectorField(f.grid, comps)
+def _grad_hat(fhat: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Gradient components of the field with half spectrum ``fhat``."""
+    return tuple(_irfft(1j * ka * fhat, grid) for ka in _k_axes_odd_r(grid))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return _apply_multiplier(f, -_k_squared_r(f.grid))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    out = np.zeros(v.grid.shape)
-    for comp, ka in zip(v.components, _k_axes_odd_r(v.grid)):
-        out = out + _irfft(1j * ka * _rfft(comp.values), v.grid)
-    return ScalarField(v.grid, out)
-
-
-def hessian_sq(f: ScalarField) -> ScalarField:
-    """Pointwise squared Frobenius norm of the Hessian, all partials spectral."""
-    grid = f.grid
-    fhat = _rfft(f.values)
+def _hessian_sq_hat(fhat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Pointwise squared Frobenius norm of the Hessian from the half spectrum ``fhat``."""
     k_even = _k_axes_r(grid)
     k_odd = _k_axes_odd_r(grid)
     total = np.zeros(grid.shape)
@@ -297,7 +279,27 @@ def hessian_sq(f: ScalarField) -> ScalarField:
                 weight = 2.0  # off-diagonal pairs appear twice in the sum
             dij = _irfft(mult * fhat, grid)
             total = total + weight * dij * dij
-    return ScalarField(grid, total)
+    return total
+
+
+def gradient(f: ScalarField) -> VectorField:
+    """Spectral gradient; exact for band-limited fields."""
+    comps = _grad_hat(_rfft(f.values), f.grid)
+    return VectorField(f.grid, tuple(ScalarField(f.grid, comp) for comp in comps))
+
+
+def laplacian(f: ScalarField) -> ScalarField:
+    return _apply_multiplier(f, -_k_squared_r(f.grid))
+
+
+def divergence(v: VectorField) -> ScalarField:
+    parts = zip(v.components, _k_axes_odd_r(v.grid))
+    return ScalarField(v.grid, sum(_apply_multiplier(comp, 1j * ka).values for comp, ka in parts))
+
+
+def hessian_sq(f: ScalarField) -> ScalarField:
+    """Pointwise squared Frobenius norm of the Hessian, all partials spectral."""
+    return ScalarField(f.grid, _hessian_sq_hat(_rfft(f.values), f.grid))
 
 
 def heat_propagate(
@@ -325,6 +327,4 @@ def integrate(f: ScalarField) -> float:
 
 def dealias(f: ScalarField) -> ScalarField:
     """Zero all modes above the 2/3 cutoff (applied after nonlinear products)."""
-    fhat = _rfft(f.values)
-    fhat[~_dealias_mask_r(f.grid)] = 0.0
-    return ScalarField(f.grid, _irfft(fhat, f.grid))
+    return _apply_multiplier(f, _dealias_mask_r(f.grid))

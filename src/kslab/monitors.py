@@ -16,8 +16,9 @@ satisfied.
 A recorder puts quantities of one state in the trace of ``run``; a
 trace-level check turns them into reports with their own pass tolerance.
 The time derivatives in ``coupled_recorder`` and ``z_residual`` are taken
-from the tendencies of ``solver.rhs``, so no margin depends on the sampling
-rate.  ``kslab run`` reports ``prop22_check``, ``uloc_combined_check``,
+from the tendencies of ``solver.rhs`` in spectral form, so no margin depends
+on the sampling rate, and each transforms n and c once.  ``kslab run``
+reports ``prop22_check``, ``uloc_combined_check``,
 ``linf_reconstruction_check`` and ``z_sup_cap_check``.
 """
 
@@ -32,6 +33,10 @@ from .dyadic import DyadicConfig, reconstruct
 from .fields import (
     Grid,
     ScalarField,
+    _grad_hat,
+    _hessian_sq_hat,
+    _irfft,
+    _rfft,
     gradient,
     hessian_sq,
     integrate,
@@ -46,7 +51,7 @@ from .norms import (
     lp_norm,
     uloc_norm,
 )
-from .solver import FunctionalSample, Params, State, rhs
+from .solver import FunctionalSample, Params, State, _tendency_hat
 
 __all__ = [
     "MomentConfig",
@@ -197,8 +202,11 @@ def z_residual(state: State, params: Params) -> tuple[ScalarField, float]:
         raise ValueError("the comparison inequality is claimed only for tau = 1")
     level = z_comparison_level(params)
     z = z_field(state, params)
-    n_t, c_t = rhs(state, params)
-    z_t = params.tau * _grad_dot(state.c, c_t) + n_t.values / params.chi
+    grid = state.grid
+    chat = _rfft(state.c.values)
+    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), chat)
+    g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
+    z_t = params.tau * g_dot + _irfft(dn_hat, grid) / params.chi
     resid = z_t - laplacian(z).values + z.values - level
     return ScalarField(state.grid, resid), float(np.max(resid))
 
@@ -218,7 +226,6 @@ def prop22_recorder():
         hesssq_c = integrate(hessian_sq(c))
         return {
             "l1_n": integrate(ScalarField(n.grid, np.abs(n.values))),
-            "l2sq_n": lp_norm(n, 2) ** 2,
             "l2sq_c": l2sq_c,
             "l2sq_gradc": l2sq_gradc,
             "h1sq_c": l2sq_c + l2sq_gradc,
@@ -240,20 +247,15 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
     """Margins of the time-dependent L^1/L^2/H^1 upper bounds along a trace.
 
     The mass ledger is reported in both the printed form (no damping factor on
-    the dissipation integral) and the Gronwall-consistent form carrying mu.
-    The printed form is informational; the others pass within
-    1e-6 max(1, sup_t ||n||_1).
+    the dissipation integral ``int_l2sq_n`` of the run loop) and the
+    Gronwall-consistent form carrying mu.  The printed form is informational;
+    the others pass within 1e-6 max(1, sup_t ||n||_1).
     """
     t = _times(trace)
     get = lambda key: _column(trace, key)
     l1_n = get("l1_n")
     growth = np.exp(params.lam * (t - t[0])) * l1_n[0]
-    if "int_l2sq_n" in trace[0].values:
-        # Scheme-consistent accumulation from the run loop; exact for the
-        # zero-growth identity, unlike the trapezoid over sparse samples.
-        int_l2sq_n = get("int_l2sq_n") - trace[0].values["int_l2sq_n"]
-    else:
-        int_l2sq_n = _cumtrapz(t, get("l2sq_n"))
+    int_l2sq_n = get("int_l2sq_n") - trace[0].values["int_l2sq_n"]
     int_h1sq_c = _cumtrapz(t, get("h1sq_c"))
     int_h1sq_gradc = _cumtrapz(t, get("h1sq_gradc"))
     tau = params.tau
@@ -448,11 +450,9 @@ def mu_zero_estimate(k: int, params: Params) -> MuZeroReport:
 # Coupled differential inequalities at one state
 
 
-def _grad_dot(f: ScalarField, g: ScalarField) -> np.ndarray:
-    """Pointwise grad f . grad g; |grad f|^2 takes one gradient when g is f."""
-    grad_f = gradient(f)
-    grad_g = grad_f if g is f else gradient(g)
-    return sum(a.values * b.values for a, b in zip(grad_f.components, grad_g.components))
+def _dot(u: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Pointwise u . v of two vectors given as component arrays."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _moment_rate(
@@ -494,15 +494,18 @@ def coupled_recorder(
 
     def record(state: State) -> dict[str, float]:
         grid = state.grid
-        n_t, c_t = rhs(state, params)
+        nhat, chat = _rfft(state.n.values), _rfft(state.c.values)
+        dn_hat, dc_hat = _tendency_hat(state, params, nhat, chat)
+        n_t = _irfft(dn_hat, grid)
         n = state.n.values
         gc = state.c.grad_abs.values
-        g_dot = _grad_dot(state.c, c_t)
-        gn2 = _grad_dot(state.n, state.n)
-        gc2 = ScalarField(grid, gc * gc)
-        ggc2_sq = _grad_dot(gc2, gc2)
-        hess_sq = hessian_sq(state.c).values
-        rate = lambda j: _moment_rate(n, n_t.values, gc, g_dot, j, k)
+        g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
+        grad_n = _grad_hat(nhat, grid)
+        gn2 = _dot(grad_n, grad_n)
+        grad_gc2 = _grad_hat(_rfft(gc * gc), grid)
+        ggc2_sq = _dot(grad_gc2, grad_gc2)
+        hess_sq = _hessian_sq_hat(chat, grid)
+        rate = lambda j: _moment_rate(n, n_t, gc, g_dot, j, k)
         m2_top = n**2 * gc ** (2 * k - 2)
         diss_c = ggc2_sq * gc ** (2 * k - 4)
         gradc_2km2 = gc ** (2 * k - 2)

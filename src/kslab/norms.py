@@ -103,31 +103,15 @@ def w1inf_norm(c: ScalarField) -> float:
     return c.max_abs() + c.grad_abs.max_abs()
 
 
-def _phi_exponent(r: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent 4/3 + 4R^2/(r^2 - 4R^2) and the interior mask where it applies."""
+def _phi_radial_parts(grid: Grid, spec: CutoffSpec):
+    """The weight and the pieces of its analytic derivatives: r, phi, g'(r), g''(r), mask."""
+    R = spec.radius
+    r = grid.radius(spec.center)
     inside = r < 2.0 * R
     denom = np.where(inside, r * r - 4.0 * R * R, -1.0)
     g = 4.0 / 3.0 + 4.0 * R * R / denom
-    return g, inside
-
-
-def cutoff_phi(grid: Grid, spec: CutoffSpec) -> ScalarField:
-    """The compact radial weight, equal to e^{1/3} at the center and 1 at r=R."""
-    spec.validate(grid)
-    r = grid.radius(spec.center)
-    g, inside = _phi_exponent(r, spec.radius)
-    vals = np.where(inside, np.exp(np.maximum(g, _EXP_FLOOR)), 0.0)
-    vals = np.where(inside & (g <= _EXP_FLOOR), 0.0, vals)
-    return ScalarField(grid, vals)
-
-
-def _phi_radial_parts(grid: Grid, spec: CutoffSpec):
-    """Shared pieces for the analytic derivatives: r, phi, g'(r), g''(r), mask."""
-    R = spec.radius
-    r = grid.radius(spec.center)
-    g, inside = _phi_exponent(r, R)
     live = inside & (g > _EXP_FLOOR)
-    denom = np.where(live, r * r - 4.0 * R * R, -1.0)
+    denom = np.where(live, denom, -1.0)
     phi = np.where(live, np.exp(np.where(live, g, 0.0)), 0.0)
     gp = np.where(live, -8.0 * R * R * r / denom**2, 0.0)
     gpp = np.where(
@@ -141,6 +125,12 @@ def _phi_radial_parts(grid: Grid, spec: CutoffSpec):
     )
     gp_over_r = np.where(live, gp_over_r, 0.0)
     return r, phi, gp, gpp, gp_over_r, live
+
+
+def cutoff_phi(grid: Grid, spec: CutoffSpec) -> ScalarField:
+    """The compact radial weight, equal to e^{1/3} at the center and 1 at r=R."""
+    spec.validate(grid)
+    return ScalarField(grid, _phi_radial_parts(grid, spec)[1])
 
 
 def cutoff_phi_gradient(grid: Grid, spec: CutoffSpec) -> VectorField:
@@ -175,29 +165,29 @@ def cutoff_phi_hessian_norm(grid: Grid, spec: CutoffSpec) -> ScalarField:
     return ScalarField(grid, np.where(live, frob, 0.0))
 
 
-def _smooth_ramp(s: np.ndarray) -> np.ndarray:
-    """exp(-1/s) for s > 0, 0 otherwise (the standard smooth ramp)."""
-    out = np.zeros_like(s, dtype=np.float64)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
+def _smoothstep_down(t: np.ndarray) -> np.ndarray:
+    """C-infinity transition from 1 (t <= 0) to 0 (t >= 1).
+
+    The partition ratio g(1 - t) / (g(1 - t) + g(t)) of the smooth ramp
+    g(s) = exp(-1/s) on s > 0.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    a = np.zeros_like(t)
+    b = np.zeros_like(t)
+    up = t < 1.0
+    dn = t > 0.0
+    a[up] = np.exp(-1.0 / (1.0 - t[up]))
+    b[dn] = np.exp(-1.0 / t[dn])
+    return np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
 
 
 def cutoff_psi(grid: Grid, M: float) -> ScalarField:
-    """Smooth plateau: 1 on B_M(0), 0 outside B_{2M}(0), monotone radial between.
-
-    Realized as the partition ratio g(2 - r/M) / (g(2 - r/M) + g(r/M - 1))
-    with g(s) = exp(-1/s) on s > 0, the canonical smooth interpolant.
-    """
+    """Smooth plateau: 1 on B_M(0), 0 outside B_{2M}(0), monotone radial between."""
     if not M > 0:
         raise ValueError("truncation radius M must be positive")
     if not 2.0 * M < grid.box_len / 2.0:
         raise ValueError("truncation support must fit in the box: need 2M < box_len/2")
-    s = grid.radius() / M
-    a = _smooth_ramp(2.0 - s)
-    b = _smooth_ramp(s - 1.0)
-    vals = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _smoothstep_down(grid.radius() / M - 1.0))
 
 
 @lru_cache(maxsize=16)

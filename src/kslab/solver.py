@@ -37,6 +37,7 @@ from .fields import (
     Grid,
     ScalarField,
     _dealias_mask_r,
+    _grad_hat,
     _irfft,
     _k_axes_odd_r,
     _k_squared_r,
@@ -484,24 +485,29 @@ class _Stepper:
         return new_state, float(ledger / max(l1, 1e-300)), d_int_n, hd * (int_n2_a + int_n2_b)
 
 
+def _tendency_hat(
+    state: State, params: Params, nhat: np.ndarray, chat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of the tendencies (dn/dt, dc/dt), given those of n and c.
+
+    Products are dealiased; ``nhat`` and ``chat`` are only read.  A
+    non-finite tendency raises ``FloatingPointError``.
+    """
+    ws = _Scratch(state.grid)
+    dn_hat = _source_hat(params, ws, nhat, chat, state.n.values, np.empty_like(nhat))
+    ksq = _k_squared_r(state.grid)
+    dn_hat -= np.multiply(ksq, nhat, out=ws.prod)
+    dc_hat = (-1.0 - ksq) * chat / params.tau + nhat / params.tau
+    if not (np.isfinite(dn_hat).all() and np.isfinite(dc_hat).all()):
+        raise FloatingPointError("non-finite tendency encountered")
+    return dn_hat, dc_hat
+
+
 def rhs(state: State, params: Params) -> tuple[ScalarField, ScalarField]:
     """Instantaneous tendencies (dn/dt, dc/dt) with dealiased products."""
     grid = state.grid
-    ws = _Scratch(grid)
-    n_phys = state.n.values
-    nhat = _rfft(n_phys)
-    chat = _rfft(state.c.values)
-    dn_hat = _source_hat(params, ws, nhat, chat, n_phys, np.empty_like(nhat))
-    ksq = _k_squared_r(grid)
-    dn_hat -= np.multiply(ksq, nhat, out=ws.prod)
-    dc_hat = np.multiply(-1.0 - ksq, chat, out=chat)
-    dc_hat /= params.tau
-    dc_hat += np.divide(nhat, params.tau, out=nhat)
-    dn = ScalarField(grid, _irfft(dn_hat, grid, work=dn_hat))
-    dc = ScalarField(grid, _irfft(dc_hat, grid, work=dc_hat))
-    if not (dn.is_finite() and dc.is_finite()):
-        raise FloatingPointError("non-finite tendency encountered")
-    return dn, dc
+    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), _rfft(state.c.values))
+    return tuple(ScalarField(grid, _irfft(h, grid, work=h)) for h in (dn_hat, dc_hat))
 
 
 def step(state: State, params: Params, dt: float) -> State:
@@ -812,7 +818,6 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
     T = config.horizon
     dt = T / Q
     ksq = _k_squared_r(grid)
-    k_odd = _k_axes_odd_r(grid)
     ws = _Scratch(grid)
 
     # Propagator multipliers at node and midpoint offsets.
@@ -859,10 +864,7 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
             dn = _irfft(ns_a[i] - ns_b[i], grid)
             dc_hat = cs_a[i] - cs_b[i]
             dc = _irfft(dc_hat, grid)
-            grad_sq = np.zeros(grid.shape)
-            for ka in k_odd:
-                comp = _irfft(1j * ka * dc_hat, grid)
-                grad_sq += comp * comp
+            grad_sq = sum(comp * comp for comp in _grad_hat(dc_hat, grid))
             worst = max(
                 worst,
                 float(np.max(np.abs(dn)))

@@ -6,19 +6,23 @@ its CLI workloads; a refactor that renames or removes one of those names or
 config keys would only surface when the benchmark runs.  This loads both
 modules by path (``perfbench`` is not a package), resolves every name
 tracing wraps and parses the config child writes.  It also counts the
-transforms a traced step records when half of them run on the lane thread.
+transforms a traced step records when half of them run on the lane thread,
+and those of the CLI sample and the one-state coupled monitors.
 """
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kslab import solver
+from kslab.cli import _CliRecorder, _initial
 from kslab.config import ExperimentConfig
 from kslab.fields import ScalarField, make_grid
+from kslab.monitors import coupled_recorder, default_centers, z_residual
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -56,10 +60,8 @@ def test_workload_config_parses(tmp_path):
     assert (cfg.d, cfg.n_axis, cfg.amplitude, cfg.monitor_centers) == (2, 128, 20.0, "max+lattice")
 
 
-@pytest.mark.parametrize("d,n_axis,ffts", [(3, 16, 17), (2, 32, 13)])
-def test_lane_transforms_are_traced(d, n_axis, ffts, monkeypatch):
-    # The lane thread calls the same _rfft/_irfft module globals, so the
-    # tracer's wrappers see every transform of the step.
+def _install_tracer(monkeypatch):
+    """perfbench's tracer on every seam, undone by ``monkeypatch`` at teardown."""
     tracing = _load("tracing")
     for name in tracing.MODULES:  # monkeypatch restores whatever install rebinds
         module = importlib.import_module(name)
@@ -69,10 +71,18 @@ def test_lane_transforms_are_traced(d, n_axis, ffts, monkeypatch):
     for home, cls_name, attr, *_ in tracing.METHODS:
         cls = getattr(importlib.import_module(home), cls_name)
         monkeypatch.setattr(cls, attr, getattr(cls, attr))
-    monkeypatch.setattr(solver, "LANE_MIN_POINTS", 0)
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
     tracer = tracing.Tracer()
     tracing.install(tracer)
+    return tracing, tracer
+
+
+@pytest.mark.parametrize("d,n_axis,ffts", [(3, 16, 17), (2, 32, 13)])
+def test_lane_transforms_are_traced(d, n_axis, ffts, monkeypatch):
+    # The lane thread calls the same _rfft/_irfft module globals, so the
+    # tracer's wrappers see every transform of the step.
+    monkeypatch.setattr(solver, "LANE_MIN_POINTS", 0)
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    tracing, tracer = _install_tracer(monkeypatch)
 
     grid = make_grid(d, n_axis, 20.0)
     rng = np.random.default_rng(d)
@@ -83,3 +93,38 @@ def test_lane_transforms_are_traced(d, n_axis, ffts, monkeypatch):
     stepper.advance(solver.State(0.0, n, c))
     counts = tracing.counts(tracer.spans)
     assert (counts["steps"], counts["fft_per_step"]) == (1, ffts)
+
+
+def test_monitor_transforms_are_traced(tmp_path, monkeypatch):
+    # The seeded 2D 128^2 state of the monitor2d workload.  The CLI sample
+    # takes 12 transforms once |grad c| is cached on the state.  The coupled
+    # monitors transform n and c once each and take every derivative from
+    # those spectra and the tendency spectra: 35 transforms on a fresh state,
+    # 3 fewer after a CLI sample has cached |grad c|, 17 for z_residual.
+    path = tmp_path / "monitor2d.cfg"
+    _load("child")._write_config(path, 5.0, 10.0)
+    cfg = replace(ExperimentConfig.from_file(path), seed=1).validate()
+    initial = _initial(cfg)
+    grid, params = initial.grid, cfg.params()
+
+    def fresh():
+        n, c = (ScalarField(grid, f.values) for f in (initial.n, initial.c))
+        return solver.State(initial.t, n, c)
+
+    cli = _CliRecorder(cfg)
+    coupled = coupled_recorder(params, cfg.monitor_k, cfg.monitor_R, default_centers(grid))
+    cli(fresh()), coupled(fresh())  # warm the weight-spectrum caches
+    tracing, tracer = _install_tracer(monkeypatch)
+
+    def ffts(call):
+        tracer.reset()
+        call()
+        return sum(1 for span in tracer.spans if span[0] in tracing.FFT)
+
+    assert ffts(lambda: cli(fresh())) == 15
+    assert ffts(lambda: coupled(fresh())) == 35
+    sampled = fresh()
+    assert ffts(lambda: cli(sampled)) == 15
+    assert ffts(lambda: cli(sampled)) == 12
+    assert ffts(lambda: coupled(sampled)) == 32
+    assert ffts(lambda: z_residual(fresh(), params)) == 17

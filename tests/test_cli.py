@@ -337,6 +337,35 @@ class TestSampleCost:
         assert len(calls) == 1
 
 
+class TestArgumentErrors:
+    # argparse's own exit code 2 would read as "blow-up suspected".
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--bogus"],
+            ["sweep", "--param", "tau", "--values", "1"],
+            ["sweep", "--param", "mu", "--values", "1", "--workers", "x"],
+            ["sweep", "--param", "mu", "--values", "1", "--workers", "0"],
+            ["sweep", "--param", "mu", "--values", "1", "--workers", "-3"],
+            ["mconv", "--M", "6", "--mode", "assert"],
+        ],
+    )
+    def test_usage_error_exits_64_without_artifacts(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestSweepCommand:
     def test_row_count_matches_values(self, fast_config, tmp_path):
         out = tmp_path / "sweep"
@@ -404,6 +433,17 @@ class TestSweepCommand:
             ]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("values", ["1,1.0", "0.5,2,0.50000001"])
+    def test_values_sharing_a_row_directory_are_usage_errors(
+        self, fast_config, tmp_path, values, capsys
+    ):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "mu", "--values", values, "--workers", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert "distinct row directories" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_workers(self, fast_config, tmp_path):
         out = tmp_path / "sweep"

@@ -5,6 +5,8 @@ import pytest
 
 from kslab.fields import (
     ScalarField,
+    _grad_hat,
+    _hessian_sq_hat,
     _irfft,
     _rfft,
     dealias,
@@ -138,6 +140,20 @@ class TestHessian:
             for comp in gradient(ScalarField(grid2d, gc * gc)).components
         )
         assert np.max(lhs - 4.0 * hessian_sq(c).values * gc * gc) <= 1e-9
+
+
+class TestSpectralCores:
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_read_only_spectrum(self, d, n_axis, rng):
+        # Callers share one spectrum among several cores: none may write it.
+        grid = make_grid(d, n_axis, 20.0)
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+        fhat = _rfft(f.values)
+        fhat.setflags(write=False)
+        for got, want in zip(_grad_hat(fhat, grid), gradient(f).components):
+            assert np.array_equal(got, want.values)
+        assert np.array_equal(_hessian_sq_hat(fhat, grid), hessian_sq(f).values)
+        assert np.array_equal(fhat, _rfft(f.values))
 
 
 class TestHeatPropagate:

@@ -15,7 +15,6 @@ from kslab.fields import (
 from kslab.monitors import (
     MomentConfig,
     TraceRecorder,
-    _grad_dot,
     _moment_rate,
     argmax_center,
     combined_y,
@@ -60,6 +59,38 @@ class TestComparisonFunction:
         level = z_comparison_level(p)
         assert abs(rmax + level) <= 1e-12
         assert np.max(np.abs(r.values + level)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pointwise_against_public_operators(self, d, rng):
+        # z_t - Lap z + z - level with z_t = grad c . grad c_t + n_t / chi,
+        # every piece from the public tendencies and spectral operators.
+        state = undershooting_state(d, rng)
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=d)
+        n_t, c_t = rhs(state, p)
+        g_dot = sum(
+            a.values * b.values
+            for a, b in zip(gradient(state.c).components, gradient(c_t).components)
+        )
+        z = z_field(state, p)
+        want = g_dot + n_t.values / p.chi - laplacian(z).values + z.values - z_comparison_level(p)
+        got, top = z_residual(state, p)
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+        assert top == np.max(got.values)
+
+    @pytest.mark.parametrize("monitor", ["rhs", "coupled_recorder", "z_residual"])
+    def test_non_finite_tendency_raises(self, grid1d, monitor):
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        x = grid1d.mesh()[0]
+        huge = ScalarField(grid1d, 1e200 * np.exp(-(x**2)))  # n^2 overflows
+        state = State(0.0, huge, huge)
+        call = {
+            "rhs": lambda: rhs(state, p),
+            "coupled_recorder": lambda: coupled_recorder(p, 3, 2.0, ((0.0,),))(state),
+            "z_residual": lambda: z_residual(state, p),
+        }[monitor]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite tendency"):
+                call()
 
     def test_rejects_wrong_relaxation_scale(self, grid1d):
         p = Params(chi=1.0, tau=2.0, lam=0.0, mu=1.0, d=1)
@@ -131,6 +162,15 @@ class TestGlobalLedgers:
         scale = res.trace[0].values["l1_n"]
         for name in ("mass_ledger", "chem_energy", "chem_gradient_energy"):
             assert reports[name].max_margin() <= 1e-6 * scale
+
+    def test_ledger_needs_the_accumulated_dissipation(self, grid1d):
+        # The mass ledger reads the run loop's exact int_l2sq_n only; samples
+        # recorded outside ``run`` lack it and have no ledger.
+        p = Params(chi=1.0, tau=1.0, d=1)
+        values = prop22_recorder()(zero_state(grid1d))
+        trace = [FunctionalSample(t, values) for t in (0.0, 0.1)]
+        with pytest.raises(ValueError, match="int_l2sq_n"):
+            prop22_check(trace, p)
 
     def test_missing_functionals_rejected(self, grid1d):
         p = Params(chi=1.0, tau=1.0, d=1)
@@ -518,7 +558,10 @@ class TestOdeResiduals:
 
         def record(state):
             n_t, c_t = rhs(state, p)
-            g_dot = _grad_dot(state.c, c_t)
+            g_dot = sum(
+                a.values * b.values
+                for a, b in zip(gradient(state.c).components, gradient(c_t).components)
+            )
             values = {}
             for j in range(k + 1):
                 values[f"m_{j}"] = moment(state, j, k, spec)

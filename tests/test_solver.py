@@ -13,8 +13,10 @@ from kslab.checkpoint import load_checkpoint, save_checkpoint, state_from_bytes,
 from kslab.fields import (
     ScalarField,
     _dealias_mask_r,
+    _irfft,
     _k_axes_odd_r,
     _k_squared_r,
+    _rfft,
     heat_propagate,
     integrate,
     make_grid,
@@ -31,6 +33,7 @@ from kslab.solver import (
     _doubling_error,
     _probe,
     _Stepper,
+    _tendency_hat,
     _Workspace,
     _phi1,
     _phi2,
@@ -117,6 +120,20 @@ class TestRhs:
         dn, dc = rhs(state, PARAMS_1D)
         assert dn.max_abs() <= 1e-12
         assert dc.max_abs() <= 1e-12
+
+    def test_tendency_core_reads_the_spectra_only(self, gauss_state):
+        # Monitors hand their own spectra of n and c to the core: it must not
+        # write into them.  rhs is its two inverse transforms.
+        grid = gauss_state.grid
+        nhat, chat = _rfft(gauss_state.n.values), _rfft(gauss_state.c.values)
+        nhat.setflags(write=False)
+        chat.setflags(write=False)
+        dn_hat, dc_hat = _tendency_hat(gauss_state, PARAMS_1D, nhat, chat)
+        assert np.array_equal(nhat, _rfft(gauss_state.n.values))
+        assert np.array_equal(chat, _rfft(gauss_state.c.values))
+        dn, dc = rhs(gauss_state, PARAMS_1D)
+        assert np.array_equal(dn.values, _irfft(dn_hat, grid))
+        assert np.array_equal(dc.values, _irfft(dc_hat, grid))
 
     def test_decoupled_logistic_oracle(self, grid1d):
         # With chi=0 and constant data the density solves the logistic ODE
