@@ -9,6 +9,8 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -18,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_open, save_checkpoint
-from .config import ConfigError, ExperimentConfig, SweepSpec, _to_float
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
 from .monitors import (
     TraceRecorder,
     linf_reconstruction_check,
@@ -212,8 +214,10 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
 def _sweep_worker(args: tuple[ExperimentConfig, str, str]) -> dict:
     cfg, out_dir, mode = args
     out = Path(out_dir)
+    printed = io.StringIO()  # the row's own lines, which cmd_sweep prints in row order
     try:
-        code = cmd_run(cfg, out, mode)
+        with contextlib.redirect_stdout(printed):
+            code = cmd_run(cfg, out, mode)
         summary = json.loads((out / "summary.json").read_text())
         return {
             "ok": True,
@@ -221,9 +225,26 @@ def _sweep_worker(args: tuple[ExperimentConfig, str, str]) -> dict:
             "status": summary["status"],
             "sup_linf_n": summary["sup_linf_n"],
             "bounded": summary["verdicts"].get("bounded_trend", False),
+            "printed": printed.getvalue(),
         }
     except Exception as exc:  # per-row failures recorded, sweep continues
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        printed.write(f"{type(exc).__name__}: {exc}\n")
+        return {"ok": False, "printed": printed.getvalue()}
+
+
+def _write_mconv_csv(out: Path, m_values: tuple[float, ...], rows: list[str]) -> None:
+    """Sup differences of consecutive rows' final states on the ball of radius min M."""
+    finals = [load_checkpoint(out / row / "final.kslb") for row in rows]
+    mask = finals[0].n.grid.radius() < min(m_values)
+    with atomic_open(out / "mconv.csv") as fh:
+        fh.write("M_a,M_b,sup_diff_n,sup_diff_c\n")
+        for m_a, m_b, f_a, f_b in zip(m_values, m_values[1:], finals, finals[1:]):
+            dn = float(np.max(np.abs(f_a.n.values[mask] - f_b.n.values[mask])))
+            dc = float(np.max(np.abs(f_a.c.values[mask] - f_b.c.values[mask])))
+            fh.write(f"{_fmt(m_a)},{_fmt(m_b)},{_fmt(dn)},{_fmt(dc)}\n")
+            print(f"M {m_a:g} vs {m_b:g}: sup|dn|={dn:.3e} sup|dc|={dc:.3e}")
+    if len(rows) == 1:
+        print("single M given: nothing to compare")
 
 
 def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
@@ -231,6 +252,9 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     rows = [f"{spec.parameter}_{value:g}" for value in spec.values]
     if len(set(rows)) < len(rows):
         raise ConfigError(f"sweep values must name distinct row directories, got {rows}")
+    for cfg in configs:  # an auto cap always clears the gauge; a set one is checked up front
+        if cfg.blowup_cap is not None:
+            _initial(cfg)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
 
@@ -240,45 +264,22 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     else:
         results = [_sweep_worker(job) for job in jobs]
 
-    mu0 = mu_zero_estimate(spec.base.monitor_k, spec.base.params()).mu0
     with atomic_open(out / "sweep.csv") as fh:
         fh.write("value,status,sup_linf_n,bounded,mu_zero_reference\n")
-        for value, res in zip(spec.values, results):
+        for value, cfg, res in zip(spec.values, configs, results):
+            mu0 = _fmt(mu_zero_estimate(cfg.monitor_k, cfg.params()).mu0)
             if res["ok"]:
                 fh.write(
                     f"{_fmt(value)},{res['status']},{_fmt(res['sup_linf_n'])},"
-                    f"{int(res['bounded'])},{_fmt(mu0)}\n"
+                    f"{int(res['bounded'])},{mu0}\n"
                 )
             else:
-                fh.write(f"{_fmt(value)},error,nan,0,{_fmt(mu0)}\n")
-    for value, res in zip(spec.values, results):
-        line = res["status"] if res["ok"] else res["error"]
-        print(f"{spec.parameter}={value:g}: {line}")
-    return EXIT_OK
-
-
-def cmd_mconv(cfg: ExperimentConfig, m_values: list[float], out: Path) -> int:
-    grid = cfg.grid()
-    subs = [replace(cfg, M=m).validate() for m in m_values]
-    out.mkdir(parents=True, exist_ok=True)
-    finals = [run(_initial(sub), sub.params(), sub.run_config()).final for sub in subs]
-    m_min = min(m_values)
-    mask = grid.radius() < m_min
-    rows = []
-    for (m_a, f_a), (m_b, f_b) in zip(
-        zip(m_values, finals), list(zip(m_values, finals))[1:]
-    ):
-        diff_n = float(np.max(np.abs(f_a.n.values[mask] - f_b.n.values[mask])))
-        diff_c = float(np.max(np.abs(f_a.c.values[mask] - f_b.c.values[mask])))
-        rows.append((m_a, m_b, diff_n, diff_c))
-    with atomic_open(out / "mconv.csv") as fh:
-        fh.write("M_a,M_b,sup_diff_n,sup_diff_c\n")
-        for m_a, m_b, dn, dc in rows:
-            fh.write(f"{_fmt(m_a)},{_fmt(m_b)},{_fmt(dn)},{_fmt(dc)}\n")
-    if not rows:
-        print("single M given: nothing to compare")
-    for m_a, m_b, dn, dc in rows:
-        print(f"M {m_a:g} vs {m_b:g}: sup|dn|={dn:.3e} sup|dc|={dc:.3e}")
+                fh.write(f"{_fmt(value)},error,nan,0,{mu0}\n")
+    for row, res in zip(rows, results):
+        for line in res["printed"].splitlines():
+            print(f"{row}: {line}")
+    if spec.parameter == "init.M" and all(res["ok"] for res in results):
+        _write_mconv_csv(out, spec.values, rows)
     return EXIT_OK
 
 
@@ -356,13 +357,15 @@ def main(argv: list[str] | None = None) -> int:
     for p in (p_run, p_sweep):
         add_common(p)
         p.add_argument("--mode", choices=("calibrate", "assert"), default="calibrate")
-    p_sweep.add_argument("--param", choices=("mu", "chi"), required=True)
+    p_sweep.add_argument("--param", choices=(*SWEEP_ALIASES, *CONFIG_KEYS), required=True)
     p_sweep.add_argument("--values", type=str, required=True, help="comma-separated list")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel rows")
 
-    p_mconv = sub.add_parser("mconv", help="truncation-radius convergence study")
+    p_mconv = sub.add_parser("mconv", help="truncation-radius study: a sweep over init.M")
     add_common(p_mconv)
-    p_mconv.add_argument("--M", type=str, required=True, help="comma-separated radii")
+    p_mconv.add_argument("--M", dest="values", metavar="M", required=True,
+                         help="comma-separated radii")
+    p_mconv.set_defaults(param="init.M", workers=1, mode="calibrate")
 
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("suite", help="fields|norms|dyadic|solver|monitors|all")
@@ -375,18 +378,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return cmd_run(_load_config(args), args.out, args.mode)
-        if args.command == "sweep":
+        if args.command in ("sweep", "mconv"):
             if args.workers < 1:
                 p_sweep.error("--workers must be at least 1")
-            values = tuple(_to_float(v, "--values") for v in args.values.split(",") if v.strip())
+            flag = "--M" if args.command == "mconv" else "--values"
+            values = tuple(_to_float(v, flag) for v in args.values.split(",") if v.strip())
             spec = SweepSpec(parameter=args.param, values=values, base=_load_config(args))
             return cmd_sweep(spec, args.out, args.workers, args.mode)
-        if args.command == "mconv":
-            m_values = [_to_float(v, "--M") for v in args.M.split(",") if v.strip()]
-            if not m_values:
-                print("mconv needs at least one M", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_mconv(_load_config(args), m_values, args.out)
         if args.command == "check":
             return cmd_check(args.suite)
         if args.command == "report":

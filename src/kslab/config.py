@@ -13,6 +13,7 @@ Example::
     init.amplitude=1.0
     init.width=2.5
     init.M=8.0
+    init.seed=0
     run.dt=auto
     run.t_end=1.0
     run.monitor_every=10
@@ -166,49 +167,57 @@ class ExperimentConfig:
         return ExperimentConfig.from_mapping(parse_kv_text(text))
 
 
+# Every configuration key: the field it sets and the converter of its text.
+CONFIG_KEYS = {
+    "grid.d": ("d", _to_int),
+    "grid.n_axis": ("n_axis", _to_int),
+    "grid.box_len": ("box_len", _to_float),
+    "params.chi": ("chi", _to_float),
+    "params.tau": ("tau", _to_float),
+    "params.lambda": ("lam", _to_float),
+    "params.mu": ("mu", _to_float),
+    "init.preset": ("preset", lambda v, key: v),
+    "init.amplitude": ("amplitude", _to_float),
+    "init.width": ("width", _to_float),
+    "init.M": ("M", _to_float),
+    "init.seed": ("seed", _to_int),
+    "run.dt": ("dt", lambda v, key: None if v == "auto" else _to_float(v, key)),
+    "run.t_end": ("t_end", _to_float),
+    "run.monitor_every": ("monitor_every", _to_int),
+    "run.blowup_cap": ("blowup_cap", lambda v, key: None if v == "auto" else _to_float(v, key)),
+    "monitor.k": ("monitor_k", _to_int),
+    "monitor.R": ("monitor_R", _to_float),
+    "monitor.centers": ("monitor_centers", lambda v, key: v),
+}
+
+# Sweep rows are named after the parameter as given: ``--param mu`` writes ``mu_<v:g>/``.
+SWEEP_ALIASES = {"mu": "params.mu", "chi": "params.chi"}
+
+
 def _apply(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
     """Set one dotted key on an existing config; unknown keys are errors."""
-    mapping = {
-        "grid.d": ("d", lambda v: _to_int(v, key)),
-        "grid.n_axis": ("n_axis", lambda v: _to_int(v, key)),
-        "grid.box_len": ("box_len", lambda v: _to_float(v, key)),
-        "params.chi": ("chi", lambda v: _to_float(v, key)),
-        "params.tau": ("tau", lambda v: _to_float(v, key)),
-        "params.lambda": ("lam", lambda v: _to_float(v, key)),
-        "params.mu": ("mu", lambda v: _to_float(v, key)),
-        "init.preset": ("preset", str),
-        "init.amplitude": ("amplitude", lambda v: _to_float(v, key)),
-        "init.width": ("width", lambda v: _to_float(v, key)),
-        "init.M": ("M", lambda v: _to_float(v, key)),
-        "init.seed": ("seed", lambda v: _to_int(v, key)),
-        "run.dt": ("dt", lambda v: None if v == "auto" else _to_float(v, key)),
-        "run.t_end": ("t_end", lambda v: _to_float(v, key)),
-        "run.monitor_every": ("monitor_every", lambda v: _to_int(v, key)),
-        "run.blowup_cap": ("blowup_cap", lambda v: None if v == "auto" else _to_float(v, key)),
-        "monitor.k": ("monitor_k", lambda v: _to_int(v, key)),
-        "monitor.R": ("monitor_R", lambda v: _to_float(v, key)),
-        "monitor.centers": ("monitor_centers", str),
-    }
-    entry = mapping.get(key)
+    entry = CONFIG_KEYS.get(key)
     if entry is None:
         raise ConfigError(f"unknown configuration key '{key}'")
     attr, conv = entry
-    return replace(cfg, **{attr: conv(value)})
+    return replace(cfg, **{attr: conv(value, key)})
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One varied parameter over a value list, sharing a base configuration."""
+    """One configuration key (or an alias of one) over a value list, sharing a base."""
 
     parameter: str
     values: tuple[float, ...]
     base: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def __post_init__(self):
-        if self.parameter not in ("mu", "chi"):
-            raise ConfigError("sweep parameter must be 'mu' or 'chi'")
+        if SWEEP_ALIASES.get(self.parameter, self.parameter) not in CONFIG_KEYS:
+            raise ConfigError(f"unknown configuration key '{self.parameter}'")
         if not self.values:
             raise ConfigError("sweep value list must be nonempty")
 
     def configs(self) -> list[ExperimentConfig]:
-        return [replace(self.base, **{self.parameter: v}).validate() for v in self.values]
+        """One validated config per value; '.17g' text round-trips every float exactly."""
+        key = SWEEP_ALIASES.get(self.parameter, self.parameter)
+        return [_apply(self.base, key, f"{v:.17g}").validate() for v in self.values]

@@ -2,24 +2,27 @@
 
 ``perfbench/tracing.py`` wraps kslab functions and methods by name from
 outside the package, and ``perfbench/child.py`` writes the config file of
-its CLI workloads; a refactor that renames or removes one of those names or
-config keys would only surface when the benchmark runs.  This loads both
-modules by path (``perfbench`` is not a package), resolves every name
-tracing wraps and parses the config child writes.  It also counts the
+its CLI workloads, swaps the sweep's process pool and row worker, and reads
+each sweep row's ``summary.json``; a refactor that renames or removes one
+of those names, config keys or files would only surface when the benchmark
+runs.  This loads both modules by path (``perfbench`` is not a package),
+resolves every name tracing wraps, parses the config child writes and runs
+the sweep through child's swaps and check.  It also counts the
 transforms a traced step records when half of them run on the lane thread,
 and those of the CLI sample and the one-state coupled monitors.
 """
 
 import importlib
 import importlib.util
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kslab import solver
-from kslab.cli import _CliRecorder, _initial
+from kslab import cli, solver
+from kslab.cli import _CliRecorder, _initial, _sweep_worker
 from kslab.config import ExperimentConfig
 from kslab.fields import ScalarField, make_grid
 from kslab.monitors import coupled_recorder, default_centers, z_residual
@@ -58,6 +61,39 @@ def test_workload_config_parses(tmp_path):
     child._write_config(path, 20.0, child.T_END["sweep2d"][0])
     cfg = ExperimentConfig.from_file(path)
     assert (cfg.d, cfg.n_axis, cfg.amplitude, cfg.monitor_centers) == (2, 128, 20.0, "max+lattice")
+
+
+def _tagged_row(job):
+    """Like child's ``sweep_row``: the row's record plus an entry the pool removes."""
+    return dict(_sweep_worker(job), _bench=Path(job[1]).name)
+
+
+def test_sweep_seams(tmp_path, monkeypatch):
+    # sweep2d rebinds cli.ProcessPoolExecutor and cli._sweep_worker, and
+    # check_sweep2d reads sweep.csv and mu_<v:g>/summary.json.
+    child = _load("child")
+    rows = []
+
+    class CollectingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            for result in super().map(fn, *iterables, **kwargs):
+                rows.append(result.pop("_bench"))
+                yield result
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CollectingPool)
+    monkeypatch.setattr(cli, "_sweep_worker", _tagged_row)
+    path = tmp_path / "sweep2d.cfg"
+    child._write_config(path, 20.0, child.T_END["sweep2d"][1])
+    out = tmp_path / "out"
+    values = ",".join(f"{v:g}" for v in child.SWEEP_VALUES)
+    argv = ["sweep", "--config", str(path), "--out", str(out), "--seed", "1", "--param", "mu",
+            "--values", values, "--workers", str(child.SWEEP_WORKERS)]
+    code = cli.main(argv)
+    names = [f"mu_{v:g}" for v in child.SWEEP_VALUES]
+    assert rows == names
+    assert all((out / name / "summary.json").is_file() for name in names)
+    problems, _ = child.check_sweep2d((code, out), smoke=True)
+    assert problems == []
 
 
 def _install_tracer(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from kslab.config import ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
 from kslab.monitors import (
     TraceRecorder,
     linf_reconstruction_check,
+    mu_zero_estimate,
     prop22_check,
     prop22_recorder,
     uloc_combined_check,
@@ -348,6 +350,7 @@ class TestArgumentErrors:
             ["sweep", "--param", "mu", "--values", "1", "--workers", "0"],
             ["sweep", "--param", "mu", "--values", "1", "--workers", "-3"],
             ["mconv", "--M", "6", "--mode", "assert"],
+            ["mconv", "--M", "6", "--workers", "2"],
         ],
     )
     def test_usage_error_exits_64_without_artifacts(self, argv, tmp_path, capsys):
@@ -356,6 +359,32 @@ class TestArgumentErrors:
             main(argv + ["--out", str(out)])
         assert exc.value.code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Every row is validated, and every row that sets a cap is built, before
+    # anything is written: the first row of each case is valid on its own.
+    @pytest.mark.parametrize(
+        "lines,argv,key",
+        [
+            ("", ["sweep", "--param", "grid.n_axis", "--values", "64,64.5"], "grid.n_axis"),
+            ("", ["sweep", "--param", "init.preset", "--values", "1"], "init.preset"),
+            ("", ["sweep", "--param", "monitor.centers", "--values", "1"], "monitor.centers"),
+            (
+                "run.blowup_cap=5",  # above the gauge of amplitude 1, below that of 10
+                ["sweep", "--param", "init.amplitude", "--values", "1,10", "--workers", "2"],
+                "run.blowup_cap",
+            ),
+            ("run.blowup_cap=0.5", ["mconv", "--M", "6,7"], "run.blowup_cap"),
+        ],
+    )
+    def test_sweep_config_error_exits_64_without_artifacts(
+        self, lines, argv, key, tmp_path, capsys
+    ):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FAST_CONFIG + lines + "\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
@@ -460,6 +489,49 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
+    def test_any_config_key_sets_its_rows(self, fast_config, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "grid.n_axis", "--values", "64,128"]
+        assert main(argv) == EXIT_OK
+        for n in (64, 128):
+            assert load_checkpoint(out / f"grid.n_axis_{n}" / "final.kslb").grid.n_axis == n
+        base = ExperimentConfig.from_file(fast_config)
+        assert SweepSpec("params.lambda", (0.1,), base).configs() == [replace(base, lam=0.1)]
+        seeds = SweepSpec("init.seed", (3.0, 7.0), base).configs()
+        assert seeds == [replace(base, seed=3), replace(base, seed=7)]
+        assert all(type(cfg.seed) is int for cfg in seeds)
+
+    def test_mu_zero_reference_per_row(self, fast_config, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "chi", "--values", "0.5,2"]
+        assert main(argv) == EXIT_OK
+        base = ExperimentConfig.from_file(fast_config)
+        expected = [
+            mu_zero_estimate(base.monitor_k, replace(base, chi=chi).params()).mu0
+            for chi in (0.5, 2.0)
+        ]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[4]) for row in rows] == expected
+        assert expected[0] != expected[1]
+
+    def test_parallel_stdout_is_labelled_in_row_order(self, fast_config, tmp_path, capsys):
+        printed = []
+        for attempt in range(2):
+            argv = ["sweep", "--config", str(fast_config), "--out", str(tmp_path / str(attempt)),
+                    "--param", "mu", "--values", "0.5,1,2", "--workers", "2"]
+            assert main(argv) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        rows = ["mu_0.5", "mu_1", "mu_2"]
+        labels = [line.split(": ", 1)[0] for line in printed[0].splitlines()]
+        assert labels == sorted(labels, key=rows.index)
+        verdicts = [line for line in printed[0].splitlines() if "PASS" in line or "FAIL" in line]
+        assert len(verdicts) >= 3 and all(line.split(": ", 1)[0] in rows for line in verdicts)
+        for row in rows:
+            assert f"{row}: status: completed" in printed[0].splitlines()
+
 
 class TestMconvCommand:
     def test_compact_data_identical_across_truncations(self, tmp_path):
@@ -492,6 +564,20 @@ class TestMconvCommand:
             ["mconv", "--config", str(fast_config), "--out", str(tmp_path / "m"), "--M", "5,15"]
         )
         assert code == EXIT_USAGE
+
+    def test_mconv_is_a_sweep_over_init_M(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(FAST_CONFIG.replace("init.width=2.5", "init.width=4.0"))
+        mconv, sweep = tmp_path / "mconv", tmp_path / "sweep"
+        assert main(["mconv", "--config", str(cfg), "--out", str(mconv), "--M", "4,6,8"]) == EXIT_OK
+        argv = ["sweep", "--config", str(cfg), "--out", str(sweep),
+                "--param", "init.M", "--values", "4,6,8"]
+        assert main(argv) == EXIT_OK
+        assert (mconv / "mconv.csv").read_bytes() == (sweep / "mconv.csv").read_bytes()
+        assert len((mconv / "sweep.csv").read_text().splitlines()) == 4
+        for m in (4, 6, 8):
+            summary = json.loads((mconv / f"init.M_{m}" / "summary.json").read_text())
+            assert summary["mode"] == "calibrate"
 
     def test_single_truncation_degenerate(self, fast_config, tmp_path):
         out = tmp_path / "m"
