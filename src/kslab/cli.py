@@ -22,6 +22,7 @@ import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
+from .fields import _cpus, _transform_serially
 from .monitors import (
     TraceRecorder,
     linf_reconstruction_check,
@@ -258,8 +259,12 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
 
+    cpus = _cpus()
+    workers = min(workers, len(jobs), cpus)  # the pool starts every worker at once
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A pool as large as the CPUs leaves no core for split transforms.
+        serial = _transform_serially if workers == cpus else None
+        with ProcessPoolExecutor(max_workers=workers, initializer=serial) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(job) for job in jobs]
@@ -359,7 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--mode", choices=("calibrate", "assert"), default="calibrate")
     p_sweep.add_argument("--param", choices=(*SWEEP_ALIASES, *CONFIG_KEYS), required=True)
     p_sweep.add_argument("--values", type=str, required=True, help="comma-separated list")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel rows")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel rows; at most one process per row and per CPU "
+                              "this process may use, and one runs the rows in turn")
 
     p_mconv = sub.add_parser("mconv", help="truncation-radius study: a sweep over init.M")
     add_common(p_mconv)

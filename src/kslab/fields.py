@@ -5,13 +5,19 @@ the whole space.  All derivatives are Fourier multipliers, quadrature is
 the periodic midpoint rule (spectrally accurate on the torus), and
 nonlinear products are formed in physical space with 2/3-rule dealiasing.
 
-Real fields travel through the half-spectrum (rfft) layout.
+Real fields travel through the half-spectrum (rfft) layout.  Its two
+transforms are the only code that runs work on a second thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -168,15 +174,80 @@ def magnitude(v: VectorField) -> ScalarField:
 # Half-spectrum plumbing shared by every operator
 
 
+# Real fields of at least this many points split each transform pass across
+# two threads.  Median ms per rfft / irfft, one thread against two, on a
+# shared 2-core Xeon (BENCH_14.json): 128^2 0.067/0.078 against 0.117/0.128;
+# 32^3 0.20/0.24 against 0.26/0.29; 256^2 0.26/0.35 against 0.31/0.40; 512^2
+# 1.20/1.86 against 0.79/0.94; 64^3 1.52/2.28 against 0.92/1.22; 128^3
+# 17.5/26.5 against 8.5/13.7.
+SPLIT_MIN_POINTS = 2**18
+_serial = False  # True in the workers of a sweep pool with one worker per CPU
+_helper_thread: tuple[int, ThreadPoolExecutor] | None = None  # (owning pid, executor)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _transform_serially() -> None:
+    """Pool initializer: this process's transforms stay on its own thread."""
+    global _serial
+    _serial = True
+
+
+def _helper() -> ThreadPoolExecutor:
+    """The process's one helper thread, made on first use.
+
+    A forked child inherits the executor but not its thread, and work
+    submitted there would never run, so each process makes its own.  Two
+    threads that race at the first use may each make one; either serves.
+    """
+    global _helper_thread
+    if _helper_thread is None or _helper_thread[0] != os.getpid():
+        _helper_thread = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="kslab-fft"))
+    return _helper_thread[1]
+
+
+def _halves(shape: tuple[int, ...], run: Callable[[slice], object], n: int) -> None:
+    """``run(s)`` with ``s`` the whole of an axis of length ``n``, or, when a
+    field of ``shape`` splits its transforms, the lower half here while the
+    helper thread runs the upper one in a copy of the caller's context (and
+    so its numpy error state).  The halves must write disjoint memory."""
+    if math.prod(shape) < SPLIT_MIN_POINTS or _serial or _cpus() < 2:
+        run(slice(None))
+        return
+    pending = _helper().submit(contextvars.copy_context().run, run, slice(n // 2, None))
+    try:
+        run(slice(0, n // 2))
+    finally:
+        pending.exception()  # wait: the upper half writes the caller's arrays until it ends
+    pending.result()
+
+
 def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum transform into ``out`` (default: one fresh array).
 
-    Every axis pass of ``np.fft.rfftn`` writes into ``out``, so the passes
-    after the first run in place; the bytes match ``np.fft.rfftn(values)``.
+    The passes, their order and so the bytes are those of ``np.fft.rfftn``:
+    ``rfft`` over the last axis into ``out``, then ``fft`` in place there
+    over axes d-2 ... 0.  Each pass runs by ``_halves``: all but the last on
+    halves of axis 0, the last, over axis 0, on halves of axis 1.
     """
     if out is None:
         out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), np.complex128)
-    return np.fft.rfftn(values, out=out)
+    if values.ndim == 1:
+        return np.fft.rfft(values, out=out)
+
+    def leading(s):  # the passes before the one over axis 0, on rows s of axis 0
+        np.fft.rfft(values[s], axis=-1, out=out[s])
+        for axis in range(values.ndim - 2, 0, -1):
+            np.fft.fft(out[s], axis=axis, out=out[s])
+
+    _halves(values.shape, leading, out.shape[0])
+    _halves(values.shape, lambda s: np.fft.fft(out[:, s], axis=0, out=out[:, s]), out.shape[1])
+    return out
 
 
 def _irfft(
@@ -192,13 +263,24 @@ def _irfft(
     ``irfft`` writes the last axis into ``out``.  The passes and their order
     are those of ``np.fft.irfftn``, and so are the bytes; with both buffers
     given nothing is allocated.  ``work`` may be ``coeffs`` itself when the
-    coefficients are spent.
+    coefficients are spent.  The first pass, over axis 0, runs on halves of
+    axis 1, the rest on halves of axis 0.
     """
+    if grid.d == 1:
+        return np.fft.irfft(coeffs, grid.n_axis, out=out)
+    if out is None:
+        out = np.empty(grid.shape)
     if work is None:
         work = np.empty(grid.rshape, np.complex128)
-    for axis in range(grid.d - 1):
-        coeffs = np.fft.ifft(coeffs, axis=axis, out=work)
-    return np.fft.irfft(coeffs, grid.n_axis, axis=grid.d - 1, out=out)
+    _halves(grid.shape, lambda s: np.fft.ifft(coeffs[:, s], axis=0, out=work[:, s]), work.shape[1])
+
+    def trailing(s):  # the passes after the one over axis 0, on rows s of axis 0
+        for axis in range(1, grid.d - 1):
+            np.fft.ifft(work[s], axis=axis, out=work[s])
+        np.fft.irfft(work[s], grid.n_axis, axis=-1, out=out[s])
+
+    _halves(grid.shape, trailing, grid.n_axis)
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -22,13 +22,10 @@ Positivity is never enforced: undershoots are recorded by
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -78,16 +75,6 @@ NONNEG_TOL = 1e-8
 # reference's 1e-2 tolerance, and 3e-3 took 42 evaluations for 1.6e-3
 # (table in CHANGES.md).  It now takes 23 evaluations and ends 2.7e-3 off.
 PROBE_TOL = 1e-2
-
-# Grids of at least this many points run a step's independent transforms in
-# pairs on two threads (see ``_Workspace``).  Median warm split step, serial
-# against two lanes, on a shared 2-core Xeon: 3.0 against 3.7 ms at 2D
-# 128^2 (lanes slower in 30 of 30 rounds); 12.1 against 10.5 ms at 32^3 and
-# 14.3 against 11.4 ms at 2D 256^2 (lanes faster in 22 and 26 of 30, but
-# up to 7% slower in other runs); 90.8 against 69.1 ms at 64^3 (faster in
-# every run).  The threshold keeps one size of margin above the crossover.
-LANE_MIN_POINTS = 2**16
-
 
 @dataclass(frozen=True)
 class Params:
@@ -251,14 +238,9 @@ class _Workspace(_Scratch):
     """Half-spectrum and physical buffers for one split step.
 
     ``run`` allocates one per run and hands it to every ``_Stepper`` it
-    builds, so a step allocates only the two arrays of the new State.
-    With ``lanes`` set (grids of at least ``LANE_MIN_POINTS`` points, on a
-    process allowed two or more CPUs) the step runs its independent
-    transforms in pairs, the second of each pair on the process's lane
-    thread.  That lane borrows buffers the step leaves idle at the time, so
-    the two lanes never share one.  The buffers are overwritten by every
-    call: a workspace, and a ``_Stepper`` holding one, must not be used by
-    two threads at once.
+    builds, so a step allocates only the two arrays of the new State.  The
+    buffers are overwritten by every call: a workspace, and a ``_Stepper``
+    holding one, must not be used by two threads at once.
     """
 
     def __init__(self, grid: Grid):
@@ -268,79 +250,23 @@ class _Workspace(_Scratch):
         self.nn_u, self.nc_u = half(), half()
         self.nn_a, self.nc_a = half(), half()
         self.a_n = np.empty(grid.shape)  # stage-a density, logistic scratch
-        self.lanes = grid.npoints >= LANE_MIN_POINTS and _cpus() >= 2
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_lane_thread: tuple[int, ThreadPoolExecutor] | None = None  # (owning pid, executor)
-
-
-def _lane() -> ThreadPoolExecutor:
-    """The process's one lane thread, made on first use.
-
-    A forked child inherits the executor but not its thread, and work
-    submitted there would never run, so each process makes its own.  Two
-    threads that race at the first use may each make one; either serves.
-    """
-    global _lane_thread
-    if _lane_thread is None or _lane_thread[0] != os.getpid():
-        _lane_thread = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="kslab-lane"))
-    return _lane_thread[1]
-
-
-def _pair(lanes: bool, here: Callable, there: Callable) -> tuple:
-    """``(here(), there())``; with ``lanes``, ``there`` runs on the lane thread
-    meanwhile, in a copy of the caller's context (and so its numpy error
-    state).  The two calls must write disjoint buffers."""
-    if not lanes:
-        return here(), there()
-    pending = _lane().submit(contextvars.copy_context().run, there)
-    try:
-        mine = here()
-    finally:
-        pending.exception()  # wait: ``there``'s buffers are in use until it ends
-    return mine, pending.result()
-
-
-def _flux_hat(ws: _Scratch, ik, chat, n_phys, prod, phys):
-    """One axis of the transport flux, ``i k_a (n d_a c)^`` dealiased, into ``prod``.
-
-    ``phys`` is a real scratch buffer; neither may be ``chat`` or ``n_phys``.
-    """
-    _irfft(np.multiply(ik, chat, out=prod), ws.grid, out=phys, work=prod)
-    _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
-    prod[ws.drop] = 0.0
-    return np.multiply(ik, prod, out=prod)
-
-
-def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out, spare=None):
+def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
     """Spectral transport term ``-chi div(n grad c)`` into ``out``.
 
     Operates in the half-spectrum layout with ``ws.prod``/``ws.phys`` as
-    scratch; ``out`` must be another buffer than ``chat``.  Each product is
-    dealiased; the divergence has no zero mode, so the term moves no mass.
-    Given ``spare``, an idle (half-spectrum, physical) buffer pair, the axes
-    run two at a time, the second on the lane thread in ``spare``; the
-    fluxes are still added in axis order, so the bytes are the serial ones.
+    scratch; ``out`` must be another buffer than ``chat``.  Each axis adds
+    its flux ``i k_a (n d_a c)^``, with the product dealiased; the
+    divergence has no zero mode, so the term moves no mass.
     """
-    flux = lambda ik, prod, phys: partial(_flux_hat, ws, ik, chat, n_phys, prod, phys)
-    iks = ws.ik_odd
-    pairs = len(iks) // 2 if spare is not None else 0
+    grid, prod, phys = ws.grid, ws.prod, ws.phys
     out.fill(0.0)
-    for a in range(pairs):
-        first, second = _pair(
-            True, flux(iks[2 * a], ws.prod, ws.phys), flux(iks[2 * a + 1], *spare)
-        )
-        out += first
-        out += second
-    for ik in iks[2 * pairs :]:
-        out += flux(ik, ws.prod, ws.phys)()
+    for ik in ws.ik_odd:
+        _irfft(np.multiply(ik, chat, out=prod), grid, out=phys, work=prod)
+        _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
+        prod[ws.drop] = 0.0
+        out += np.multiply(ik, prod, out=prod)
     return np.multiply(-params.chi, out, out=out)
 
 
@@ -433,11 +359,7 @@ class _Stepper:
         logistic substeps, which are the only ones to change the mass.  The
         ledger is the step's mass imbalance relative to the larger L^1 mass
         before and after it.  Everything but the new state's two arrays
-        lives in the workspace.  With ``ws.lanes`` the two state transforms,
-        the transport axes and the two closing inverse transforms run in
-        pairs; the second lane borrows ``ws.nc_a``, which stays idle until
-        stage a ends, with ``ws.a_n`` in the first transport and the spent
-        ``new_n`` in the second.
+        lives in the workspace.
         """
         ws, grid, p = self.ws, self.grid, self.params
         n_phys = state.n.values
@@ -445,19 +367,15 @@ class _Stepper:
         int_n_a, int_n2_a, damped_a = self._logistic(n_phys, new_n)
 
         # T(dt) from (new_n, c): the state transforms, then stage a over them.
-        nhat, chat = _pair(
-            ws.lanes, partial(_rfft, new_n, ws.nhat), partial(_rfft, state.c.values, ws.chat)
-        )
-        spare = (ws.nc_a, ws.a_n) if ws.lanes else None
-        nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u, spare)
+        nhat, chat = _rfft(new_n, ws.nhat), _rfft(state.c.values, ws.chat)
+        nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u)
         nc_u = np.divide(nhat, p.tau, out=ws.nc_u)
         a_n_hat = np.multiply(self.exp_n, nhat, out=nhat)
         a_n_hat += np.multiply(self.p1_n, nn_u, out=ws.prod)
         a_c_hat = np.multiply(self.exp_c, chat, out=chat)
         a_c_hat += np.multiply(self.p1_c, nc_u, out=ws.prod)
         a_n = _irfft(a_n_hat, grid, out=ws.a_n, work=ws.prod)
-        spare = (ws.nc_a, new_n) if ws.lanes else None
-        nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a, spare)
+        nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a)
         nc_a = np.divide(a_n_hat, p.tau, out=ws.nc_a)
 
         # a_hat + p2 * (N_a - N_u), transformed into the new state's arrays.
@@ -465,11 +383,8 @@ class _Stepper:
         a_n_hat += np.multiply(self.p2_n, nn_a, out=nn_a)
         nc_a -= nc_u
         a_c_hat += np.multiply(self.p2_c, nc_a, out=nc_a)
-        _, new_c = _pair(
-            ws.lanes,
-            partial(_irfft, a_n_hat, grid, new_n, a_n_hat),
-            partial(_irfft, a_c_hat, grid, np.empty(grid.shape), a_c_hat),
-        )
+        _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
+        new_c = _irfft(a_c_hat, grid, out=np.empty(grid.shape), work=a_c_hat)
         int_n_b, int_n2_b, damped_b = self._logistic(new_n, new_n)
 
         hd = grid.spacing**grid.d

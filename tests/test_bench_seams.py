@@ -8,12 +8,14 @@ of those names, config keys or files would only surface when the benchmark
 runs.  This loads both modules by path (``perfbench`` is not a package),
 resolves every name tracing wraps, parses the config child writes and runs
 the sweep through child's swaps and check.  It also counts the
-transforms a traced step records when half of them run on the lane thread,
-and those of the CLI sample and the one-state coupled monitors.
+transforms a traced step records when each transform splits its passes
+across two threads, and those of the CLI sample and the one-state coupled
+monitors.
 """
 
 import importlib
 import importlib.util
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -113,22 +115,35 @@ def _install_tracer(monkeypatch):
 
 
 @pytest.mark.parametrize("d,n_axis,ffts", [(3, 16, 17), (2, 32, 13)])
-def test_lane_transforms_are_traced(d, n_axis, ffts, monkeypatch):
-    # The lane thread calls the same _rfft/_irfft module globals, so the
-    # tracer's wrappers see every transform of the step.
-    monkeypatch.setattr(solver, "LANE_MIN_POINTS", 0)
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+def test_lane_transforms_are_traced(d, n_axis, ffts, split_everywhere, monkeypatch):
+    # A split transform runs raw numpy passes on the helper thread, never a
+    # traced function, so every _rfft/_irfft span opens on the calling thread
+    # with the step as its parent.
     tracing, tracer = _install_tracer(monkeypatch)
+    callers = set()
+
+    def on_thread(fn):
+        def recorded(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for attr in ("_rfft", "_irfft"):
+        tracing.rebind("kslab.fields", attr, on_thread)
 
     grid = make_grid(d, n_axis, 20.0)
     rng = np.random.default_rng(d)
     n = ScalarField(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
     c = ScalarField(grid, rng.standard_normal(grid.shape))
     stepper = solver._Stepper(grid, solver.Params(chi=1.0, lam=0.5, mu=2.0, d=d), 0.01)
-    assert stepper.ws.lanes
     stepper.advance(solver.State(0.0, n, c))
     counts = tracing.counts(tracer.spans)
     assert (counts["steps"], counts["fft_per_step"]) == (1, ffts)
+    assert len(split_everywhere) == 2 * ffts
+    assert callers == {threading.get_ident()}
+    spans = tracer.spans
+    assert all(spans[s[3]][0] == "solver.step" for s in spans if s[0] in tracing.FFT)
 
 
 def test_monitor_transforms_are_traced(tmp_path, monkeypatch):
@@ -164,3 +179,18 @@ def test_monitor_transforms_are_traced(tmp_path, monkeypatch):
     assert ffts(lambda: cli(sampled)) == 12
     assert ffts(lambda: coupled(sampled)) == 32
     assert ffts(lambda: z_residual(fresh(), params)) == 17
+
+
+def test_benchmark_output_checks_pass_at_smoke_horizons(tmp_path, monkeypatch):
+    # headline3d and monitor2d at their smoke horizons through child's own
+    # workload functions and output checks, so a change that moves headline3d
+    # off its reference fails here before the benchmark runs.
+    child = _load("child")
+    kslab = importlib.import_module("kslab")
+    monkeypatch.setattr(cli, "cmd_run", cli.cmd_run)  # child._timed_cli rebinds it for good
+    for name in ("headline3d", "monitor2d"):
+        work = tmp_path / name
+        work.mkdir()
+        _, outcome = child.WORKLOADS[name](kslab, 1, work, child.T_END[name][1])
+        problems, _ = child.CHECKS[name](outcome, smoke=True)
+        assert problems == [], name

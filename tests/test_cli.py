@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslab import fields
+from kslab import cli, fields
 from kslab.checkpoint import atomic_open, load_checkpoint
 from kslab.cli import (
     EXIT_BLOWUP,
@@ -488,6 +488,47 @@ class TestSweepCommand:
         )
         assert code == EXIT_OK
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "workers,values,cpus,pool",
+        [
+            (100000, "1", 2, None),  # one row: the serial loop, no pool
+            (100000, "0.5,1", 2, (2, True)),  # one worker per CPU: serial transforms
+            (2, "0.5,1,2", 4, (2, False)),
+            (8, "0.5,1", 4, (2, False)),
+            (4, "0.5,1,2", 1, None),
+        ],
+    )
+    def test_pool_size_is_bounded_by_rows_and_cpus(
+        self, fast_config, tmp_path, monkeypatch, workers, values, cpus, pool
+    ):
+        made = []
+
+        class InProcessPool:
+            """Records the pool it is asked for and maps in this process."""
+
+            def __init__(self, max_workers, initializer=None):
+                made.append((max_workers, initializer))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        argv = ["sweep", "--config", str(fast_config), "--out", str(tmp_path / "sweep"),
+                "--param", "mu", "--values", values, "--workers", str(workers)]
+        assert main(argv) == EXIT_OK
+        if pool is None:
+            assert made == []
+        else:
+            size, serial = pool
+            assert made == [(size, fields._transform_serially if serial else None)]
 
     def test_any_config_key_sets_its_rows(self, fast_config, tmp_path):
         out = tmp_path / "sweep"

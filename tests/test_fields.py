@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from kslab import fields
 from kslab.fields import (
     ScalarField,
     _grad_hat,
@@ -79,6 +82,86 @@ class TestSpectralTransform:
         f = ScalarField(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+
+def _assert_numpy_bytes(grid, values):
+    """``_rfft``/``_irfft`` give numpy's bytes with buffers absent, given, and
+    with the spent coefficients as ``work``."""
+    want = np.fft.rfftn(values)
+    back = np.fft.irfftn(want, grid.shape, axes=range(grid.d))
+    assert _rfft(values).tobytes() == want.tobytes()
+    out = np.empty(grid.rshape, np.complex128)
+    assert _rfft(values, out=out) is out and out.tobytes() == want.tobytes()
+    assert _irfft(want, grid).tobytes() == back.tobytes()
+    real, work = np.empty(grid.shape), np.empty(grid.rshape, np.complex128)
+    assert _irfft(want, grid, out=real, work=work) is real and real.tobytes() == back.tobytes()
+    spent = want.copy()
+    assert _irfft(spent, grid, out=real, work=spent).tobytes() == back.tobytes()
+
+
+class TestSplitTransforms:
+    TRANSFORMS = 5  # per _assert_numpy_bytes call
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_forced_split_gives_numpy_bytes(self, d, n_axis, split_everywhere, rng):
+        grid = make_grid(d, n_axis, 20.0)
+        _assert_numpy_bytes(grid, rng.standard_normal(grid.shape))
+        # 1D is never split; otherwise the helper runs one half of each pass.
+        assert len(split_everywhere) == (0 if d == 1 else 2 * self.TRANSFORMS)
+
+    @pytest.mark.parametrize("d,n_axis", [(2, 512), (3, 64)])
+    def test_split_at_threshold_gives_numpy_bytes(self, d, n_axis, monkeypatch, helper_halves):
+        monkeypatch.setattr(fields, "_cpus", lambda: 2)
+        grid = make_grid(d, n_axis, 20.0)
+        assert grid.npoints == fields.SPLIT_MIN_POINTS
+        _assert_numpy_bytes(grid, np.random.default_rng(d).standard_normal(grid.shape))
+        assert len(helper_halves) == 2 * self.TRANSFORMS
+
+    def test_small_fields_and_one_cpu_stay_on_one_thread(self, monkeypatch, helper_halves, rng):
+        big = make_grid(2, 512, 20.0)
+        _assert_numpy_bytes(make_grid(2, 256, 20.0), rng.standard_normal((256, 256)))
+        monkeypatch.setattr(fields, "_cpus", lambda: 1)
+        _assert_numpy_bytes(big, rng.standard_normal(big.shape))
+        assert helper_halves == []
+
+    def test_pool_initializer_keeps_transforms_on_one_thread(self, monkeypatch, helper_halves):
+        monkeypatch.setattr(fields, "_cpus", lambda: 2)
+        monkeypatch.setattr(fields, "_serial", False)
+        fields._transform_serially()
+        grid = make_grid(3, 64, 20.0)
+        _assert_numpy_bytes(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        assert helper_halves == []
+
+    def test_concurrent_callers_get_numpy_bytes(self, split_everywhere, rng):
+        # More callers than cores share the one helper, with frequent thread
+        # switches; each waits only for its own halves.
+        callers, rounds = 4, 10
+        grid = make_grid(3, 32, 20.0)
+        values = [rng.standard_normal(grid.shape) for _ in range(callers)]
+        want = [np.fft.rfftn(v) for v in values]
+        backs = [np.fft.irfftn(w, grid.shape, axes=range(3)).tobytes() for w in want]
+        got = [[] for _ in range(callers)]
+        start = threading.Barrier(callers)
+
+        def transform(i):
+            start.wait()
+            for _ in range(rounds):
+                got[i].append((_rfft(values[i]).tobytes(), _irfft(want[i], grid).tobytes()))
+
+        threads = [threading.Thread(target=transform, args=(i,)) for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(callers):
+            assert got[i] == [(want[i].tobytes(), backs[i])] * rounds
+        assert len(split_everywhere) == callers * rounds * 2 * 2
 
 
 class TestDerivatives:

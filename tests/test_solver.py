@@ -8,7 +8,7 @@ from concurrent.futures import TimeoutError as PoolTimeout
 import numpy as np
 import pytest
 
-from kslab import solver
+from kslab import fields, solver
 from kslab.checkpoint import load_checkpoint, save_checkpoint, state_from_bytes, state_to_bytes
 from kslab.fields import (
     ScalarField,
@@ -473,57 +473,61 @@ def _random_state(grid, seed):
     return State(0.0, ScalarField(grid, n), ScalarField(grid, rng.standard_normal(grid.shape)))
 
 
-def _engage_lanes(monkeypatch):
-    """Run the two-lane step on every grid from here on, on any host."""
-    monkeypatch.setattr(solver, "LANE_MIN_POINTS", 0)
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+# Transforms per step in 2D and 3D (1D is never split).  Split, each hands
+# the helper thread one half of each of its two passes.
+STEP_TRANSFORMS = {2: 13, 3: 17}
 
 
-def _lane_step_bytes(d, n_axis):
-    """Bytes of one split step from seeded data (module level, for a pool worker)."""
+def _split_step_bytes(d, n_axis):
+    """Bytes of one split step from seeded data, and the pass halves that ran
+    off the calling thread meanwhile (module level, for a pool worker)."""
     grid = make_grid(d, n_axis, 20.0)
     stepper = _Stepper(grid, Params(d=d, **TestWorkspaceStep.P), 0.01)
-    assert stepper.ws.lanes
+    ran = fields._halves.ran  # the helper_halves fixture's list, or this child's copy
+    before = len(ran)
     new = stepper.advance(_random_state(grid, d))[0]
-    return new.n.values.tobytes() + new.c.values.tobytes()
+    return new.n.values.tobytes() + new.c.values.tobytes(), len(ran) - before
 
 
 class TestWorkspaceStep:
     P = dict(chi=1.3, tau=0.7, lam=0.4, mu=2.1)
 
-    def _assert_matches_allocating_formula(self, grid, lanes):
+    def _assert_matches_allocating_formula(self, grid, helper_halves, split):
         for mu in (self.P["mu"], 0.0):  # the logistic flow and its mu = 0 limit
             p = Params(d=grid.d, **{**self.P, "mu": mu})
             stepper = _Stepper(grid, p, 0.01)
-            assert stepper.ws.lanes is lanes
             state = _random_state(grid, grid.d)
             for _ in range(3):
+                del helper_halves[:]
                 new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
+                halves = len(helper_halves)
                 n, c, *scalars = _allocating_split_step(state, p, 0.01)
                 assert new.n.values.tobytes() == n.tobytes()
                 assert new.c.values.tobytes() == c.tobytes()
                 assert [ledger, d_int_n, d_int_n2] == scalars
+                assert halves == (2 * STEP_TRANSFORMS[grid.d] if split else 0)
                 state = new
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    def test_bitwise_equal_to_allocating_formula(self, d, n_axis):
-        self._assert_matches_allocating_formula(make_grid(d, n_axis, 20.0), lanes=False)
+    def test_bitwise_equal_to_allocating_formula(self, d, n_axis, helper_halves):
+        grid = make_grid(d, n_axis, 20.0)
+        self._assert_matches_allocating_formula(grid, helper_halves, split=False)
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    def test_lanes_bitwise_equal_to_allocating_formula(self, d, n_axis, monkeypatch):
-        _engage_lanes(monkeypatch)
-        self._assert_matches_allocating_formula(make_grid(d, n_axis, 20.0), lanes=True)
+    def test_lanes_bitwise_equal_to_allocating_formula(self, d, n_axis, split_everywhere):
+        grid = make_grid(d, n_axis, 20.0)
+        self._assert_matches_allocating_formula(grid, split_everywhere, split=d > 1)
 
-    def test_lanes_run_in_a_forked_worker(self, monkeypatch):
-        # A forked child inherits the lane executor but not its thread: work
+    def test_lanes_run_in_a_forked_worker(self, split_everywhere):
+        # A forked child inherits the helper executor but not its thread: work
         # submitted to that executor there would never run.
-        _engage_lanes(monkeypatch)
-        here = _lane_step_bytes(3, 16)  # starts this process's lane thread
+        here = _split_step_bytes(3, 16)  # starts this process's helper thread
+        assert here[1] == 2 * STEP_TRANSFORMS[3]
         pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
         try:
-            there = pool.submit(_lane_step_bytes, 3, 16).result(timeout=30)
+            there = pool.submit(_split_step_bytes, 3, 16).result(timeout=30)
         except PoolTimeout:
-            for proc in pool._processes.values():  # stuck on the inherited lane
+            for proc in pool._processes.values():  # stuck on the inherited helper
                 proc.terminate()
             raise
         finally:
