@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -24,16 +23,15 @@ from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
 from .fields import _cpus, _transform_serially
 from .monitors import (
+    ResidualReport,
     TraceRecorder,
-    linf_reconstruction_check,
     mu_zero_estimate,
-    prop22_check,
     prop22_recorder,
-    uloc_combined_check,
-    z_sup_cap_check,
+    run_verdicts,
+    trace_checks,
 )
 from .presets import build_initial
-from .solver import NONNEG_TOL, FunctionalSample, RunResult, RunStatus, State, run
+from .solver import FunctionalSample, RunResult, RunStatus, State, run
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -55,8 +53,6 @@ TRACE_COLUMNS = (
     "min_c",
 )
 
-_BOUNDED_SLOPE_TOL = 1e-3
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -76,9 +72,7 @@ class _CliRecorder:
         self.prop22_rec = prop22_recorder()
 
     def __call__(self, state: State) -> dict[str, float]:
-        values = self.trace_rec(state)
-        values.update(self.prop22_rec(state))
-        return values
+        return {**self.trace_rec(state), **self.prop22_rec(state)}
 
 
 def _write_trace_csv(path: Path, trace: list[FunctionalSample]) -> None:
@@ -89,46 +83,33 @@ def _write_trace_csv(path: Path, trace: list[FunctionalSample]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_residuals_csv(path: Path, rows: list[tuple[float, str, float, float | None]]) -> None:
+def _write_residuals_csv(path: Path, reports: list[ResidualReport]) -> None:
     with atomic_open(path) as fh:
         fh.write("t,name,margin,calibration\n")
-        for t, name, margin, calibration in rows:
-            cal = "" if calibration is None else _fmt(calibration)
-            fh.write(f"{_fmt(t)},{name},{_fmt(margin)},{cal}\n")
-
-
-def _trend_slope(trace: list[FunctionalSample], t_lo: float, t_hi: float) -> float:
-    """Linear-fit slope of log(linf_n + w1inf_c) over [t_lo, t_hi]."""
-    ts, ys = [], []
-    for s in trace:
-        if t_lo <= s.t <= t_hi:
-            gauge = s.values["linf_n"] + s.values["w1inf_c"]
-            if gauge > 0 and math.isfinite(gauge):
-                ts.append(s.t)
-                ys.append(math.log(gauge))
-    if len(ts) < 2:
-        return 0.0
-    coeffs = np.polyfit(np.array(ts), np.array(ys), 1)
-    return float(coeffs[0])
+        for report in reports:
+            cal = "" if report.calibration is None else _fmt(report.calibration)
+            for t, margin in zip(report.times, report.margins):
+                fh.write(f"{_fmt(t)},{report.name},{_fmt(margin)},{cal}\n")
 
 
 def _residual_reports(
     cfg: ExperimentConfig, result: RunResult, calibration: dict[str, float] | None
-) -> tuple[list[tuple[float, str, float, float | None]], dict[str, float], dict[str, bool]]:
-    """Margins along the trace, fitted or asserted constants, and verdicts."""
-    params = cfg.params()
-    trace = result.trace
-    uloc, fitted = uloc_combined_check(trace, params, calibration)
-    linf, linf_fitted = linf_reconstruction_check(trace, params, cfg.monitor_k, calibration)
-    fitted.update(linf_fitted)
-    rows: list[tuple[float, str, float, float | None]] = []
-    verdicts: dict[str, bool] = {}
-    for report in prop22_check(trace, params) + uloc + linf + z_sup_cap_check(trace, params):
-        for t, margin in zip(report.times, report.margins):
-            rows.append((t, report.name, float(margin), report.calibration))
-        if report.tolerance is not None:
-            verdicts[report.name] = bool(report.max_margin() <= report.tolerance)
-    return rows, fitted, verdicts
+) -> tuple[list[ResidualReport], dict[str, float], dict[str, bool]]:
+    """The trace-level reports, their fitted or asserted constants, and their verdicts."""
+    reports, fitted = trace_checks(result.trace, cfg.params(), cfg.monitor_k, calibration)
+    verdicts = {r.name: bool(r.max_margin() <= r.tolerance) for r in reports if r.tolerance is not None}
+    return reports, fitted, verdicts
+
+
+def _read_calibration(path: Path) -> dict[str, float]:
+    """The constants of a prior calibrate run: a JSON object of finite numbers."""
+    try:
+        calibration = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigError(f"assert mode needs {path} from a prior calibrate run: {exc}") from exc
+    if not isinstance(calibration, dict) or {type(v) for v in calibration.values()} - {int, float}:
+        raise ConfigError(f"{path} must map each constant to a number")
+    return {name: _to_float(repr(v), f"{path}: {name}") for name, v in calibration.items()}
 
 
 def _initial(cfg: ExperimentConfig) -> State:
@@ -144,47 +125,22 @@ def _initial(cfg: ExperimentConfig) -> State:
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
-    calibration = None
-    if mode == "assert":
-        cal_path = out / "calibration.json"
-        if not cal_path.exists():
-            print(f"assert mode needs {cal_path} from a prior calibrate run", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            calibration = json.loads(cal_path.read_text())
-        except json.JSONDecodeError as exc:
-            print(f"{cal_path} is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
+    calibration = _read_calibration(out / "calibration.json") if mode == "assert" else None
     params = cfg.params()
-    initial = _initial(cfg)
-    recorder = _CliRecorder(cfg)
-    result = run(initial, params, cfg.run_config(), monitors=recorder)
+    result = run(_initial(cfg), params, cfg.run_config(), monitors=_CliRecorder(cfg))
 
     out.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out / "trace.csv", result.trace)
     save_checkpoint(out / "final.kslb", result.final)
 
-    rows, fitted, verdicts = _residual_reports(cfg, result, calibration)
-    _write_residuals_csv(out / "residuals.csv", rows)
+    reports, fitted, verdicts = _residual_reports(cfg, result, calibration)
+    _write_residuals_csv(out / "residuals.csv", reports)
     if mode == "calibrate":
         with atomic_open(out / "calibration.json") as fh:
             fh.write(json.dumps(fitted, sort_keys=True, indent=1))
 
-    verdicts["mass_ledger_per_step"] = bool(result.mass_ledger_rel_max <= 1e-10)
-    min_n = min(s.values["min_n"] for s in result.trace)
-    verdicts["nonnegativity_n"] = bool(min_n >= -NONNEG_TOL)
-    c0_min = result.trace[0].values["min_c"]
-    verdicts["nonnegativity_c"] = all(
-        s.values["min_c"] >= math.exp(-(s.t - result.trace[0].t)) * c0_min - NONNEG_TOL
-        for s in result.trace
-    )
-    t_hi = result.trace[-1].t
-    t_lo = 0.5 * (result.trace[0].t + t_hi)
-    slope = _trend_slope(result.trace, t_lo, t_hi)
-    verdicts["bounded_trend"] = bool(
-        result.status is RunStatus.COMPLETED and slope <= _BOUNDED_SLOPE_TOL
-    )
+    run_level, slope = run_verdicts(result, params)
+    verdicts.update(run_level)
 
     summary = {
         "status": result.status.value,
@@ -294,11 +250,9 @@ def cmd_check(suite: str) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
-    failed = 0
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else ""))
-        failed += 0 if r.passed else 1
-    return EXIT_OK if failed == 0 else EXIT_INVARIANT
+    return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
 
 
 def cmd_report(out: Path) -> int:
@@ -328,6 +282,9 @@ def cmd_report(out: Path) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config the arguments name; an ``--out`` that a file blocks is a usage error too."""
+    if any(p.exists() and not p.is_dir() for p in (args.out, *args.out.parents)):
+        raise ConfigError(f"--out {args.out} is, or lies under, a file that is not a directory")
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
     else:

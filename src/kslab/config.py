@@ -162,6 +162,8 @@ class ExperimentConfig:
     def from_file(path: str | Path) -> "ExperimentConfig":
         try:
             text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not a text file") from exc
         return ExperimentConfig.from_mapping(parse_kv_text(text))

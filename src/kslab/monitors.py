@@ -17,9 +17,9 @@ A recorder puts quantities of one state in the trace of ``run``; a
 trace-level check turns them into reports with their own pass tolerance.
 The time derivatives in ``coupled_recorder`` and ``z_residual`` are taken
 from the tendencies of ``solver.rhs`` in spectral form, so no margin depends
-on the sampling rate, and each transforms n and c once.  ``kslab run``
-reports ``prop22_check``, ``uloc_combined_check``,
-``linf_reconstruction_check`` and ``z_sup_cap_check``.
+on the sampling rate, and each transforms n and c once.  Every pass/fail of
+``kslab run`` comes from ``trace_checks`` (its ``residuals.csv`` families) and
+``run_verdicts`` (the verdicts on the run as a whole).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .norms import (
     lp_norm,
     uloc_norm,
 )
-from .solver import FunctionalSample, Params, State, _tendency_hat
+from .solver import FunctionalSample, Params, RunResult, RunStatus, State, _tendency_hat
 
 __all__ = [
     "MomentConfig",
@@ -77,7 +77,13 @@ __all__ = [
     "integration_by_parts_gap",
     "default_centers",
     "TraceRecorder",
+    "trace_checks",
+    "trend_slope",
+    "run_verdicts",
 ]
+
+# Largest undershoot below a nonnegativity bound that still passes.
+NONNEG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,13 @@ def _column(trace: list[FunctionalSample], key: str) -> np.ndarray:
     if key not in trace[0].values:
         raise ValueError(f"trace lacks required functional '{key}'")
     return np.array([s.values[key] for s in trace])
+
+
+def _constant(name: str, need: np.ndarray, calibration: dict[str, float] | None) -> float:
+    """Constant ``name`` frozen from ``calibration``, else the least >= 0 covering ``need``."""
+    if calibration is not None:
+        return calibration.get(name, 0.0)
+    return max(0.0, float(np.max(need))) if len(need) else 0.0
 
 
 def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
@@ -260,7 +273,7 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
     int_h1sq_gradc = _cumtrapz(t, get("h1sq_gradc"))
     tau = params.tau
     tol = 1e-6 * max(1.0, float(np.max(np.abs(l1_n))))
-    reports = [
+    return [
         ResidualReport("mass_ledger_printed", t, l1_n + int_l2sq_n - growth),
         ResidualReport("mass_ledger", t, l1_n + params.mu * int_l2sq_n - growth, tolerance=tol),
         ResidualReport(
@@ -278,7 +291,6 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
             tolerance=tol,
         ),
     ]
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +323,7 @@ def uloc_combined_check(
     chi_tau = params.chi * params.tau
     first = trace[0].values
     base = 4.0 * first["l1_uloc_n"] + 2.0 * chi_tau * first["l2_uloc_gradc"] ** 2
-    if calibration is None:
-        headroom = max(0.0, float(np.max(f)) - base)
-    else:
-        headroom = calibration.get("uloc_combined", 0.0)
+    headroom = _constant("uloc_combined", f - base, calibration)
     report = ResidualReport(
         "uloc_combined",
         _times(trace),
@@ -584,12 +593,8 @@ def coupled_check(
     ]:
         explicit = _column(trace, f"{name}_explicit")
         generic = _column(trace, f"{name}_generic")
-        if calibration is None:
-            usable = generic > 1e-300
-            need = explicit[usable] / generic[usable]
-            const = float(max(0.0, np.max(need))) if usable.any() else 0.0
-        else:
-            const = calibration.get(name, 0.0)
+        usable = generic > 1e-300
+        const = _constant(name, explicit[usable] / generic[usable], calibration)
         fitted[name] = const
         reports.append(
             ResidualReport(
@@ -683,10 +688,7 @@ def linf_reconstruction_check(
     denom = _column(trace, "l2_uloc_gradc")[0] + _column(trace, "w1inf_c")[0] + running
     linf = _column(trace, "linf_gradc")
     ratios = np.divide(linf, denom, out=np.zeros_like(linf), where=denom > 0)
-    if calibration is None:
-        const = float(np.max(ratios))
-    else:
-        const = calibration.get("linf_reconstruction", 0.0)
+    const = _constant("linf_reconstruction", ratios, calibration)
     report = ResidualReport(
         "linf_reconstruction",
         _times(trace),
@@ -754,3 +756,53 @@ class TraceRecorder:
             "linf_gradc": grad_c.max_abs(),
             "lk_uloc_n": uloc_norm(state.n, self.lk_params),
         }
+
+
+# ---------------------------------------------------------------------------
+# Verdicts of a run
+
+
+def trace_checks(
+    trace: list[FunctionalSample], params: Params, k: int, calibration: dict[str, float] | None = None
+) -> tuple[list[ResidualReport], dict[str, float]]:
+    """The ``residuals.csv`` families in file order, with their fitted or frozen constants."""
+    uloc, fitted = uloc_combined_check(trace, params, calibration)
+    linf, linf_fitted = linf_reconstruction_check(trace, params, k, calibration)
+    reports = prop22_check(trace, params) + uloc + linf + z_sup_cap_check(trace, params)
+    return reports, {**fitted, **linf_fitted}
+
+
+def trend_slope(trace: list[FunctionalSample], t_lo: float, t_hi: float) -> float:
+    """Linear-fit slope of log(linf_n + w1inf_c) over [t_lo, t_hi]."""
+    ts, ys = [], []
+    for s in trace:
+        if t_lo <= s.t <= t_hi:
+            gauge = s.values["linf_n"] + s.values["w1inf_c"]
+            if gauge > 0 and math.isfinite(gauge):
+                ts.append(s.t)
+                ys.append(math.log(gauge))
+    if len(ts) < 2:
+        return 0.0
+    coeffs = np.polyfit(np.array(ts), np.array(ys), 1)
+    return float(coeffs[0])
+
+
+def run_verdicts(result: RunResult, params: Params) -> tuple[dict[str, bool], float]:
+    """The verdicts on a whole run, and the gauge's ``trend_slope`` over its second half.
+
+    The lower bound of ``nonnegativity_c`` is that of tau c_t = Lap c - c + n
+    with n >= 0; each verdict's tolerance is in its line.
+    """
+    trace = result.trace
+    t0, t_end = trace[0].t, trace[-1].t
+    slope = trend_slope(trace, 0.5 * (t0 + t_end), t_end)
+    c0_min = trace[0].values["min_c"]
+    return {
+        "mass_ledger_per_step": bool(result.mass_ledger_rel_max <= 1e-10),
+        "nonnegativity_n": bool(min(s.values["min_n"] for s in trace) >= -NONNEG_TOL),
+        "nonnegativity_c": all(
+            s.values["min_c"] >= math.exp(-(s.t - t0) / params.tau) * c0_min - NONNEG_TOL
+            for s in trace
+        ),
+        "bounded_trend": bool(result.status is RunStatus.COMPLETED and slope <= 1e-3),
+    }, slope

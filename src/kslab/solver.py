@@ -65,8 +65,6 @@ __all__ = [
     "suggest_dt",
 ]
 
-NONNEG_TOL = 1e-8
-
 # Tolerance of the automatic step's probe on the gap between one step of 2h
 # and two of h (the larger of its L^1- and sup-relative norms in n).  On the
 # damped 64^3 headline run to t = 0.5, before the probe reused its halved

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from kslab.cli import _trend_slope
 from kslab.dyadic import DyadicConfig, dyadic_block, generalized_young_check, reconstruct
 from kslab.fields import ScalarField, gradient, magnitude, make_grid
 from kslab.monitors import (
@@ -19,6 +18,7 @@ from kslab.monitors import (
     mu_zero_estimate,
     prop22_check,
     prop22_recorder,
+    run_verdicts,
     z_comparison_level,
     z_field,
     z_residual,
@@ -85,29 +85,23 @@ def test_criterion_02_mass_ledger():
     p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=2)
     initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
     res = run(initial, p, RunConfig(t_end=1.0, dt=5e-3, monitor_every=20))
-    ok = res.status is RunStatus.COMPLETED and res.mass_ledger_rel_max <= 1e-10
+    ok = res.status is RunStatus.COMPLETED and run_verdicts(res, p)[0]["mass_ledger_per_step"]
     _verdict(2, "mass_ledger", ok, f"max rel residual {res.mass_ledger_rel_max:.2e}")
 
 
 def test_criterion_03_nonnegativity():
-    worst_n, worst_c_gap = 0.0, 0.0
+    ok, details = True, []
     for d, n_axis in ((1, 256), (2, 128)):
         grid = make_grid(d, n_axis, 40.0)
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=d)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
         res = run(initial, p, RunConfig(t_end=2.0, dt=None, monitor_every=5))
-        c0_min = res.trace[0].values["min_c"]
-        worst_n = min(worst_n, min(s.values["min_n"] for s in res.trace))
-        worst_c_gap = min(
-            worst_c_gap,
-            min(
-                s.values["min_c"] - math.exp(-s.t) * c0_min for s in res.trace
-            ),
-        )
-    ok = worst_n >= -1e-8 and worst_c_gap >= -1e-8
-    _verdict(
-        3, "nonnegativity", ok, f"min n {worst_n:.2e}, min c gap {worst_c_gap:.2e}"
-    )
+        verdicts, _ = run_verdicts(res, p)
+        ok = ok and verdicts["nonnegativity_n"] and verdicts["nonnegativity_c"]
+        min_n = min(s.values["min_n"] for s in res.trace)
+        min_c = min(s.values["min_c"] for s in res.trace)
+        details.append(f"d={d}: min n {min_n:.2e}, min c {min_c:.2e}")
+    _verdict(3, "nonnegativity", ok, "; ".join(details))
 
 
 def test_criterion_04_comparison_inequality_regime():
@@ -285,8 +279,8 @@ def test_criterion_10_global_boundedness_headline():
     p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=3)
     initial = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5)
     res = run(initial, p, RunConfig(t_end=20.0, dt=None, monitor_every=10))
-    slope = _trend_slope(res.trace, 10.0, 20.0)
-    damped_ok = res.status is RunStatus.COMPLETED and slope <= 1e-3
+    verdicts, slope = run_verdicts(res, p)  # bounded_trend: completed, slope over [10, 20]
+    damped_ok = verdicts["bounded_trend"]
 
     p0 = Params(chi=1.0, tau=1.0, lam=1.0, mu=0.0, d=3)
     peaked = build_initial(grid, "gaussian_bump", 20.0, 0.8, M=4.5)
@@ -315,8 +309,8 @@ def test_criterion_11_low_dimension_boundedness():
             p = Params(chi=1.0, tau=1.0, lam=0.0, mu=mu, d=d)
             initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
             res = run(initial, p, RunConfig(t_end=4.0, dt=None, monitor_every=5))
-            slope = _trend_slope(res.trace, 2.0, 4.0)
-            run_ok = res.status is RunStatus.COMPLETED and slope <= 1e-3
+            verdicts, slope = run_verdicts(res, p)  # completed, slope over [2, 4]
+            run_ok = verdicts["bounded_trend"]
             ok &= run_ok
             if not run_ok:
                 details.append(f"d={d} mu={mu}: {res.status.value} slope {slope:.2e}")

@@ -23,12 +23,10 @@ from kslab.cli import (
 from kslab.config import ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
 from kslab.monitors import (
     TraceRecorder,
-    linf_reconstruction_check,
     mu_zero_estimate,
-    prop22_check,
     prop22_recorder,
-    uloc_combined_check,
-    z_sup_cap_check,
+    run_verdicts,
+    trace_checks,
 )
 from kslab.presets import build_initial
 from kslab.solver import FunctionalSample, _builtin_sample, run, suggest_dt
@@ -59,6 +57,13 @@ def fast_config(tmp_path):
     path = tmp_path / "fast.cfg"
     path.write_text(FAST_CONFIG)
     return path
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root`` with the bytes of each file (None for a directory)."""
+    return {
+        str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")
+    }
 
 
 class TestConfigParsing:
@@ -229,6 +234,32 @@ class TestRunCommand:
         code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
         assert code == EXIT_OK
 
+    # A malformed calibration.json is a usage error caught before the run,
+    # which would otherwise overwrite trace.csv and final.kslb first.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            "null",
+            '{"uloc_combined": "x"}',
+            '{"uloc_combined": true}',
+            '{"uloc_combined": NaN}',
+            '{"uloc_combined": Infinity}',
+        ],
+    )
+    def test_malformed_calibration_exits_64_before_running(
+        self, fast_config, tmp_path, capsys, text
+    ):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
+        (out / "trace.csv").unlink()
+        (out / "calibration.json").write_text(text)
+        before = tree(out)
+        code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
+        assert code == EXIT_USAGE
+        assert tree(out) == before
+        assert "calibration.json" in capsys.readouterr().err
+
     def test_assert_fails_below_fitted_constant(self, fast_config, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
@@ -283,7 +314,8 @@ class TestAtomicWrites:
 class TestVerdictParity:
     def test_library_checks_reproduce_run_residuals(self, fast_config, tmp_path):
         # The library recorders and checks, with no CLI code in between, must
-        # give the residuals.csv rows and calibration.json of `kslab run`.
+        # give the residuals.csv rows, calibration.json and run-level verdicts
+        # of `kslab run`.
         out = tmp_path / "out"
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         cfg = ExperimentConfig.from_file(fast_config)
@@ -293,14 +325,11 @@ class TestVerdictParity:
         initial = build_initial(
             grid, cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M(), seed=cfg.seed
         )
-        trace = run(
+        result = run(
             initial, params, cfg.run_config(), monitors=lambda s: {**trace_rec(s), **ledgers(s)}
-        ).trace
+        )
 
-        uloc, fitted = uloc_combined_check(trace, params)
-        linf, linf_fitted = linf_reconstruction_check(trace, params, cfg.monitor_k)
-        fitted.update(linf_fitted)
-        reports = prop22_check(trace, params) + uloc + linf + z_sup_cap_check(trace, params)
+        reports, fitted = trace_checks(result.trace, params, cfg.monitor_k)
         assert [r.name for r in reports] == [
             "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
             "uloc_combined", "linf_reconstruction", "z_sup_cap",
@@ -311,6 +340,21 @@ class TestVerdictParity:
             lines += [f"{t:.17g},{r.name},{m:.17g},{cal}" for t, m in zip(r.times, r.margins)]
         assert "\n".join(lines) + "\n" == (out / "residuals.csv").read_text()
         assert json.dumps(fitted, sort_keys=True, indent=1) == (out / "calibration.json").read_text()
+        summary = json.loads((out / "summary.json").read_text())
+        verdicts, slope = run_verdicts(result, params)
+        assert {name: summary["verdicts"][name] for name in verdicts} == verdicts
+        assert summary["trend_slope_second_half"] == slope
+
+    def test_readme_verdict_table_lists_every_summary_verdict(self, fast_config, tmp_path):
+        # 1D with k = 3 > d and tau = 1, mu > d chi / 4: every verdict applies.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Verdicts\n", 1)[1].split("\n### ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        names = [row.split("|")[1].strip().strip("`") for row in rows]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        assert sorted(names) == sorted(verdicts)
 
 
 class TestSampleCost:
@@ -393,6 +437,30 @@ class TestArgumentErrors:
             main(argv)
         assert exc.value.code == EXIT_OK
         assert "usage:" in capsys.readouterr().out
+
+
+class TestInputPaths:
+    # An unreadable --config, or an --out that a file blocks, is a usage error
+    # caught before anything is simulated or written.
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--param", "mu", "--values", "1"], ["mconv", "--M", "6"]],
+        ids=["run", "sweep", "mconv"],
+    )
+    @pytest.mark.parametrize(
+        "config,out",
+        [("missing.cfg", "out"), (".", "out"), ("fast.cfg", "fast.cfg"), ("fast.cfg", "fast.cfg/out")],
+        ids=["missing-config", "config-is-a-directory", "out-is-a-file", "out-under-a-file"],
+    )
+    def test_unusable_path_exits_64_and_writes_nothing(
+        self, fast_config, tmp_path, capsys, argv, config, out
+    ):
+        before = tree(tmp_path)
+        code = main(argv + ["--config", str(tmp_path / config), "--out", str(tmp_path / out)])
+        assert code == EXIT_USAGE
+        assert tree(tmp_path) == before
+        blocking = tmp_path / (config if out == "out" else out)
+        assert str(blocking) in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from kslab.monitors import (
     mu_zero_estimate,
     prop22_check,
     prop22_recorder,
+    run_verdicts,
     uloc_combined_check,
     uloc_combined_series,
     z_comparison_level,
@@ -38,7 +40,16 @@ from kslab.monitors import (
 )
 from kslab.norms import CutoffSpec, _cutoff_integrals, cutoff_phi
 from kslab.presets import build_initial
-from kslab.solver import FunctionalSample, Params, RunConfig, RunStatus, State, rhs, run
+from kslab.solver import (
+    FunctionalSample,
+    Params,
+    RunConfig,
+    RunResult,
+    RunStatus,
+    State,
+    rhs,
+    run,
+)
 from kslab.suites import _random_field
 
 
@@ -666,3 +677,67 @@ class TestReconstruction:
         assert low_high_split_error(res.final.c) <= 1e-10
         assert np.all(np.isfinite(reports[0].margins))
         assert fitted["linf_reconstruction"] <= 10.0
+
+
+def synthetic_run(
+    status=RunStatus.COMPLETED, ledger=0.0, min_n=0.0, min_c=lambda t: 0.0, gauge=lambda t: 1.0
+):
+    """A ``RunResult`` over t = 0, 0.5, ..., 10 with the keys ``run_verdicts`` reads."""
+    times = [0.5 * i for i in range(21)]
+    trace = [
+        FunctionalSample(t, {"linf_n": gauge(t), "w1inf_c": 0.0, "min_n": min_n, "min_c": min_c(t)})
+        for t in times
+    ]
+    return RunResult(status, times[-1], trace, zero_state(make_grid(1, 16, 16.0)), ledger)
+
+
+class TestRunVerdicts:
+    P = Params(chi=1.0, d=1)
+
+    def verdict(self, name, params=P, **run):
+        return run_verdicts(synthetic_run(**run), params)[0][name]
+
+    def test_clean_run_passes_every_verdict(self):
+        verdicts, slope = run_verdicts(synthetic_run(), self.P)
+        assert sorted(verdicts) == [
+            "bounded_trend", "mass_ledger_per_step", "nonnegativity_c", "nonnegativity_n"
+        ]
+        assert all(verdicts.values())
+        assert slope == 0.0
+
+    def test_mass_ledger_bound(self):
+        assert self.verdict("mass_ledger_per_step", ledger=1e-10)
+        assert not self.verdict("mass_ledger_per_step", ledger=2e-10)
+
+    def test_density_undershoot_bound(self):
+        assert self.verdict("nonnegativity_n", min_n=-1e-8)
+        assert not self.verdict("nonnegativity_n", min_n=-2e-8)
+
+    def test_blowup_status_fails_a_flat_gauge(self):
+        assert not self.verdict("bounded_trend", status=RunStatus.BLOWUP_SUSPECTED)
+
+    def test_gauge_growth_bound(self):
+        # Over the second half [5, 10] the log-gauge slope is the exponent.
+        verdicts, slope = run_verdicts(synthetic_run(gauge=lambda t: math.exp(0.002 * t)), self.P)
+        assert not verdicts["bounded_trend"] and slope == pytest.approx(0.002, rel=1e-9)
+        assert self.verdict("bounded_trend", gauge=lambda t: math.exp(0.0005 * t))
+
+    def test_chemical_lower_bound_decays_at_rate_one_over_tau(self):
+        # With n = 0, tau c_t = Lap c - c keeps min c at e^(-t/tau) min c(0).
+        p = replace(self.P, tau=0.5)
+        decay = lambda t: math.exp(-2.0 * t)
+        assert self.verdict("nonnegativity_c", params=p, min_c=decay)
+        assert not self.verdict("nonnegativity_c", params=replace(p, tau=1.0), min_c=decay)
+        assert not self.verdict("nonnegativity_c", params=p, min_c=lambda t: decay(t) - 2e-8)
+
+    def test_chemical_lower_bound_on_a_run_with_tau_one_half(self):
+        grid = make_grid(1, 64, 40.0)
+        p = Params(chi=1.0, tau=0.5, lam=0.0, mu=1.0, d=1)
+        initial = State(0.0, zero_state(grid).n, ScalarField(grid, np.ones(grid.shape)))
+        res = run(initial, p, RunConfig(t_end=1.0, dt=0.01, monitor_every=10))
+        assert res.status is RunStatus.COMPLETED and len(res.trace) == 11
+        for s in res.trace:
+            assert s.values["min_c"] == pytest.approx(math.exp(-2.0 * s.t), abs=1e-14)
+        assert run_verdicts(res, p)[0]["nonnegativity_c"]
+        # The tau-blind bound e^(-t) min c(0) would call this exact decay a failure.
+        assert not run_verdicts(res, replace(p, tau=1.0))[0]["nonnegativity_c"]
