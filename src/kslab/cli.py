@@ -97,7 +97,7 @@ def _residual_reports(
 ) -> tuple[list[ResidualReport], dict[str, float], dict[str, bool]]:
     """The trace-level reports, their fitted or asserted constants, and their verdicts."""
     reports, fitted = trace_checks(result.trace, cfg.params(), cfg.monitor_k, calibration)
-    verdicts = {r.name: bool(r.max_margin() <= r.tolerance) for r in reports if r.tolerance is not None}
+    verdicts = {r.name: r.passed for r in reports if r.passed is not None}
     return reports, fitted, verdicts
 
 
@@ -212,6 +212,9 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     for cfg in configs:  # an auto cap always clears the gauge; a set one is checked up front
         if cfg.blowup_cap is not None:
             _initial(cfg)
+    if mode == "assert":  # each row's worker reads it again; a bad one stops the sweep here
+        for row in rows:
+            _read_calibration(out / row / "calibration.json")
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
 

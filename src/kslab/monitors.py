@@ -19,7 +19,10 @@ The time derivatives in ``coupled_recorder`` and ``z_residual`` are taken
 from the tendencies of ``solver.rhs`` in spectral form, so no margin depends
 on the sampling rate, and each transforms n and c once.  Every pass/fail of
 ``kslab run`` comes from ``trace_checks`` (its ``residuals.csv`` families) and
-``run_verdicts`` (the verdicts on the run as a whole).
+``run_verdicts`` (the verdicts on the run as a whole), and ``kslab check``
+and the acceptance gate judge through the same functions:
+``ResidualReport.passed``, ``MuZeroReport.holds``, ``COMPARISON_TOL`` and
+``run_verdicts``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,15 @@ from .norms import (
     lp_norm,
     uloc_norm,
 )
-from .solver import FunctionalSample, Params, RunResult, RunStatus, State, _tendency_hat
+from .solver import (
+    FunctionalSample,
+    Params,
+    RunResult,
+    RunStatus,
+    State,
+    _tendency_hat,
+    continuation_gauge,
+)
 
 __all__ = [
     "MomentConfig",
@@ -84,6 +95,9 @@ __all__ = [
 
 # Largest undershoot below a nonnegativity bound that still passes.
 NONNEG_TOL = 1e-8
+# Largest excess of the tau = 1 comparison inequality (the residual of z, or
+# sup z over its cap max(sup z(0), level)) that still passes.
+COMPARISON_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,11 @@ class ResidualReport:
 
     def max_margin(self) -> float:
         return float(np.max(self.margins)) if len(self.margins) else -math.inf
+
+    @property
+    def passed(self) -> bool | None:
+        """The report's verdict: None without a tolerance, else whether every margin is within it."""
+        return None if self.tolerance is None else bool(self.max_margin() <= self.tolerance)
 
 
 def _times(trace: list[FunctionalSample]) -> np.ndarray:
@@ -191,7 +210,7 @@ def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[Resid
 
     The comparison inequality is claimed only for tau = 1 and mu > d chi / 4;
     outside that regime there is no report.  The report's constant is the
-    level and it passes within 1e-3.
+    level and it passes within ``COMPARISON_TOL``.
     """
     p = params
     if not (p.tau == 1.0 and p.chi > 0 and p.mu > p.d * p.chi / 4.0):
@@ -200,7 +219,9 @@ def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[Resid
     z_max = _column(trace, "z_max")
     cap = max(float(z_max[0]), level)
     return [
-        ResidualReport("z_sup_cap", _times(trace), z_max - cap, calibration=level, tolerance=1e-3)
+        ResidualReport(
+            "z_sup_cap", _times(trace), z_max - cap, calibration=level, tolerance=COMPARISON_TOL
+        )
     ]
 
 
@@ -395,6 +416,20 @@ class MuZeroReport:
     b: dict[int, float]
     mu0: float
     margins: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def holds(self) -> bool:
+        """Whether the five sign conditions hold: ``order_damping <= 0``, every other margin < 0."""
+        m = self.margins
+        return m["order_damping"] <= 0 and all(
+            m[name] < 0
+            for name in (
+                "sum_bjcj_vs_k(k-1)/8tau",
+                "dissipation_sign",
+                "gradient_chain_sign",
+                "coupling_damping",
+            )
+        )
 
 
 def _assemble_cj(k: int, params: Params) -> dict[int, float]:
@@ -773,11 +808,11 @@ def trace_checks(
 
 
 def trend_slope(trace: list[FunctionalSample], t_lo: float, t_hi: float) -> float:
-    """Linear-fit slope of log(linf_n + w1inf_c) over [t_lo, t_hi]."""
+    """Linear-fit slope of the log ``continuation_gauge`` over [t_lo, t_hi]."""
     ts, ys = [], []
     for s in trace:
         if t_lo <= s.t <= t_hi:
-            gauge = s.values["linf_n"] + s.values["w1inf_c"]
+            gauge = continuation_gauge(s.values)
             if gauge > 0 and math.isfinite(gauge):
                 ts.append(s.t)
                 ys.append(math.log(gauge))

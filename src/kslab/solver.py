@@ -63,6 +63,7 @@ __all__ = [
     "nonnegativity_report",
     "determinism_check",
     "suggest_dt",
+    "continuation_gauge",
 ]
 
 # Tolerance of the automatic step's probe on the gap between one step of 2h
@@ -167,8 +168,8 @@ class RunConfig:
 
     def cap_for(self, initial: State) -> float:
         """The blow-up cap for a run from ``initial``: ``blowup_cap``, else
-        1000x the initial continuation gauge ||n||_inf + ||c||_{W^{1,inf}}."""
-        gauge = initial.n.max_abs() + w1inf_norm(initial.c)
+        1000x the initial ``continuation_gauge``."""
+        gauge = continuation_gauge(_builtin_sample(initial))
         cap = self.blowup_cap if self.blowup_cap is not None else 1e3 * max(gauge, 1.0)
         if not cap > gauge:
             raise ValueError("blowup_cap must exceed the initial continuation gauge")
@@ -503,7 +504,12 @@ def _step_factor(err: float, most: float) -> float:
     return min(most, max(0.2, 0.9 * (PROBE_TOL / err) ** (1.0 / 3.0)))
 
 
-def _builtin_sample(state: State, params: Params) -> dict[str, float]:
+def continuation_gauge(values: Mapping[str, float]) -> float:
+    """||n||_inf + ||c||_{W^{1,inf}}, the blow-up criterion's gauge, from a sample's values."""
+    return values["linf_n"] + values["w1inf_c"]
+
+
+def _builtin_sample(state: State) -> dict[str, float]:
     return {
         "mass": integrate(state.n),
         "linf_n": state.n.max_abs(),
@@ -525,11 +531,10 @@ def run(
     end.  With ``config.dt=None`` each monitor interval opens with a
     step-doubling probe (see ``RunConfig``), and may probe again; each
     probe's two half steps count as two of its steps.  Blow-up is surveilled
-    through the continuation quantity ||n||_inf + ||c||_{W^{1,inf}} against
-    ``blowup_cap`` (default: 1000x its initial value).  A step with a
-    non-finite result, a logistic substep with no flow to follow (outside
-    the probe's trials, which reject it), or a step too small to advance the
-    clock ends the run as a numerical failure.
+    through ``continuation_gauge`` against ``config.cap_for(initial)``.  A
+    step with a non-finite result, a logistic substep with no flow to follow
+    (outside the probe's trials, which reject it), or a step too small to
+    advance the clock ends the run as a numerical failure.
     ``params.d`` must be the grid's dimension, which the monitors read from it.
     """
     grid = initial.grid
@@ -541,7 +546,7 @@ def run(
     int_n2 = 0.0
 
     def sample(state: State) -> FunctionalSample:
-        values = _builtin_sample(state, params)
+        values = _builtin_sample(state)
         # Running time integrals of int(n) and int(n^2), accumulated from the
         # logistic substeps' closed forms so the mass ledgers close exactly.
         values["int_l1_n"] = int_n
@@ -607,8 +612,7 @@ def run(
             status = RunStatus.NUMERICAL_FAILURE
             break
         trace.append(sample(state))
-        gauge = trace[-1].values["linf_n"] + trace[-1].values["w1inf_c"]
-        if gauge > cap:
+        if continuation_gauge(trace[-1].values) > cap:
             status = RunStatus.BLOWUP_SUSPECTED
             break
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslab import cli, fields
+from kslab import cli, fields, suites
 from kslab.checkpoint import atomic_open, load_checkpoint
 from kslab.cli import (
     EXIT_BLOWUP,
@@ -377,7 +377,7 @@ class TestSampleCost:
         for name, module in list(sys.modules.items()):
             if name.startswith("kslab") and getattr(module, "gradient", None) is original:
                 monkeypatch.setattr(module, "gradient", counted)
-        _builtin_sample(state, params)
+        _builtin_sample(state)
         recorder(state)
         suggest_dt(state, params)
         assert len(calls) == 1
@@ -641,6 +641,33 @@ class TestSweepCommand:
         for row in rows:
             assert f"{row}: status: completed" in printed[0].splitlines()
 
+    # Every row's calibration.json is read before any row runs, as ``run``
+    # reads its own; otherwise each row would fail in its worker, sweep.csv
+    # would list them as errors and the sweep would exit 0.
+    def test_assert_without_calibration_exits_64_without_artifacts(
+        self, fast_config, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "mu", "--values", "1,2", "--mode", "assert"]
+        assert main(argv) == EXIT_USAGE
+        assert str(out / "mu_1" / "calibration.json") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_assert_with_a_malformed_calibration_exits_64_and_writes_nothing(
+        self, fast_config, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "mu", "--values", "1,2"]
+        assert main(argv) == EXIT_OK
+        (out / "mu_2" / "calibration.json").write_text('{"uloc_combined": NaN}')
+        before = tree(out)
+        capsys.readouterr()
+        assert main(argv + ["--mode", "assert"]) == EXIT_USAGE
+        assert str(out / "mu_2" / "calibration.json") in capsys.readouterr().err
+        assert tree(out) == before
+
 
 class TestMconvCommand:
     def test_compact_data_identical_across_truncations(self, tmp_path):
@@ -708,6 +735,20 @@ class TestCheckCommand:
 
     def test_unknown_suite_usage_error(self):
         assert main(["check", "nonsense"]) == EXIT_USAGE
+
+    def test_solver_ledger_row_is_judged_by_run_verdicts(self, monkeypatch, capsys):
+        judge = suites.run_verdicts
+
+        def rejecting(result, params):
+            verdicts, slope = judge(result, params)
+            return {**verdicts, "mass_ledger_per_step": False}, slope
+
+        monkeypatch.setattr(suites, "run_verdicts", rejecting)
+        assert main(["check", "solver"]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL solver.mass_ledger"
+        ]
 
 
 class TestReportCommand:

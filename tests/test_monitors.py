@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kslab import monitors
 from kslab.fields import (
     ScalarField,
     gradient,
@@ -15,6 +17,7 @@ from kslab.fields import (
 )
 from kslab.monitors import (
     MomentConfig,
+    ResidualReport,
     TraceRecorder,
     _moment_rate,
     argmax_center,
@@ -37,6 +40,7 @@ from kslab.monitors import (
     z_comparison_level,
     z_field,
     z_residual,
+    z_sup_cap_check,
 )
 from kslab.norms import CutoffSpec, _cutoff_integrals, cutoff_phi
 from kslab.presets import build_initial
@@ -134,10 +138,22 @@ class TestComparisonFunction:
             initial,
             p,
             RunConfig(t_end=0.5, dt=2e-3, monitor_every=25),
-            monitors=lambda s: {"z_sup": z_field(s, p).max_abs()},
+            monitors=lambda s: {"z_max": float(np.max(z_field(s, p).values))},
         )
-        cap = max(res.trace[0].values["z_sup"], z_comparison_level(p))
-        assert max(s.values["z_sup"] for s in res.trace) <= cap + 1e-3
+        [report] = z_sup_cap_check(res.trace, p)
+        assert report.passed
+
+
+class TestReportVerdict:
+    def report(self, margin, tolerance):
+        return ResidualReport("r", np.array([0.0, 1.0]), np.array([-1.0, margin]), tolerance=tolerance)
+
+    def test_no_tolerance_no_verdict(self):
+        assert self.report(1.0, None).passed is None
+
+    def test_passes_at_the_tolerance_and_fails_just_above(self):
+        assert self.report(1e-6, 1e-6).passed is True
+        assert self.report(np.nextafter(1e-6, 1.0), 1e-6).passed is False
 
 
 class TestGlobalLedgers:
@@ -439,12 +455,31 @@ class TestMuZero:
     def test_all_sign_conditions(self):
         for k in (3, 4, 5):
             p = Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3)
-            m = mu_zero_estimate(k, p).margins
-            assert m["sum_bjcj_vs_k(k-1)/8tau"] < 0
-            assert m["dissipation_sign"] < 0
-            assert m["gradient_chain_sign"] < 0
-            assert m["order_damping"] <= 0
-            assert m["coupling_damping"] < 0
+            assert mu_zero_estimate(k, p).holds
+
+    # Each margin at the first value past its bound: 0 for the four strict
+    # conditions, the least positive number for order_damping.
+    @pytest.mark.parametrize(
+        "name,crossing",
+        [
+            ("sum_bjcj_vs_k(k-1)/8tau", 0.0),
+            ("dissipation_sign", 0.0),
+            ("gradient_chain_sign", 0.0),
+            ("order_damping", 5e-324),
+            ("coupling_damping", 0.0),
+        ],
+    )
+    def test_any_crossed_condition_breaks_holds(self, name, crossing):
+        rep = mu_zero_estimate(3, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3))
+        assert sorted(rep.margins) == sorted(
+            ["sum_bjcj_vs_k(k-1)/8tau", "dissipation_sign", "gradient_chain_sign",
+             "order_damping", "coupling_damping"]
+        )
+        assert not replace(rep, margins={**rep.margins, name: crossing}).holds
+
+    def test_order_damping_at_zero_holds(self):
+        rep = mu_zero_estimate(3, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3))
+        assert replace(rep, margins={**rep.margins, "order_damping": 0.0}).holds
 
     def test_monotone_in_chi_and_lambda(self):
         base = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=3)
@@ -741,3 +776,17 @@ class TestRunVerdicts:
         assert run_verdicts(res, p)[0]["nonnegativity_c"]
         # The tau-blind bound e^(-t) min c(0) would call this exact decay a failure.
         assert not run_verdicts(res, replace(p, tau=1.0))[0]["nonnegativity_c"]
+
+
+def test_verdict_conditions_are_written_only_in_monitors():
+    # The mu_0 sign conditions and the report verdict have one home in the
+    # library; a copy elsewhere would drift from it when a bound changes.
+    src = Path(monitors.__file__).parent
+    keys = mu_zero_estimate(3, Params(chi=1.0, tau=1.0, d=3)).margins
+    needles = (*keys, "max_margin() <=")
+    home = (src / "monitors.py").read_text()
+    assert len(keys) == 5 and all(needle in home for needle in needles)
+    for path in sorted(src.glob("*.py")):
+        if path.name != "monitors.py":
+            text = path.read_text()
+            assert [n for n in needles if n in text] == [], path.name
