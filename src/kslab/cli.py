@@ -113,15 +113,10 @@ def _read_calibration(path: Path) -> dict[str, float]:
 
 
 def _initial(cfg: ExperimentConfig) -> State:
-    """The initial data of ``cfg``; a blow-up cap at or below their gauge is a usage error."""
-    initial = build_initial(
+    """The initial data of ``cfg``."""
+    return build_initial(
         cfg.grid(), cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M(), seed=cfg.seed
     )
-    try:
-        cfg.run_config().cap_for(initial)
-    except ValueError as exc:
-        raise ConfigError(f"run.{exc}") from exc
-    return initial
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
@@ -209,9 +204,6 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     rows = [f"{spec.parameter}_{value:g}" for value in spec.values]
     if len(set(rows)) < len(rows):
         raise ConfigError(f"sweep values must name distinct row directories, got {rows}")
-    for cfg in configs:  # an auto cap always clears the gauge; a set one is checked up front
-        if cfg.blowup_cap is not None:
-            _initial(cfg)
     if mode == "assert":  # each row's worker reads it again; a bad one stops the sweep here
         for row in rows:
             _read_calibration(out / row / "calibration.json")

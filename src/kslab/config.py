@@ -17,14 +17,14 @@ Example::
     run.dt=auto
     run.t_end=1.0
     run.monitor_every=10
-    run.blowup_cap=auto
     monitor.k=3
     monitor.R=2.0
     monitor.centers=max+lattice
 
 Lines starting with '#' and blank lines are ignored.  'auto' lets the run
-choose the step or the blow-up cap.  Products are always dealiased by the
-2/3 rule, so there is no switch for it.
+choose the step.  Products are always dealiased by the 2/3 rule, so there is
+no switch for it.  The run derives its blow-up cap from the initial data, so
+there is no key for that either.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class ExperimentConfig:
     dt: float | None = None
     t_end: float = 1.0
     monitor_every: int = 10
-    blowup_cap: float | None = None
     monitor_k: int = 3
     monitor_R: float = 2.0
     monitor_centers: str = "max+lattice"
@@ -105,12 +104,7 @@ class ExperimentConfig:
         return Params(chi=self.chi, tau=self.tau, lam=self.lam, mu=self.mu, d=self.d)
 
     def run_config(self) -> RunConfig:
-        return RunConfig(
-            t_end=self.t_end,
-            dt=self.dt,
-            monitor_every=self.monitor_every,
-            blowup_cap=self.blowup_cap,
-        )
+        return RunConfig(t_end=self.t_end, dt=self.dt, monitor_every=self.monitor_every)
 
     def effective_width(self) -> float:
         return self.width if self.width is not None else self.box_len / 16.0
@@ -186,7 +180,6 @@ CONFIG_KEYS = {
     "run.dt": ("dt", lambda v, key: None if v == "auto" else _to_float(v, key)),
     "run.t_end": ("t_end", _to_float),
     "run.monitor_every": ("monitor_every", _to_int),
-    "run.blowup_cap": ("blowup_cap", lambda v, key: None if v == "auto" else _to_float(v, key)),
     "monitor.k": ("monitor_k", _to_int),
     "monitor.R": ("monitor_R", _to_float),
     "monitor.centers": ("monitor_centers", lambda v, key: v),

@@ -93,7 +93,7 @@ class Grid:
 def make_grid(d: int, n_axis: int, box_len: float) -> Grid:
     """Build a periodic grid; rejects non power-of-two sizes and d outside 1..3."""
     if d not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
+        raise ValueError(f"d must be 1, 2 or 3, got {d}")
     if not (_is_power_of_two(n_axis) and n_axis >= 8):
         raise ValueError(f"n_axis must be a power of two >= 8, got {n_axis}")
     if not box_len > 0:

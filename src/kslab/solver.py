@@ -75,6 +75,10 @@ __all__ = [
 # (table in CHANGES.md).  It now takes 23 evaluations and ends 2.7e-3 off.
 PROBE_TOL = 1e-2
 
+# A run suspects blow-up once ``continuation_gauge`` exceeds this many times
+# its value at the run's first sample (or this many, below a gauge of 1).
+BLOWUP_FACTOR = 1e3
+
 @dataclass(frozen=True)
 class Params:
     """PDE coefficients: chemotactic strength, relaxation scale, growth, damping."""
@@ -93,8 +97,9 @@ class Params:
             raise ValueError("chi must be nonnegative")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.lam < 0 or self.mu < 0:
-            raise ValueError("lambda and mu must be nonnegative")
+        for name, value in (("lambda", self.lam), ("mu", self.mu)):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,8 @@ class RunStatus(Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Stepping and surveillance knobs for a trajectory run.
+    """Stepping and sampling knobs for a trajectory run.  The blow-up cap is
+    none of them: ``run`` derives it from its first sample.
 
     ``dt=None`` sizes the step ``h`` by error control.  Each monitor
     interval opens with a step-doubling probe from its first state: one step
@@ -152,10 +158,9 @@ class RunConfig:
     t_end: float
     dt: float | None = None
     monitor_every: int = 10
-    blowup_cap: float | None = None
 
     def __post_init__(self):
-        for name in ("t_end", "dt", "blowup_cap"):
+        for name in ("t_end", "dt"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -165,15 +170,6 @@ class RunConfig:
             raise ValueError("t_end must be positive")
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
-
-    def cap_for(self, initial: State) -> float:
-        """The blow-up cap for a run from ``initial``: ``blowup_cap``, else
-        1000x the initial ``continuation_gauge``."""
-        gauge = continuation_gauge(_builtin_sample(initial))
-        cap = self.blowup_cap if self.blowup_cap is not None else 1e3 * max(gauge, 1.0)
-        if not cap > gauge:
-            raise ValueError("blowup_cap must exceed the initial continuation gauge")
-        return cap
 
 
 @dataclass(frozen=True)
@@ -530,8 +526,10 @@ def run(
     Monitor samples are taken at t=0, every ``monitor_every`` steps, and at the
     end.  With ``config.dt=None`` each monitor interval opens with a
     step-doubling probe (see ``RunConfig``), and may probe again; each
-    probe's two half steps count as two of its steps.  Blow-up is surveilled
-    through ``continuation_gauge`` against ``config.cap_for(initial)``.  A
+    probe's two half steps count as two of its steps.  Blow-up is suspected
+    once ``continuation_gauge`` exceeds ``BLOWUP_FACTOR`` times its value at
+    the first sample (at least ``BLOWUP_FACTOR``); a first sample with a
+    non-finite gauge raises ``FloatingPointError``.  A
     step with a non-finite result, a logistic substep with no flow to follow
     (outside the probe's trials, which reject it), or a step too small to
     advance the clock ends the run as a numerical failure.
@@ -540,13 +538,12 @@ def run(
     grid = initial.grid
     if params.d != grid.d:
         raise ValueError(f"params.d = {params.d} differs from the grid dimension {grid.d}")
-    cap = config.cap_for(initial)
 
     int_n = 0.0
     int_n2 = 0.0
 
-    def sample(state: State) -> FunctionalSample:
-        values = _builtin_sample(state)
+    def sample(state: State, values: dict[str, float]) -> FunctionalSample:
+        """The trace entry of ``state`` from its ``_builtin_sample`` ``values``."""
         # Running time integrals of int(n) and int(n^2), accumulated from the
         # logistic substeps' closed forms so the mass ledgers close exactly.
         values["int_l1_n"] = int_n
@@ -556,7 +553,12 @@ def run(
         return FunctionalSample(t=state.t, values=values)
 
     state = initial
-    trace = [sample(state)]
+    values = _builtin_sample(state)
+    gauge = continuation_gauge(values)
+    if not math.isfinite(gauge):  # before the monitors see the state
+        raise FloatingPointError("the initial continuation gauge is not finite")
+    cap = BLOWUP_FACTOR * max(gauge, 1.0)
+    trace = [sample(state, values)]
     ledger_rel_max = 0.0
     status = RunStatus.COMPLETED
     t_end = initial.t + config.t_end
@@ -611,7 +613,7 @@ def run(
         except FloatingPointError:
             status = RunStatus.NUMERICAL_FAILURE
             break
-        trace.append(sample(state))
+        trace.append(sample(state, _builtin_sample(state)))
         if continuation_gauge(trace[-1].values) > cap:
             status = RunStatus.BLOWUP_SUSPECTED
             break

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslab import cli, fields, suites
+from kslab import cli, config, fields, solver, suites
 from kslab.checkpoint import atomic_open, load_checkpoint
 from kslab.cli import (
     EXIT_BLOWUP,
@@ -20,7 +20,7 @@ from kslab.cli import (
     _write_trace_csv,
     main,
 )
-from kslab.config import ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
+from kslab.config import CONFIG_KEYS, ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
 from kslab.monitors import (
     TraceRecorder,
     mu_zero_estimate,
@@ -94,10 +94,15 @@ class TestConfigParsing:
     def test_auto_values(self):
         kv = parse_kv_text(FAST_CONFIG)
         kv["run.dt"] = "auto"
-        kv["run.blowup_cap"] = "auto"
         cfg = ExperimentConfig.from_mapping(kv)
         assert cfg.dt is None
-        assert cfg.blowup_cap is None
+
+    def test_documented_examples_list_every_key_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        ini = readme.split("```ini\n", 1)[1].split("```", 1)[0].splitlines()
+        example = [line for line in config.__doc__.splitlines() if line.startswith("    ")]
+        for lines in (ini, example):
+            assert [line.split("=", 1)[0].strip() for line in lines] == list(CONFIG_KEYS)
 
     def test_oversized_truncation_rejected(self):
         kv = parse_kv_text(FAST_CONFIG)
@@ -148,14 +153,38 @@ class TestRunCommand:
         assert state.n.grid.n_axis == 128
 
     def test_blowup_exit_code(self, tmp_path):
-        # Forced trigger: pure growth with a cap barely above the initial gauge.
+        # Forced trigger: pure growth crosses 1000x the initial gauge at t = 3.9.
         cfg = tmp_path / "blow.cfg"
         text = FAST_CONFIG.replace("params.lambda=0.0", "params.lambda=1.0")
         text = text.replace("params.mu=1.0", "params.mu=0.0")
-        cfg.write_text(text + "run.blowup_cap=1.7\nrun.t_end=2.0\n")
+        cfg.write_text(text + "run.t_end=5.0\n")
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_BLOWUP
+
+    def test_overflowing_initial_data_is_numerical_failure_without_artifacts(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FAST_CONFIG + "init.amplitude=1e308\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "initial continuation gauge" in err
+        assert "blowup_cap" not in err
+
+    def test_default_run_samples_the_initial_state_once(self, tmp_path, monkeypatch):
+        times = []
+        original = solver._builtin_sample
+
+        def counted(state):
+            times.append(state.t)
+            return original(state)
+
+        monkeypatch.setattr(solver, "_builtin_sample", counted)
+        assert main(["run", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert times.count(0.0) == 1
 
     def test_invalid_config_is_usage_error_without_artifacts(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -183,7 +212,7 @@ class TestRunCommand:
             ("monitor.R=0.5", "monitor.R"),
             ("grid.n_axis=16\nmonitor.R=4", "monitor.R"),  # h = 2.5: R < 2h
             ("monitor.R=10", "monitor.R"),  # 2R = box_len/2
-            ("run.blowup_cap=0.5", "run.blowup_cap"),  # below the initial gauge
+            ("run.blowup_cap=5", "'run.blowup_cap'"),  # removed: the run derives its cap
         ],
     )
     def test_monitor_settings_are_usage_errors_without_artifacts(
@@ -405,20 +434,14 @@ class TestArgumentErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    # Every row is validated, and every row that sets a cap is built, before
-    # anything is written: the first row of each case is valid on its own.
+    # Every row is validated before anything is written: the first row of
+    # each case is valid on its own.
     @pytest.mark.parametrize(
         "lines,argv,key",
         [
             ("", ["sweep", "--param", "grid.n_axis", "--values", "64,64.5"], "grid.n_axis"),
             ("", ["sweep", "--param", "init.preset", "--values", "1"], "init.preset"),
             ("", ["sweep", "--param", "monitor.centers", "--values", "1"], "monitor.centers"),
-            (
-                "run.blowup_cap=5",  # above the gauge of amplitude 1, below that of 10
-                ["sweep", "--param", "init.amplitude", "--values", "1,10", "--workers", "2"],
-                "run.blowup_cap",
-            ),
-            ("run.blowup_cap=0.5", ["mconv", "--M", "6,7"], "run.blowup_cap"),
         ],
     )
     def test_sweep_config_error_exits_64_without_artifacts(

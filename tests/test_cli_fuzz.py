@@ -1,17 +1,20 @@
 """Property test of ``kslab run`` over generated configurations.
 
 Every configuration, valid or not, must end in one of the documented exit
-codes (0, 2, 3, 4, 64) and never in a traceback.  Configurations start from a
-small valid base (tiny grids, short horizons), override any subset of keys
-with in-range values and corrupt at most one key with a bad token.
+codes (0, 2, 3, 4, 64) and never in a traceback, and a usage error (64) must
+name, as a whole key, a key that the configuration sets.  Configurations
+start from a small valid base (tiny grids, short horizons), override any
+subset of keys with in-range values and corrupt at most one key with a bad
+token.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from kslab.cli import main
@@ -51,7 +54,6 @@ VALID = {
     "run.dt": st.one_of(st.just("auto"), _floats(1e-3, 0.05)),
     "run.t_end": _floats(1e-4, 0.05),
     "run.monitor_every": _ints(1, 6),
-    "run.blowup_cap": st.one_of(st.just("auto"), _floats(0.0, 1e4)),
     "monitor.k": _ints(3, 6),
     "monitor.R": _floats(2.0, 3.0),
     "monitor.centers": st.sampled_from(["max+lattice", "lattice"]),
@@ -70,6 +72,9 @@ VALID = {
     corruption=st.lists(st.tuples(st.sampled_from(sorted(VALID)), st.sampled_from(BAD)), max_size=1),
     then_assert=st.booleans(),
 )
+@example(overrides={}, corruption=[("params.mu", "-1")], then_assert=False)
+@example(overrides={}, corruption=[("grid.d", "100")], then_assert=False)
+@example(overrides={}, corruption=[("init.amplitude", "1e308")], then_assert=False)
 def test_run_exits_with_documented_code(overrides, corruption, then_assert):
     kv = {**BASE, **overrides, **dict(corruption)}
     with tempfile.TemporaryDirectory() as tmp:
@@ -84,3 +89,6 @@ def test_run_exits_with_documented_code(overrides, corruption, then_assert):
     event(f"exit codes {codes}")  # shown by --hypothesis-show-statistics
     assert set(codes) <= EXIT_CODES, (codes, kv)
     assert "Traceback" not in err.getvalue(), kv
+    if 64 in codes:  # "grid.dimension" does not name grid.d
+        named = [k for k in kv if re.search(rf"(?<![\w.]){re.escape(k)}(?!\.?\w)", err.getvalue())]
+        assert named, (err.getvalue(), kv)

@@ -24,6 +24,7 @@ from kslab.fields import (
 from kslab.monitors import mu_zero_estimate
 from kslab.presets import build_initial
 from kslab.solver import (
+    BLOWUP_FACTOR,
     PROBE_TOL,
     Params,
     PicardConfig,
@@ -38,6 +39,7 @@ from kslab.solver import (
     _phi1,
     _phi2,
     approx_initial,
+    continuation_gauge,
     data_bound,
     default_picard_horizon,
     determinism_check,
@@ -95,7 +97,7 @@ class TestParamsAndState:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.inf}, {"blowup_cap": math.nan}],
+        [{"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.inf}],
     )
     def test_run_config_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
@@ -599,14 +601,14 @@ class TestRun:
         grid = make_grid(3, 32, 10.0)
         p = Params(chi=5.0, tau=1.0, lam=1.0, mu=0.0, d=3)
         initial = build_initial(grid, "gaussian_bump", 20.0, 0.5, M=2.2)
-        res = run(
-            initial,
-            p,
-            RunConfig(t_end=4.0, dt=None, monitor_every=5, blowup_cap=50 * 21.0),
-        )
+        res = run(initial, p, RunConfig(t_end=4.0, dt=None, monitor_every=5))
         assert res.status is RunStatus.BLOWUP_SUSPECTED
-        last = res.trace[-1]
-        assert last.values["linf_n"] + last.values["w1inf_c"] > 50 * 21.0
+        # The cap is BLOWUP_FACTOR times the first sample's gauge, which only
+        # the last sample crosses.
+        gauges = [continuation_gauge(s.values) for s in res.trace]
+        cap = BLOWUP_FACTOR * gauges[0]
+        assert gauges[0] > 1.0
+        assert max(gauges[:-1]) <= cap < gauges[-1]
 
     def test_mass_ledger_tight_along_run(self, gauss_state):
         res = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.5, dt=2e-3, monitor_every=50))
@@ -635,9 +637,12 @@ class TestRun:
         exact = heat_propagate(c0, 0.32, tau=p.tau, damping=1.0)
         assert np.max(np.abs(res.final.c.values - exact.values)) <= 1e-12
 
-    def test_blowup_cap_must_exceed_initial_gauge(self, gauss_state):
-        with pytest.raises(ValueError):
-            run(gauss_state, PARAMS_1D, RunConfig(t_end=0.1, dt=0.01, blowup_cap=0.5))
+    def test_non_finite_initial_gauge_is_a_numerical_failure(self, gauss_state):
+        values = gauss_state.n.values.copy()
+        values[0] = np.nan
+        initial = State(0.0, ScalarField(gauss_state.grid, values), gauss_state.c)
+        with pytest.raises(FloatingPointError, match="initial continuation gauge"):
+            run(initial, PARAMS_1D, RunConfig(t_end=0.1, dt=0.01))
 
     def test_params_dimension_must_match_grid(self, gauss_state):
         # The monitors read d from Params; d = 2 on a 1D grid would make the
