@@ -75,12 +75,14 @@ class Grid:
         return tuple(np.meshgrid(*([x] * self.d), indexing="ij"))
 
     def wrapped_delta(self, center: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-        """Per-axis signed displacement from ``center``, wrapped into [-L/2, L/2)."""
+        """Per-axis signed displacement from ``center``, wrapped into [-L/2, L/2).
+
+        Each is laid out on an open mesh (length N along its own axis, 1
+        along the others), so together they broadcast to ``shape``.
+        """
         L = self.box_len
-        out = []
-        for axis, c in zip(self.mesh(), center):
-            out.append((axis - c + 0.5 * L) % L - 0.5 * L)
-        return tuple(out)
+        axes = np.ix_(*[self.axis_coords()] * self.d)
+        return tuple((axis - c + 0.5 * L) % L - 0.5 * L for axis, c in zip(axes, center))
 
     def radius(self, center: tuple[float, ...] | None = None) -> np.ndarray:
         """Wrapped Euclidean distance from ``center`` (default: the origin)."""

@@ -172,13 +172,13 @@ def _smoothstep_down(t: np.ndarray) -> np.ndarray:
     g(s) = exp(-1/s) on s > 0.
     """
     t = np.asarray(t, dtype=np.float64)
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
-    up = t < 1.0
-    dn = t > 0.0
-    a[up] = np.exp(-1.0 / (1.0 - t[up]))
-    b[dn] = np.exp(-1.0 / t[dn])
-    return np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
+    out = np.where(t <= 0.0, 1.0, 0.0)  # 0 for t >= 1 and for NaN
+    band = (t > 0.0) & (t < 1.0)
+    s = t[band]
+    # One of s and 1 - s is at least 1/2, so the sum is at least e^-2.
+    a = np.exp(-1.0 / (1.0 - s))
+    out[band] = a / (a + np.exp(-1.0 / s))
+    return out
 
 
 def cutoff_psi(grid: Grid, M: float) -> ScalarField:

@@ -1,107 +1,35 @@
-"""Named initial-data presets.
+"""Named initial-data presets, sampled as arrays on the grid.
 
 The dynamics only require bounded nonnegative cell density and a bounded
 Lipschitz chemical field; these presets are convenient shapes for the
 experiment drivers.  All are centered at the box origin so the compact
-truncation at radius M interacts with them predictably.
+truncation at radius M interacts with them predictably.  Each is evaluated
+on open-mesh coordinates (one length-N array per axis, broadcasting to the
+grid), so only the sampled fields themselves take full arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .fields import Grid, ScalarField
+from .fields import Grid
 from .solver import State, approx_initial
 
-__all__ = ["preset_functions", "build_initial", "PRESET_NAMES"]
+__all__ = ["build_initial", "PRESET_NAMES"]
 
 PRESET_NAMES = ("gaussian_bump", "two_bumps", "constant", "random_smooth")
 
 
-def _radius_sq(coords) -> np.ndarray:
-    return sum(x * x for x in coords)
-
-
-def preset_functions(
-    name: str,
-    amplitude: float,
-    width: float,
-    grid: Grid,
-    seed: int | None = None,
-) -> tuple[Callable, Callable]:
-    """Return (n0_fn, c0_fn) callables over meshgrid coordinate arrays.
-
-    The chemical field starts at half the density amplitude with the same
-    shape, a neutral choice that exercises both equations from t=0.
-    """
-    if name == "gaussian_bump":
-
-        def n0(*coords):
-            return amplitude * np.exp(-_radius_sq(coords) / (2.0 * width**2))
-
-        def c0(*coords):
-            return 0.5 * amplitude * np.exp(-_radius_sq(coords) / (2.0 * width**2))
-
-        return n0, c0
-
-    if name == "two_bumps":
-        offset = grid.box_len / 8.0
-
-        def n0(*coords):
-            shifted_a = (coords[0] - offset,) + tuple(coords[1:])
-            shifted_b = (coords[0] + offset,) + tuple(coords[1:])
-            return amplitude * (
-                np.exp(-_radius_sq(shifted_a) / (2.0 * width**2))
-                + np.exp(-_radius_sq(shifted_b) / (2.0 * width**2))
-            )
-
-        def c0(*coords):
-            return 0.5 * amplitude * np.exp(-_radius_sq(coords) / (2.0 * width**2))
-
-        return n0, c0
-
-    if name == "constant":
-
-        def n0(*coords):
-            return np.full_like(coords[0], amplitude, dtype=np.float64)
-
-        def c0(*coords):
-            return np.full_like(coords[0], 0.5 * amplitude, dtype=np.float64)
-
-        return n0, c0
-
-    if name == "random_smooth":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        # Band-limited nonnegative noise: random low modes, lifted above zero.
-        n_modes = 4
-        amps_n = rng.standard_normal((n_modes,) * grid.d + (2,))
-        amps_c = rng.standard_normal((n_modes,) * grid.d + (2,))
-
-        def _mix(amps, coords):
-            L = grid.box_len
-            total = np.zeros_like(coords[0], dtype=np.float64)
-            for idx in np.ndindex(*([n_modes] * grid.d)):
-                phase = sum(
-                    2.0 * np.pi * (m + 1) * x / L for m, x in zip(idx, coords)
-                )
-                total += amps[idx + (0,)] * np.cos(phase) + amps[idx + (1,)] * np.sin(
-                    phase
-                )
-            total -= total.min()
-            peak = total.max()
-            return amplitude * total / peak if peak > 0 else total
-
-        def n0(*coords):
-            return _mix(amps_n, coords)
-
-        def c0(*coords):
-            return 0.5 * _mix(amps_c, coords)
-
-        return n0, c0
-
-    raise ValueError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
+def _random_modes(amps: np.ndarray, coords, grid: Grid, amplitude: float) -> np.ndarray:
+    """Random low Fourier modes, lifted to a minimum of 0 and scaled to peak ``amplitude``."""
+    L = grid.box_len
+    total = np.zeros(grid.shape)
+    for idx in np.ndindex(*amps.shape[:-1]):
+        phase = sum(2.0 * np.pi * (m + 1) * x / L for m, x in zip(idx, coords))
+        total += amps[idx + (0,)] * np.cos(phase) + amps[idx + (1,)] * np.sin(phase)
+    total -= total.min()
+    peak = total.max()
+    return amplitude * total / peak if peak > 0 else total
 
 
 def build_initial(
@@ -112,6 +40,36 @@ def build_initial(
     M: float,
     seed: int | None = None,
 ) -> State:
-    """Sample a preset and truncate it to compact support at radius M."""
-    n0_fn, c0_fn = preset_functions(preset, amplitude, width, grid, seed=seed)
-    return approx_initial(n0_fn, c0_fn, M, grid)
+    """Sample a preset and truncate it to compact support at radius M.
+
+    The chemical field starts at half the density amplitude with the same
+    shape (a central bump for ``two_bumps``), a neutral choice that
+    exercises both equations from t=0.
+    """
+    coords = np.ix_(*[grid.axis_coords()] * grid.d)
+
+    def bump(shift: float = 0.0) -> np.ndarray:
+        """Gaussian of the preset's width centered at ``shift`` on the first axis."""
+        shifted = (coords[0] - shift, *coords[1:])
+        return np.exp(-sum(x * x for x in shifted) / (2.0 * width**2))
+
+    if preset == "gaussian_bump":
+        profile = bump()
+        n0 = amplitude * profile
+        c0 = np.multiply(0.5 * amplitude, profile, out=profile)
+    elif preset == "two_bumps":
+        offset = grid.box_len / 8.0
+        n0 = amplitude * (bump(offset) + bump(-offset))
+        c0 = 0.5 * amplitude * bump()
+    elif preset == "constant":
+        n0, c0 = amplitude, 0.5 * amplitude
+    elif preset == "random_smooth":
+        rng = np.random.default_rng(0 if seed is None else seed)
+        # Band-limited nonnegative noise: random low modes, lifted above zero.
+        amps_n = rng.standard_normal((4,) * grid.d + (2,))
+        amps_c = rng.standard_normal((4,) * grid.d + (2,))
+        n0 = _random_modes(amps_n, coords, grid, amplitude)
+        c0 = 0.5 * _random_modes(amps_c, coords, grid, amplitude)
+    else:
+        raise ValueError(f"unknown preset '{preset}' (choose from {PRESET_NAMES})")
+    return approx_initial(n0, c0, M, grid)

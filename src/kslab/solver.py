@@ -553,10 +553,16 @@ def run(
         return FunctionalSample(t=state.t, values=values)
 
     state = initial
-    values = _builtin_sample(state)
+    not_finite = "the initial continuation gauge is not finite"
+    try:
+        # Data that overflow the sample raise here, not as numpy warnings.
+        with np.errstate(over="raise", invalid="raise"):
+            values = _builtin_sample(state)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{not_finite} ({exc})") from None
     gauge = continuation_gauge(values)
     if not math.isfinite(gauge):  # before the monitors see the state
-        raise FloatingPointError("the initial continuation gauge is not finite")
+        raise FloatingPointError(not_finite)
     cap = BLOWUP_FACTOR * max(gauge, 1.0)
     trace = [sample(state, values)]
     ledger_rel_max = 0.0
@@ -627,22 +633,16 @@ def run(
     )
 
 
-def approx_initial(
-    n0_fn: Callable[..., np.ndarray],
-    c0_fn: Callable[..., np.ndarray],
-    M: float,
-    grid: Grid,
-) -> State:
-    """Sample (n0, c0) on the grid and truncate both by the smooth plateau at M.
+def approx_initial(n0: np.ndarray, c0: np.ndarray, M: float, grid: Grid) -> State:
+    """Truncate sampled data (n0, c0) by the smooth plateau at M.
 
-    The sampled cell density must be nonnegative; the truncated data are
-    compactly supported in B_{2M}(0).
+    ``n0`` and ``c0`` are arrays (or scalars) that broadcast to the grid's
+    shape, such as fields evaluated on open-mesh coordinates.  The cell
+    density must be nonnegative; the truncated data are compactly
+    supported in B_{2M}(0).
     """
-    mesh = grid.mesh()
-    n0 = np.asarray(n0_fn(*mesh), dtype=np.float64)
-    c0 = np.asarray(c0_fn(*mesh), dtype=np.float64)
-    n0 = np.broadcast_to(n0, grid.shape)
-    c0 = np.broadcast_to(c0, grid.shape)
+    n0 = np.broadcast_to(np.asarray(n0, dtype=np.float64), grid.shape)
+    c0 = np.broadcast_to(np.asarray(c0, dtype=np.float64), grid.shape)
     if np.min(n0) < 0:
         raise ValueError("initial cell density must be nonnegative")
     psi = cutoff_psi(grid, M).values

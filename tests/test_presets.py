@@ -1,8 +1,51 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kslab.fields import integrate, make_grid
+from kslab.norms import cutoff_psi
 from kslab.presets import PRESET_NAMES, build_initial
+
+
+def _closure_formulas(name, amplitude, width, grid, seed):
+    """(n0, c0) of each preset, evaluated on the full coordinate mesh."""
+    mesh = grid.mesh()
+
+    def radius_sq(coords):
+        return sum(x * x for x in coords)
+
+    if name == "gaussian_bump":
+        n0 = amplitude * np.exp(-radius_sq(mesh) / (2.0 * width**2))
+        c0 = 0.5 * amplitude * np.exp(-radius_sq(mesh) / (2.0 * width**2))
+    elif name == "two_bumps":
+        offset = grid.box_len / 8.0
+        shifted_a = (mesh[0] - offset,) + mesh[1:]
+        shifted_b = (mesh[0] + offset,) + mesh[1:]
+        n0 = amplitude * (
+            np.exp(-radius_sq(shifted_a) / (2.0 * width**2))
+            + np.exp(-radius_sq(shifted_b) / (2.0 * width**2))
+        )
+        c0 = 0.5 * amplitude * np.exp(-radius_sq(mesh) / (2.0 * width**2))
+    elif name == "constant":
+        n0 = np.full_like(mesh[0], amplitude)
+        c0 = np.full_like(mesh[0], 0.5 * amplitude)
+    else:
+        rng = np.random.default_rng(seed)
+        amps_n = rng.standard_normal((4,) * grid.d + (2,))
+        amps_c = rng.standard_normal((4,) * grid.d + (2,))
+
+        def mix(amps):
+            total = np.zeros_like(mesh[0])
+            for idx in np.ndindex(*([4] * grid.d)):
+                phase = sum(2.0 * np.pi * (m + 1) * x / grid.box_len for m, x in zip(idx, mesh))
+                total += amps[idx + (0,)] * np.cos(phase) + amps[idx + (1,)] * np.sin(phase)
+            total -= total.min()
+            peak = total.max()
+            return amplitude * total / peak if peak > 0 else total
+
+        n0, c0 = mix(amps_n), 0.5 * mix(amps_c)
+    return n0, c0
 
 
 class TestPresets:
@@ -39,3 +82,27 @@ class TestPresets:
     def test_unknown_preset_rejected(self, grid1d):
         with pytest.raises(ValueError):
             build_initial(grid1d, "vortex", 1.0, 2.5, M=8.0)
+
+    @pytest.mark.parametrize("box_len", [40.0, 16.0 * np.pi])
+    @pytest.mark.parametrize("d, n_axis", [(1, 256), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bitwise_equal_to_the_formulas_on_the_full_mesh(self, name, d, n_axis, box_len):
+        grid = make_grid(d, n_axis, box_len)
+        M = box_len / 9.0
+        state = build_initial(grid, name, 1.7, 1.3, M, seed=5)
+        n0, c0 = _closure_formulas(name, 1.7, 1.3, grid, seed=5)
+        psi = cutoff_psi(grid, M).values
+        assert np.array_equal(state.n.values, psi * n0)
+        assert np.array_equal(state.c.values, psi * c0)
+
+    def test_build_peaks_at_six_full_arrays(self):
+        # The result is two arrays; the coordinates and radius stay on open
+        # meshes, so only the fields, psi and its ramp take full arrays.
+        grid = make_grid(3, 32, 20.0)
+        tracemalloc.start()
+        try:
+            build_initial(grid, "gaussian_bump", 1.0, 1.25, 4.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * grid.npoints

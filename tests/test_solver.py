@@ -717,34 +717,81 @@ class TestRun:
         assert res.trace[-1].t == pytest.approx(0.3)
 
 
+class TestLinearResponse:
+    """Growth rates of one Fourier mode on the constant equilibrium.
+
+    Linearised at (n*, c*) = (lambda/mu, lambda/mu), mode k evolves by
+    A(k) = [[-(k^2 + lambda), chi n* k^2], [1/tau, -(1 + k^2)/tau]]; seeded
+    along the eigenvector of the largest eigenvalue it grows at exactly that
+    rate.  With chi = 4 and lambda = 1 the threshold is mu_c = 1: the modes
+    below grow at mu < 1 and decay at mu = 1.2.  The rates come from the
+    matrix, not from the stepper, so they test the chi coupling from
+    outside the code.
+    """
+
+    CHI, LAM, TAU, DT, T = 4.0, 1.0, 1.0, 0.025, 4.0
+
+    @pytest.mark.parametrize(
+        "d, n_axis, mode, mu",
+        [
+            (1, 128, (8,), 0.5),
+            (1, 128, (8,), 0.8),
+            (1, 128, (8,), 1.2),
+            (2, 32, (6, 8), 0.5),
+            (2, 32, (6, 8), 0.8),
+            (2, 32, (6, 8), 1.2),
+            (3, 16, (2, 3, 4), 0.8),
+        ],
+    )
+    def test_mode_grows_at_the_equilibrium_rate(self, d, n_axis, mode, mu):
+        grid = make_grid(d, n_axis, 16.0 * np.pi)
+        k = [2.0 * np.pi * m / grid.box_len for m in mode]
+        k2 = sum(ka * ka for ka in k)
+        n_star = self.LAM / mu
+        a = np.array(
+            [[-(k2 + self.LAM), self.CHI * n_star * k2], [1.0 / self.TAU, -(1.0 + k2) / self.TAU]]
+        )
+        eigvals, eigvecs = np.linalg.eig(a)
+        top = np.argmax(eigvals.real)
+        rate, vec = eigvals[top].real, eigvecs[:, top].real
+        wave = 1e-6 * np.cos(sum(ka * x for ka, x in zip(k, grid.mesh())))
+        n0 = ScalarField(grid, n_star + wave)
+        c0 = ScalarField(grid, n_star + (vec[1] / vec[0]) * wave)
+        p = Params(chi=self.CHI, tau=self.TAU, lam=self.LAM, mu=mu, d=d)
+        config = RunConfig(t_end=self.T, dt=self.DT, monitor_every=1000)
+        res = run(State(0.0, n0, c0), p, config)
+        assert res.status is RunStatus.COMPLETED
+        at = tuple(m % n_axis for m in mode)
+        ratio = np.fft.fftn(res.final.n.values)[at] / np.fft.fftn(n0.values)[at]
+        measured = math.log(abs(ratio)) / self.T
+        assert measured == pytest.approx(rate, rel=5e-3)
+
+
 class TestApproxInitial:
     def test_plateau_keeps_values(self, grid1d):
-        state = approx_initial(
-            lambda x: np.ones_like(x), lambda x: 0.5 * np.ones_like(x), 5.0, grid1d
-        )
+        ones = np.ones(grid1d.shape)
+        state = approx_initial(ones, 0.5 * ones, 5.0, grid1d)
         inside = grid1d.radius() <= 5.0
         assert np.all(state.n.values[inside] == 1.0)
         assert np.all(state.c.values[inside] == 0.5)
 
     def test_vanishes_outside_double_radius(self, grid1d):
-        state = approx_initial(
-            lambda x: np.ones_like(x), lambda x: np.ones_like(x), 5.0, grid1d
-        )
+        ones = np.ones(grid1d.shape)
+        state = approx_initial(ones, ones, 5.0, grid1d)
         outside = grid1d.radius() >= 10.0
         assert np.all(state.n.values[outside] == 0.0)
 
     def test_nested_truncations_agree_on_inner_ball(self, grid1d):
-        fn = lambda x: 1.0 + 0.1 * np.cos(2 * np.pi * x / grid1d.box_len)
-        small = approx_initial(fn, fn, 4.0, grid1d)
-        large = approx_initial(fn, fn, 8.0, grid1d)
+        u = 1.0 + 0.1 * np.cos(2 * np.pi * grid1d.axis_coords() / grid1d.box_len)
+        small = approx_initial(u, u, 4.0, grid1d)
+        large = approx_initial(u, u, 8.0, grid1d)
         inner = grid1d.radius() <= 4.0
         assert np.max(np.abs(small.n.values[inner] - large.n.values[inner])) == 0.0
 
     def test_rejects_negative_density(self, grid1d):
+        ones = np.ones(grid1d.shape)
         with pytest.raises(ValueError):
-            approx_initial(
-                lambda x: -np.ones_like(x), lambda x: np.ones_like(x), 5.0, grid1d
-            )
+            approx_initial(-ones, ones, 5.0, grid1d)
 
 
 class TestPicard:
