@@ -26,7 +26,6 @@ from .monitors import (
     ResidualReport,
     TraceRecorder,
     mu_zero_estimate,
-    prop22_recorder,
     run_verdicts,
     trace_checks,
 )
@@ -58,21 +57,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-class _CliRecorder:
-    """Per-sample monitor of ``kslab run``: the trace recorder plus the ledger ingredients."""
+class _CliRecorder(TraceRecorder):
+    """Per-sample monitor of ``kslab run``: the ``TraceRecorder`` the config's monitor keys set."""
 
     def __init__(self, cfg: ExperimentConfig):
-        self.trace_rec = TraceRecorder(
+        super().__init__(
             cfg.params(),
             cfg.grid(),
             k=cfg.monitor_k,
             R=cfg.monitor_R,
             track_max_center=(cfg.monitor_centers == "max+lattice"),
         )
-        self.prop22_rec = prop22_recorder()
-
-    def __call__(self, state: State) -> dict[str, float]:
-        return {**self.trace_rec(state), **self.prop22_rec(state)}
 
 
 def _write_trace_csv(path: Path, trace: list[FunctionalSample]) -> None:
@@ -185,12 +180,20 @@ def _sweep_worker(args: tuple[ExperimentConfig, str, str]) -> dict:
 
 
 def _write_mconv_csv(out: Path, m_values: tuple[float, ...], rows: list[str]) -> None:
-    """Sup differences of consecutive rows' final states on the ball of radius min M."""
+    """Sup differences of consecutive rows' final states on the ball of radius min M.
+
+    A pair whose final states are at different times (a row that stopped
+    early) is not a truncation difference: it gets nan.
+    """
     finals = [load_checkpoint(out / row / "final.kslb") for row in rows]
     mask = finals[0].n.grid.radius() < min(m_values)
     with atomic_open(out / "mconv.csv") as fh:
         fh.write("M_a,M_b,sup_diff_n,sup_diff_c\n")
         for m_a, m_b, f_a, f_b in zip(m_values, m_values[1:], finals, finals[1:]):
+            if f_a.t != f_b.t:
+                fh.write(f"{_fmt(m_a)},{_fmt(m_b)},nan,nan\n")
+                print(f"M {m_a:g} vs {m_b:g}: not compared, final t={f_a.t:g} vs t={f_b.t:g}")
+                continue
             dn = float(np.max(np.abs(f_a.n.values[mask] - f_b.n.values[mask])))
             dc = float(np.max(np.abs(f_a.c.values[mask] - f_b.c.values[mask])))
             fh.write(f"{_fmt(m_a)},{_fmt(m_b)},{_fmt(dn)},{_fmt(dc)}\n")

@@ -72,7 +72,6 @@ __all__ = [
     "z_field",
     "z_residual",
     "z_sup_cap_check",
-    "prop22_recorder",
     "prop22_check",
     "uloc_combined_series",
     "uloc_combined_check",
@@ -102,21 +101,17 @@ COMPARISON_TOL = 1e-3
 
 @dataclass(frozen=True)
 class MomentConfig:
-    """Exponent, cutoff radius, sample centers and coefficient calibration."""
+    """Exponent, cutoff radius and sample centers of the coupled functional."""
 
     k: int
     R: float
     centers: tuple[tuple[float, ...], ...]
-    C0: float
-    tau: float = 1.0
 
     def __post_init__(self):
         if self.k < 3:
             raise ValueError("moment exponent k must be >= 3")
         if not self.R >= 1:
             raise ValueError("cutoff radius must be >= 1")
-        if not self.C0 > 0:
-            raise ValueError("calibration constant C0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -249,26 +244,6 @@ def z_residual(state: State, params: Params) -> tuple[ScalarField, float]:
 # Global L^1 / H^1 ledgers
 
 
-def prop22_recorder():
-    """Monitor callable recording the ingredients of the global-norm ledgers."""
-
-    def record(state: State) -> dict[str, float]:
-        n, c = state.n, state.c
-        grad_c = c.grad_abs
-        l2sq_c = lp_norm(c, 2) ** 2
-        l2sq_gradc = lp_norm(grad_c, 2) ** 2
-        hesssq_c = integrate(hessian_sq(c))
-        return {
-            "l1_n": integrate(ScalarField(n.grid, np.abs(n.values))),
-            "l2sq_c": l2sq_c,
-            "l2sq_gradc": l2sq_gradc,
-            "h1sq_c": l2sq_c + l2sq_gradc,
-            "h1sq_gradc": l2sq_gradc + hesssq_c,
-        }
-
-    return record
-
-
 def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     if len(values) > 1:
@@ -280,10 +255,11 @@ def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def prop22_check(trace: list[FunctionalSample], params: Params) -> list[ResidualReport]:
     """Margins of the time-dependent L^1/L^2/H^1 upper bounds along a trace.
 
-    The mass ledger is reported in both the printed form (no damping factor on
-    the dissipation integral ``int_l2sq_n`` of the run loop) and the
-    Gronwall-consistent form carrying mu.  The printed form is informational;
-    the others pass within 1e-6 max(1, sup_t ||n||_1).
+    Reads the ledger keys of ``TraceRecorder``.  The mass ledger is reported
+    in both the printed form (no damping factor on the dissipation integral
+    ``int_l2sq_n`` of the run loop) and the Gronwall-consistent form carrying
+    mu.  The printed form is informational; the others pass within
+    1e-6 max(1, sup_t ||n||_1).
     """
     t = _times(trace)
     get = lambda key: _column(trace, key)
@@ -380,15 +356,16 @@ def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
     return {j: lead * float(k) ** (2 * j) for j in range(1, k + 1)}
 
 
-def combined_y(state: State, config: MomentConfig) -> float:
+def combined_y(state: State, params: Params, config: MomentConfig) -> float:
     """Max over centers of y = m_0 + sum_j b_j m_j, the coupled functional.
 
-    y is linear in the moment integrands, so their weighted sum
+    The b_j are those of ``mu_zero_estimate(config.k, params)``.  y is linear
+    in the moment integrands, so their weighted sum
     |grad c|^(2k) + sum_j b_j n^j |grad c|^(2k-2j) is formed once and every
     center is read from one sliding cutoff integral.
     """
     k = config.k
-    b = moment_coefficients(k, config.tau, config.C0)
+    b = mu_zero_estimate(k, params).b
     n = state.n.values
     gc = state.c.grad_abs.values
     integrand = gc ** (2 * k)
@@ -739,14 +716,15 @@ def linf_reconstruction_check(
 
 
 class TraceRecorder:
-    """Computes the canonical trace row for each sampled state.
+    """Computes every key of a sampled state that ``trace_checks`` reads.
 
-    Produces the keys (l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc,
-    lk_uloc_n); the run loop itself records mass, linf_n, w1inf_c, min_n and
-    min_c.  ``lk_uloc_n`` takes unit balls when the grid resolves them, else
-    the smallest radius the center scan can see (2h).  ``y`` takes the
-    ``C0`` of ``mu_zero_estimate`` and the ``default_centers`` of the grid,
-    plus the argmax of n when ``track_max_center``.
+    Produces l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc and lk_uloc_n,
+    and the ledger ingredients l1_n, l2sq_c, l2sq_gradc, h1sq_c and
+    h1sq_gradc; the run loop itself records mass, linf_n, w1inf_c, min_n,
+    min_c and the ledger's int_l2sq_n.  ``lk_uloc_n`` takes unit balls when
+    the grid resolves them, else the smallest radius the center scan can see
+    (2h).  ``y`` takes the ``default_centers`` of the grid, plus the argmax
+    of n when ``track_max_center``.
     """
 
     def __init__(
@@ -761,7 +739,6 @@ class TraceRecorder:
         self.grid = grid
         self.k = k
         self.R = R
-        self.C0 = mu_zero_estimate(k, params).C0
         self.centers = default_centers(grid)
         self.track_max_center = track_max_center
         self.l1_params = UlocNormParams(1.0, R)
@@ -773,23 +750,29 @@ class TraceRecorder:
         centers = self.centers
         if self.track_max_center:
             centers = centers + (argmax_center(state.n),)
-        config = MomentConfig(
-            k=self.k, R=self.R, centers=centers, C0=self.C0, tau=p.tau
-        )
-        grad_c = state.c.grad_abs
+        config = MomentConfig(k=self.k, R=self.R, centers=centers)
+        n, c = state.n, state.c
+        grad_c = c.grad_abs
         if p.chi > 0:
             z_max = float(np.max(z_field(state, p).values))
         else:
             # With no chemotaxis the density term of z is undefined; track the
             # gradient part so the trace stays finite.
             z_max = float(np.max(0.5 * p.tau * grad_c.values**2))
+        l2sq_c = lp_norm(c, 2) ** 2
+        l2sq_gradc = lp_norm(grad_c, 2) ** 2
         return {
-            "l1_uloc_n": uloc_norm(state.n, self.l1_params),
+            "l1_uloc_n": uloc_norm(n, self.l1_params),
             "l2_uloc_gradc": uloc_norm(grad_c, self.l2_params),
-            "y": combined_y(state, config),
+            "y": combined_y(state, p, config),
             "z_max": z_max,
             "linf_gradc": grad_c.max_abs(),
-            "lk_uloc_n": uloc_norm(state.n, self.lk_params),
+            "lk_uloc_n": uloc_norm(n, self.lk_params),
+            "l1_n": integrate(ScalarField(n.grid, np.abs(n.values))),
+            "l2sq_c": l2sq_c,
+            "l2sq_gradc": l2sq_gradc,
+            "h1sq_c": l2sq_c + l2sq_gradc,
+            "h1sq_gradc": l2sq_gradc + integrate(hessian_sq(c)),
         }
 
 

@@ -48,8 +48,8 @@ __all__ = [
     "uloc_covering_check",
 ]
 
-# Exponent underflows exp() far before this; used to silence 0*inf in the
-# rational prefactors of the cutoff derivatives near the support edge.
+# Exponent underflows exp() far before this; the cutoff weight and its
+# derivatives are evaluated only where the exponent is above it.
 _EXP_FLOOR = -700.0
 
 
@@ -104,50 +104,64 @@ def w1inf_norm(c: ScalarField) -> float:
 
 
 def _phi_radial_parts(grid: Grid, spec: CutoffSpec):
-    """The weight and the pieces of its analytic derivatives: r, phi, g'(r), g''(r), mask."""
+    """The live support of the weight and, on it only, phi, g'(r), g''(r) and g'(r)/r.
+
+    The support is r < 2R where the exponent g(r) is above ``_EXP_FLOOR``;
+    the weight and all its derivatives vanish off it.  Returns the mask and
+    the four values at its points, in mask order.
+    """
     R = spec.radius
     r = grid.radius(spec.center)
-    inside = r < 2.0 * R
-    denom = np.where(inside, r * r - 4.0 * R * R, -1.0)
+    live = r < 2.0 * R
+    r = r[live]
+    denom = r * r - 4.0 * R * R
     g = 4.0 / 3.0 + 4.0 * R * R / denom
-    live = inside & (g > _EXP_FLOOR)
-    denom = np.where(live, denom, -1.0)
-    phi = np.where(live, np.exp(np.where(live, g, 0.0)), 0.0)
-    gp = np.where(live, -8.0 * R * R * r / denom**2, 0.0)
-    gpp = np.where(
-        live,
-        -8.0 * R * R / denom**2 + 32.0 * R * R * r * r / denom**3,
-        0.0,
-    )
+    keep = g > _EXP_FLOOR
+    live[live] = keep
+    r, denom, g = r[keep], denom[keep], g[keep]
+    gp = -8.0 * R * R * r / denom**2
+    gpp = -8.0 * R * R / denom**2 + 32.0 * R * R * r * r / denom**3
     # g'(r)/r has a finite limit -1/(2R^2) at the center.
-    gp_over_r = np.where(
-        live & (r > 0), gp / np.where(r > 0, r, 1.0), -1.0 / (2.0 * R * R)
-    )
-    gp_over_r = np.where(live, gp_over_r, 0.0)
-    return r, phi, gp, gpp, gp_over_r, live
+    gp_over_r = np.full_like(r, -1.0 / (2.0 * R * R))
+    np.divide(gp, r, out=gp_over_r, where=r > 0)
+    return live, np.exp(g), gp, gpp, gp_over_r
+
+
+def _on_support(grid: Grid, live: np.ndarray, values: np.ndarray) -> ScalarField:
+    """The field equal to ``values`` on the mask ``live`` and 0 off it."""
+    out = np.zeros(grid.shape)
+    out[live] = values
+    return ScalarField(grid, out)
 
 
 def cutoff_phi(grid: Grid, spec: CutoffSpec) -> ScalarField:
     """The compact radial weight, equal to e^{1/3} at the center and 1 at r=R."""
     spec.validate(grid)
-    return ScalarField(grid, _phi_radial_parts(grid, spec)[1])
+    live, phi, *_ = _phi_radial_parts(grid, spec)
+    return _on_support(grid, live, phi)
 
 
 def cutoff_phi_gradient(grid: Grid, spec: CutoffSpec) -> VectorField:
     """Analytic gradient of the compact weight (phi * g'(r) * x/r)."""
     spec.validate(grid)
-    _, phi, _, _, gp_over_r, _ = _phi_radial_parts(grid, spec)
-    deltas = grid.wrapped_delta(spec.center)
-    comps = tuple(ScalarField(grid, phi * gp_over_r * dx) for dx in deltas)
-    return VectorField(grid, comps)
+    live, phi, _, _, gp_over_r = _phi_radial_parts(grid, spec)
+    radial = phi * gp_over_r
+    comps = []
+    for dx in grid.wrapped_delta(spec.center):
+        # Off the support the component is 0 * dx, a zero with the sign of dx.
+        comp = np.zeros(grid.shape)
+        comp *= dx
+        comp[live] = radial * np.broadcast_to(dx, grid.shape)[live]
+        comps.append(ScalarField(grid, comp))
+    return VectorField(grid, tuple(comps))
 
 
 def cutoff_phi_laplacian(grid: Grid, spec: CutoffSpec) -> ScalarField:
     """Analytic Laplacian: phi * (g'' + g'^2 + (d-1) g'/r)."""
     spec.validate(grid)
     d = grid.d
-    _, phi, gp, gpp, gp_over_r, _ = _phi_radial_parts(grid, spec)
-    return ScalarField(grid, phi * (gpp + gp * gp + (d - 1) * gp_over_r))
+    live, phi, gp, gpp, gp_over_r = _phi_radial_parts(grid, spec)
+    return _on_support(grid, live, phi * (gpp + gp * gp + (d - 1) * gp_over_r))
 
 
 def cutoff_phi_hessian_norm(grid: Grid, spec: CutoffSpec) -> ScalarField:
@@ -158,11 +172,10 @@ def cutoff_phi_hessian_norm(grid: Grid, spec: CutoffSpec) -> ScalarField:
     """
     spec.validate(grid)
     d = grid.d
-    _, phi, gp, gpp, gp_over_r, live = _phi_radial_parts(grid, spec)
+    live, phi, gp, gpp, gp_over_r = _phi_radial_parts(grid, spec)
     radial = phi * (gpp + gp * gp)
     tangential = phi * gp_over_r
-    frob = np.sqrt(radial**2 + (d - 1) * tangential**2)
-    return ScalarField(grid, np.where(live, frob, 0.0))
+    return _on_support(grid, live, np.sqrt(radial**2 + (d - 1) * tangential**2))
 
 
 def _smoothstep_down(t: np.ndarray) -> np.ndarray:

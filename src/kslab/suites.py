@@ -300,9 +300,7 @@ def suite_monitors() -> list[CheckResult]:
     )
 
     state = res.final
-    config = MomentConfig(
-        k=3, R=2.0, centers=default_centers(grid), C0=mu_zero_estimate(3, p).C0, tau=p.tau
-    )
+    config = MomentConfig(k=3, R=2.0, centers=default_centers(grid))
     # At the peak of n every moment is genuinely positive.  Far from it the
     # integrand vanishes and the FFT sliding integral reads roundoff, of
     # order eps * int |integrand|, of either sign.
@@ -311,7 +309,7 @@ def suite_monitors() -> list[CheckResult]:
     out.append(
         _result("monitors.moments_nonnegative", least > 0, f"min {least:.3g} at the peak of n")
     )
-    y = combined_y(state, config)
+    y = combined_y(state, p, config)
     out.append(_result("monitors.combined_functional_finite", math.isfinite(y), f"y {y:.4g}"))
     return out
 

@@ -14,10 +14,10 @@ from kslab.dyadic import DyadicConfig, dyadic_block, generalized_young_check, re
 from kslab.fields import ScalarField, make_grid
 from kslab.monitors import (
     COMPARISON_TOL,
+    TraceRecorder,
     moment_coefficients,
     mu_zero_estimate,
     prop22_check,
-    prop22_recorder,
     run_verdicts,
     z_field,
     z_residual,
@@ -139,7 +139,7 @@ def test_criterion_05_global_ledgers():
             initial,
             p,
             RunConfig(t_end=0.5, dt=2e-3, monitor_every=5),
-            monitors=prop22_recorder(),
+            monitors=TraceRecorder(p, grid),
         )
         for report in prop22_check(res.trace, p):
             if report.passed is None:

@@ -24,7 +24,6 @@ from kslab.config import CONFIG_KEYS, ConfigError, ExperimentConfig, SweepSpec, 
 from kslab.monitors import (
     TraceRecorder,
     mu_zero_estimate,
-    prop22_recorder,
     run_verdicts,
     trace_checks,
 )
@@ -342,21 +341,18 @@ class TestAtomicWrites:
 
 class TestVerdictParity:
     def test_library_checks_reproduce_run_residuals(self, fast_config, tmp_path):
-        # The library recorders and checks, with no CLI code in between, must
+        # The library recorder and checks, with no CLI code in between, must
         # give the residuals.csv rows, calibration.json and run-level verdicts
         # of `kslab run`.
         out = tmp_path / "out"
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         cfg = ExperimentConfig.from_file(fast_config)
         params, grid = cfg.params(), cfg.grid()
-        trace_rec = TraceRecorder(params, grid, k=cfg.monitor_k, R=cfg.monitor_R)
-        ledgers = prop22_recorder()
+        recorder = TraceRecorder(params, grid, k=cfg.monitor_k, R=cfg.monitor_R)
         initial = build_initial(
             grid, cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M(), seed=cfg.seed
         )
-        result = run(
-            initial, params, cfg.run_config(), monitors=lambda s: {**trace_rec(s), **ledgers(s)}
-        )
+        result = run(initial, params, cfg.run_config(), monitors=recorder)
 
         reports, fitted = trace_checks(result.trace, params, cfg.monitor_k)
         assert [r.name for r in reports] == [
@@ -384,6 +380,23 @@ class TestVerdictParity:
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
         assert sorted(names) == sorted(verdicts)
+
+
+    def test_readme_verdicts_snippet_runs(self):
+        # The library snippet of README's "Verdicts" section, after a small
+        # 1D preamble that gives it params, grid and initial.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Verdicts\n", 1)[1].split("\n### ", 1)[0]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        grid = fields.make_grid(1, 128, 40.0)
+        scope = {
+            "grid": grid,
+            "params": solver.Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1),
+            "initial": build_initial(grid, "gaussian_bump", 1.0, 2.5, M=8.0),
+        }
+        exec(snippet, scope)
+        assert len(scope["reports"]) == 7
+        assert all(scope["verdicts"].values())
 
 
 class TestSampleCost:
@@ -737,6 +750,22 @@ class TestMconvCommand:
         for m in (4, 6, 8):
             summary = json.loads((mconv / f"init.M_{m}" / "summary.json").read_text())
             assert summary["mode"] == "calibrate"
+
+    def test_rows_stopped_at_different_times_not_compared(self, tmp_path, capsys):
+        # An undamped collapse: the M = 4 row reports blow-up at t = 0.264
+        # while M = 0.3 runs to t_end, so their finals are no truncation pair.
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(
+            "grid.d=2\ngrid.n_axis=64\ngrid.box_len=20\nparams.chi=1\nparams.tau=1\n"
+            "params.lambda=0\nparams.mu=0\ninit.preset=gaussian_bump\ninit.amplitude=20\n"
+            "init.width=0.8\nrun.t_end=0.5\n"
+        )
+        out = tmp_path / "m"
+        assert main(["mconv", "--config", str(cfg), "--out", str(out), "--M", "0.3,4"]) == EXIT_OK
+        statuses = [line.split(",")[1] for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert statuses == ["completed", "blowup_suspected"]
+        assert (out / "mconv.csv").read_text().splitlines()[1:] == ["0.29999999999999999,4,nan,nan"]
+        assert "M 0.3 vs 4: not compared, final t=0.5 vs t=0.264" in capsys.readouterr().out
 
     def test_single_truncation_degenerate(self, fast_config, tmp_path):
         out = tmp_path / "m"

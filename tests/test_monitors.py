@@ -33,8 +33,8 @@ from kslab.monitors import (
     moment_coefficients,
     mu_zero_estimate,
     prop22_check,
-    prop22_recorder,
     run_verdicts,
+    trace_checks,
     uloc_combined_check,
     uloc_combined_series,
     z_comparison_level,
@@ -159,12 +159,7 @@ class TestReportVerdict:
 class TestGlobalLedgers:
     def test_zero_data_margins_nonpositive(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.3, mu=1.0, d=1)
-        res = run(
-            zero_state(grid1d),
-            p,
-            RunConfig(t_end=0.2, dt=5e-3, monitor_every=10),
-            monitors=prop22_recorder(),
-        )
+        res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10))
         for report in prop22_check(res.trace, p):
             assert report.max_margin() <= 1e-12
 
@@ -179,12 +174,7 @@ class TestGlobalLedgers:
         grid = make_grid(2, 64, 40.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=2.0, d=2)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
-        res = run(
-            initial,
-            p,
-            RunConfig(t_end=0.5, dt=2e-3, monitor_every=5),
-            monitors=prop22_recorder(),
-        )
+        res = recorded_run(initial, p, RunConfig(t_end=0.5, dt=2e-3, monitor_every=5))
         reports = {r.name: r for r in prop22_check(res.trace, p)}
         scale = res.trace[0].values["l1_n"]
         for name in ("mass_ledger", "chem_energy", "chem_gradient_energy"):
@@ -194,7 +184,7 @@ class TestGlobalLedgers:
         # The mass ledger reads the run loop's exact int_l2sq_n only; samples
         # recorded outside ``run`` lack it and have no ledger.
         p = Params(chi=1.0, tau=1.0, d=1)
-        values = prop22_recorder()(zero_state(grid1d))
+        values = TraceRecorder(p, grid1d)(zero_state(grid1d))
         trace = [FunctionalSample(t, values) for t in (0.0, 0.1)]
         with pytest.raises(ValueError, match="int_l2sq_n"):
             prop22_check(trace, p)
@@ -286,10 +276,9 @@ class TestMoments:
 
 class TestCombinedFunctional:
     def test_zero_state(self, grid1d):
-        config = MomentConfig(
-            k=3, R=2.0, centers=default_centers(grid1d), C0=1.0, tau=1.0
-        )
-        assert combined_y(zero_state(grid1d), config) == 0.0
+        p = Params(chi=1.0, tau=1.0, d=1)
+        config = MomentConfig(k=3, R=2.0, centers=default_centers(grid1d))
+        assert combined_y(zero_state(grid1d), p, config) == 0.0
 
     def test_coefficient_ratio(self):
         for k in (3, 4, 5):
@@ -341,7 +330,8 @@ class TestSlidingCutoffOracle:
         centers = oracle_centers(state)
         n = state.n.values
         gc = magnitude(gradient(state.c)).values
-        b = moment_coefficients(k, 1.0, 0.5)
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=d)
+        b = mu_zero_estimate(k, p).b
         phis = [cutoff_phi(grid, CutoffSpec(center, R)) for center in centers]
         for j in range(k + 1):
             direct = [integrate(phi * (n**j * gc ** (2 * k - 2 * j))) for phi in phis]
@@ -352,11 +342,11 @@ class TestSlidingCutoffOracle:
         )
         direct = [integrate(phi * integrand) for phi in phis]
         got = [
-            combined_y(state, MomentConfig(k=k, R=R, centers=(center,), C0=0.5))
+            combined_y(state, p, MomentConfig(k=k, R=R, centers=(center,)))
             for center in centers
         ]
         assert_per_center(got, direct)
-        y = combined_y(state, MomentConfig(k=k, R=R, centers=centers, C0=0.5))
+        y = combined_y(state, p, MomentConfig(k=k, R=R, centers=centers))
         assert abs(y - max(direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -776,6 +766,20 @@ class TestRunVerdicts:
         assert run_verdicts(res, p)[0]["nonnegativity_c"]
         # The tau-blind bound e^(-t) min c(0) would call this exact decay a failure.
         assert not run_verdicts(res, replace(p, tau=1.0))[0]["nonnegativity_c"]
+
+
+def test_one_recorder_feeds_every_trace_check(grid1d):
+    # k = 3 > d and tau = 1, mu > d chi / 4: every residuals.csv family applies,
+    # and a TraceRecorder alone records every key they read.
+    p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+    initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
+    res = recorded_run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), k=3)
+    reports, fitted = trace_checks(res.trace, p, 3)
+    assert [r.name for r in reports] == [
+        "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
+        "uloc_combined", "linf_reconstruction", "z_sup_cap",
+    ]
+    assert sorted(fitted) == ["linf_reconstruction", "uloc_combined"]
 
 
 def test_verdict_conditions_are_written_only_in_monitors():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,19 @@ class TestCutoffPhi:
         at_edge = np.abs(r - 2 * spec.radius) <= grid.spacing
         assert np.max(np.abs(phi[at_edge])) <= 1e-3
         assert np.max(np.abs(gp[at_edge])) <= 1e-2
+
+    def test_weight_peaks_at_three_full_arrays(self):
+        # Only the radius and the result are full arrays; the weight and its
+        # derivative pieces live on the support.
+        grid = make_grid(3, 32, 20.0)
+        spec = CutoffSpec((0.0, 0.0, 0.0), 2.0)
+        tracemalloc.start()
+        try:
+            cutoff_phi(grid, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * grid.npoints
 
 
 class TestCutoffPsi:
