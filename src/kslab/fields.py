@@ -129,8 +129,19 @@ class ScalarField:
 
     @cached_property
     def grad_abs(self) -> "ScalarField":
-        """|grad f|, formed once per field and shared by every consumer."""
-        return magnitude(gradient(self))
+        """|grad f|, formed once per field and shared by every consumer.
+
+        The bytes are those of ``magnitude(gradient(f))``, but each squared
+        component is added as it is formed, so one component is alive at a time.
+        """
+        grid = self.grid
+        fhat = _rfft(self.values)
+        prod = np.empty_like(fhat)
+        comp, total = np.empty(grid.shape), np.zeros(grid.shape)
+        for ka in _k_axes_odd_r(grid):
+            _irfft(np.multiply(1j * ka, fhat, out=prod), grid, out=comp, work=prod)
+            total += np.square(comp, out=comp)
+        return ScalarField(grid, np.sqrt(total, out=total))
 
     def __add__(self, other):
         return ScalarField(self.grid, self.values + _vals(other))
@@ -229,26 +240,62 @@ def _halves(shape: tuple[int, ...], run: Callable[[slice], object], n: int) -> N
     pending.result()
 
 
-def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rfft(values: np.ndarray, out: np.ndarray | None = None, band: bool = False) -> np.ndarray:
     """Half-spectrum transform into ``out`` (default: one fresh array).
 
     The passes, their order and so the bytes are those of ``np.fft.rfftn``:
     ``rfft`` over the last axis into ``out``, then ``fft`` in place there
     over axes d-2 ... 0.  Each pass runs by ``_halves``: all but the last on
     halves of axis 0, the last, over axis 0, on halves of axis 1.
+
+    With ``band`` the result is the transform with the 2/3 rule applied,
+    +0.0 at every mode it drops, and only the kept band is transformed:
+    after the pass over an axis its dropped modes are zeroed, and the later
+    passes skip the lines through them.  Each kept mode comes from the same
+    passes on the same lines as without ``band``, and so has its bytes.
     """
     if out is None:
         out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), np.complex128)
+    n = values.shape[-1]
+    k = n // 3  # the 2/3 rule keeps |mode index| <= n/3 on every axis
     if values.ndim == 1:
-        return np.fft.rfft(values, out=out)
+        np.fft.rfft(values, out=out)
+        if band:
+            out[k + 1 :] = 0.0
+        return out
+    # The last axis's modes that the later passes transform, a full axis's
+    # dropped modes, and the axis-1 modes that the pass over axis 0 takes.
+    last = slice(0, k + 1) if band else slice(None)
+    dropped = slice(k + 1, n - k)
+    if not band:
+        cols = (slice(0, out.shape[1]),)
+    elif values.ndim == 2:
+        cols = (last,)
+    else:
+        cols = (slice(0, k + 1), slice(n - k, n))
 
     def leading(s):  # the passes before the one over axis 0, on rows s of axis 0
         np.fft.rfft(values[s], axis=-1, out=out[s])
+        if band:
+            out[s, ..., k + 1 :] = 0.0
         for axis in range(values.ndim - 2, 0, -1):
-            np.fft.fft(out[s], axis=axis, out=out[s])
+            lines = out[s][..., last]
+            np.fft.fft(lines, axis=axis, out=lines)
+            if band:
+                lines[(slice(None),) * axis + (dropped,)] = 0.0
+
+    def first(s):  # the pass over axis 0, on the lines of ``cols`` in columns s of axis 1
+        lo, hi, _ = s.indices(cols[-1].stop)
+        for col in cols:
+            start, stop = max(lo, col.start), min(hi, col.stop)
+            if start < stop:
+                lines = out[(slice(None), slice(start, stop)) + (last,) * (values.ndim - 2)]
+                np.fft.fft(lines, axis=0, out=lines)
+                if band:
+                    lines[dropped] = 0.0
 
     _halves(values.shape, leading, out.shape[0])
-    _halves(values.shape, lambda s: np.fft.fft(out[:, s], axis=0, out=out[:, s]), out.shape[1])
+    _halves(values.shape, first, cols[-1].stop)
     return out
 
 
@@ -339,13 +386,23 @@ def _dealias_mask_r(grid: Grid) -> np.ndarray:
     return mask
 
 
+def _real_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of ``shape`` over the start of ``buf``'s memory, for
+    a value that lives only while ``buf`` is spent."""
+    return buf.view(np.float64).reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
-    return ScalarField(f.grid, _irfft(_rfft(f.values) * mult, f.grid))
+    fhat = _rfft(f.values)
+    return ScalarField(f.grid, _irfft(np.multiply(fhat, mult, out=fhat), f.grid, work=fhat))
 
 
 def _grad_hat(fhat: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
     """Gradient components of the field with half spectrum ``fhat``."""
-    return tuple(_irfft(1j * ka * fhat, grid) for ka in _k_axes_odd_r(grid))
+    prod = np.empty(grid.rshape, np.complex128)  # each product, spent by its transform
+    return tuple(
+        _irfft(np.multiply(1j * ka, fhat, out=prod), grid, work=prod) for ka in _k_axes_odd_r(grid)
+    )
 
 
 def _hessian_sq_hat(fhat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -353,6 +410,9 @@ def _hessian_sq_hat(fhat: np.ndarray, grid: Grid) -> np.ndarray:
     k_even = _k_axes_r(grid)
     k_odd = _k_axes_odd_r(grid)
     total = np.zeros(grid.shape)
+    dij = np.empty(grid.shape)
+    prod = np.empty(grid.rshape, np.complex128)
+    term = _real_view(prod, grid.shape)  # each weighted square, once the transform spent prod
     for i in range(grid.d):
         for j in range(i, grid.d):
             if i == j:
@@ -361,8 +421,8 @@ def _hessian_sq_hat(fhat: np.ndarray, grid: Grid) -> np.ndarray:
             else:
                 mult = -k_odd[i] * k_odd[j]
                 weight = 2.0  # off-diagonal pairs appear twice in the sum
-            dij = _irfft(mult * fhat, grid)
-            total = total + weight * dij * dij
+            _irfft(np.multiply(mult, fhat, out=prod), grid, out=dij, work=prod)
+            total += np.multiply(np.multiply(weight, dij, out=term), dij, out=term)
     return total
 
 

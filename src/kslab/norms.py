@@ -235,8 +235,11 @@ def _sliding_integrals(
     Equals the direct sample sum of each center up to FFT roundoff relative
     to the largest value; signed wherever ``f`` is.
     """
-    conv = _irfft(_rfft(f) * _weight_hat(grid, kind, radius, shift), grid)
-    return conv * grid.spacing**grid.d
+    fhat = _rfft(f)
+    np.multiply(fhat, _weight_hat(grid, kind, radius, shift), out=fhat)
+    conv = _irfft(fhat, grid, work=fhat)
+    conv *= grid.spacing**grid.d
+    return conv
 
 
 def _cutoff_integrals(

@@ -33,11 +33,11 @@ import numpy as np
 from .fields import (
     Grid,
     ScalarField,
-    _dealias_mask_r,
     _grad_hat,
     _irfft,
     _k_axes_odd_r,
     _k_squared_r,
+    _real_view,
     _rfft,
     integrate,
 )
@@ -214,7 +214,9 @@ def _k_squared_levels(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Scratch:
-    """Buffers and masks for one evaluation of the dealiased transport term.
+    """Buffers for one evaluation of the dealiased transport term: ``ik_odd``,
+    i*k per axis (broadcast vectors), the half spectrum ``prod`` and the real
+    field ``phys``, each spent by the next product.
 
     ``rhs`` and the Picard route build one of these; the stepper's
     ``_Workspace`` extends it with the buffers of a whole step.
@@ -222,15 +224,22 @@ class _Scratch:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        # Modes the 2/3 rule zeroes after each product, and i*k per axis.
-        self.drop = ~_dealias_mask_r(grid)
         self.ik_odd = tuple(1j * ka for ka in _k_axes_odd_r(grid))
         self.prod = np.empty(grid.rshape, dtype=np.complex128)  # transform scratch
         self.phys = np.empty(grid.shape)  # product scratch
 
 
 class _Workspace(_Scratch):
-    """Half-spectrum and physical buffers for one split step.
+    """The buffers of one split step: six half spectra and one real field.
+
+    Besides ``prod`` and ``phys``: ``nhat`` and ``chat``, the state's
+    transforms and then stage a's; ``nn_u`` and ``nc_u``, stage u's
+    tendencies; ``nn_a``, stage a's transport term.  Spent buffers serve
+    the rest: ``prod`` takes stage a's ``nc`` term, ``mult`` (``phys``
+    read as a half-spectrum real array) each stepper multiplier while it is
+    used, and ``log1p`` (``nn_u`` read as a real field) the logistic
+    substep's logarithms, taken before and after its stage-u values live.
+    Stage a's density goes into the new state's density array.
 
     ``run`` allocates one per run and hands it to every ``_Stepper`` it
     builds, so a step allocates only the two arrays of the new State.  The
@@ -241,10 +250,10 @@ class _Workspace(_Scratch):
     def __init__(self, grid: Grid):
         super().__init__(grid)
         half = lambda: np.empty(grid.rshape, dtype=np.complex128)
-        self.nhat, self.chat = half(), half()  # state transforms, then stage a
-        self.nn_u, self.nc_u = half(), half()
-        self.nn_a, self.nc_a = half(), half()
-        self.a_n = np.empty(grid.shape)  # stage-a density, logistic scratch
+        self.nhat, self.chat = half(), half()
+        self.nn_u, self.nc_u, self.nn_a = half(), half(), half()
+        self.mult = _real_view(self.phys, grid.rshape)
+        self.log1p = _real_view(self.nn_u, grid.shape)
 
 
 def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
@@ -252,15 +261,14 @@ def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
 
     Operates in the half-spectrum layout with ``ws.prod``/``ws.phys`` as
     scratch; ``out`` must be another buffer than ``chat``.  Each axis adds
-    its flux ``i k_a (n d_a c)^``, with the product dealiased; the
-    divergence has no zero mode, so the term moves no mass.
+    its flux ``i k_a (n d_a c)^``, with the product's transform confined to
+    the 2/3 band; the divergence has no zero mode, so the term moves no mass.
     """
     grid, prod, phys = ws.grid, ws.prod, ws.phys
     out.fill(0.0)
     for ik in ws.ik_odd:
         _irfft(np.multiply(ik, chat, out=prod), grid, out=phys, work=prod)
-        _rfft(np.multiply(n_phys, phys, out=phys), out=prod)
-        prod[ws.drop] = 0.0
+        _rfft(np.multiply(n_phys, phys, out=phys), out=prod, band=True)
         out += np.multiply(ik, prod, out=prod)
     return np.multiply(-params.chi, out, out=out)
 
@@ -274,8 +282,7 @@ def _source_hat(params: Params, ws: _Scratch, nhat, chat, n_phys, out):
     """
     nn = _transport_hat(params, ws, chat, n_phys, out)
     nn += np.multiply(params.lam, nhat, out=ws.prod)
-    n2_hat = _rfft(np.multiply(n_phys, n_phys, out=ws.phys), out=ws.prod)
-    n2_hat[ws.drop] = 0.0
+    n2_hat = _rfft(np.multiply(n_phys, n_phys, out=ws.phys), out=ws.prod, band=True)
     nn -= np.multiply(params.mu, n2_hat, out=n2_hat)
     return nn
 
@@ -284,7 +291,11 @@ class _Stepper:
     """Strang-split step ``L(dt/2) T(dt) L(dt/2)`` for one (grid, params, dt).
 
     ``L`` is the exact logistic flow, ``T`` the ETD-RK2 step of the heat
-    flows and the transport term, with multipliers precomputed here.
+    flows and the transport term.  The stepper holds its six ETD
+    multipliers per distinct ``|k|^2`` (``exp_*``, ``p1_*``, ``p2_*`` for n
+    and c; 4,541 values each at 64^3), the index ``where`` of each
+    half-spectrum entry's value, the logistic constants and its workspace.
+    ``advance`` gathers each multiplier into ``ws.mult`` where it is used.
     ``workspace`` is a ``_Workspace`` to reuse (same grid),
     such as the one ``run`` hands to every stepper it builds; by default the
     stepper allocates its own.
@@ -300,21 +311,25 @@ class _Stepper:
         self.grid = grid
         self.params = params
         self.dt = dt
-        # Each multiplier is evaluated once per distinct |k|^2, then gathered.
-        ksq, where = _k_squared_levels(grid)
+        # Each multiplier is evaluated once per distinct |k|^2.
+        ksq, self.where = _k_squared_levels(grid)
         z_n = -dt * ksq
         z_c = dt * (-1.0 - ksq) / params.tau
-        self.exp_n = np.exp(z_n)[where]
-        self.exp_c = np.exp(z_c)[where]
-        self.p1_n = (dt * _phi1(z_n))[where]
-        self.p1_c = (dt * _phi1(z_c))[where]
-        self.p2_n = (dt * _phi2(z_n))[where]
-        self.p2_c = (dt * _phi2(z_c))[where]
+        self.exp_n = np.exp(z_n)
+        self.exp_c = np.exp(z_c)
+        self.p1_n = dt * _phi1(z_n)
+        self.p1_c = dt * _phi1(z_c)
+        self.p2_n = dt * _phi2(z_n)
+        self.p2_c = dt * _phi2(z_c)
         # Logistic substep of length s = dt/2: e^{lam s} and q = expm1(lam s)/lam.
         s = 0.5 * dt
         self.growth = math.exp(params.lam * s)
         self.q = math.expm1(params.lam * s) / params.lam if params.lam > 0 else s
         self.ws = workspace if workspace is not None else _Workspace(grid)
+
+    def _gather(self, levels: np.ndarray) -> np.ndarray:
+        """The multiplier with per-``|k|^2`` values ``levels``, in ``ws.mult``."""
+        return np.take(levels, self.where, out=self.ws.mult, mode="clip")
 
     def _logistic(self, n: np.ndarray, out: np.ndarray) -> tuple[float, float, float]:
         """Exact flow of ``n' = lam n - mu n^2`` over dt/2, from ``n`` into ``out``.
@@ -339,7 +354,7 @@ class _Stepper:
             raise FloatingPointError(
                 "logistic substep: 1 + mu q n <= 0 at a negative density"
             )
-        int_n = float(np.sum(np.log1p(x, out=ws.a_n))) / p.mu
+        int_n = float(np.sum(np.log1p(x, out=ws.log1p))) / p.mu
         x += 1.0
         np.divide(n, x, out=out)
         out *= self.growth
@@ -365,19 +380,20 @@ class _Stepper:
         nhat, chat = _rfft(new_n, ws.nhat), _rfft(state.c.values, ws.chat)
         nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u)
         nc_u = np.divide(nhat, p.tau, out=ws.nc_u)
-        a_n_hat = np.multiply(self.exp_n, nhat, out=nhat)
-        a_n_hat += np.multiply(self.p1_n, nn_u, out=ws.prod)
-        a_c_hat = np.multiply(self.exp_c, chat, out=chat)
-        a_c_hat += np.multiply(self.p1_c, nc_u, out=ws.prod)
-        a_n = _irfft(a_n_hat, grid, out=ws.a_n, work=ws.prod)
+        a_n_hat = np.multiply(self._gather(self.exp_n), nhat, out=nhat)
+        a_n_hat += np.multiply(self._gather(self.p1_n), nn_u, out=ws.prod)
+        a_c_hat = np.multiply(self._gather(self.exp_c), chat, out=chat)
+        a_c_hat += np.multiply(self._gather(self.p1_c), nc_u, out=ws.prod)
+        # new_n is spent (nhat holds it) until the final transform.
+        a_n = _irfft(a_n_hat, grid, out=new_n, work=ws.prod)
         nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a)
-        nc_a = np.divide(a_n_hat, p.tau, out=ws.nc_a)
+        nc_a = np.divide(a_n_hat, p.tau, out=ws.prod)
 
         # a_hat + p2 * (N_a - N_u), transformed into the new state's arrays.
         nn_a -= nn_u
-        a_n_hat += np.multiply(self.p2_n, nn_a, out=nn_a)
+        a_n_hat += np.multiply(self._gather(self.p2_n), nn_a, out=nn_a)
         nc_a -= nc_u
-        a_c_hat += np.multiply(self.p2_c, nc_a, out=nc_a)
+        a_c_hat += np.multiply(self._gather(self.p2_c), nc_a, out=nc_a)
         _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
         new_c = _irfft(a_c_hat, grid, out=np.empty(grid.shape), work=a_c_hat)
         int_n_b, int_n2_b, damped_b = self._logistic(new_n, new_n)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -409,16 +410,24 @@ class TestSampleCost:
             cfg.grid(), cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M()
         )
         recorder = _CliRecorder(cfg)
-        original = fields.gradient
         calls = []
 
-        def counted(f):
-            calls.append(f)
-            return original(f)
+        def counting(original):
+            def counted(f):
+                calls.append(f)
+                return original(f)
 
+            return counted
+
+        # Either forms |grad c|: a call of `gradient`, or an evaluation of
+        # the cached `grad_abs`, which takes no `gradient` call.
+        original = fields.gradient
         for name, module in list(sys.modules.items()):
             if name.startswith("kslab") and getattr(module, "gradient", None) is original:
-                monkeypatch.setattr(module, "gradient", counted)
+                monkeypatch.setattr(module, "gradient", counting(original))
+        grad_abs = functools.cached_property(counting(fields.ScalarField.grad_abs.func))
+        grad_abs.__set_name__(fields.ScalarField, "grad_abs")
+        monkeypatch.setattr(fields.ScalarField, "grad_abs", grad_abs)
         _builtin_sample(state)
         recorder(state)
         suggest_dt(state, params)

@@ -8,9 +8,13 @@ import pytest
 from kslab import fields
 from kslab.fields import (
     ScalarField,
+    _apply_multiplier,
+    _dealias_mask_r,
     _grad_hat,
     _hessian_sq_hat,
     _irfft,
+    _k_axes_odd_r,
+    _k_axes_r,
     _rfft,
     dealias,
     divergence,
@@ -164,6 +168,42 @@ class TestSplitTransforms:
         assert len(split_everywhere) == callers * rounds * 2 * 2
 
 
+def _assert_band_bytes(grid, values):
+    """``_rfft`` with ``band`` gives numpy's transform with the 2/3 rule applied
+    after it, +0.0 at every dropped mode, into a fresh array or over ``out``."""
+    keep = _dealias_mask_r(grid)
+    want = np.fft.rfftn(values)
+    want[~keep] = 0.0
+    assert _rfft(values, band=True).tobytes() == want.tobytes()
+    out = np.full(grid.rshape, np.nan, np.complex128)  # every entry must be written
+    assert _rfft(values, out=out, band=True) is out and out.tobytes() == want.tobytes()
+    assert not (np.signbit(out[~keep].real).any() or np.signbit(out[~keep].imag).any())
+
+
+class TestBandTransform:
+    TRANSFORMS = 2  # per _assert_band_bytes call
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 8)])
+    def test_unsplit_gives_masked_numpy_bytes(self, d, n_axis, helper_halves, rng):
+        grid = make_grid(d, n_axis, 20.0)
+        _assert_band_bytes(grid, rng.standard_normal(grid.shape))
+        assert helper_halves == []
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (2, 8), (3, 16), (3, 8)])
+    def test_forced_split_gives_masked_numpy_bytes(self, d, n_axis, split_everywhere, rng):
+        grid = make_grid(d, n_axis, 20.0)
+        _assert_band_bytes(grid, rng.standard_normal(grid.shape))
+        # 1D is never split; otherwise the helper runs one half of each pass.
+        assert len(split_everywhere) == (0 if d == 1 else 2 * self.TRANSFORMS)
+
+    def test_split_64_cubed_gives_masked_numpy_bytes(self, monkeypatch, helper_halves):
+        monkeypatch.setattr(fields, "_cpus", lambda: 2)
+        grid = make_grid(3, 64, 20.0)
+        assert grid.npoints >= fields.SPLIT_MIN_POINTS
+        _assert_band_bytes(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        assert len(helper_halves) == 2 * self.TRANSFORMS
+
+
 class TestDerivatives:
     def test_gradient_of_constant(self, grid2d):
         g = gradient(ScalarField(grid2d, np.full(grid2d.shape, 3.5)))
@@ -237,6 +277,31 @@ class TestSpectralCores:
             assert np.array_equal(got, want.values)
         assert np.array_equal(_hessian_sq_hat(fhat, grid), hessian_sq(f).values)
         assert np.array_equal(fhat, _rfft(f.values))
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_scratch_reuse_keeps_the_allocating_bytes(self, d, n_axis, rng):
+        # The helpers reuse their spent products; the bytes are those of one
+        # fresh array per operation.
+        grid = make_grid(d, n_axis, 20.0)
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+
+        def irfft(coeffs):
+            return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(d)))
+
+        fhat = np.fft.rfftn(f.values)
+        comps = [irfft(1j * ka * fhat) for ka in _k_axes_odd_r(grid)]
+        assert [c.tobytes() for c in _grad_hat(fhat, grid)] == [c.tobytes() for c in comps]
+        assert f.grad_abs.values.tobytes() == np.sqrt(sum(c**2 for c in comps)).tobytes()
+        k_even, k_odd = _k_axes_r(grid), _k_axes_odd_r(grid)
+        total = np.zeros(grid.shape)
+        for i in range(d):
+            for j in range(i, d):
+                mult, w = (-k_even[i] * k_even[i], 1.0) if i == j else (-k_odd[i] * k_odd[j], 2.0)
+                dij = irfft(mult * fhat)
+                total = total + w * dij * dij
+        assert _hessian_sq_hat(fhat, grid).tobytes() == total.tobytes()
+        mult = np.exp(-_k_axes_r(grid)[0] ** 2)
+        assert _apply_multiplier(f, mult).values.tobytes() == irfft(fhat * mult).tobytes()
 
 
 class TestHeatPropagate:

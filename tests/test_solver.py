@@ -568,6 +568,27 @@ class TestWorkspaceStep:
         assert out[0].t > state.t
         assert peak <= 2.1 * 8 * grid.npoints
 
+    def test_headline_shaped_run_peak(self):
+        # The damped headline run at 32^3.  Its peak, during a probe's step,
+        # holds the workspace (six half spectra, one real field), the state
+        # with its |grad c|, the coarse density, the mid and new states and the
+        # k caches: about 18.3 real fields.  Six full multiplier arrays per
+        # stepper would add 3.
+        grid = make_grid(3, 32, 20.0)
+        mu0 = mu_zero_estimate(4, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3)).mu0
+        p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=3)
+        initial = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = run(initial, p, RunConfig(t_end=0.5, dt=None, monitor_every=10))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.status is RunStatus.COMPLETED
+        assert peak <= 19 * 8 * grid.npoints
+
     def test_run_reuses_one_workspace_across_rebuilds(self, gauss_state, monkeypatch):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
         seen = []
