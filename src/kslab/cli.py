@@ -22,13 +22,7 @@ import numpy as np
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
 from .fields import _cpus, _transform_serially
-from .monitors import (
-    ResidualReport,
-    TraceRecorder,
-    mu_zero_estimate,
-    run_verdicts,
-    trace_checks,
-)
+from .monitors import ResidualReport, TraceRecorder, mu_zero_estimate, run_verdicts
 from .presets import build_initial
 from .solver import FunctionalSample, RunResult, RunStatus, State, run
 from .suites import run_suite
@@ -88,10 +82,11 @@ def _write_residuals_csv(path: Path, reports: list[ResidualReport]) -> None:
 
 
 def _residual_reports(
-    cfg: ExperimentConfig, result: RunResult, calibration: dict[str, float] | None
+    recorder: TraceRecorder, result: RunResult, calibration: dict[str, float] | None
 ) -> tuple[list[ResidualReport], dict[str, float], dict[str, bool]]:
-    """The trace-level reports, their fitted or asserted constants, and their verdicts."""
-    reports, fitted = trace_checks(result.trace, cfg.params(), cfg.monitor_k, calibration)
+    """The reports on the trace ``recorder`` fed, their fitted or asserted constants,
+    and their verdicts."""
+    reports, fitted = recorder.check(result.trace, calibration)
     verdicts = {r.name: r.passed for r in reports if r.passed is not None}
     return reports, fitted, verdicts
 
@@ -117,13 +112,14 @@ def _initial(cfg: ExperimentConfig) -> State:
 def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
     calibration = _read_calibration(out / "calibration.json") if mode == "assert" else None
     params = cfg.params()
-    result = run(_initial(cfg), params, cfg.run_config(), monitors=_CliRecorder(cfg))
+    recorder = _CliRecorder(cfg)
+    result = run(_initial(cfg), params, cfg.run_config(), monitors=recorder)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out / "trace.csv", result.trace)
     save_checkpoint(out / "final.kslb", result.final)
 
-    reports, fitted, verdicts = _residual_reports(cfg, result, calibration)
+    reports, fitted, verdicts = _residual_reports(recorder, result, calibration)
     _write_residuals_csv(out / "residuals.csv", reports)
     if mode == "calibrate":
         with atomic_open(out / "calibration.json") as fh:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .fields import Grid, make_grid
+from .monitors import validate_settings
 from .presets import PRESET_NAMES
 from .solver import Params, RunConfig
 
@@ -133,14 +134,10 @@ class ExperimentConfig:
             raise ConfigError("init.M too large: need 2M < box_len/2")
         if self.seed < 0:
             raise ConfigError("init.seed must be nonnegative")
-        if self.monitor_k < 3:
-            raise ConfigError("monitor.k must be >= 3")
-        # The moment cutoff needs R >= 1; the uniformly local scans need R >= 2h.
-        min_R = max(1.0, 2.0 * self.grid().spacing)
-        if not self.monitor_R >= min_R:
-            raise ConfigError(f"monitor.R must be >= max(1, 2h) = {min_R:g}")
-        if not 2.0 * self.monitor_R < self.box_len / 2.0:
-            raise ConfigError("monitor.R too large: need 2R < box_len/2")
+        try:
+            validate_settings(self.grid(), self.monitor_k, self.monitor_R)
+        except ValueError as exc:
+            raise ConfigError(f"monitor.{exc}") from exc
         if self.monitor_centers not in ("max+lattice", "lattice"):
             raise ConfigError("monitor.centers must be 'max+lattice' or 'lattice'")
         return self

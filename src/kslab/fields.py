@@ -362,8 +362,8 @@ def _k_axes_odd_r(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
 def _k_squared_r(grid: Grid) -> np.ndarray:
+    """|k|^2 on the half spectrum; not cached, so no full array outlives its caller."""
     ksq = np.zeros(grid.rshape)
     for ka in _k_axes_r(grid):
         ksq = ksq + ka**2

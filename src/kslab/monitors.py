@@ -13,14 +13,16 @@ trajectory, "assert" freezes it and requires the signed margins to stay
 nonpositive.  Margins follow the convention LHS - RHS, so negative means
 satisfied.
 
-A recorder puts quantities of one state in the trace of ``run``; a
-trace-level check turns them into reports with their own pass tolerance.
-The time derivatives in ``coupled_recorder`` and ``z_residual`` are taken
-from the tendencies of ``solver.rhs`` in spectral form, so no margin depends
-on the sampling rate, and each transforms n and c once.  Every pass/fail of
-``kslab run`` comes from ``trace_checks`` (its ``residuals.csv`` families) and
-``run_verdicts`` (the verdicts on the run as a whole), and ``kslab check``
-and the acceptance gate judge through the same functions:
+A recorder puts quantities of one state in the trace of ``run``, and its
+``check`` turns the trace it recorded into reports with their own pass
+tolerance; it checks its exponent k and cutoff radius R once, when it is
+built (``validate_settings``).  The time derivatives in ``CoupledRecorder``
+and ``z_residual`` are taken from the tendencies of ``solver.rhs`` in
+spectral form, so no margin depends on the sampling rate, and each transforms
+n and c once.  Every pass/fail of ``kslab run`` comes from
+``TraceRecorder.check`` (its ``residuals.csv`` families) and ``run_verdicts``
+(the verdicts on the run as a whole), and ``kslab check`` and the acceptance
+gate judge through the same functions:
 ``ResidualReport.passed``, ``MuZeroReport.holds``, ``COMPARISON_TOL`` and
 ``run_verdicts``.
 """
@@ -65,7 +67,6 @@ from .solver import (
 )
 
 __all__ = [
-    "MomentConfig",
     "ResidualReport",
     "MuZeroReport",
     "FunctionalSample",
@@ -78,16 +79,15 @@ __all__ = [
     "moment",
     "moment_coefficients",
     "combined_y",
-    "coupled_recorder",
-    "coupled_check",
+    "CoupledRecorder",
     "mu_zero_estimate",
     "interpolation_check",
     "low_high_split_error",
     "linf_reconstruction_check",
     "integration_by_parts_gap",
     "default_centers",
+    "validate_settings",
     "TraceRecorder",
-    "trace_checks",
     "trend_slope",
     "run_verdicts",
 ]
@@ -97,21 +97,6 @@ NONNEG_TOL = 1e-8
 # Largest excess of the tau = 1 comparison inequality (the residual of z, or
 # sup z over its cap max(sup z(0), level)) that still passes.
 COMPARISON_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class MomentConfig:
-    """Exponent, cutoff radius and sample centers of the coupled functional."""
-
-    k: int
-    R: float
-    centers: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("moment exponent k must be >= 3")
-        if not self.R >= 1:
-            raise ValueError("cutoff radius must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -171,6 +156,18 @@ def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
         for sy in (-1, 1)
         for sz in (-1, 1)
     )
+
+
+def validate_settings(grid: Grid, k: int, R: float) -> None:
+    """A recorder's rules on k and R: the moment cutoff needs R >= 1, the uniformly
+    local scans R >= 2h, and the cutoff's support B_2R must fit in half the box."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    min_R = max(1.0, 2.0 * grid.spacing)
+    if not R >= min_R:
+        raise ValueError(f"R must be >= max(1, 2h) = {min_R:g}")
+    if not 2.0 * R < grid.box_len / 2.0:
+        raise ValueError("R too large: need 2R < box_len/2")
 
 
 def argmax_center(f: ScalarField) -> tuple[float, ...]:
@@ -356,22 +353,21 @@ def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
     return {j: lead * float(k) ** (2 * j) for j in range(1, k + 1)}
 
 
-def combined_y(state: State, params: Params, config: MomentConfig) -> float:
-    """Max over centers of y = m_0 + sum_j b_j m_j, the coupled functional.
+def combined_y(state: State, params: Params, k: int, R: float, centers: tuple) -> float:
+    """Max over ``centers`` of y = m_0 + sum_j b_j m_j, the coupled functional.
 
-    The b_j are those of ``mu_zero_estimate(config.k, params)``.  y is linear
-    in the moment integrands, so their weighted sum
+    The b_j are those of ``mu_zero_estimate(k, params)`` and R is the cutoff
+    radius.  y is linear in the moment integrands, so their weighted sum
     |grad c|^(2k) + sum_j b_j n^j |grad c|^(2k-2j) is formed once and every
     center is read from one sliding cutoff integral.
     """
-    k = config.k
     b = mu_zero_estimate(k, params).b
     n = state.n.values
     gc = state.c.grad_abs.values
     integrand = gc ** (2 * k)
     for j in range(1, k + 1):
         integrand = integrand + b[j] * n**j * gc ** (2 * k - 2 * j)
-    return float(np.max(_cutoff_integrals(integrand, state.grid, config.R, config.centers)))
+    return float(np.max(_cutoff_integrals(integrand, state.grid, R, centers)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +489,8 @@ def _moment_rate(
     return rate
 
 
-def coupled_recorder(
-    params: Params, k: int, R: float, centers: tuple[tuple[float, ...], ...]
-):
-    """Monitor callable recording the coupled moment inequalities at each state.
+class CoupledRecorder:
+    """Records the coupled moment inequalities at each state, and judges the trace.
 
     The families are ``density_power``, ``gradient_power``, ``mixed_first`` and
     ``mixed_order_j`` for 2 <= j < k, on the moments int phi n^j |grad c|^(2k-2j)
@@ -505,15 +499,24 @@ def coupled_recorder(
     record holds ``<family>_explicit``, the largest explicit margin LHS - RHS
     over ``centers`` (one combined integrand, one sliding cutoff integral),
     and ``<family>_generic``, the uniformly local series that the fitted
-    constant of ``coupled_check`` multiplies.
+    constant of ``check`` multiplies.  ``centers`` defaults to the
+    ``default_centers`` of the grid.
     """
-    tau, mu, lam, d = params.tau, params.mu, params.lam, params.d
-    c_j = mu_zero_estimate(k, params).c_j
-    three_d = 3.0**d
-    nk_params = UlocNormParams(float(k), R)
-    gc_params = UlocNormParams(2.0 * k, R)
 
-    def record(state: State) -> dict[str, float]:
+    def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0, centers=None):
+        validate_settings(grid, k, R)
+        self.params = params
+        self.k = k
+        self.R = R
+        self.centers = default_centers(grid) if centers is None else centers
+        self.c_j = mu_zero_estimate(k, params).c_j
+        self.nk_params = UlocNormParams(float(k), R)
+        self.gc_params = UlocNormParams(2.0 * k, R)
+
+    def __call__(self, state: State) -> dict[str, float]:
+        params, k, R, c_j = self.params, self.k, self.R, self.c_j
+        tau, mu, lam, d = params.tau, params.mu, params.lam, params.d
+        three_d = 3.0**d
         grid = state.grid
         nhat, chat = _rfft(state.n.values), _rfft(state.c.values)
         dn_hat, dc_hat = _tendency_hat(state, params, nhat, chat)
@@ -549,8 +552,8 @@ def coupled_recorder(
                 + gn2 * gc ** (2 * k - 4)
             ),
         }
-        nk = uloc_norm(state.n, nk_params) ** k
-        gc2k = uloc_norm(state.c.grad_abs, gc_params) ** (2 * k)
+        nk = uloc_norm(state.n, self.nk_params) ** k
+        gc2k = uloc_norm(state.c.grad_abs, self.gc_params) ** (2 * k)
         generic = {
             "density_power": three_d * k / (2.0 * (k - 1) * R**2) * nk
             + three_d * k / R ** (2 * k) * gc2k
@@ -574,50 +577,41 @@ def coupled_recorder(
             generic[f"mixed_order_{j}"] = lam * j * R**d + c_j[j] / R**2 * (nk + gc2k)
         out: dict[str, float] = {}
         for name, integrand in explicit.items():
-            margins = _cutoff_integrals(integrand, grid, R, centers)
+            margins = _cutoff_integrals(integrand, grid, R, self.centers)
             out[f"{name}_explicit"] = float(np.max(margins))
             out[f"{name}_generic"] = float(generic[name])
         return out
 
-    return record
+    def check(
+        self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
+    ) -> tuple[list[ResidualReport], dict[str, float]]:
+        """Margins explicit - C generic of each family along a trace this recorder fed.
 
-
-def coupled_check(
-    trace: list[FunctionalSample],
-    params: Params,
-    k: int,
-    calibration: dict[str, float] | None = None,
-) -> tuple[list[ResidualReport], dict[str, float]]:
-    """Margins explicit - C generic of the coupled moment inequalities along a trace.
-
-    Reads the keys of ``coupled_recorder`` for exponent k.  The generic
-    constant C of each family is fitted as the smallest one closing every
-    sample whose generic series exceeds 1e-300 when ``calibration`` is None,
-    else frozen from it.  Each report passes within
-    1e-6 max(1, sup_t |explicit|).  ``params`` is not read: the recorder has
-    already applied it, and the argument keeps the signature of the other
-    trace checks.  Returns the reports and the constants used.
-    """
-    t = _times(trace)
-    reports, fitted = [], {}
-    for name in ["density_power", "gradient_power", "mixed_first"] + [
-        f"mixed_order_{j}" for j in range(2, k)
-    ]:
-        explicit = _column(trace, f"{name}_explicit")
-        generic = _column(trace, f"{name}_generic")
-        usable = generic > 1e-300
-        const = _constant(name, explicit[usable] / generic[usable], calibration)
-        fitted[name] = const
-        reports.append(
-            ResidualReport(
-                name,
-                t,
-                explicit - const * generic,
-                calibration=const,
-                tolerance=1e-6 * max(1.0, float(np.max(np.abs(explicit)))),
+        The generic constant C of each family is fitted as the smallest one
+        closing every sample whose generic series exceeds 1e-300 when
+        ``calibration`` is None, else frozen from it.  Each report passes
+        within 1e-6 max(1, sup_t |explicit|).
+        """
+        t = _times(trace)
+        reports, fitted = [], {}
+        for name in ["density_power", "gradient_power", "mixed_first"] + [
+            f"mixed_order_{j}" for j in range(2, self.k)
+        ]:
+            explicit = _column(trace, f"{name}_explicit")
+            generic = _column(trace, f"{name}_generic")
+            usable = generic > 1e-300
+            const = _constant(name, explicit[usable] / generic[usable], calibration)
+            fitted[name] = const
+            reports.append(
+                ResidualReport(
+                    name,
+                    t,
+                    explicit - const * generic,
+                    calibration=const,
+                    tolerance=1e-6 * max(1.0, float(np.max(np.abs(explicit)))),
+                )
             )
-        )
-    return reports, fitted
+        return reports, fitted
 
 
 def integration_by_parts_gap(n_field: ScalarField, spec: CutoffSpec, k: int) -> float:
@@ -716,7 +710,7 @@ def linf_reconstruction_check(
 
 
 class TraceRecorder:
-    """Computes every key of a sampled state that ``trace_checks`` reads.
+    """Computes every key of a sampled state that its ``check`` reads.
 
     Produces l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc and lk_uloc_n,
     and the ledger ingredients l1_n, l2sq_c, l2sq_gradc, h1sq_c and
@@ -735,8 +729,8 @@ class TraceRecorder:
         R: float = 2.0,
         track_max_center: bool = True,
     ):
+        validate_settings(grid, k, R)
         self.params = params
-        self.grid = grid
         self.k = k
         self.R = R
         self.centers = default_centers(grid)
@@ -750,7 +744,6 @@ class TraceRecorder:
         centers = self.centers
         if self.track_max_center:
             centers = centers + (argmax_center(state.n),)
-        config = MomentConfig(k=self.k, R=self.R, centers=centers)
         n, c = state.n, state.c
         grad_c = c.grad_abs
         if p.chi > 0:
@@ -764,7 +757,7 @@ class TraceRecorder:
         return {
             "l1_uloc_n": uloc_norm(n, self.l1_params),
             "l2_uloc_gradc": uloc_norm(grad_c, self.l2_params),
-            "y": combined_y(state, p, config),
+            "y": combined_y(state, p, self.k, self.R, centers),
             "z_max": z_max,
             "linf_gradc": grad_c.max_abs(),
             "lk_uloc_n": uloc_norm(n, self.lk_params),
@@ -775,19 +768,20 @@ class TraceRecorder:
             "h1sq_gradc": l2sq_gradc + integrate(hessian_sq(c)),
         }
 
+    def check(
+        self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
+    ) -> tuple[list[ResidualReport], dict[str, float]]:
+        """The ``residuals.csv`` families of a trace this recorder fed, in file
+        order, with their fitted or frozen constants."""
+        p = self.params
+        uloc, fitted = uloc_combined_check(trace, p, calibration)
+        linf, linf_fitted = linf_reconstruction_check(trace, p, self.k, calibration)
+        reports = prop22_check(trace, p) + uloc + linf + z_sup_cap_check(trace, p)
+        return reports, {**fitted, **linf_fitted}
+
 
 # ---------------------------------------------------------------------------
 # Verdicts of a run
-
-
-def trace_checks(
-    trace: list[FunctionalSample], params: Params, k: int, calibration: dict[str, float] | None = None
-) -> tuple[list[ResidualReport], dict[str, float]]:
-    """The ``residuals.csv`` families in file order, with their fitted or frozen constants."""
-    uloc, fitted = uloc_combined_check(trace, params, calibration)
-    linf, linf_fitted = linf_reconstruction_check(trace, params, k, calibration)
-    reports = prop22_check(trace, params) + uloc + linf + z_sup_cap_check(trace, params)
-    return reports, {**fitted, **linf_fitted}
 
 
 def trend_slope(trace: list[FunctionalSample], t_lo: float, t_hi: float) -> float:

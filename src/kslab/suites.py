@@ -30,7 +30,6 @@ from .fields import (
 )
 from .monitors import (
     COMPARISON_TOL,
-    MomentConfig,
     argmax_center,
     combined_y,
     default_centers,
@@ -300,7 +299,6 @@ def suite_monitors() -> list[CheckResult]:
     )
 
     state = res.final
-    config = MomentConfig(k=3, R=2.0, centers=default_centers(grid))
     # At the peak of n every moment is genuinely positive.  Far from it the
     # integrand vanishes and the FFT sliding integral reads roundoff, of
     # order eps * int |integrand|, of either sign.
@@ -309,7 +307,7 @@ def suite_monitors() -> list[CheckResult]:
     out.append(
         _result("monitors.moments_nonnegative", least > 0, f"min {least:.3g} at the peak of n")
     )
-    y = combined_y(state, p, config)
+    y = combined_y(state, p, 3, 2.0, default_centers(grid))
     out.append(_result("monitors.combined_functional_finite", math.isfinite(y), f"y {y:.4g}"))
     return out
 

@@ -27,7 +27,7 @@ from kslab import cli, solver
 from kslab.cli import _CliRecorder, _initial, _sweep_worker
 from kslab.config import ExperimentConfig
 from kslab.fields import ScalarField, make_grid
-from kslab.monitors import coupled_recorder, default_centers, z_residual
+from kslab.monitors import CoupledRecorder, z_residual
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -163,7 +163,7 @@ def test_monitor_transforms_are_traced(tmp_path, monkeypatch):
         return solver.State(initial.t, n, c)
 
     cli = _CliRecorder(cfg)
-    coupled = coupled_recorder(params, cfg.monitor_k, cfg.monitor_R, default_centers(grid))
+    coupled = CoupledRecorder(params, grid, cfg.monitor_k, cfg.monitor_R)
     cli(fresh()), coupled(fresh())  # warm the weight-spectrum caches
     tracing, tracer = _install_tracer(monkeypatch)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslab import cli, config, fields, solver, suites
+from kslab import cli, config, fields, monitors, solver, suites
 from kslab.checkpoint import atomic_open, load_checkpoint
 from kslab.cli import (
     EXIT_BLOWUP,
@@ -22,12 +22,7 @@ from kslab.cli import (
     main,
 )
 from kslab.config import CONFIG_KEYS, ConfigError, ExperimentConfig, SweepSpec, parse_kv_text
-from kslab.monitors import (
-    TraceRecorder,
-    mu_zero_estimate,
-    run_verdicts,
-    trace_checks,
-)
+from kslab.monitors import TraceRecorder, mu_zero_estimate, run_verdicts
 from kslab.presets import build_initial
 from kslab.solver import FunctionalSample, _builtin_sample, run, suggest_dt
 
@@ -355,7 +350,7 @@ class TestVerdictParity:
         )
         result = run(initial, params, cfg.run_config(), monitors=recorder)
 
-        reports, fitted = trace_checks(result.trace, params, cfg.monitor_k)
+        reports, fitted = recorder.check(result.trace)
         assert [r.name for r in reports] == [
             "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
             "uloc_combined", "linf_reconstruction", "z_sup_cap",
@@ -398,6 +393,26 @@ class TestVerdictParity:
         exec(snippet, scope)
         assert len(scope["reports"]) == 7
         assert all(scope["verdicts"].values())
+
+    def test_readme_coupled_snippet_runs(self):
+        # The library snippet of README's "Coupled inequalities" section, with
+        # the preamble of the Verdicts snippet; tau = 1 and mu > d chi / 4, so
+        # z_residual applies.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Coupled inequalities\n", 1)[1].split("\n## ", 1)[0]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        grid = fields.make_grid(1, 128, 40.0)
+        scope = {
+            "grid": grid,
+            "params": solver.Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1),
+            "initial": build_initial(grid, "gaussian_bump", 1.0, 2.5, M=8.0),
+        }
+        exec(snippet, scope)
+        assert [r.name for r in scope["reports"]] == [
+            "density_power", "gradient_power", "mixed_first", "mixed_order_2"
+        ]
+        assert all(r.passed for r in scope["reports"])
+        assert scope["worst"] <= monitors.COMPARISON_TOL
 
 
 class TestSampleCost:

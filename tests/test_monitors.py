@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kslab import monitors
+from kslab.config import ConfigError, ExperimentConfig
 from kslab.fields import (
     ScalarField,
     gradient,
@@ -16,14 +17,12 @@ from kslab.fields import (
     make_grid,
 )
 from kslab.monitors import (
-    MomentConfig,
+    CoupledRecorder,
     ResidualReport,
     TraceRecorder,
     _moment_rate,
     argmax_center,
     combined_y,
-    coupled_check,
-    coupled_recorder,
     default_centers,
     integration_by_parts_gap,
     interpolation_check,
@@ -34,7 +33,6 @@ from kslab.monitors import (
     mu_zero_estimate,
     prop22_check,
     run_verdicts,
-    trace_checks,
     uloc_combined_check,
     uloc_combined_series,
     z_comparison_level,
@@ -92,7 +90,7 @@ class TestComparisonFunction:
         assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
         assert top == np.max(got.values)
 
-    @pytest.mark.parametrize("monitor", ["rhs", "coupled_recorder", "z_residual"])
+    @pytest.mark.parametrize("monitor", ["rhs", "CoupledRecorder", "z_residual"])
     def test_non_finite_tendency_raises(self, grid1d, monitor):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
         x = grid1d.mesh()[0]
@@ -100,7 +98,7 @@ class TestComparisonFunction:
         state = State(0.0, huge, huge)
         call = {
             "rhs": lambda: rhs(state, p),
-            "coupled_recorder": lambda: coupled_recorder(p, 3, 2.0, ((0.0,),))(state),
+            "CoupledRecorder": lambda: CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,),))(state),
             "z_residual": lambda: z_residual(state, p),
         }[monitor]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,8 +275,7 @@ class TestMoments:
 class TestCombinedFunctional:
     def test_zero_state(self, grid1d):
         p = Params(chi=1.0, tau=1.0, d=1)
-        config = MomentConfig(k=3, R=2.0, centers=default_centers(grid1d))
-        assert combined_y(zero_state(grid1d), p, config) == 0.0
+        assert combined_y(zero_state(grid1d), p, 3, 2.0, default_centers(grid1d)) == 0.0
 
     def test_coefficient_ratio(self):
         for k in (3, 4, 5):
@@ -341,12 +338,9 @@ class TestSlidingCutoffOracle:
             b[j] * n**j * gc ** (2 * k - 2 * j) for j in range(1, k + 1)
         )
         direct = [integrate(phi * integrand) for phi in phis]
-        got = [
-            combined_y(state, p, MomentConfig(k=k, R=R, centers=(center,)))
-            for center in centers
-        ]
+        got = [combined_y(state, p, k, R, (center,)) for center in centers]
         assert_per_center(got, direct)
-        y = combined_y(state, p, MomentConfig(k=k, R=R, centers=centers))
+        y = combined_y(state, p, k, R, centers)
         assert abs(y - max(direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -426,7 +420,7 @@ class TestSlidingCutoffOracle:
                         + c_j[j] * m["m2_top"]
                     )
                 )
-            got = coupled_recorder(p, k, R, (center,))(state)
+            got = CoupledRecorder(p, grid, k, R, (center,))(state)
             assert set(got) == {f"{name}_{part}" for name in want for part in ("explicit", "generic")}
             # Roundoff relative to the largest weighted term.
             scale = max(c_j.values()) * max(abs(v) for v in m.values())
@@ -512,31 +506,31 @@ class TestOdeResiduals:
     def short_run(self, grid1d):
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        recorder = coupled_recorder(p, 3, 2.0, ((0.0,), (3.0,)))
+        recorder = CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,), (3.0,)))
         res = run(initial, p, RunConfig(t_end=0.1, dt=1e-3, monitor_every=5), monitors=recorder)
-        return res.trace, p
+        return res.trace, recorder
 
     def test_zero_state_margins_nonpositive(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        recorder = coupled_recorder(p, 3, 2.0, ((0.0,),))
+        recorder = CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,),))
         res = run(zero_state(grid1d), p, RunConfig(t_end=0.004, dt=1e-3, monitor_every=1), monitors=recorder)
-        reports, _ = coupled_check(res.trace, p, 3, calibration=dict.fromkeys(self.FAMILIES, 1.0))
+        reports, _ = recorder.check(res.trace, calibration=dict.fromkeys(self.FAMILIES, 1.0))
         assert {r.name for r in reports} == self.FAMILIES
         for r in reports:
             assert len(r.margins) == 5
             assert r.max_margin() <= 0.0
 
     def test_calibrate_then_assert(self, short_run):
-        trace, p = short_run
-        reports, fitted = coupled_check(trace, p, 3)
+        trace, recorder = short_run
+        reports, fitted = recorder.check(trace)
         assert set(fitted) == self.FAMILIES
         for r in reports:
             assert r.max_margin() <= r.tolerance
-        frozen, _ = coupled_check(trace, p, 3, calibration=fitted)
+        frozen, _ = recorder.check(trace, calibration=fitted)
         for r in frozen:
             assert r.max_margin() <= 1e-9
 
-    def test_fit_picks_largest_ratio(self):
+    def test_fit_picks_largest_ratio(self, grid1d):
         # Synthetic trace with positive explicit margins: the fit is the
         # largest explicit/generic ratio over samples with a usable generic
         # series, freezing it reproduces the margins, and a frozen constant
@@ -550,17 +544,17 @@ class TestOdeResiduals:
             )
             for i, row in enumerate(rows)
         ]
-        p = Params(chi=1.0, d=1)
-        reports, fitted = coupled_check(trace, p, 3)
+        recorder = CoupledRecorder(Params(chi=1.0, d=1), grid1d)
+        reports, fitted = recorder.check(trace)
         assert fitted == dict.fromkeys(self.FAMILIES, 1.5)
         for r in reports:
             assert np.array_equal(r.margins, [-1.0, 0.0, -5.0, 0.0])
             assert r.max_margin() <= r.tolerance
-        frozen, refit = coupled_check(trace, p, 3, calibration=fitted)
+        frozen, refit = recorder.check(trace, calibration=fitted)
         assert refit == fitted
         for r, f in zip(reports, frozen):
             assert np.array_equal(r.margins, f.margins)
-        strict, _ = coupled_check(trace, p, 3, calibration=dict.fromkeys(self.FAMILIES, 1.4))
+        strict, _ = recorder.check(trace, calibration=dict.fromkeys(self.FAMILIES, 1.4))
         for r in strict:
             assert r.max_margin() > r.tolerance
 
@@ -570,7 +564,7 @@ class TestOdeResiduals:
         # is as good as any.
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        recorder = coupled_recorder(p, 3, 2.0, default_centers(grid1d))
+        recorder = CoupledRecorder(p, grid1d)
         dense, sparse = (
             run(initial, p, RunConfig(t_end=0.4, dt=0.01, monitor_every=every), monitors=recorder)
             for every in (1, 20)
@@ -578,7 +572,7 @@ class TestOdeResiduals:
         assert [s.t for s in sparse.trace] == [s.t for s in dense.trace[::20]]
         for a, b in zip(sparse.trace, dense.trace[::20]):
             assert a.values == b.values
-        reports, fitted = coupled_check(sparse.trace, p, 3)
+        reports, fitted = recorder.check(sparse.trace)
         assert set(fitted) == self.FAMILIES
         for r in reports:
             assert len(r.margins) == 3
@@ -768,13 +762,42 @@ class TestRunVerdicts:
         assert not run_verdicts(res, replace(p, tau=1.0))[0]["nonnegativity_c"]
 
 
+class TestMonitorSettings:
+    # Each rule on k and R broken once; with n_axis = 16 the spacing is 2.5,
+    # so 2h rather than 1 bounds R from below.
+    BROKEN = [
+        ({"monitor_k": 2}, "k must be >= 3"),
+        ({"monitor_R": 0.5}, "R must be >= max(1, 2h) = 1"),
+        ({"n_axis": 16, "monitor_R": 4.0}, "R must be >= max(1, 2h) = 5"),
+        ({"monitor_R": 10.0}, "R too large: need 2R < box_len/2"),
+    ]
+
+    @pytest.mark.parametrize("recorder", [TraceRecorder, CoupledRecorder])
+    @pytest.mark.parametrize("change,message", BROKEN)
+    def test_recorder_raises_when_built_with_the_config_message(self, recorder, change, message):
+        cfg = replace(ExperimentConfig(d=1, n_axis=128, box_len=40.0), **change)
+        with pytest.raises(ValueError) as built:
+            recorder(cfg.params(), cfg.grid(), k=cfg.monitor_k, R=cfg.monitor_R)
+        assert str(built.value) == message
+        with pytest.raises(ConfigError) as validated:
+            cfg.validate()
+        assert str(validated.value) == f"monitor.{message}"
+
+    def test_rules_are_written_only_in_validate_settings(self):
+        src = Path(monitors.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text()
+            assert text.count("max(1, 2h)") == (path.name == "monitors.py"), path.name
+
+
 def test_one_recorder_feeds_every_trace_check(grid1d):
     # k = 3 > d and tau = 1, mu > d chi / 4: every residuals.csv family applies,
     # and a TraceRecorder alone records every key they read.
     p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
     initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
-    res = recorded_run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), k=3)
-    reports, fitted = trace_checks(res.trace, p, 3)
+    recorder = TraceRecorder(p, grid1d, k=3)
+    res = run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), monitors=recorder)
+    reports, fitted = recorder.check(res.trace)
     assert [r.name for r in reports] == [
         "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
         "uloc_combined", "linf_reconstruction", "z_sup_cap",
