@@ -108,8 +108,11 @@ class ScalarField:
     """Real samples on a grid, row-major.  Values are frozen after construction.
 
     The stored array is read-only, but the array passed in may stay writable
-    and share its memory: it must not be changed through that alias, or the
-    cached ``grad_abs`` goes stale.
+    and share its memory.  Only its owner may write through that alias, and
+    only while it hands the field to no one, since a write leaves the cached
+    ``grad_abs`` stale (``solver._probe`` does so).  A new field over
+    another's ``values`` shares the array but not the cache, which is how
+    ``solver.run`` drops the ``grad_abs`` of each sample (``_with_grad_abs``).
     """
 
     grid: Grid
@@ -129,19 +132,8 @@ class ScalarField:
 
     @cached_property
     def grad_abs(self) -> "ScalarField":
-        """|grad f|, formed once per field and shared by every consumer.
-
-        The bytes are those of ``magnitude(gradient(f))``, but each squared
-        component is added as it is formed, so one component is alive at a time.
-        """
-        grid = self.grid
-        fhat = _rfft(self.values)
-        prod = np.empty_like(fhat)
-        comp, total = np.empty(grid.shape), np.zeros(grid.shape)
-        for ka in _k_axes_odd_r(grid):
-            _irfft(np.multiply(1j * ka, fhat, out=prod), grid, out=comp, work=prod)
-            total += np.square(comp, out=comp)
-        return ScalarField(grid, np.sqrt(total, out=total))
+        """|grad f|, formed once per field and shared by every consumer."""
+        return ScalarField(self.grid, _grad_abs_values(self.values, self.grid))
 
     def __add__(self, other):
         return ScalarField(self.grid, self.values + _vals(other))
@@ -390,6 +382,33 @@ def _real_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A float64 array of ``shape`` over the start of ``buf``'s memory, for
     a value that lives only while ``buf`` is spent."""
     return buf.view(np.float64).reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _grad_abs_values(values, grid, fhat=None, prod=None, comp=None) -> np.ndarray:
+    """|grad f| of the samples ``values``, in a fresh array.
+
+    The bytes are those of ``magnitude(gradient(f))``, but each squared
+    component is added as it is formed, so one component is alive at a time.
+    ``fhat`` and ``prod`` (half spectra) and ``comp`` (a real field) are
+    scratch, fresh by default.
+    """
+    fhat = _rfft(values, out=fhat)
+    prod = np.empty_like(fhat) if prod is None else prod
+    comp = np.empty(grid.shape) if comp is None else comp
+    total = np.zeros(grid.shape)
+    for ka in _k_axes_odd_r(grid):
+        _irfft(np.multiply(1j * ka, fhat, out=prod), grid, out=comp, work=prod)
+        total += np.square(comp, out=comp)
+    return np.sqrt(total, out=total)
+
+
+def _with_grad_abs(f: ScalarField, fhat, prod, comp) -> ScalarField:
+    """A new field over ``f``'s values whose cached ``grad_abs`` is formed
+    now in the caller's scratch buffers (see ``_grad_abs_values``) and put
+    where ``cached_property`` keeps it."""
+    g = ScalarField(f.grid, f.values)
+    vars(g)["grad_abs"] = ScalarField(f.grid, _grad_abs_values(f.values, f.grid, fhat, prod, comp))
+    return g
 
 
 def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:

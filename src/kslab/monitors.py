@@ -62,6 +62,7 @@ from .solver import (
     RunResult,
     RunStatus,
     State,
+    _Scratch,
     _tendency_hat,
     continuation_gauge,
 )
@@ -230,9 +231,10 @@ def z_residual(state: State, params: Params) -> tuple[ScalarField, float]:
     z = z_field(state, params)
     grid = state.grid
     chat = _rfft(state.c.values)
-    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), chat)
+    ws = _Scratch(grid)
+    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), chat, ws)
     g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
-    z_t = params.tau * g_dot + _irfft(dn_hat, grid) / params.chi
+    z_t = params.tau * g_dot + _irfft(dn_hat, grid, out=ws.phys, work=ws.prod) / params.chi
     resid = z_t - laplacian(z).values + z.values - level
     return ScalarField(state.grid, resid), float(np.max(resid))
 
@@ -519,14 +521,15 @@ class CoupledRecorder:
         three_d = 3.0**d
         grid = state.grid
         nhat, chat = _rfft(state.n.values), _rfft(state.c.values)
-        dn_hat, dc_hat = _tendency_hat(state, params, nhat, chat)
-        n_t = _irfft(dn_hat, grid)
+        ws = _Scratch(grid)  # lent to the tendencies, then holding n_t and the |grad c|^2 spectrum
+        dn_hat, dc_hat = _tendency_hat(state, params, nhat, chat, ws)
+        n_t = _irfft(dn_hat, grid, out=ws.phys, work=ws.prod)
         n = state.n.values
         gc = state.c.grad_abs.values
         g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
         grad_n = _grad_hat(nhat, grid)
         gn2 = _dot(grad_n, grad_n)
-        grad_gc2 = _grad_hat(_rfft(gc * gc), grid)
+        grad_gc2 = _grad_hat(_rfft(gc * gc, out=ws.prod), grid)
         ggc2_sq = _dot(grad_gc2, grad_gc2)
         hess_sq = _hessian_sq_hat(chat, grid)
         rate = lambda j: _moment_rate(n, n_t, gc, g_dot, j, k)

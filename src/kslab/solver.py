@@ -39,6 +39,7 @@ from .fields import (
     _k_squared_r,
     _real_view,
     _rfft,
+    _with_grad_abs,
     integrate,
 )
 from .norms import cutoff_psi, lp_norm, w1inf_norm
@@ -361,7 +362,9 @@ class _Stepper:
         damped = p.lam * int_n - (float(np.sum(out)) - n_sum)
         return int_n, damped / p.mu, damped
 
-    def advance(self, state: State) -> tuple[State, float, float, float]:
+    def advance(
+        self, state: State, c_out: np.ndarray | None = None
+    ) -> tuple[State, float, float, float]:
         """One step; returns (state, relative ledger, d int(n) dt, d int(n^2) dt).
 
         The two trailing values are the step's contribution to the running
@@ -369,7 +372,10 @@ class _Stepper:
         logistic substeps, which are the only ones to change the mass.  The
         ledger is the step's mass imbalance relative to the larger L^1 mass
         before and after it.  Everything but the new state's two arrays
-        lives in the workspace.
+        lives in the workspace.  ``c_out``, when given, takes the new
+        concentration instead of a fresh array.  It may hold ``state.c``
+        itself, which the step has read by then, so only a caller that owns
+        it and hands ``state`` to no one else may pass it.
         """
         ws, grid, p = self.ws, self.grid, self.params
         n_phys = state.n.values
@@ -395,7 +401,9 @@ class _Stepper:
         nc_a -= nc_u
         a_c_hat += np.multiply(self._gather(self.p2_c), nc_a, out=nc_a)
         _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
-        new_c = _irfft(a_c_hat, grid, out=np.empty(grid.shape), work=a_c_hat)
+        if c_out is None:
+            c_out = np.empty(grid.shape)
+        new_c = _irfft(a_c_hat, grid, out=c_out, work=a_c_hat)
         int_n_b, int_n2_b, damped_b = self._logistic(new_n, new_n)
 
         hd = grid.spacing**grid.d
@@ -412,18 +420,22 @@ class _Stepper:
 
 
 def _tendency_hat(
-    state: State, params: Params, nhat: np.ndarray, chat: np.ndarray
+    state: State, params: Params, nhat: np.ndarray, chat: np.ndarray, ws: _Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Half spectra of the tendencies (dn/dt, dc/dt), given those of n and c.
 
-    Products are dealiased; ``nhat`` and ``chat`` are only read.  A
-    non-finite tendency raises ``FloatingPointError``.
+    Products are dealiased; ``nhat`` and ``chat`` are only read.  The
+    caller lends its ``_Scratch`` ``ws``, whose ``prod`` and ``phys`` are
+    spent on return and free for the caller's own use.  A non-finite
+    tendency raises ``FloatingPointError``.
     """
-    ws = _Scratch(state.grid)
     dn_hat = _source_hat(params, ws, nhat, chat, state.n.values, np.empty_like(nhat))
     ksq = _k_squared_r(state.grid)
     dn_hat -= np.multiply(ksq, nhat, out=ws.prod)
-    dc_hat = (-1.0 - ksq) * chat / params.tau + nhat / params.tau
+    # (-1 - |k|^2) chat / tau + nhat / tau, one operation at a time.
+    dc_hat = np.multiply(np.subtract(-1.0, ksq, out=ksq), chat, out=np.empty_like(chat))
+    dc_hat /= params.tau
+    dc_hat += np.divide(nhat, params.tau, out=ws.prod)
     if not (np.isfinite(dn_hat).all() and np.isfinite(dc_hat).all()):
         raise FloatingPointError("non-finite tendency encountered")
     return dn_hat, dc_hat
@@ -432,8 +444,10 @@ def _tendency_hat(
 def rhs(state: State, params: Params) -> tuple[ScalarField, ScalarField]:
     """Instantaneous tendencies (dn/dt, dc/dt) with dealiased products."""
     grid = state.grid
-    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), _rfft(state.c.values))
-    return tuple(ScalarField(grid, _irfft(h, grid, work=h)) for h in (dn_hat, dc_hat))
+    ws = _Scratch(grid)
+    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), _rfft(state.c.values), ws)
+    dn = _irfft(dn_hat, grid, out=ws.phys, work=dn_hat)  # the spent scratch holds dn/dt
+    return ScalarField(grid, dn), ScalarField(grid, _irfft(dc_hat, grid, work=dc_hat))
 
 
 def step(state: State, params: Params, dt: float) -> State:
@@ -448,7 +462,9 @@ def suggest_dt(state: State, params: Params) -> float:
     """Transport cap on the automatic step, ``0.25 min(1, 1/(1 + chi ||grad c||_inf))``.
 
     The exact logistic substep sets no limit; ``run`` shrinks the step
-    below this cap wherever its step-doubling probe asks.
+    below this cap wherever its step-doubling probe asks.  It reads the
+    cached ``state.c.grad_abs``, forming it if need be; ``run`` passes a
+    ``_view`` that holds it, so the field goes with that view.
     """
     rate = 1.0 + params.chi * state.c.grad_abs.max_abs()
     return 0.25 * min(1.0, 1.0 / rate)
@@ -484,18 +500,22 @@ def _probe(state: State, params: Params, h: float, eps: float, workspace: _Works
     steps merged into one ``advance`` result, and the gap.  Once ``h`` falls
     to ``eps`` it cannot advance the run, which raises FloatingPointError
     instead of looping on.  At most one stepper, the coarse density and two
-    states besides ``state`` are alive at a time.
+    states besides ``state`` are alive at a time, and those two states share
+    one concentration array: the second step of ``h`` writes its ``c`` over
+    the first's.  Only the probe holds that array, and of the first step's
+    state it keeps ``mid.n`` alone.
     """
     grid = state.grid
     coarse = None  # the density one step of 2h reaches, once a trial has it
     while h > eps:
-        stepper = mid = end = None  # the last trial's, before this one allocates
+        stepper = mid = end = c_out = None  # the last trial's, before this one allocates
         try:
             if coarse is None:
                 coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(state)[0].n
             stepper = _Stepper(grid, params, h, workspace)
-            mid, *first = stepper.advance(state)
-            end, *second = stepper.advance(mid)
+            c_out = np.empty(grid.shape)  # mid's c, then end's
+            mid, *first = stepper.advance(state, c_out)
+            end, *second = stepper.advance(mid, c_out)
             err = _doubling_error(coarse.values, end.n.values, workspace.phys)
         except FloatingPointError:
             err = math.inf
@@ -531,6 +551,19 @@ def _builtin_sample(state: State) -> dict[str, float]:
     }
 
 
+def _view(state: State, ws: _Workspace) -> State:
+    """A State over ``state``'s read-only arrays with none of its cached
+    fields but ``c.grad_abs``, formed now in the buffers of ``ws``.
+
+    ``run`` samples a state and caps the step through one of these.  The
+    workspace is idle between steps, so ``|grad c|`` allocates only its own
+    array, and it is dropped with the view instead of staying on the state
+    the next probe steps from.
+    """
+    c = _with_grad_abs(state.c, ws.nhat, ws.prod, ws.phys)
+    return State(state.t, ScalarField(state.grid, state.n.values), c)
+
+
 def run(
     initial: State,
     params: Params,
@@ -550,6 +583,11 @@ def run(
     (outside the probe's trials, which reject it), or a step too small to
     advance the clock ends the run as a numerical failure.
     ``params.d`` must be the grid's dimension, which the monitors read from it.
+
+    The monitors are handed a fresh ``State`` over each sampled state's
+    arrays: what they cache on its fields (``ScalarField.grad_abs``) is
+    dropped after the sample.  No array that ``initial``, a monitor's state
+    or the result holds is ever written.
     """
     grid = initial.grid
     if params.d != grid.d:
@@ -557,37 +595,51 @@ def run(
 
     int_n = 0.0
     int_n2 = 0.0
+    t_end = initial.t + config.t_end
+    eps = 1e-12 * max(1.0, abs(t_end))
+    trace: list[FunctionalSample] = []
 
-    def sample(state: State, values: dict[str, float]) -> FunctionalSample:
-        """The trace entry of ``state`` from its ``_builtin_sample`` ``values``."""
+    def sample(view: State, values: dict[str, float] | None = None) -> float:
+        """Append the trace entry of ``view``, a ``_view`` state, from its
+        ``_builtin_sample`` ``values`` (taken here by default).  Returns the
+        transport cap ``suggest_dt`` on the next automatic step, read while
+        ``view`` holds its ``|grad c|``, or inf where no step follows."""
+        if values is None:
+            values = _builtin_sample(view)
         # Running time integrals of int(n) and int(n^2), accumulated from the
         # logistic substeps' closed forms so the mass ledgers close exactly.
         values["int_l1_n"] = int_n
         values["int_l2sq_n"] = int_n2
         if monitors is not None:
-            values.update({k: float(v) for k, v in monitors(state).items()})
-        return FunctionalSample(t=state.t, values=values)
+            values.update({k: float(v) for k, v in monitors(view).items()})
+        trace.append(FunctionalSample(t=view.t, values=values))
+        if config.dt is not None or not view.t < t_end - eps:
+            return math.inf
+        return suggest_dt(view, params)
 
     state = initial
+    # The |k|^2 levels first: their sort's temporaries are freed before the
+    # run's arrays are placed, and leave no gaps among them.
+    _k_squared_levels(grid)
+    # One workspace for the whole run; each rebuilt stepper takes it over.
+    workspace = _Workspace(grid)
     not_finite = "the initial continuation gauge is not finite"
     try:
         # Data that overflow the sample raise here, not as numpy warnings.
         with np.errstate(over="raise", invalid="raise"):
-            values = _builtin_sample(state)
+            view = _view(initial, workspace)
+            values = _builtin_sample(view)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{not_finite} ({exc})") from None
     gauge = continuation_gauge(values)
     if not math.isfinite(gauge):  # before the monitors see the state
         raise FloatingPointError(not_finite)
     cap = BLOWUP_FACTOR * max(gauge, 1.0)
-    trace = [sample(state, values)]
+    h_cap = sample(view, values)
+    del view
     ledger_rel_max = 0.0
     status = RunStatus.COMPLETED
-    t_end = initial.t + config.t_end
-    # One workspace for the whole run; each rebuilt stepper takes it over.
-    workspace = _Workspace(grid)
     stepper: _Stepper | None = None
-    eps = 1e-12 * max(1.0, abs(t_end))
     h_next = math.inf  # the controller's proposal for the next interval's step
 
     def take(result: tuple[State, float, float, float]) -> None:
@@ -604,7 +656,7 @@ def run(
             steps = 0
             h = config.dt
             if h is None:
-                h = min(h_next, suggest_dt(state, params), 0.5 * (t_end - state.t))
+                h = min(h_next, h_cap, 0.5 * (t_end - state.t))
                 while True:
                     stepper = None  # one stepper alive at a time: the probe builds its own
                     stepper, merged, err = _probe(state, params, h, eps, workspace)
@@ -618,7 +670,7 @@ def run(
                     grown = min(h_next, 0.5 * (t_end - state.t))
                     if steps + 2 > config.monitor_every or grown < 2.0 * h:
                         break
-                    grown = min(grown, suggest_dt(state, params))
+                    grown = min(grown, suggest_dt(_view(state, workspace), params))
                     if grown < 2.0 * h:
                         break
                     h = grown
@@ -635,7 +687,7 @@ def run(
         except FloatingPointError:
             status = RunStatus.NUMERICAL_FAILURE
             break
-        trace.append(sample(state, _builtin_sample(state)))
+        h_cap = sample(_view(state, workspace))
         if continuation_gauge(trace[-1].values) > cap:
             status = RunStatus.BLOWUP_SUSPECTED
             break

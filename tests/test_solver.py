@@ -33,6 +33,7 @@ from kslab.solver import (
     State,
     _doubling_error,
     _probe,
+    _Scratch,
     _Stepper,
     _tendency_hat,
     _Workspace,
@@ -130,7 +131,7 @@ class TestRhs:
         nhat, chat = _rfft(gauss_state.n.values), _rfft(gauss_state.c.values)
         nhat.setflags(write=False)
         chat.setflags(write=False)
-        dn_hat, dc_hat = _tendency_hat(gauss_state, PARAMS_1D, nhat, chat)
+        dn_hat, dc_hat = _tendency_hat(gauss_state, PARAMS_1D, nhat, chat, _Scratch(grid))
         assert np.array_equal(nhat, _rfft(gauss_state.n.values))
         assert np.array_equal(chat, _rfft(gauss_state.c.values))
         dn, dc = rhs(gauss_state, PARAMS_1D)
@@ -429,9 +430,9 @@ def _count_advances(monkeypatch):
     steps = []
     advance = _Stepper.advance
 
-    def counted(self, state):
+    def counted(self, state, *args):
         steps.append(self.dt)
-        return advance(self, state)
+        return advance(self, state, *args)
 
     monkeypatch.setattr(_Stepper, "advance", counted)
     return steps
@@ -569,11 +570,12 @@ class TestWorkspaceStep:
         assert peak <= 2.1 * 8 * grid.npoints
 
     def test_headline_shaped_run_peak(self):
-        # The damped headline run at 32^3.  Its peak, during a probe's step,
-        # holds the workspace (six half spectra, one real field), the state
-        # with its |grad c|, the coarse density, the mid and new states and the
-        # k caches: about 18.3 real fields.  Six full multiplier arrays per
-        # stepper would add 3.
+        # The damped headline run at 32^3.  Its peak, during a probe's second
+        # step of h, holds the workspace (six half spectra, one real field),
+        # the state (no |grad c|: the sample's went with its view), the
+        # coarse density, the mid density, the one c array the mid and new
+        # states share, the new density and the k caches: about 15.1 real
+        # fields.  A cached |grad c| or a second c array would add 1 each.
         grid = make_grid(3, 32, 20.0)
         mu0 = mu_zero_estimate(4, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3)).mu0
         p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=3)
@@ -587,7 +589,30 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert res.status is RunStatus.COMPLETED
-        assert peak <= 19 * 8 * grid.npoints
+        assert peak <= 15.5 * 8 * grid.npoints
+
+    def test_memory_stays_flat_over_a_long_auto_dt_run(self, monkeypatch):
+        # A run four times as long builds twice as many steppers (each holds
+        # multipliers of about 0.75 real fields at 128^2) and keeps none of
+        # them: its peak is that of its first quarter.
+        initial, p = _headline_damped(2, 128)
+        grid = initial.grid
+        run(initial, p, RunConfig(t_end=2.0, dt=None, monitor_every=3))  # fill the caches
+        builds = _count_builds(monkeypatch)
+        peaks = []
+        for t_end in (2.0, 8.0):
+            builds.clear()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                res = run(initial, p, RunConfig(t_end=t_end, dt=None, monitor_every=3))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert res.status is RunStatus.COMPLETED
+        assert len(builds) >= 30
+        assert peaks[1] - peaks[0] <= 0.25 * 8 * grid.npoints
 
     def test_run_reuses_one_workspace_across_rebuilds(self, gauss_state, monkeypatch):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
@@ -605,6 +630,39 @@ class TestWorkspaceStep:
 
 
 class TestRun:
+    def test_run_writes_no_array_it_hands_out(self, monkeypatch):
+        # The probe's second step of h writes its c over the first's, which
+        # only the probe holds.  The initial state, every state a monitor is
+        # handed and the final state keep their bytes, through a rejection
+        # that halves h (its first step's density is reused) and a regrow.
+        initial, p = _headline_damped(1, 64)
+        start = initial.n.values.tobytes() + initial.c.values.tobytes()
+        kept, factors, probe_starts = [], [], []
+
+        def keep(state):
+            kept.append((state, state.n.values.tobytes() + state.c.values.tobytes()))
+            return {}
+
+        def step_factor(err, most, factor=solver._step_factor):
+            factors.append((most, factor(err, most)))
+            return factors[-1][1]
+
+        def probe(state, *args, original=solver._probe):
+            probe_starts.append(state.t)
+            return original(state, *args)
+
+        monkeypatch.setattr(solver, "_step_factor", step_factor)
+        monkeypatch.setattr(solver, "_probe", probe)
+        res = run(initial, p, RunConfig(t_end=2.0, dt=None, monitor_every=10), monitors=keep)
+        assert res.status is RunStatus.COMPLETED
+        assert (0.5, 0.5) in factors
+        assert set(probe_starts) - {state.t for state, _ in kept}  # a regrow
+        assert initial.n.values.tobytes() + initial.c.values.tobytes() == start
+        for state, kept_bytes in kept:
+            assert state.n.values.tobytes() + state.c.values.tobytes() == kept_bytes
+        assert res.final.t == kept[-1][0].t
+        assert res.final.n.values.tobytes() + res.final.c.values.tobytes() == kept[-1][1]
+
     def test_zero_data_completes_at_zero(self, grid1d):
         zero = ScalarField(grid1d, np.zeros(grid1d.shape))
         res = run(State(0.0, zero, zero), PARAMS_1D, RunConfig(t_end=0.5, dt=0.01))
