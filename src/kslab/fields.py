@@ -12,6 +12,7 @@ transforms are the only code that runs work on a second thread.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -128,7 +129,9 @@ class ScalarField:
         return bool(np.isfinite(self.values).all())
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        """``max |f|``, from the two extremes: no temporary of the field's size."""
+        v = self.values
+        return float(abs(max(v.max(), -v.min())))
 
     @cached_property
     def grad_abs(self) -> "ScalarField":
@@ -376,6 +379,32 @@ def _dealias_mask_r(grid: Grid) -> np.ndarray:
         shape[ax] = len(keep)
         mask = mask & keep.reshape(shape)
     return mask
+
+
+@lru_cache(maxsize=64)
+def _band(grid: Grid) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The modes the 2/3 rule keeps (``_dealias_mask_r``) as blocks of the
+    half spectrum.  With ``k = N // 3`` a full axis keeps ``0..k`` and
+    ``N-k..N-1`` and the last axis ``0..k``.
+
+    Returns the band-compact shape, which holds those modes alone in that
+    order (``(2k+1)^(d-1) (k+1)`` entries), the pairs (half-spectrum index,
+    compact index) of the band's ``2^(d-1)`` blocks, and the half-spectrum
+    indices of ``2^d - 1`` blocks that tile the dropped modes.
+    """
+    n, k = grid.n_axis, grid.n_axis // 3
+    full = ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1)))
+    kept = [full] * (grid.d - 1) + [((slice(0, k + 1), slice(0, k + 1)),)]
+    shape = (2 * k + 1,) * (grid.d - 1) + (k + 1,)
+    blocks = tuple(
+        (tuple(r[0] for r in rs), tuple(r[1] for r in rs)) for rs in itertools.product(*kept)
+    )
+    dropped = []
+    for axis in range(grid.d):
+        gap = slice(k + 1, n - k) if axis < grid.d - 1 else slice(k + 1, None)
+        for rs in itertools.product(*kept[:axis]):
+            dropped.append(tuple(r[0] for r in rs) + (gap,))
+    return shape, blocks, tuple(dropped)
 
 
 def _real_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -33,6 +33,7 @@ import numpy as np
 from .fields import (
     Grid,
     ScalarField,
+    _band,
     _grad_hat,
     _irfft,
     _k_axes_odd_r,
@@ -223,24 +224,34 @@ class _Scratch:
     ``_Workspace`` extends it with the buffers of a whole step.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, prod=None, phys=None):
         self.grid = grid
         self.ik_odd = tuple(1j * ka for ka in _k_axes_odd_r(grid))
-        self.prod = np.empty(grid.rshape, dtype=np.complex128)  # transform scratch
-        self.phys = np.empty(grid.shape)  # product scratch
+        # Transform and product scratch, fresh unless given.
+        self.prod = np.empty(grid.rshape, dtype=np.complex128) if prod is None else prod
+        self.phys = np.empty(grid.shape) if phys is None else phys
 
 
 class _Workspace(_Scratch):
-    """The buffers of one split step: six half spectra and one real field.
+    """The buffers of one split step: four half spectra, one band-compact
+    spectrum and one real field (about 5.4 real fields at 64^3).
 
     Besides ``prod`` and ``phys``: ``nhat`` and ``chat``, the state's
-    transforms and then stage a's; ``nn_u`` and ``nc_u``, stage u's
-    tendencies; ``nn_a``, stage a's transport term.  Spent buffers serve
-    the rest: ``prod`` takes stage a's ``nc`` term, ``mult`` (``phys``
-    read as a half-spectrum real array) each stepper multiplier while it is
-    used, and ``log1p`` (``nn_u`` read as a real field) the logistic
-    substep's logarithms, taken before and after its stage-u values live.
-    Stage a's density goes into the new state's density array.
+    transforms and then stage a's; ``nc_u``, stage u's ``nhat / tau``; and
+    ``nn_u``, stage u's transport term in the band-compact layout of
+    ``fields._band``.  Spent buffers serve the rest: ``prod`` takes the
+    concentration's correction, which is transformed at once, ``nn_a``
+    (the start of ``nc_u``, band-compact) stage a's transport term, ``mult``
+    (``phys`` read as a half-spectrum real array) each stepper multiplier
+    while it is used, and ``log1p`` (``chat`` read as a real field) the
+    logistic substep's logarithms, taken before ``chat`` holds the state's
+    transform and after stage a has read it.  Stage a's density goes into
+    the new state's density array.
+
+    All of it is one allocation, which glibc's malloc maps apart from its
+    heap, so it leaves no hole among the run's arrays there (six separate
+    buffers left a 1.4 MB hole at 64^3, which the headline run's peak RSS
+    kept).
 
     ``run`` allocates one per run and hands it to every ``_Stepper`` it
     builds, so a step allocates only the two arrays of the new State.  The
@@ -249,12 +260,16 @@ class _Workspace(_Scratch):
     """
 
     def __init__(self, grid: Grid):
-        super().__init__(grid)
-        half = lambda: np.empty(grid.rshape, dtype=np.complex128)
-        self.nhat, self.chat = half(), half()
-        self.nn_u, self.nc_u, self.nn_a = half(), half(), half()
+        band = _band(grid)[0]
+        n_half, n_band = math.prod(grid.rshape), math.prod(band)
+        block = np.empty(4 * n_half + n_band + grid.npoints // 2, dtype=np.complex128)
+        spectra = block[: 4 * n_half].reshape((4,) + grid.rshape)
+        super().__init__(grid, spectra[0], _real_view(block[4 * n_half + n_band :], grid.shape))
+        self.nhat, self.chat, self.nc_u = spectra[1:]
+        self.nn_u = block[4 * n_half : 4 * n_half + n_band].reshape(band)
+        self.nn_a = self.nc_u.reshape(-1)[:n_band].reshape(band)
         self.mult = _real_view(self.phys, grid.rshape)
-        self.log1p = _real_view(self.nn_u, grid.shape)
+        self.log1p = _real_view(self.chat, grid.shape)
 
 
 def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
@@ -264,13 +279,24 @@ def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
     scratch; ``out`` must be another buffer than ``chat``.  Each axis adds
     its flux ``i k_a (n d_a c)^``, with the product's transform confined to
     the 2/3 band; the divergence has no zero mode, so the term moves no mass.
+
+    ``out`` is a half spectrum, or holds the band alone in the compact
+    layout of ``fields._band``.  The fluxes are added on the band's blocks
+    only.  In a half spectrum every dropped mode keeps the ``+0`` of the
+    fill, which is what adding the flux's ``i k_a (+0)`` would leave there,
+    and then reads ``-chi (+0) = -0 + 0j``.
     """
     grid, prod, phys = ws.grid, ws.prod, ws.phys
+    band, blocks, _ = _band(grid)
+    at = 1 if out.shape == band else 0  # which index of a block addresses out
     out.fill(0.0)
     for ik in ws.ik_odd:
         _irfft(np.multiply(ik, chat, out=prod), grid, out=phys, work=prod)
         _rfft(np.multiply(n_phys, phys, out=phys), out=prod, band=True)
-        out += np.multiply(ik, prod, out=prod)
+        ik = np.broadcast_to(ik, prod.shape)
+        for block in blocks:
+            flux = prod[block[0]]
+            out[block[at]] += np.multiply(ik[block[0]], flux, out=flux)
     return np.multiply(-params.chi, out, out=out)
 
 
@@ -332,24 +358,28 @@ class _Stepper:
         """The multiplier with per-``|k|^2`` values ``levels``, in ``ws.mult``."""
         return np.take(levels, self.where, out=self.ws.mult, mode="clip")
 
-    def _logistic(self, n: np.ndarray, out: np.ndarray) -> tuple[float, float, float]:
+    def _logistic(
+        self, n: np.ndarray, out: np.ndarray
+    ) -> tuple[float, float, float, float, float]:
         """Exact flow of ``n' = lam n - mu n^2`` over dt/2, from ``n`` into ``out``.
 
         ``n(s) = n e^{lam s} / (1 + mu q n)``; ``out`` may be ``n``.  Returns
         the grid sums of ``int n ds``, ``int n^2 ds`` and ``mu int n^2 ds``
         over the substep, from ``int n ds = log1p(mu q n) / mu`` and
         ``mu int n^2 ds = lam int n ds - (n(s) - n)``, or their limits
-        ``q n`` and ``q (1 + lam q / 2) n^2`` at ``mu = 0``.  The mass ledger
-        reads the third sum, so a huge ``mu`` costs it no precision.  A
-        denominator ``1 + mu q n <= 0``, which only a negative ``n`` can
-        give, has no flow to follow and raises FloatingPointError.
+        ``q n`` and ``q (1 + lam q / 2) n^2`` at ``mu = 0``, then the grid
+        sums of ``n`` and ``n(s)``.  The mass ledger reads the third sum, so
+        a huge ``mu`` costs it no precision.  A denominator
+        ``1 + mu q n <= 0``, which only a negative ``n`` can give, has no flow
+        to follow and raises FloatingPointError.
         """
         p, ws, q = self.params, self.ws, self.q
         n_sum = float(np.sum(n))
         if p.mu == 0.0:
             n2_sum = float(np.sum(np.multiply(n, n, out=ws.phys)))
             np.multiply(n, self.growth, out=out)
-            return q * n_sum, q * (1.0 + 0.5 * p.lam * q) * n2_sum, 0.0
+            int_n2 = q * (1.0 + 0.5 * p.lam * q) * n2_sum
+            return q * n_sum, int_n2, 0.0, n_sum, float(np.sum(out))
         x = np.multiply(n, p.mu * q, out=ws.phys)
         if not float(np.min(x)) > -1.0:
             raise FloatingPointError(
@@ -359,8 +389,9 @@ class _Stepper:
         x += 1.0
         np.divide(n, x, out=out)
         out *= self.growth
-        damped = p.lam * int_n - (float(np.sum(out)) - n_sum)
-        return int_n, damped / p.mu, damped
+        out_sum = float(np.sum(out))
+        damped = p.lam * int_n - (out_sum - n_sum)
+        return int_n, damped / p.mu, damped, n_sum, out_sum
 
     def advance(
         self, state: State, c_out: np.ndarray | None = None
@@ -372,43 +403,68 @@ class _Stepper:
         logistic substeps, which are the only ones to change the mass.  The
         ledger is the step's mass imbalance relative to the larger L^1 mass
         before and after it.  Everything but the new state's two arrays
-        lives in the workspace.  ``c_out``, when given, takes the new
+        lives in the workspace.
+
+        The concentration's correction ``a_c + p2_c (a_n - nhat) / tau``
+        is linear in the densities' spectra, so it is formed right after
+        stage u and transformed at once into the new ``c`` array, which
+        frees ``nc_u`` for stage a.  ``c_out``, when given, takes the new
         concentration instead of a fresh array.  It may hold ``state.c``
-        itself, which the step has read by then, so only a caller that owns
-        it and hands ``state`` to no one else may pass it.
+        itself, which the step has transformed by then, so only a caller
+        that owns it and hands ``state`` to no one else may pass it.
+
+        Both transport terms are band-compact, so only the band's blocks of
+        ``a_n_hat`` take them.  At a dropped mode a full ``nn_u`` would hold
+        ``-0 + 0j`` and ``nn_a - nn_u`` be ``+0 + 0j``, so their terms would
+        add ``-0 + 0j`` (which turns an imaginary ``-0`` into ``+0``) and
+        then ``+0 + 0j`` (which turns any ``-0`` into ``+0``).  The
+        dropped blocks take ``.imag += 0.0`` and ``+= 0.0`` at those
+        points instead, so every byte is kept, the c correction's too.
         """
         ws, grid, p = self.ws, self.grid, self.params
+        _, blocks, dropped = _band(grid)
         n_phys = state.n.values
         new_n = np.empty(grid.shape)
-        int_n_a, int_n2_a, damped_a = self._logistic(n_phys, new_n)
+        int_n_a, int_n2_a, damped_a, mass_before, _ = self._logistic(n_phys, new_n)
 
-        # T(dt) from (new_n, c): the state transforms, then stage a over them.
+        # T(dt) from (new_n, c): the state transforms, then stage u.
         nhat, chat = _rfft(new_n, ws.nhat), _rfft(state.c.values, ws.chat)
         nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u)
         nc_u = np.divide(nhat, p.tau, out=ws.nc_u)
         a_n_hat = np.multiply(self._gather(self.exp_n), nhat, out=nhat)
-        a_n_hat += np.multiply(self._gather(self.p1_n), nn_u, out=ws.prod)
+        p1_n = self._gather(self.p1_n)
+        for full, band in blocks:
+            a_n_hat[full] += np.multiply(p1_n[full], nn_u[band], out=ws.prod[full])
+        for full in dropped:
+            a_n_hat[full].imag += 0.0
         a_c_hat = np.multiply(self._gather(self.exp_c), chat, out=chat)
         a_c_hat += np.multiply(self._gather(self.p1_c), nc_u, out=ws.prod)
-        # new_n is spent (nhat holds it) until the final transform.
-        a_n = _irfft(a_n_hat, grid, out=new_n, work=ws.prod)
-        nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a)
-        nc_a = np.divide(a_n_hat, p.tau, out=ws.prod)
 
-        # a_hat + p2 * (N_a - N_u), transformed into the new state's arrays.
-        nn_a -= nn_u
-        a_n_hat += np.multiply(self._gather(self.p2_n), nn_a, out=nn_a)
-        nc_a -= nc_u
-        a_c_hat += np.multiply(self._gather(self.p2_c), nc_a, out=nc_a)
-        _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
+        # The new c, a_c_hat + p2_c * (a_n_hat / tau - nc_u), into its array.
+        c_hat = np.divide(a_n_hat, p.tau, out=ws.prod)
+        c_hat -= nc_u
+        np.multiply(self._gather(self.p2_c), c_hat, out=c_hat)
+        np.add(a_c_hat, c_hat, out=c_hat)
         if c_out is None:
             c_out = np.empty(grid.shape)
-        new_c = _irfft(a_c_hat, grid, out=c_out, work=a_c_hat)
-        int_n_b, int_n2_b, damped_b = self._logistic(new_n, new_n)
+        new_c = _irfft(c_hat, grid, out=c_out, work=c_hat)
+
+        # Stage a: new_n is spent (nhat holds it) until the final transform.
+        a_n = _irfft(a_n_hat, grid, out=new_n, work=ws.prod)
+        nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a)
+        # a_n_hat + p2_n * (nn_a - nn_u), transformed into the new density.
+        nn_a -= nn_u
+        p2_n = self._gather(self.p2_n)
+        for full, band in blocks:
+            a_n_hat[full] += np.multiply(p2_n[full], nn_a[band], out=nn_a[band])
+        for full in dropped:
+            a_n_hat[full] += 0.0
+        _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
+        int_n_b, int_n2_b, damped_b, _, mass_after = self._logistic(new_n, new_n)
 
         hd = grid.spacing**grid.d
         d_int_n = hd * (int_n_a + int_n_b)
-        mass_delta = hd * (np.sum(new_n) - np.sum(n_phys))
+        mass_delta = hd * (mass_after - mass_before)
         ledger = abs(mass_delta - (p.lam * d_int_n - hd * (damped_a + damped_b)))
         l1 = hd * max(np.sum(np.abs(n_phys, out=ws.phys)), np.sum(np.abs(new_n, out=ws.phys)))
         new_state = State(

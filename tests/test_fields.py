@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from kslab import fields
 from kslab.fields import (
     ScalarField,
     _apply_multiplier,
+    _band,
     _dealias_mask_r,
     _grad_hat,
     _hessian_sq_hat,
@@ -183,6 +185,22 @@ def _assert_band_bytes(grid, values):
 class TestBandTransform:
     TRANSFORMS = 2  # per _assert_band_bytes call
 
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 64)])
+    def test_band_blocks_tile_the_half_spectrum(self, d, n_axis):
+        grid = make_grid(d, n_axis, 20.0)
+        shape, blocks, dropped = _band(grid)
+        k = n_axis // 3
+        assert shape == (2 * k + 1,) * (d - 1) + (k + 1,)
+        full, compact = np.zeros(grid.rshape, int), np.zeros(shape, int)
+        for at_full, at_compact in blocks:
+            full[at_full] += 1
+            compact[at_compact] += 1
+        for at_full in dropped:
+            full[at_full] += 10
+        keep = _dealias_mask_r(grid)
+        assert (full[keep] == 1).all() and (full[~keep] == 10).all()
+        assert (compact == 1).all() and len(dropped) == 2**d - 1
+
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 8)])
     def test_unsplit_gives_masked_numpy_bytes(self, d, n_axis, helper_halves, rng):
         grid = make_grid(d, n_axis, 20.0)
@@ -334,6 +352,43 @@ class TestHeatPropagate:
         f = ScalarField(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError):
             heat_propagate(f, -0.1)
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0] * 8,
+            [0.0, -0.0] * 4,
+            [-3.0, 1.0, 2.0, -0.5, 0.0, 2.5, -1.0, 1.5],  # the extreme is negative
+            [3.0, -1.0, 2.0, -0.5, 0.0, 2.5, -1.0, 1.5],
+            [-2.0] * 8,
+            [1.0, -np.inf, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    def test_bitwise_the_max_of_abs(self, values):
+        v = np.array(values)
+        got = ScalarField(make_grid(1, 8, 8.0), v).max_abs()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.max(np.abs(v)).tobytes()
+
+    def test_random_3d_field(self, rng):
+        f = ScalarField(make_grid(3, 16, 8.0), rng.standard_normal((16,) * 3))
+        assert f.max_abs() == float(np.max(np.abs(f.values)))
+
+    def test_allocates_no_field(self, rng):
+        grid = make_grid(3, 32, 8.0)
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+        f.max_abs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f.max_abs()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * grid.npoints
 
 
 class TestIntegrate:

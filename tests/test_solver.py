@@ -138,6 +138,24 @@ class TestRhs:
         assert np.array_equal(dn.values, _irfft(dn_hat, grid))
         assert np.array_equal(dc.values, _irfft(dc_hat, grid))
 
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_band_compact_transport_is_the_band_of_the_full_one(self, d, n_axis):
+        grid = make_grid(d, n_axis, 20.0)
+        state = _random_state(grid, d)
+        ws, p = _Workspace(grid), Params(d=d, chi=1.3)
+        chat = _rfft(state.c.values)
+        full = solver._transport_hat(p, ws, chat, state.n.values, np.empty(grid.rshape, complex))
+        compact = solver._transport_hat(p, ws, chat, state.n.values, ws.nn_u)
+        shape, blocks, dropped = fields._band(grid)
+        assert compact.shape == shape
+        for at_full, at_compact in blocks:
+            assert compact[at_compact].tobytes() == full[at_full].tobytes()
+        # -chi (+0 + 0j) at every dropped mode: what advance skips adding.
+        for at_full in dropped:
+            gap = full[at_full]
+            assert (gap == 0).all() and np.signbit(gap.real).all()
+            assert not np.signbit(gap.imag).any()
+
     def test_decoupled_logistic_oracle(self, grid1d):
         # With chi=0 and constant data the density solves the logistic ODE
         # exactly: n(t) = lam n0 e^{lam t} / (lam + mu n0 (e^{lam t} - 1)).
@@ -228,7 +246,7 @@ class TestLogisticSubstep:
         grid = make_grid(1, 8, 8.0)
         stepper = _Stepper(grid, Params(chi=1.0, lam=lam, mu=mu, d=1), 0.2)
         out = np.empty_like(self.N)
-        int_n, int_n2, damped = stepper._logistic(self.N, out)
+        int_n, int_n2, damped, *_ = stepper._logistic(self.N, out)
         n_ref, int_n_ref, int_n2_ref = _rk4_logistic(self.N, lam, mu, 0.1)
         assert np.allclose(out, n_ref, rtol=1e-12, atol=0.0)
         assert int_n == pytest.approx(np.sum(int_n_ref), rel=1e-12)
@@ -247,6 +265,14 @@ class TestLogisticSubstep:
         n = self.N.copy()
         assert stepper._logistic(n, n) == sums
         assert n.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("mu", [2.0, 0.0])
+    def test_returns_the_sums_before_and_after(self, mu):
+        grid = make_grid(1, 8, 8.0)
+        stepper = _Stepper(grid, Params(chi=1.0, lam=0.8, mu=mu, d=1), 0.2)
+        out = np.empty_like(self.N)
+        *_, before, after = stepper._logistic(self.N, out)
+        assert (before, after) == (float(np.sum(self.N)), float(np.sum(out)))
 
     def test_nonpositive_denominator_is_numerical_failure(self, grid1d):
         # 1 + mu q n = 1 - 100 * 0.05 * 1 < 0 where n = -1: the logistic ODE
@@ -521,6 +547,34 @@ class TestWorkspaceStep:
         grid = make_grid(d, n_axis, 20.0)
         self._assert_matches_allocating_formula(grid, split_everywhere, split=d > 1)
 
+    @pytest.mark.parametrize("n", [[-0.0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, -0.0]])
+    def test_signed_zeros_at_dropped_modes(self, n, monkeypatch):
+        # The transforms of these densities hold a -0 real part (first) or
+        # imaginary part (second) at a dropped mode, where the stepper adds
+        # no transport term.  Every spectrum it inverse-transforms must
+        # still be one of the allocating formula's, byte for byte.
+        grid = make_grid(1, 8, 8.0)
+        p = Params(d=1, **self.P)
+        state = State(0.0, ScalarField(grid, np.array(n)), ScalarField(grid, np.zeros(8)))
+        spectra = []
+
+        def recorded(inverse):
+            def call(coeffs, *args, **kwargs):
+                spectra.append(coeffs.tobytes())
+                return inverse(coeffs, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(solver, "_irfft", recorded(solver._irfft))
+        stepped = _Stepper(grid, p, 0.01).advance(state)[0]
+        stepper_spectra, spectra[:] = sorted(spectra), []
+        monkeypatch.setattr(np.fft, "irfftn", recorded(np.fft.irfftn))
+        n_want, c_want, *_ = _allocating_split_step(state, p, 0.01)
+        assert stepper_spectra == sorted(spectra)
+        assert stepped.n.values.tobytes() + stepped.c.values.tobytes() == (
+            n_want.tobytes() + c_want.tobytes()
+        )
+
     def test_lanes_run_in_a_forked_worker(self, split_everywhere):
         # A forked child inherits the helper executor but not its thread: work
         # submitted to that executor there would never run.
@@ -554,6 +608,9 @@ class TestWorkspaceStep:
             assert not any(np.shares_memory(field.values, b) for b in buffers)
 
     def test_warm_step_allocates_only_the_new_state(self):
+        # The new state's two arrays, and numpy's iterator buffer (bufsize
+        # complex elements, 128 KiB by default) for the mixed float-complex
+        # products with the multipliers: the new c array is alive by then.
         grid = make_grid(3, 32, 20.0)
         stepper = _Stepper(grid, Params(d=3, **self.P), 1e-3)
         state = _random_state(grid, 3)
@@ -567,15 +624,48 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert out[0].t > state.t
-        assert peak <= 2.1 * 8 * grid.npoints
+        assert peak <= 2.1 * 8 * grid.npoints + 16 * np.getbufsize()
+
+    def test_workspace_is_four_spectra_a_band_and_a_field(self):
+        grid = make_grid(3, 32, 20.0)
+        k = grid.n_axis // 3
+        half = 16 * math.prod(grid.rshape)
+        layout = 4 * half + 16 * (2 * k + 1) ** 2 * (k + 1) + 8 * grid.npoints
+        _Workspace(grid)  # the caches it reads
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ws = _Workspace(grid)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert layout <= held <= layout + 0.1 * 8 * grid.npoints
+        assert ws.nn_u.shape == (2 * k + 1, 2 * k + 1, k + 1)
+
+    def test_c_out_over_the_state_c(self):
+        # The probe's second step of h: c_out holds the state's own c, which
+        # the step reads before it writes the new one there.
+        grid = make_grid(3, 16, 20.0)
+        p = Params(d=3, **self.P)
+        start = _random_state(grid, 5)
+        c_out = start.c.values.copy()
+        state = State(0.0, start.n, ScalarField(grid, c_out))
+        new, *scalars = _Stepper(grid, p, 0.01).advance(state, c_out)
+        n, c, *want = _allocating_split_step(start, p, 0.01)
+        assert np.shares_memory(new.c.values, c_out)
+        assert new.n.values.tobytes() == n.tobytes()
+        assert c_out.tobytes() == c.tobytes()
+        assert scalars == want
 
     def test_headline_shaped_run_peak(self):
         # The damped headline run at 32^3.  Its peak, during a probe's second
-        # step of h, holds the workspace (six half spectra, one real field),
-        # the state (no |grad c|: the sample's went with its view), the
-        # coarse density, the mid density, the one c array the mid and new
-        # states share, the new density and the k caches: about 15.1 real
-        # fields.  A cached |grad c| or a second c array would add 1 each.
+        # step of h, holds the workspace (four half spectra, one band-compact
+        # spectrum of 0.3 half spectra, one real field: 5.5 real fields at
+        # 32^3), the state (no |grad c|: the sample's went with its view),
+        # the coarse density, the mid density, the one c array the mid and
+        # new states share, the new density and the k caches: about 13.3
+        # real fields.  A cached |grad c| or a second c array would add 1
+        # each, a full nn_u buffer 0.7.
         grid = make_grid(3, 32, 20.0)
         mu0 = mu_zero_estimate(4, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3)).mu0
         p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=3)
@@ -589,7 +679,7 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert res.status is RunStatus.COMPLETED
-        assert peak <= 15.5 * 8 * grid.npoints
+        assert peak <= 13.75 * 8 * grid.npoints
 
     def test_memory_stays_flat_over_a_long_auto_dt_run(self, monkeypatch):
         # A run four times as long builds twice as many steppers (each holds
