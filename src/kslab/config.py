@@ -30,6 +30,7 @@ there is no key for that either.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -122,6 +123,13 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{section}.{exc}") from exc
+        field_bytes = 8 * self.n_axis**self.d  # one real field; a run holds several
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if field_bytes > memory:
+            raise ConfigError(
+                f"grid.n_axis={self.n_axis}: one field of {field_bytes} bytes exceeds "
+                f"the machine's {memory} bytes of memory"
+            )
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"init.preset must be one of {PRESET_NAMES}")
         if not self.amplitude >= 0:

@@ -136,7 +136,7 @@ class ScalarField:
     @cached_property
     def grad_abs(self) -> "ScalarField":
         """|grad f|, formed once per field and shared by every consumer."""
-        return ScalarField(self.grid, _grad_abs_values(self.values, self.grid))
+        return ScalarField(self.grid, _grad_abs_hat(_rfft(self.values), self.grid))
 
     def __add__(self, other):
         return ScalarField(self.grid, self.values + _vals(other))
@@ -413,15 +413,14 @@ def _real_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf.view(np.float64).reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _grad_abs_values(values, grid, fhat=None, prod=None, comp=None) -> np.ndarray:
-    """|grad f| of the samples ``values``, in a fresh array.
+def _grad_abs_hat(fhat, grid, prod=None, comp=None) -> np.ndarray:
+    """|grad f| of the field with half spectrum ``fhat``, in a fresh array.
 
     The bytes are those of ``magnitude(gradient(f))``, but each squared
     component is added as it is formed, so one component is alive at a time.
-    ``fhat`` and ``prod`` (half spectra) and ``comp`` (a real field) are
-    scratch, fresh by default.
+    ``prod`` (a half spectrum) and ``comp`` (a real field) are scratch,
+    fresh by default.
     """
-    fhat = _rfft(values, out=fhat)
     prod = np.empty_like(fhat) if prod is None else prod
     comp = np.empty(grid.shape) if comp is None else comp
     total = np.zeros(grid.shape)
@@ -433,10 +432,11 @@ def _grad_abs_values(values, grid, fhat=None, prod=None, comp=None) -> np.ndarra
 
 def _with_grad_abs(f: ScalarField, fhat, prod, comp) -> ScalarField:
     """A new field over ``f``'s values whose cached ``grad_abs`` is formed
-    now in the caller's scratch buffers (see ``_grad_abs_values``) and put
+    now in the caller's scratch buffers (see ``_grad_abs_hat``) and put
     where ``cached_property`` keeps it."""
     g = ScalarField(f.grid, f.values)
-    vars(g)["grad_abs"] = ScalarField(f.grid, _grad_abs_values(f.values, f.grid, fhat, prod, comp))
+    fhat = _rfft(f.values, out=fhat)
+    vars(g)["grad_abs"] = ScalarField(f.grid, _grad_abs_hat(fhat, f.grid, prod, comp))
     return g
 
 

@@ -244,7 +244,7 @@ def test_criterion_09_picard_stepper_cross_validation():
     _verdict(
         9,
         "picard_cross_validation",
-        order >= 1.0,
+        order >= 1.9,  # both routes are second order; it reads 2.00
         f"gap {coarse:.2e} -> {fine:.2e}, observed order {order:.2f}",
     )
 

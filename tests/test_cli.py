@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,6 +105,19 @@ class TestConfigParsing:
         kv["init.M"] = "15.0"
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping(kv)
+
+    def test_grid_larger_than_memory_rejected(self):
+        # 8 TiB per field: refused by validation before any array is allocated.
+        kv = parse_kv_text(FAST_CONFIG)
+        kv.update({"grid.d": "2", "grid.n_axis": "1048576"})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"grid\.n_axis"):
+                ExperimentConfig.from_mapping(kv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sweep_spec_requires_values(self):
         with pytest.raises(ConfigError):

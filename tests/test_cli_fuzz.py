@@ -75,6 +75,7 @@ VALID = {
 @example(overrides={}, corruption=[("params.mu", "-1")], then_assert=False)
 @example(overrides={}, corruption=[("grid.d", "100")], then_assert=False)
 @example(overrides={}, corruption=[("init.amplitude", "1e308")], then_assert=False)
+@example(overrides={"grid.n_axis": "1099511627776"}, corruption=[], then_assert=False)
 def test_run_exits_with_documented_code(overrides, corruption, then_assert):
     kv = {**BASE, **overrides, **dict(corruption)}
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,6 +12,7 @@ from kslab.fields import (
     _apply_multiplier,
     _band,
     _dealias_mask_r,
+    _grad_abs_hat,
     _grad_hat,
     _hessian_sq_hat,
     _irfft,
@@ -294,6 +295,7 @@ class TestSpectralCores:
         for got, want in zip(_grad_hat(fhat, grid), gradient(f).components):
             assert np.array_equal(got, want.values)
         assert np.array_equal(_hessian_sq_hat(fhat, grid), hessian_sq(f).values)
+        assert _grad_abs_hat(fhat, grid).tobytes() == f.grad_abs.values.tobytes()
         assert np.array_equal(fhat, _rfft(f.values))
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
