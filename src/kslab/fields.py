@@ -111,9 +111,9 @@ class ScalarField:
     The stored array is read-only, but the array passed in may stay writable
     and share its memory.  Only its owner may write through that alias, and
     only while it hands the field to no one, since a write leaves the cached
-    ``grad_abs`` stale (``solver._probe`` does so).  A new field over
-    another's ``values`` shares the array but not the cache, which is how
-    ``solver.run`` drops the ``grad_abs`` of each sample (``_with_grad_abs``).
+    ``grad_abs`` stale.  A new field over another's ``values`` shares the
+    array but not the cache, which is how ``solver.run``'s final state drops
+    the ``grad_abs`` of the last sample (``_with_grad_abs``).
     """
 
     grid: Grid
@@ -431,13 +431,11 @@ def _grad_abs_hat(fhat, grid, prod=None, comp=None) -> np.ndarray:
 
 
 def _with_grad_abs(f: ScalarField, fhat, prod, comp) -> ScalarField:
-    """A new field over ``f``'s values whose cached ``grad_abs`` is formed
-    now in the caller's scratch buffers (see ``_grad_abs_hat``) and put
-    where ``cached_property`` keeps it."""
-    g = ScalarField(f.grid, f.values)
-    fhat = _rfft(f.values, out=fhat)
-    vars(g)["grad_abs"] = ScalarField(f.grid, _grad_abs_hat(fhat, f.grid, prod, comp))
-    return g
+    """``f``, with its cached ``grad_abs`` formed now from ``fhat``, the half
+    spectrum of its values, in the caller's scratch buffers (see
+    ``_grad_abs_hat``) and put where ``cached_property`` keeps it."""
+    vars(f)["grad_abs"] = ScalarField(f.grid, _grad_abs_hat(fhat, f.grid, prod, comp))
+    return f
 
 
 def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:

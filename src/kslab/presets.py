@@ -20,13 +20,23 @@ __all__ = ["build_initial", "PRESET_NAMES"]
 PRESET_NAMES = ("gaussian_bump", "two_bumps", "constant", "random_smooth")
 
 
-def _random_modes(amps: np.ndarray, coords, grid: Grid, amplitude: float) -> np.ndarray:
-    """Random low Fourier modes, lifted to a minimum of 0 and scaled to peak ``amplitude``."""
-    L = grid.box_len
-    total = np.zeros(grid.shape)
-    for idx in np.ndindex(*amps.shape[:-1]):
-        phase = sum(2.0 * np.pi * (m + 1) * x / L for m, x in zip(idx, coords))
-        total += amps[idx + (0,)] * np.cos(phase) + amps[idx + (1,)] * np.sin(phase)
+def _random_modes(amps: np.ndarray, grid: Grid, amplitude: float) -> np.ndarray:
+    """Random low Fourier modes, lifted to a minimum of 0 and scaled to peak ``amplitude``.
+
+    The sum over modes ``m`` of ``a_m cos(phase) + b_m sin(phase)``, with
+    ``phase = 2 pi sum_j (m_j + 1) x_j / L``, is the real part of
+    ``sum_m w_m prod_j e^{2 pi i (m_j + 1) x_j / L}`` with ``w = a - i b``.
+    The modes are contracted with the per-axis factors one axis at a time,
+    by ``einsum`` without ``optimize`` (no BLAS, so the bytes do not depend on
+    the host's library).
+    """
+    x = grid.axis_coords()
+    waves = np.arange(1, amps.shape[0] + 1)
+    factor = np.exp(1j * (2.0 * np.pi / grid.box_len) * np.multiply.outer(waves, x))
+    total = amps[..., 0] - 1j * amps[..., 1]
+    for _ in range(grid.d):  # the leading mode axis out, the axis's points in last
+        total = np.einsum("m...,mx->...x", total, factor)
+    total = total.real
     total -= total.min()
     peak = total.max()
     return amplitude * total / peak if peak > 0 else total
@@ -68,8 +78,8 @@ def build_initial(
         # Band-limited nonnegative noise: random low modes, lifted above zero.
         amps_n = rng.standard_normal((4,) * grid.d + (2,))
         amps_c = rng.standard_normal((4,) * grid.d + (2,))
-        n0 = _random_modes(amps_n, coords, grid, amplitude)
-        c0 = 0.5 * _random_modes(amps_c, coords, grid, amplitude)
+        n0 = _random_modes(amps_n, grid, amplitude)
+        c0 = 0.5 * _random_modes(amps_c, grid, amplitude)
     else:
         raise ValueError(f"unknown preset '{preset}' (choose from {PRESET_NAMES})")
     return approx_initial(n0, c0, M, grid)

@@ -23,10 +23,11 @@ Positivity is never enforced: undershoots are recorded by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -124,6 +125,24 @@ class State:
         return self.n.is_finite() and self.c.is_finite()
 
 
+class _Carried(NamedTuple):
+    """A state as ``run`` carries it between steps: the time, the density
+    and the concentration's half spectrum.  Only ``run``, the helpers it
+    steps and samples through (``_probe``, ``_Stepper.advance``, ``_view``)
+    and ``step`` see one, and a physical ``c`` is formed from it only where
+    something reads one: a ``_view``, ``run``'s final state and ``step``'s
+    result."""
+
+    t: float
+    n: np.ndarray
+    chat: np.ndarray
+
+
+def _carry(state: State) -> _Carried:
+    """``state`` as a carried record, by one forward transform of its ``c``."""
+    return _Carried(state.t, state.n.values, _rfft(state.c.values))
+
+
 @dataclass(frozen=True)
 class FunctionalSample:
     """One monitor reading: named scalar functionals at a trace time."""
@@ -170,6 +189,10 @@ class RunConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
+        if isinstance(self.monitor_every, bool) or not isinstance(
+            self.monitor_every, numbers.Integral
+        ):
+            raise ValueError("monitor_every must be an integer")
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
 
@@ -233,20 +256,20 @@ class _Scratch:
 
 
 class _Workspace(_Scratch):
-    """The buffers of one split step: four half spectra, one band-compact
-    spectrum and one real field (about 5.4 real fields at 64^3).
+    """The buffers of one split step: three half spectra, two band-compact
+    spectra and one real field (about 4.7 real fields at 64^3).
 
-    Besides ``prod`` and ``phys``: ``nhat`` and ``chat``, the state's
-    transforms and then stage a's; ``nc_u``, stage u's ``nhat / tau``; and
-    ``nn_u``, stage u's transport term in the band-compact layout of
-    ``fields._band``.  Spent buffers serve the rest: ``prod`` takes the
-    concentration's correction, which is transformed at once, ``nn_a``
-    (the start of ``nc_u``, band-compact) stage a's transport term, ``mult``
-    (``phys`` read as a half-spectrum real array) each stepper multiplier
-    while it is used, and ``log1p`` (``chat`` read as a real field) the
-    logistic substep's logarithms, taken before ``chat`` holds the state's
-    transform and after stage a has read it.  Stage a's density goes into
-    the new state's density array.
+    Besides ``prod`` and ``phys``: ``nhat``, the density's transform and
+    then stage a's; ``nc_u``, stage u's ``nhat / tau`` and then the
+    concentration's correction; and ``nn_u`` and ``nn_a``, the two stages'
+    transport terms in the band-compact layout of ``fields._band``.  Spent
+    buffers serve the rest: ``prod`` takes each product that is transformed
+    or added at once, ``mult`` (``phys`` read as a half-spectrum real array)
+    each stepper multiplier while it is used, and ``log1p`` (``nc_u`` read
+    as a real field) the logistic substep's logarithms, taken before
+    ``nc_u`` holds stage u's term and after the correction has gone into
+    the new concentration.  Stage a's density goes into the new density's
+    array, and its concentration into the new concentration's.
 
     All of it is one allocation, which glibc's malloc maps apart from its
     heap, so it leaves no hole among the run's arrays there (six separate
@@ -254,7 +277,7 @@ class _Workspace(_Scratch):
     kept).
 
     ``run`` allocates one per run and hands it to every ``_Stepper`` it
-    builds, so a step allocates only the two arrays of the new State.  The
+    builds, so a step allocates only the two arrays of its new record.  The
     buffers are overwritten by every call: a workspace, and a ``_Stepper``
     holding one, must not be used by two threads at once.
     """
@@ -262,14 +285,14 @@ class _Workspace(_Scratch):
     def __init__(self, grid: Grid):
         band = _band(grid)[0]
         n_half, n_band = math.prod(grid.rshape), math.prod(band)
-        block = np.empty(4 * n_half + n_band + grid.npoints // 2, dtype=np.complex128)
-        spectra = block[: 4 * n_half].reshape((4,) + grid.rshape)
-        super().__init__(grid, spectra[0], _real_view(block[4 * n_half + n_band :], grid.shape))
-        self.nhat, self.chat, self.nc_u = spectra[1:]
-        self.nn_u = block[4 * n_half : 4 * n_half + n_band].reshape(band)
-        self.nn_a = self.nc_u.reshape(-1)[:n_band].reshape(band)
+        bands = 3 * n_half + 2 * n_band
+        block = np.empty(bands + grid.npoints // 2, dtype=np.complex128)
+        spectra = block[: 3 * n_half].reshape((3,) + grid.rshape)
+        super().__init__(grid, spectra[0], _real_view(block[bands:], grid.shape))
+        self.nhat, self.nc_u = spectra[1:]
+        self.nn_u, self.nn_a = block[3 * n_half : bands].reshape((2,) + band)
         self.mult = _real_view(self.phys, grid.rshape)
-        self.log1p = _real_view(self.chat, grid.shape)
+        self.log1p = _real_view(self.nc_u, grid.shape)
 
 
 def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
@@ -394,24 +417,27 @@ class _Stepper:
         return int_n, damped / p.mu, damped, n_sum, out_sum
 
     def advance(
-        self, state: State, c_out: np.ndarray | None = None
-    ) -> tuple[State, float, float, float]:
-        """One step; returns (state, relative ledger, d int(n) dt, d int(n^2) dt).
+        self, now: _Carried, chat_out: np.ndarray | None = None
+    ) -> tuple[_Carried, float, float, float]:
+        """One step; returns (record, relative ledger, d int(n) dt, d int(n^2) dt).
 
-        The two trailing values are the step's contribution to the running
-        time integrals of int(n) and int(n^2), in the closed forms of the
-        logistic substeps, which are the only ones to change the mass.  The
-        ledger is the step's mass imbalance relative to the larger L^1 mass
-        before and after it.  Everything but the new state's two arrays
-        lives in the workspace.
+        The step goes from one carried record to the next: it reads
+        ``now.chat`` as the concentration's spectrum and returns the new one,
+        with no transform of ``c`` at either end.  The two trailing values
+        are the step's contribution to the running time integrals of int(n)
+        and int(n^2), in the closed forms of the logistic substeps, which
+        are the only ones to change the mass.  The ledger is the step's mass
+        imbalance relative to the larger L^1 mass before and after it.
+        Everything but the new record's two arrays lives in the workspace.
 
-        The concentration's correction ``a_c + p2_c (a_n - nhat) / tau``
-        is linear in the densities' spectra, so it is formed right after
-        stage u and transformed at once into the new ``c`` array, which
-        frees ``nc_u`` for stage a.  ``c_out``, when given, takes the new
-        concentration instead of a fresh array.  It may hold ``state.c``
-        itself, which the step has transformed by then, so only a caller
-        that owns it and hands ``state`` to no one else may pass it.
+        The new record's ``chat`` array holds stage a's ``a_c_hat`` and then
+        the new spectrum; ``chat_out``, when given, is that array instead of
+        a fresh one.  It may be ``now.chat`` itself, which stage u's
+        transport term has read by then, so only a caller that owns it and
+        hands ``now`` to no one else may pass it.  The concentration's
+        correction ``p2_c (a_n_hat / tau - nhat / tau)`` is linear in the
+        densities' spectra, so it is formed over ``nc_u`` right after stage
+        u and added once stage a's transport term has read ``a_c_hat``.
 
         Both transport terms are band-compact, so only the band's blocks of
         ``a_n_hat`` take them.  At a dropped mode a full ``nn_u`` would hold
@@ -423,13 +449,12 @@ class _Stepper:
         """
         ws, grid, p = self.ws, self.grid, self.params
         _, blocks, dropped = _band(grid)
-        n_phys = state.n.values
         new_n = np.empty(grid.shape)
-        int_n_a, int_n2_a, damped_a, mass_before, _ = self._logistic(n_phys, new_n)
+        int_n_a, int_n2_a, damped_a, mass_before, _ = self._logistic(now.n, new_n)
 
-        # T(dt) from (new_n, c): the state transforms, then stage u.
-        nhat, chat = _rfft(new_n, ws.nhat), _rfft(state.c.values, ws.chat)
-        nn_u = _transport_hat(p, ws, chat, new_n, ws.nn_u)
+        # T(dt) from (new_n, now.chat): the density's transform, then stage u.
+        nhat = _rfft(new_n, ws.nhat)
+        nn_u = _transport_hat(p, ws, now.chat, new_n, ws.nn_u)
         nc_u = np.divide(nhat, p.tau, out=ws.nc_u)
         a_n_hat = np.multiply(self._gather(self.exp_n), nhat, out=nhat)
         p1_n = self._gather(self.p1_n)
@@ -437,21 +462,19 @@ class _Stepper:
             a_n_hat[full] += np.multiply(p1_n[full], nn_u[band], out=ws.prod[full])
         for full in dropped:
             a_n_hat[full].imag += 0.0
-        a_c_hat = np.multiply(self._gather(self.exp_c), chat, out=chat)
+        if chat_out is None:
+            chat_out = np.empty(grid.rshape, dtype=np.complex128)
+        a_c_hat = np.multiply(self._gather(self.exp_c), now.chat, out=chat_out)
         a_c_hat += np.multiply(self._gather(self.p1_c), nc_u, out=ws.prod)
 
-        # The new c, a_c_hat + p2_c * (a_n_hat / tau - nc_u), into its array.
-        c_hat = np.divide(a_n_hat, p.tau, out=ws.prod)
-        c_hat -= nc_u
-        np.multiply(self._gather(self.p2_c), c_hat, out=c_hat)
-        np.add(a_c_hat, c_hat, out=c_hat)
-        if c_out is None:
-            c_out = np.empty(grid.shape)
-        new_c = _irfft(c_hat, grid, out=c_out, work=c_hat)
+        # The c correction p2_c * (a_n_hat / tau - nc_u), over nc_u.
+        c_fix = np.subtract(np.divide(a_n_hat, p.tau, out=ws.prod), nc_u, out=nc_u)
+        np.multiply(self._gather(self.p2_c), c_fix, out=c_fix)
 
         # Stage a: new_n is spent (nhat holds it) until the final transform.
         a_n = _irfft(a_n_hat, grid, out=new_n, work=ws.prod)
         nn_a = _transport_hat(p, ws, a_c_hat, a_n, ws.nn_a)
+        new_chat = np.add(a_c_hat, c_fix, out=a_c_hat)
         # a_n_hat + p2_n * (nn_a - nn_u), transformed into the new density.
         nn_a -= nn_u
         p2_n = self._gather(self.p2_n)
@@ -466,13 +489,9 @@ class _Stepper:
         d_int_n = hd * (int_n_a + int_n_b)
         mass_delta = hd * (mass_after - mass_before)
         ledger = abs(mass_delta - (p.lam * d_int_n - hd * (damped_a + damped_b)))
-        l1 = hd * max(np.sum(np.abs(n_phys, out=ws.phys)), np.sum(np.abs(new_n, out=ws.phys)))
-        new_state = State(
-            t=state.t + self.dt,
-            n=ScalarField(grid, new_n),
-            c=ScalarField(grid, new_c),
-        )
-        return new_state, float(ledger / max(l1, 1e-300)), d_int_n, hd * (int_n2_a + int_n2_b)
+        l1 = hd * max(np.sum(np.abs(now.n, out=ws.phys)), np.sum(np.abs(new_n, out=ws.phys)))
+        new = _Carried(now.t + self.dt, new_n, new_chat)
+        return new, float(ledger / max(l1, 1e-300)), d_int_n, hd * (int_n2_a + int_n2_b)
 
 
 def _tendency_hat(
@@ -510,8 +529,10 @@ def step(state: State, params: Params, dt: float) -> State:
     """One deterministic split step of size dt."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    new_state, _, _, _ = _Stepper(state.grid, params, dt).advance(state)
-    return new_state
+    grid = state.grid
+    new = _Stepper(grid, params, dt).advance(_carry(state))[0]
+    c = _irfft(new.chat, grid, work=new.chat)
+    return State(new.t, ScalarField(grid, new.n), ScalarField(grid, c))
 
 
 def suggest_dt(state: State, params: Params) -> float:
@@ -542,8 +563,8 @@ def _doubling_error(coarse: np.ndarray, fine: np.ndarray, scratch: np.ndarray) -
     return max(l1_gap / l1, sup_gap / sup)
 
 
-def _probe(state: State, params: Params, h: float, eps: float, workspace: _Workspace):
-    """Step-doubling probe of the automatic step ``h`` from ``state``.
+def _probe(now: _Carried, params: Params, h: float, eps: float, workspace: _Workspace):
+    """Step-doubling probe of the automatic step ``h`` from the record ``now``.
 
     Compares one step of ``2h`` with two of ``h`` by ``_doubling_error`` and
     shrinks ``h`` while the gap exceeds ``PROBE_TOL``.  A trial whose
@@ -556,23 +577,22 @@ def _probe(state: State, params: Params, h: float, eps: float, workspace: _Works
     steps merged into one ``advance`` result, and the gap.  Once ``h`` falls
     to ``eps`` it cannot advance the run, which raises FloatingPointError
     instead of looping on.  At most one stepper, the coarse density and two
-    states besides ``state`` are alive at a time, and those two states share
-    one concentration array: the second step of ``h`` writes its ``c`` over
-    the first's.  Only the probe holds that array, and of the first step's
-    state it keeps ``mid.n`` alone.
+    records besides ``now`` are alive at a time, and those two records
+    share one spectrum array: the second step of ``h`` writes its ``chat``
+    over the first's.  Only the probe holds that array, and of the first
+    step's record it keeps ``mid.n`` alone.
     """
-    grid = state.grid
+    grid = workspace.grid
     coarse = None  # the density one step of 2h reaches, once a trial has it
     while h > eps:
-        stepper = mid = end = c_out = None  # the last trial's, before this one allocates
+        stepper = mid = end = None  # the last trial's, before this one allocates
         try:
             if coarse is None:
-                coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(state)[0].n
+                coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(now)[0].n
             stepper = _Stepper(grid, params, h, workspace)
-            c_out = np.empty(grid.shape)  # mid's c, then end's
-            mid, *first = stepper.advance(state, c_out)
-            end, *second = stepper.advance(mid, c_out)
-            err = _doubling_error(coarse.values, end.n.values, workspace.phys)
+            mid, *first = stepper.advance(now)
+            end, *second = stepper.advance(mid, mid.chat)
+            err = _doubling_error(coarse, end.n, workspace.phys)
         except FloatingPointError:
             err = math.inf
         if err <= PROBE_TOL:
@@ -607,17 +627,22 @@ def _builtin_sample(state: State) -> dict[str, float]:
     }
 
 
-def _view(state: State, ws: _Workspace) -> State:
-    """A State over ``state``'s read-only arrays with none of its cached
-    fields but ``c.grad_abs``, formed now in the buffers of ``ws``.
+def _view(now: _Carried, ws: _Workspace, c: np.ndarray | None = None) -> State:
+    """A State over ``now``'s density and the concentration ``c`` (by
+    default formed now from ``now.chat`` by one inverse transform), whose
+    cached ``c.grad_abs`` is formed now from ``now.chat``, in the buffers of
+    ``ws``, with no forward transform.
 
-    ``run`` samples a state and caps the step through one of these.  The
-    workspace is idle between steps, so ``|grad c|`` allocates only its own
-    array, and it is dropped with the view instead of staying on the state
-    the next probe steps from.
+    ``run`` samples a record and caps the step through one of these.  The
+    workspace is idle between steps, so the view allocates only its ``c``
+    and ``|grad c|``, and both are dropped with it instead of staying with
+    the record the next probe steps from.
     """
-    c = _with_grad_abs(state.c, ws.nhat, ws.prod, ws.phys)
-    return State(state.t, ScalarField(state.grid, state.n.values), c)
+    grid = ws.grid
+    if c is None:
+        c = _irfft(now.chat, grid, work=ws.prod)
+    c = _with_grad_abs(ScalarField(grid, c), now.chat, ws.prod, ws.phys)
+    return State(now.t, ScalarField(grid, now.n), c)
 
 
 def run(
@@ -640,10 +665,14 @@ def run(
     advance the clock ends the run as a numerical failure.
     ``params.d`` must be the grid's dimension, which the monitors read from it.
 
-    The monitors are handed a fresh ``State`` over each sampled state's
-    arrays: what they cache on its fields (``ScalarField.grad_abs``) is
-    dropped after the sample.  No array that ``initial``, a monitor's state
-    or the result holds is ever written.
+    Between steps the run carries its state as a ``_Carried`` record, whose
+    concentration is a half spectrum: ``initial.c`` is transformed once, and
+    a physical ``c`` is formed by one inverse transform for each sample and
+    regrow cap (``_view``) and for the final state, which shares the last
+    sample's when the run ends there.  The monitors are handed a fresh
+    ``State`` of each sampled record: what they cache on its fields
+    (``ScalarField.grad_abs``) is dropped after the sample.  No array that
+    ``initial``, a monitor's state or the result holds is ever written.
     """
     grid = initial.grid
     if params.d != grid.d:
@@ -673,7 +702,6 @@ def run(
             return math.inf
         return suggest_dt(view, params)
 
-    state = initial
     # The |k|^2 levels first: their sort's temporaries are freed before the
     # run's arrays are placed, and leave no gaps among them.
     _k_squared_levels(grid)
@@ -683,7 +711,8 @@ def run(
     try:
         # Data that overflow the sample raise here, not as numpy warnings.
         with np.errstate(over="raise", invalid="raise"):
-            view = _view(initial, workspace)
+            now = _carry(initial)
+            view = _view(now, workspace, initial.c.values)
             values = _builtin_sample(view)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{not_finite} ({exc})") from None
@@ -692,67 +721,71 @@ def run(
         raise FloatingPointError(not_finite)
     cap = BLOWUP_FACTOR * max(gauge, 1.0)
     h_cap = sample(view, values)
-    del view
     ledger_rel_max = 0.0
     status = RunStatus.COMPLETED
     stepper: _Stepper | None = None
     h_next = math.inf  # the controller's proposal for the next interval's step
 
-    def take(result: tuple[State, float, float, float]) -> None:
-        nonlocal state, int_n, int_n2, ledger_rel_max
-        state, ledger_rel, d_int_n, d_int_n2 = result
-        if not (state.is_finite() and all(map(math.isfinite, result[1:]))):
+    def take(result: tuple[_Carried, float, float, float]) -> None:
+        nonlocal now, int_n, int_n2, ledger_rel_max
+        now, ledger_rel, d_int_n, d_int_n2 = result
+        finite = np.isfinite(now.n).all() and np.isfinite(now.chat).all()
+        if not (finite and all(map(math.isfinite, result[1:]))):
             raise FloatingPointError("non-finite step result")
         int_n += d_int_n
         int_n2 += d_int_n2
         ledger_rel_max = max(ledger_rel_max, ledger_rel)
 
-    while state.t < t_end - eps:
+    while now.t < t_end - eps:
+        view = None  # the last sample's c and |grad c| go before the steps
         try:
             steps = 0
             h = config.dt
             if h is None:
-                h = min(h_next, h_cap, 0.5 * (t_end - state.t))
+                h = min(h_next, h_cap, 0.5 * (t_end - now.t))
                 while True:
                     stepper = None  # one stepper alive at a time: the probe builds its own
-                    stepper, merged, err = _probe(state, params, h, eps, workspace)
+                    stepper, merged, err = _probe(now, params, h, eps, workspace)
                     take(merged)
-                    del merged  # its state is `state` now: hold no older one
+                    del merged  # its record is `now` now: hold no older one
                     h, steps = stepper.dt, steps + 2
                     h_next = h * _step_factor(err, 5.0)
                     # Regrow: with room for two more steps and at least 2x
                     # headroom, probe again from here instead of going on at
                     # h.  The transport cap costs a gradient, so it comes last.
-                    grown = min(h_next, 0.5 * (t_end - state.t))
+                    grown = min(h_next, 0.5 * (t_end - now.t))
                     if steps + 2 > config.monitor_every or grown < 2.0 * h:
                         break
-                    grown = min(grown, suggest_dt(_view(state, workspace), params))
+                    grown = min(grown, suggest_dt(_view(now, workspace), params))
                     if grown < 2.0 * h:
                         break
                     h = grown
             elif not h > eps:
                 raise FloatingPointError("dt underflowed")
             while steps < config.monitor_every:
-                dt_step = min(h, t_end - state.t)
+                dt_step = min(h, t_end - now.t)
                 if dt_step <= eps:
                     break
                 if stepper is None or stepper.dt != dt_step:
                     stepper = _Stepper(grid, params, dt_step, workspace)
-                take(stepper.advance(state))
+                take(stepper.advance(now))
                 steps += 1
         except FloatingPointError:
             status = RunStatus.NUMERICAL_FAILURE
             break
-        h_cap = sample(_view(state, workspace))
+        view = _view(now, workspace)
+        h_cap = sample(view)
         if continuation_gauge(trace[-1].values) > cap:
             status = RunStatus.BLOWUP_SUSPECTED
             break
 
+    # The final c is the last sample's when the run stopped at that sample.
+    c = view.c.values if view is not None else _irfft(now.chat, grid, work=workspace.prod)
     return RunResult(
         status=status,
-        status_time=state.t,
+        status_time=now.t,
         trace=trace,
-        final=state,
+        final=State(now.t, ScalarField(grid, now.n), ScalarField(grid, c)),
         mass_ledger_rel_max=ledger_rel_max,
     )
 

@@ -87,13 +87,20 @@ class TestPresets:
     @pytest.mark.parametrize("d, n_axis", [(1, 256), (2, 64), (3, 16)])
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_bitwise_equal_to_the_formulas_on_the_full_mesh(self, name, d, n_axis, box_len):
+        # random_smooth contracts per-axis factors instead of evaluating cos
+        # and sin of each mode on the full mesh, which rounds differently:
+        # it must stay within 1e-13 of the full-mesh formula's sup (it reads
+        # 9e-16 here).  Every other preset is the formula byte for byte.
         grid = make_grid(d, n_axis, box_len)
         M = box_len / 9.0
         state = build_initial(grid, name, 1.7, 1.3, M, seed=5)
         n0, c0 = _closure_formulas(name, 1.7, 1.3, grid, seed=5)
         psi = cutoff_psi(grid, M).values
-        assert np.array_equal(state.n.values, psi * n0)
-        assert np.array_equal(state.c.values, psi * c0)
+        for got, want in ((state.n.values, psi * n0), (state.c.values, psi * c0)):
+            if name == "random_smooth":
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want)
 
     def test_build_peaks_at_six_full_arrays(self):
         # The result is two arrays; the coordinates and radius stay on open

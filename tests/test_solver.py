@@ -31,11 +31,13 @@ from kslab.solver import (
     RunConfig,
     RunStatus,
     State,
+    _carry,
     _doubling_error,
     _probe,
     _Scratch,
     _Stepper,
     _tendency_hat,
+    _view,
     _Workspace,
     _phi1,
     _phi2,
@@ -95,6 +97,13 @@ class TestParamsAndState:
             RunConfig(t_end=0.0)
         with pytest.raises(ValueError):
             RunConfig(t_end=1.0, monitor_every=0)
+
+    @pytest.mark.parametrize("every", [2.5, 3.0, True, "3"])
+    def test_run_config_rejects_a_non_integer_monitor_every(self, every):
+        # A float or a bool would silently stand for a count of steps.
+        with pytest.raises(ValueError, match="monitor_every must be an integer"):
+            RunConfig(t_end=1.0, monitor_every=every)
+        assert RunConfig(t_end=1.0, monitor_every=np.int64(3)).monitor_every == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -298,9 +307,10 @@ class TestLogisticSubstep:
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=100.0, d=1)
         with pytest.raises(FloatingPointError, match="1 \\+ mu q n"):
             step(state, p, 0.03)
-        stepper, merged, err = _probe(state, p, 0.015, 1e-12, _Workspace(grid1d))
+        stepper, merged, err = _probe(_carry(state), p, 0.015, 1e-12, _Workspace(grid1d))
         assert stepper.dt < 0.01 and err <= PROBE_TOL
-        assert merged[0].t == 2 * stepper.dt and merged[0].is_finite()
+        assert merged[0].t == 2 * stepper.dt
+        assert np.isfinite(merged[0].n).all() and np.isfinite(merged[0].chat).all()
 
 
 def _headline_damped(d, n_axis):
@@ -330,7 +340,7 @@ class TestAutoStep:
         fine = step(step(initial, p, h0), p, h0).n.values
         assert _doubling_error(coarse, fine, ws.phys) > PROBE_TOL
         builds, advances = _count_builds(monkeypatch), _count_advances(monkeypatch)
-        stepper, merged, err = _probe(initial, p, h0, 1e-12, ws)
+        stepper, merged, err = _probe(_carry(initial), p, h0, 1e-12, ws)
         h = stepper.dt
         assert h < h0 and err <= PROBE_TOL
         # Each rejection here halves h, so its first step of h is the next
@@ -339,8 +349,11 @@ class TestAutoStep:
         assert h == h0 / 2**r and r >= 2
         assert (len(advances), len(builds)) == (3 + 2 * r, r + 2)
         assert merged[0].t == 2 * h
-        kept = step(step(initial, p, h), p, h)
-        assert merged[0].n.values.tobytes() == kept.n.values.tobytes()
+        # Two carried steps of h: the probe's second one over the first's chat.
+        fine = _Stepper(initial.grid, p, h)
+        kept = fine.advance(fine.advance(_carry(initial))[0])[0]
+        assert merged[0].n.tobytes() == kept.n.tobytes()
+        assert merged[0].chat.tobytes() == kept.chat.tobytes()
 
     def test_regrow_probes_again_within_the_interval(self, monkeypatch):
         # Past the opening transient a probe's gap leaves far more than 2x
@@ -465,22 +478,22 @@ def _count_advances(monkeypatch):
 
 
 def _run_without_regrow(initial, p, config):
-    """``run``'s automatic step before regrow, to its final state: one probe
+    """``run``'s automatic step before regrow, to its final record: one probe
     per monitor interval, the rest of the interval at the probe's step."""
-    state, h_next = initial, math.inf
+    now, h_next = _carry(initial), math.inf
     ws = _Workspace(initial.grid)
-    while state.t < config.t_end - 1e-12:
-        h = min(h_next, suggest_dt(state, p), 0.5 * (config.t_end - state.t))
-        stepper, (state, *_), err = _probe(state, p, h, 1e-12, ws)
+    while now.t < config.t_end - 1e-12:
+        h = min(h_next, suggest_dt(_view(now, ws), p), 0.5 * (config.t_end - now.t))
+        stepper, (now, *_), err = _probe(now, p, h, 1e-12, ws)
         h_next = stepper.dt * solver._step_factor(err, 5.0)
         for _ in range(config.monitor_every - 2):
-            dt = min(stepper.dt, config.t_end - state.t)
+            dt = min(stepper.dt, config.t_end - now.t)
             if dt <= 1e-12:
                 break
             if dt != stepper.dt:
-                stepper = _Stepper(state.grid, p, dt, ws)
-            state = stepper.advance(state)[0]
-    return state
+                stepper = _Stepper(initial.grid, p, dt, ws)
+            now = stepper.advance(now)[0]
+    return now
 
 
 def _count_builds(monkeypatch):
@@ -502,20 +515,29 @@ def _random_state(grid, seed):
     return State(0.0, ScalarField(grid, n), ScalarField(grid, rng.standard_normal(grid.shape)))
 
 
-# Transforms per step in 2D and 3D (1D is never split).  Split, each hands
-# the helper thread one half of each of its two passes.
-STEP_TRANSFORMS = {2: 13, 3: 17}
+# Transforms per carried step in 2D and 3D (1D is never split): one of the
+# density, two per axis for each stage's transport term, stage a's density
+# and the new density.  Split, each hands the helper thread one half of each
+# of its two passes.
+STEP_TRANSFORMS = {2: 11, 3: 15}
+
+
+def _uncarried(grid, now):
+    """The State of a carried record, by one inverse transform that keeps ``now.chat``."""
+    return State(now.t, ScalarField(grid, now.n), ScalarField(grid, _irfft(now.chat, grid)))
 
 
 def _split_step_bytes(d, n_axis):
-    """Bytes of one split step from seeded data, and the pass halves that ran
-    off the calling thread meanwhile (module level, for a pool worker)."""
+    """Bytes of one carried split step from seeded data, and the pass halves
+    that ran off the calling thread meanwhile (module level, for a pool
+    worker)."""
     grid = make_grid(d, n_axis, 20.0)
     stepper = _Stepper(grid, Params(d=d, **TestWorkspaceStep.P), 0.01)
+    now = _carry(_random_state(grid, d))
     ran = fields._halves.ran  # the helper_halves fixture's list, or this child's copy
     before = len(ran)
-    new = stepper.advance(_random_state(grid, d))[0]
-    return new.n.values.tobytes() + new.c.values.tobytes(), len(ran) - before
+    new = stepper.advance(now)[0]
+    return new.n.tobytes() + new.chat.tobytes(), len(ran) - before
 
 
 class TestWorkspaceStep:
@@ -526,16 +548,17 @@ class TestWorkspaceStep:
             p = Params(d=grid.d, **{**self.P, "mu": mu})
             stepper = _Stepper(grid, p, 0.01)
             state = _random_state(grid, grid.d)
-            for _ in range(3):
+            for _ in range(3):  # each from the public state: the formula's bytes
+                now = _carry(state)
                 del helper_halves[:]
-                new, ledger, d_int_n, d_int_n2 = stepper.advance(state)
+                new, ledger, d_int_n, d_int_n2 = stepper.advance(now)
                 halves = len(helper_halves)
                 n, c, *scalars = _allocating_split_step(state, p, 0.01)
-                assert new.n.values.tobytes() == n.tobytes()
-                assert new.c.values.tobytes() == c.tobytes()
+                state = _uncarried(grid, new)
+                assert new.n.tobytes() == n.tobytes()
+                assert state.c.values.tobytes() == c.tobytes()
                 assert [ledger, d_int_n, d_int_n2] == scalars
                 assert halves == (2 * STEP_TRANSFORMS[grid.d] if split else 0)
-                state = new
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
     def test_bitwise_equal_to_allocating_formula(self, d, n_axis, helper_halves):
@@ -551,8 +574,9 @@ class TestWorkspaceStep:
     def test_signed_zeros_at_dropped_modes(self, n, monkeypatch):
         # The transforms of these densities hold a -0 real part (first) or
         # imaginary part (second) at a dropped mode, where the stepper adds
-        # no transport term.  Every spectrum it inverse-transforms must
-        # still be one of the allocating formula's, byte for byte.
+        # no transport term.  Every spectrum a public step inverse-transforms
+        # (the carried step's, then its new chat's) must still be one of the
+        # allocating formula's, byte for byte.
         grid = make_grid(1, 8, 8.0)
         p = Params(d=1, **self.P)
         state = State(0.0, ScalarField(grid, np.array(n)), ScalarField(grid, np.zeros(8)))
@@ -566,7 +590,7 @@ class TestWorkspaceStep:
             return call
 
         monkeypatch.setattr(solver, "_irfft", recorded(solver._irfft))
-        stepped = _Stepper(grid, p, 0.01).advance(state)[0]
+        stepped = step(state, p, 0.01)
         stepper_spectra, spectra[:] = sorted(spectra), []
         monkeypatch.setattr(np.fft, "irfftn", recorded(np.fft.irfftn))
         n_want, c_want, *_ = _allocating_split_step(state, p, 0.01)
@@ -594,26 +618,29 @@ class TestWorkspaceStep:
     def test_states_do_not_alias_the_workspace(self):
         grid = make_grid(2, 32, 20.0)
         stepper = _Stepper(grid, Params(d=2, **self.P), 0.01)
-        start = _random_state(grid, 7)
+        start = _carry(_random_state(grid, 7))
+        start_bytes = start.n.tobytes() + start.chat.tobytes()
         kept = stepper.advance(start)[0]
-        kept_bytes = kept.n.values.tobytes() + kept.c.values.tobytes()
+        kept_bytes = kept.n.tobytes() + kept.chat.tobytes()
         later = kept
         for _ in range(3):
             later = stepper.advance(later)[0]
-        assert kept.n.values.tobytes() + kept.c.values.tobytes() == kept_bytes
+        assert kept.n.tobytes() + kept.chat.tobytes() == kept_bytes
         again = stepper.advance(start)[0]
-        assert again.n.values.tobytes() + again.c.values.tobytes() == kept_bytes
+        assert again.n.tobytes() + again.chat.tobytes() == kept_bytes
+        assert start.n.tobytes() + start.chat.tobytes() == start_bytes
         buffers = [b for b in vars(stepper.ws).values() if isinstance(b, np.ndarray)]
-        for field in (kept.n, kept.c, later.n, later.c, again.n, again.c):
-            assert not any(np.shares_memory(field.values, b) for b in buffers)
+        for array in (*kept[1:], *later[1:], *again[1:]):
+            assert not any(np.shares_memory(array, b) for b in buffers)
 
     def test_warm_step_allocates_only_the_new_state(self):
-        # The new state's two arrays, and numpy's iterator buffer (bufsize
-        # complex elements, 128 KiB by default) for the mixed float-complex
-        # products with the multipliers: the new c array is alive by then.
+        # The new record's two arrays (its density, and its chat of 1.06
+        # real fields at 32^3), and numpy's iterator buffer (bufsize complex
+        # elements, 128 KiB by default) for the mixed float-complex products
+        # with the multipliers: the new chat array is alive by then.
         grid = make_grid(3, 32, 20.0)
         stepper = _Stepper(grid, Params(d=3, **self.P), 1e-3)
-        state = _random_state(grid, 3)
+        state = _carry(_random_state(grid, 3))
         stepper.advance(stepper.advance(state)[0])
         tracemalloc.start()
         try:
@@ -626,11 +653,11 @@ class TestWorkspaceStep:
         assert out[0].t > state.t
         assert peak <= 2.1 * 8 * grid.npoints + 16 * np.getbufsize()
 
-    def test_workspace_is_four_spectra_a_band_and_a_field(self):
+    def test_workspace_is_three_spectra_two_bands_and_a_field(self):
         grid = make_grid(3, 32, 20.0)
         k = grid.n_axis // 3
         half = 16 * math.prod(grid.rshape)
-        layout = 4 * half + 16 * (2 * k + 1) ** 2 * (k + 1) + 8 * grid.npoints
+        layout = 3 * half + 2 * 16 * (2 * k + 1) ** 2 * (k + 1) + 8 * grid.npoints
         _Workspace(grid)  # the caches it reads
         tracemalloc.start()
         try:
@@ -640,32 +667,34 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert layout <= held <= layout + 0.1 * 8 * grid.npoints
-        assert ws.nn_u.shape == (2 * k + 1, 2 * k + 1, k + 1)
+        assert ws.nn_u.shape == ws.nn_a.shape == (2 * k + 1, 2 * k + 1, k + 1)
+        assert not np.shares_memory(ws.nn_u, ws.nn_a)
+        assert np.shares_memory(ws.log1p, ws.nc_u) and np.shares_memory(ws.mult, ws.phys)
 
-    def test_c_out_over_the_state_c(self):
-        # The probe's second step of h: c_out holds the state's own c, which
-        # the step reads before it writes the new one there.
+    def test_chat_out_over_the_carried_chat(self):
+        # The probe's second step of h: chat_out is the record's own chat,
+        # which stage u reads before stage a's a_c_hat goes there.
         grid = make_grid(3, 16, 20.0)
         p = Params(d=3, **self.P)
         start = _random_state(grid, 5)
-        c_out = start.c.values.copy()
-        state = State(0.0, start.n, ScalarField(grid, c_out))
-        new, *scalars = _Stepper(grid, p, 0.01).advance(state, c_out)
+        now = _carry(start)
+        new, *scalars = _Stepper(grid, p, 0.01).advance(now, now.chat)
         n, c, *want = _allocating_split_step(start, p, 0.01)
-        assert np.shares_memory(new.c.values, c_out)
-        assert new.n.values.tobytes() == n.tobytes()
-        assert c_out.tobytes() == c.tobytes()
+        assert new.chat is now.chat
+        assert new.n.tobytes() == n.tobytes()
+        assert _irfft(new.chat, grid).tobytes() == c.tobytes()
         assert scalars == want
 
     def test_headline_shaped_run_peak(self):
         # The damped headline run at 32^3.  Its peak, during a probe's second
-        # step of h, holds the workspace (four half spectra, one band-compact
-        # spectrum of 0.3 half spectra, one real field: 5.5 real fields at
-        # 32^3), the state (no |grad c|: the sample's went with its view),
-        # the coarse density, the mid density, the one c array the mid and
-        # new states share, the new density and the k caches: about 13.3
-        # real fields.  A cached |grad c| or a second c array would add 1
-        # each, a full nn_u buffer 0.7.
+        # step of h, holds the workspace (three half spectra, two
+        # band-compact spectra of 0.3 real fields each, one real field: 4.8
+        # real fields at 32^3), the carried record (n and a chat of 1.06
+        # fields; no c or |grad c|: the sample's went with its view), the
+        # coarse density, the mid density, the one chat array the mid and
+        # new records share, the new density and the k caches: 12.6 real
+        # fields.  A held c or |grad c|, or a second chat array, would add 1
+        # each, a full nn_u or nn_a buffer 0.8.
         grid = make_grid(3, 32, 20.0)
         mu0 = mu_zero_estimate(4, Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3)).mu0
         p = Params(chi=1.0, tau=1.0, lam=1.0, mu=mu0, d=3)
@@ -679,7 +708,7 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert res.status is RunStatus.COMPLETED
-        assert peak <= 13.75 * 8 * grid.npoints
+        assert peak <= 13.0 * 8 * grid.npoints
 
     def test_memory_stays_flat_over_a_long_auto_dt_run(self, monkeypatch):
         # A run four times as long builds twice as many steppers (each holds
@@ -717,6 +746,28 @@ class TestWorkspaceStep:
         run(gauss_state, p, RunConfig(t_end=2.0, dt=None, monitor_every=1), monitors=record)
         assert len(builds) >= 5
         assert len(set().union(*seen[1:])) == 1
+
+
+class TestCarry:
+    @pytest.mark.parametrize("d,n_axis", [(2, 32), (3, 16)])
+    def test_fixed_dt_run_matches_chained_public_steps(self, d, n_axis):
+        # A run carries chat from step to step; a public step transforms c at
+        # both ends, which is the allocating formula's chain byte for byte.
+        # The carry moves the result by roundoff only (1e-15 of the sup).
+        grid = make_grid(d, n_axis, 20.0)
+        p = Params(d=d, **TestWorkspaceStep.P)
+        initial, dt = _random_state(grid, d), 1.0 / 64.0  # 40 dt is exact
+        res = run(initial, p, RunConfig(t_end=40 * dt, dt=dt, monitor_every=10))
+        assert res.status is RunStatus.COMPLETED and res.final.t == 40 * dt
+        chained = formula = initial
+        for _ in range(40):
+            chained = step(chained, p, dt)
+            n, c, *_ = _allocating_split_step(formula, p, dt)
+            formula = State(chained.t, ScalarField(grid, n), ScalarField(grid, c))
+        for name in ("n", "c"):
+            carried, public, copy = (getattr(s, name).values for s in (res.final, chained, formula))
+            assert public.tobytes() == copy.tobytes()
+            assert np.max(np.abs(carried - public)) <= 1e-12 * np.max(np.abs(public))
 
 
 class TestRun:
