@@ -430,11 +430,9 @@ def _grad_abs_hat(fhat, grid, prod=None, comp=None) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _with_grad_abs(f: ScalarField, fhat, prod, comp) -> ScalarField:
-    """``f``, with its cached ``grad_abs`` formed now from ``fhat``, the half
-    spectrum of its values, in the caller's scratch buffers (see
-    ``_grad_abs_hat``) and put where ``cached_property`` keeps it."""
-    vars(f)["grad_abs"] = ScalarField(f.grid, _grad_abs_hat(fhat, f.grid, prod, comp))
+def _with_grad_abs(f: ScalarField, grad_abs: ScalarField) -> ScalarField:
+    """``f``, with ``grad_abs`` put where ``cached_property`` keeps it."""
+    vars(f)["grad_abs"] = grad_abs
     return f
 
 

@@ -78,6 +78,10 @@ __all__ = [
 # (table in CHANGES.md).  It now takes 23 evaluations and ends 2.7e-3 off.
 PROBE_TOL = 1e-2
 
+# The automatic step probes every this many steps it has taken.  8 took the
+# headline run to 21 evaluations but the undamped sweep row from 81 to 114.
+PROBE_EVERY = 10
+
 # A run suspects blow-up once ``continuation_gauge`` exceeds this many times
 # its value at the run's first sample (or this many, below a gauge of 1).
 BLOWUP_FACTOR = 1e3
@@ -128,10 +132,10 @@ class State:
 class _Carried(NamedTuple):
     """A state as ``run`` carries it between steps: the time, the density
     and the concentration's half spectrum.  Only ``run``, the helpers it
-    steps and samples through (``_probe``, ``_Stepper.advance``, ``_view``)
-    and ``step`` see one, and a physical ``c`` is formed from it only where
-    something reads one: a ``_view``, ``run``'s final state and ``step``'s
-    result."""
+    steps and samples through (``_steps``, ``_probe``, ``_Stepper.advance``,
+    ``_view``) and ``step`` see one, and a physical ``c`` is formed from it
+    only where something reads one: a ``_view``, ``run``'s final state and
+    ``step``'s result."""
 
     t: float
     n: np.ndarray
@@ -162,18 +166,10 @@ class RunConfig:
     """Stepping and sampling knobs for a trajectory run.  The blow-up cap is
     none of them: ``run`` derives it from its first sample.
 
-    ``dt=None`` sizes the step ``h`` by error control.  Each monitor
-    interval opens with a step-doubling probe from its first state: one step
-    of ``2h`` against two of ``h``.  The probe shrinks ``h`` while their gap
-    exceeds ``PROBE_TOL`` or a trial's logistic substep has no flow, and
-    keeps the two steps of ``h``.  The gap then proposes the next ``h``
-    (safety 0.9, exponent 1/3, growth at most 5x), and the transport cap
-    ``suggest_dt`` and half the time left bound it.  When that bound is at
-    least ``2h`` and the interval has room for two more steps, the run
-    probes again from there (regrow); otherwise it takes the rest of the
-    interval with the stepper of ``h``, and the proposal opens the next
-    interval.  The step is a function of the state alone, so reruns are
-    bitwise identical.
+    ``dt=None`` sizes the step by error control (``_steps``), which probes
+    on its own cadence of ``PROBE_EVERY`` steps.  ``monitor_every`` chooses
+    only which records are sampled, never a step, so runs that sample
+    differently compute the same trajectory byte for byte.
     """
 
     t_end: float
@@ -538,12 +534,16 @@ def step(state: State, params: Params, dt: float) -> State:
 def suggest_dt(state: State, params: Params) -> float:
     """Transport cap on the automatic step, ``0.25 min(1, 1/(1 + chi ||grad c||_inf))``.
 
-    The exact logistic substep sets no limit; ``run`` shrinks the step
+    The exact logistic substep sets no limit; the automatic step shrinks
     below this cap wherever its step-doubling probe asks.  It reads the
-    cached ``state.c.grad_abs``, forming it if need be; ``run`` passes a
-    ``_view`` that holds it, so the field goes with that view.
+    cached ``state.c.grad_abs``, forming it if need be.
     """
-    rate = 1.0 + params.chi * state.c.grad_abs.max_abs()
+    return _transport_cap(state.c.grad_abs, params)
+
+
+def _transport_cap(grad_abs: ScalarField, params: Params) -> float:
+    """``suggest_dt``'s formula, from the field ``|grad c|``."""
+    rate = 1.0 + params.chi * grad_abs.max_abs()
     return 0.25 * min(1.0, 1.0 / rate)
 
 
@@ -627,22 +627,59 @@ def _builtin_sample(state: State) -> dict[str, float]:
     }
 
 
-def _view(now: _Carried, ws: _Workspace, c: np.ndarray | None = None) -> State:
-    """A State over ``now``'s density and the concentration ``c`` (by
-    default formed now from ``now.chat`` by one inverse transform), whose
-    cached ``c.grad_abs`` is formed now from ``now.chat``, in the buffers of
-    ``ws``, with no forward transform.
+def _grad_abs_of(now: _Carried, ws: _Workspace) -> ScalarField:
+    """``|grad c|`` of the record ``now`` in the idle buffers of ``ws``."""
+    return ScalarField(ws.grid, _grad_abs_hat(now.chat, ws.grid, ws.prod, ws.phys))
 
-    ``run`` samples a record and caps the step through one of these.  The
-    workspace is idle between steps, so the view allocates only its ``c``
-    and ``|grad c|``, and both are dropped with it instead of staying with
-    the record the next probe steps from.
+
+def _view(now: _Carried, ws: _Workspace, c=None, grad_abs=None) -> State:
+    """A State over the record ``now``, with ``c`` (by default ``now.chat``'s
+    inverse transform) and ``c.grad_abs`` (by default ``_grad_abs_of(now)``).
+    ``run`` samples a record through one of these; its ``c`` and ``|grad c|``
+    go with it instead of staying with the record the next probe steps from.
     """
     grid = ws.grid
     if c is None:
         c = _irfft(now.chat, grid, work=ws.prod)
-    c = _with_grad_abs(ScalarField(grid, c), now.chat, ws.prod, ws.phys)
-    return State(now.t, ScalarField(grid, now.n), c)
+    grad_abs = _grad_abs_of(now, ws) if grad_abs is None else grad_abs
+    return State(now.t, ScalarField(grid, now.n), _with_grad_abs(ScalarField(grid, c), grad_abs))
+
+
+def _steps(now: _Carried, grad_abs, params: Params, dt, t_end: float, eps: float, ws: _Workspace):
+    """A run's steps from the record ``now`` (whose ``|grad c|`` is
+    ``grad_abs``) to ``t_end``: yields each ``advance`` result (a probe's two
+    merged), its number of steps, and its record's ``|grad c|`` where a cap
+    was read from it (else None), for a sample of that record to reuse.
+
+    A fixed ``dt`` steps at ``dt``.  The automatic step (``dt=None``) probes
+    first and again once ``PROBE_EVERY`` steps have passed since its last
+    probe that was not a regrow, from ``min(proposal, cap, half the time
+    left)``, the cap being ``_transport_cap``; right after a probe it probes
+    again at once where that bound is at least ``2h`` (regrow, the costly
+    cap last), and between probes it steps at ``h``.  It reads no sample.
+    """
+    if dt is not None and not dt > eps:
+        raise FloatingPointError("dt underflowed")
+    h, h_next, stepper, taken, regrow = dt, math.inf, None, PROBE_EVERY, False
+    while now.t < t_end - eps:
+        if dt is None and (regrow or taken >= PROBE_EVERY):
+            h = min(h_next, _transport_cap(grad_abs, params), 0.5 * (t_end - now.t))
+            grad_abs = stepper = None  # neither is held through the probe, which builds its own
+            stepper, result, err = _probe(now, params, h, eps, ws)
+            h, h_next = stepper.dt, stepper.dt * _step_factor(err, 5.0)
+            steps, taken = 2, (taken if regrow else 0) + 2
+        else:
+            grad_abs, dt_step = None, min(h, t_end - now.t)
+            if stepper is None or stepper.dt != dt_step:
+                stepper = None  # the last step's goes before the build
+                stepper = _Stepper(ws.grid, params, dt_step, ws)
+            result, steps, taken = stepper.advance(now), 1, taken + 1
+        now = result[0]
+        regrow = steps == 2 and min(h_next, 0.5 * (t_end - now.t)) >= 2.0 * h
+        if (regrow or dt is None and taken >= PROBE_EVERY) and now.t < t_end - eps:
+            grad_abs = _grad_abs_of(now, ws)
+            regrow = regrow and _transport_cap(grad_abs, params) >= 2.0 * h
+        yield result, steps, grad_abs
 
 
 def run(
@@ -653,26 +690,25 @@ def run(
 ) -> RunResult:
     """Advance until t_end, blow-up suspicion, or numerical failure.
 
-    Monitor samples are taken at t=0, every ``monitor_every`` steps, and at the
-    end.  With ``config.dt=None`` each monitor interval opens with a
-    step-doubling probe (see ``RunConfig``), and may probe again; each
-    probe's two half steps count as two of its steps.  Blow-up is suspected
-    once ``continuation_gauge`` exceeds ``BLOWUP_FACTOR`` times its value at
-    the first sample (at least ``BLOWUP_FACTOR``); a first sample with a
-    non-finite gauge raises ``FloatingPointError``.  A
-    step with a non-finite result, a logistic substep with no flow to follow
-    (outside the probe's trials, which reject it), or a step too small to
-    advance the clock ends the run as a numerical failure.
-    ``params.d`` must be the grid's dimension, which the monitors read from it.
+    ``_steps`` takes the steps, and ``run`` samples them: at t=0, at the
+    end, and at each record ``monitor_every`` or more steps after the last
+    sample (a probe's two steps are one record).  Blow-up is suspected once
+    ``continuation_gauge`` exceeds ``BLOWUP_FACTOR`` times its value at the
+    first sample (at least ``BLOWUP_FACTOR``); a first sample with a
+    non-finite gauge raises ``FloatingPointError``.  A step with a non-finite
+    result, a logistic substep with no flow to follow (outside the probe's
+    trials, which reject it), or a step too small to advance the clock ends
+    the run as a numerical failure.  ``params.d`` must be the grid's
+    dimension, which the monitors read from it.
 
     Between steps the run carries its state as a ``_Carried`` record, whose
     concentration is a half spectrum: ``initial.c`` is transformed once, and
-    a physical ``c`` is formed by one inverse transform for each sample and
-    regrow cap (``_view``) and for the final state, which shares the last
-    sample's when the run ends there.  The monitors are handed a fresh
-    ``State`` of each sampled record: what they cache on its fields
-    (``ScalarField.grad_abs``) is dropped after the sample.  No array that
-    ``initial``, a monitor's state or the result holds is ever written.
+    a physical ``c`` is formed by one inverse transform for each sample
+    (``_view``) and for the final state, which shares the last sample's when
+    the run ends there.  The monitors are handed a fresh ``State`` of each
+    sampled record: what they cache on its fields (``ScalarField.grad_abs``)
+    is dropped after the sample.  No array that ``initial``, a monitor's
+    state or the result holds is ever written.
     """
     grid = initial.grid
     if params.d != grid.d:
@@ -684,11 +720,9 @@ def run(
     eps = 1e-12 * max(1.0, abs(t_end))
     trace: list[FunctionalSample] = []
 
-    def sample(view: State, values: dict[str, float] | None = None) -> float:
+    def sample(view: State, values: dict[str, float] | None = None) -> None:
         """Append the trace entry of ``view``, a ``_view`` state, from its
-        ``_builtin_sample`` ``values`` (taken here by default).  Returns the
-        transport cap ``suggest_dt`` on the next automatic step, read while
-        ``view`` holds its ``|grad c|``, or inf where no step follows."""
+        ``_builtin_sample`` ``values`` (taken here by default)."""
         if values is None:
             values = _builtin_sample(view)
         # Running time integrals of int(n) and int(n^2), accumulated from the
@@ -698,9 +732,6 @@ def run(
         if monitors is not None:
             values.update({k: float(v) for k, v in monitors(view).items()})
         trace.append(FunctionalSample(t=view.t, values=values))
-        if config.dt is not None or not view.t < t_end - eps:
-            return math.inf
-        return suggest_dt(view, params)
 
     # The |k|^2 levels first: their sort's temporaries are freed before the
     # run's arrays are placed, and leave no gaps among them.
@@ -720,11 +751,11 @@ def run(
     if not math.isfinite(gauge):  # before the monitors see the state
         raise FloatingPointError(not_finite)
     cap = BLOWUP_FACTOR * max(gauge, 1.0)
-    h_cap = sample(view, values)
+    sample(view, values)
+    records = _steps(now, view.c.grad_abs, params, config.dt, t_end, eps, workspace)
     ledger_rel_max = 0.0
     status = RunStatus.COMPLETED
-    stepper: _Stepper | None = None
-    h_next = math.inf  # the controller's proposal for the next interval's step
+    unsampled = 0  # steps since the last sample
 
     def take(result: tuple[_Carried, float, float, float]) -> None:
         nonlocal now, int_n, int_n2, ledger_rel_max
@@ -737,47 +768,20 @@ def run(
         ledger_rel_max = max(ledger_rel_max, ledger_rel)
 
     while now.t < t_end - eps:
-        view = None  # the last sample's c and |grad c| go before the steps
+        view = grad_abs = None  # the last sample's c and |grad c| go before the steps
         try:
-            steps = 0
-            h = config.dt
-            if h is None:
-                h = min(h_next, h_cap, 0.5 * (t_end - now.t))
-                while True:
-                    stepper = None  # one stepper alive at a time: the probe builds its own
-                    stepper, merged, err = _probe(now, params, h, eps, workspace)
-                    take(merged)
-                    del merged  # its record is `now` now: hold no older one
-                    h, steps = stepper.dt, steps + 2
-                    h_next = h * _step_factor(err, 5.0)
-                    # Regrow: with room for two more steps and at least 2x
-                    # headroom, probe again from here instead of going on at
-                    # h.  The transport cap costs a gradient, so it comes last.
-                    grown = min(h_next, 0.5 * (t_end - now.t))
-                    if steps + 2 > config.monitor_every or grown < 2.0 * h:
-                        break
-                    grown = min(grown, suggest_dt(_view(now, workspace), params))
-                    if grown < 2.0 * h:
-                        break
-                    h = grown
-            elif not h > eps:
-                raise FloatingPointError("dt underflowed")
-            while steps < config.monitor_every:
-                dt_step = min(h, t_end - now.t)
-                if dt_step <= eps:
-                    break
-                if stepper is None or stepper.dt != dt_step:
-                    stepper = _Stepper(grid, params, dt_step, workspace)
-                take(stepper.advance(now))
-                steps += 1
+            result, steps, grad_abs = next(records)
+            take(result)
         except FloatingPointError:
             status = RunStatus.NUMERICAL_FAILURE
             break
-        view = _view(now, workspace)
-        h_cap = sample(view)
-        if continuation_gauge(trace[-1].values) > cap:
-            status = RunStatus.BLOWUP_SUSPECTED
-            break
+        unsampled += steps
+        if unsampled >= config.monitor_every or not now.t < t_end - eps:
+            view, unsampled = _view(now, workspace, grad_abs=grad_abs), 0
+            sample(view)
+            if continuation_gauge(trace[-1].values) > cap:
+                status = RunStatus.BLOWUP_SUSPECTED
+                break
 
     # The final c is the last sample's when the run stopped at that sample.
     c = view.c.values if view is not None else _irfft(now.chat, grid, work=workspace.prod)

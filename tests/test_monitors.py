@@ -178,6 +178,26 @@ class TestGlobalLedgers:
         for name in ("mass_ledger", "chem_energy", "chem_gradient_energy"):
             assert reports[name].max_margin() <= 1e-6 * scale
 
+    def test_chemical_energies_are_bounded_by_int_n_squared_not_the_mass(self):
+        # A tall bump: int ||n||^2 far exceeds the mass, and the chemical
+        # energy follows it past tau ||c_0||^2 + e^(lambda t) ||n_0||_1, a
+        # bound that no estimate gives, but not past the derived
+        # tau ||c_0||^2 + int ||n||^2 (equality at t_0).
+        grid = make_grid(2, 32, 20.0)
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=0.1, d=2)
+        initial = build_initial(grid, "gaussian_bump", 20.0, 1.25, M=4.5)
+        res = recorded_run(initial, p, RunConfig(t_end=1.0, dt=None, monitor_every=5))
+        assert res.status is RunStatus.COMPLETED
+        reports = {r.name: r for r in prop22_check(res.trace, p)}
+        for name in ("chem_energy", "chem_gradient_energy"):
+            assert reports[name].passed and reports[name].max_margin() == 0.0
+        t = np.array([s.t for s in res.trace])
+        l2sq_c, h1sq_c = (np.array([s.values[k] for s in res.trace]) for k in ("l2sq_c", "h1sq_c"))
+        by_mass = p.tau * l2sq_c + monitors._cumtrapz(t, h1sq_c) - (
+            p.tau * l2sq_c[0] + res.trace[0].values["l1_n"]
+        )
+        assert np.max(by_mass) > 1e3 * reports["chem_energy"].tolerance
+
     def test_ledger_needs_the_accumulated_dissipation(self, grid1d):
         # The mass ledger reads the run loop's exact int_l2sq_n only; samples
         # recorded outside ``run`` lack it and have no ledger.

@@ -355,31 +355,50 @@ class TestAutoStep:
         assert merged[0].n.tobytes() == kept.n.tobytes()
         assert merged[0].chat.tobytes() == kept.chat.tobytes()
 
-    def test_regrow_probes_again_within_the_interval(self, monkeypatch):
+    def test_regrow_probes_again_at_once(self, monkeypatch):
         # Past the opening transient a probe's gap leaves far more than 2x
-        # headroom; the run probes again at the larger step instead of
-        # finishing the interval at the small one.
+        # headroom; the run probes again at the larger step at once instead
+        # of stepping on at the small one.  A regrow is a probe with no
+        # plain step since the previous probe.
         initial, p = _headline_damped(1, 64)
         config = RunConfig(t_end=2.0, dt=None, monitor_every=10)
         advances = _count_advances(monkeypatch)
         _run_without_regrow(initial, p, config)
         before = len(advances)
         advances.clear()
-        probes, samples = [], []
+        probes = []
 
         def probe(state, params, h, *args):
+            start = len(advances)
             out = _probe(state, params, h, *args)
-            probes.append((state.t, h, out[0].dt))  # start, first h, accepted h
+            probes.append((start, len(advances), h, out[0].dt))  # its advances, first and accepted h
             return out
 
         monkeypatch.setattr(solver, "_probe", probe)
-        res = run(initial, p, config, monitors=lambda s: samples.append(s.t) or {})
+        res = run(initial, p, config)
         assert res.status is RunStatus.COMPLETED and res.final.t == pytest.approx(2.0)
-        regrown = [i for i, (t, _, _) in enumerate(probes) if t not in samples]
+        regrown = [i for i in range(1, len(probes)) if probes[i][0] == probes[i - 1][1]]
         assert regrown
         for i in regrown:
-            assert probes[i][1] >= 2 * probes[i - 1][2]
+            assert probes[i][2] >= 2 * probes[i - 1][3]
         assert len(advances) < before
+
+    def test_steps_do_not_depend_on_the_monitor_cadence(self, monkeypatch):
+        # The same data sampled every 1, 7 and 50 steps take the same steps
+        # to the same final state.  These data tell the cadences apart: a
+        # probe placed where a sample interval opens takes 77, 64 and 89 step
+        # evaluations here, to three different final states.
+        initial = build_initial(make_grid(2, 64, 20.0), "random_smooth", 5.0, 1.25, M=4.5, seed=1)
+        p = Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=2)
+        advances = _count_advances(monkeypatch)
+        runs = []
+        for every in (1, 7, 50):
+            advances.clear()
+            res = run(initial, p, RunConfig(t_end=10.0, dt=None, monitor_every=every))
+            assert res.status is RunStatus.COMPLETED
+            final = res.final.n.values.tobytes() + res.final.c.values.tobytes()
+            runs.append((advances.copy(), final))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_probe_rejected_trials_do_not_end_the_run(self, gauss_state, monkeypatch):
         # Stand in for an undershoot that only the larger trial steps reach:
@@ -478,15 +497,15 @@ def _count_advances(monkeypatch):
 
 
 def _run_without_regrow(initial, p, config):
-    """``run``'s automatic step before regrow, to its final record: one probe
-    per monitor interval, the rest of the interval at the probe's step."""
+    """``run``'s automatic step without regrow, to its final record: one
+    probe every ``PROBE_EVERY`` steps, the steps between at the probe's."""
     now, h_next = _carry(initial), math.inf
     ws = _Workspace(initial.grid)
     while now.t < config.t_end - 1e-12:
         h = min(h_next, suggest_dt(_view(now, ws), p), 0.5 * (config.t_end - now.t))
         stepper, (now, *_), err = _probe(now, p, h, 1e-12, ws)
         h_next = stepper.dt * solver._step_factor(err, 5.0)
-        for _ in range(config.monitor_every - 2):
+        for _ in range(solver.PROBE_EVERY - 2):
             dt = min(stepper.dt, config.t_end - now.t)
             if dt <= 1e-12:
                 break
@@ -711,15 +730,15 @@ class TestWorkspaceStep:
         assert peak <= 13.0 * 8 * grid.npoints
 
     def test_memory_stays_flat_over_a_long_auto_dt_run(self, monkeypatch):
-        # A run four times as long builds twice as many steppers (each holds
-        # multipliers of about 0.75 real fields at 128^2) and keeps none of
-        # them: its peak is that of its first quarter.
+        # A run four times as long builds more than twice as many steppers
+        # (each holds multipliers of about 0.75 real fields at 128^2) and
+        # keeps none of them: its peak is that of its first quarter.
         initial, p = _headline_damped(2, 128)
         grid = initial.grid
         run(initial, p, RunConfig(t_end=2.0, dt=None, monitor_every=3))  # fill the caches
         builds = _count_builds(monkeypatch)
         peaks = []
-        for t_end in (2.0, 8.0):
+        for t_end in (10.0, 40.0):
             builds.clear()
             tracemalloc.start()
             try:
@@ -743,7 +762,7 @@ class TestWorkspaceStep:
             seen.append({id(w) for w in spaces if w.grid is gauss_state.grid})
             return {}
 
-        run(gauss_state, p, RunConfig(t_end=2.0, dt=None, monitor_every=1), monitors=record)
+        run(gauss_state, p, RunConfig(t_end=5.0, dt=None, monitor_every=1), monitors=record)
         assert len(builds) >= 5
         assert len(set().union(*seen[1:])) == 1
 
@@ -895,11 +914,12 @@ class TestRun:
             init(self, *args, **kwargs)
             count_steppers()
 
-        # Each interval's probe builds the steppers of 2h and h, and the run
-        # takes the interval's last two steps with the second one; counting at
-        # every build too sees the probe's own steppers.
+        # Each probe builds the steppers of 2h and h, and the run takes the
+        # steps up to the next probe with the second one, and a shorter last
+        # step with its own, built once that one is gone; counting at every
+        # build too sees the probe's own steppers.
         monkeypatch.setattr(_Stepper, "__init__", build_and_count)
-        config = RunConfig(t_end=2.0, dt=None, monitor_every=4)
+        config = RunConfig(t_end=5.0, dt=None, monitor_every=4)
         res = run(gauss_state, p, config, monitors=count_steppers)
         assert len(res.trace) >= 3 and len(builds) >= 5
         assert len(alive) == len(builds) + len(res.trace) and max(alive) == 1
