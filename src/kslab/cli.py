@@ -130,7 +130,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
 
     summary = {
         "status": result.status.value,
-        "status_time": result.status_time,
+        "status_time": result.final.t,
         "sup_linf_n": max(s.values["linf_n"] for s in result.trace),
         "sup_w1inf_c": max(s.values["w1inf_c"] for s in result.trace),
         "mass_ledger_rel_max": result.mass_ledger_rel_max,

@@ -201,9 +201,9 @@ def z_comparison_level(params: Params) -> float:
 def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[ResidualReport]:
     """Margins of sup_x z(t) <= max(sup_x z(0), level) along a trace (key ``z_max``).
 
-    The comparison inequality is claimed only for tau = 1 and mu > d chi / 4;
-    outside that regime there is no report.  The report's constant is the
-    level and it passes within ``COMPARISON_TOL``.
+    For z = (tau/2)|grad c|^2 + n/chi the inequality is claimed only for
+    tau = 1, chi > 0 and mu > d chi / 4; outside that regime there is no
+    report.  The report's constant is the level; it passes within ``COMPARISON_TOL``.
     """
     p = params
     if not (p.tau == 1.0 and p.chi > 0 and p.mu > p.d * p.chi / 4.0):
@@ -254,17 +254,20 @@ def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def prop22_check(trace: list[FunctionalSample], params: Params) -> list[ResidualReport]:
     """Margins of the time-dependent L^1/L^2/H^1 upper bounds along a trace.
 
-    Reads the ledger keys of ``TraceRecorder``.  The mass ledger is reported
-    in both the printed form (no damping factor on the dissipation integral
-    ``int_l2sq_n`` of the run loop) and the Gronwall-consistent form carrying
-    mu.  Testing ``tau c_t = Delta c - c + n`` against ``c`` and ``-Delta c``,
-    with ``int n f <= (||n||^2 + ||f||^2) / 2``, gives the chemical energies
+    Reads the ledger keys of ``TraceRecorder``, with the run's exact
+    ``int ||n||^2`` (``int_l2sq_n``) from the first sample.  ``mass_ledger``:
+    ``||n||_1 + mu int ||n||^2 <= e^{lam (t - t_0)} ||n_0||_1``, from
+    ``d/dt int n = lam int n - mu int n^2`` where n >= 0 (``||n||_1 = int n``)
+    and lam >= 0; ``mass_ledger_printed`` (no ``mu``) follows only for mu >= 1
+    and is informational.  Testing ``tau c_t = Delta c - c + n`` against ``c``
+    and ``-Delta c``, with ``int n f <= (||n||^2 + ||f||^2) / 2``, gives for any n
     ``tau ||c||^2 + int (2 ||grad c||^2 + ||c||^2) <= tau ||c_0||^2 + int ||n||^2``
     and ``tau ||grad c||^2 + int (||Delta c||^2 + 2 ||grad c||^2)
-    <= tau ||grad c_0||^2 + int ||n||^2``, whose left sides are checked as the
-    no larger ``int ||c||_{H^1}^2`` and ``int ||grad c||_{H^1}^2`` (trapezoid
-    rule; ``||D^2 c|| = ||Delta c||`` on the torus).  The printed form is
-    informational; the others pass within 1e-6 max(1, sup_t ||n||_1).
+    <= tau ||grad c_0||^2 + int ||n||^2``, whose left sides ``chem_energy``
+    and ``chem_gradient_energy`` check as the no larger ``int ||c||_{H^1}^2``
+    and ``int ||grad c||_{H^1}^2`` (trapezoid rule over the samples;
+    ``||D^2 c|| = ||Delta c||`` on the torus).  All but the printed form pass
+    within 1e-6 max(1, sup_t ||n||_1).
     """
     t = _times(trace)
     get = lambda key: _column(trace, key)
@@ -307,10 +310,10 @@ def uloc_combined_check(
     """Margins of F(t) <= base + headroom along a trace.
 
     base = 4 ||n_0||_{L^1_uloc} + 2 chi tau ||grad c_0||^2_{L^2_uloc} is the
-    data part of the bound, read from the first sample.  The headroom is the
-    generic constant: fitted as the smallest one closing the trace when
-    ``calibration`` is None, else frozen from it.  Returns the report and the
-    headroom used.
+    data part of the bound, read from the first sample.  The headroom is a
+    generic constant the analysis leaves open: fitted as the smallest one
+    closing the trace when ``calibration`` is None (so calibrate passes by
+    construction), else frozen from it.  Returns the report and the headroom.
     """
     f = uloc_combined_series(trace, params)
     chi_tau = params.chi * params.tau
@@ -680,13 +683,13 @@ def linf_reconstruction_check(
 ) -> tuple[list[ResidualReport], dict[str, float]]:
     """Ratio of ||grad c||_inf to its three-ingredient reconstruction bound.
 
-    The bound controls the gradient sup norm (``linf_gradc``) by the initial
-    gradient in the uniformly local L^2 norm (``l2_uloc_gradc``), the initial
-    W^(1,inf) size (``w1inf_c``), and the running sup of the density's
-    uniformly local L^k norm (``lk_uloc_n``).  The high-frequency tail is
-    summable only for k > d; outside that regime there is no report.  The
-    ratio constant is fitted as the largest ratio when ``calibration`` is
-    None, else frozen from it.  Returns the report and the constant used.
+    Checks ``||grad c(t)||_inf <= K (||grad c_0||_{L^2_uloc} + ||c_0||_{W^{1,inf}}
+    + sup_{s<=t} ||n(s)||_{L^k_uloc})`` (keys ``linf_gradc``,
+    ``l2_uloc_gradc``, ``w1inf_c``, ``lk_uloc_n``) with a generic ``K``.
+    The high-frequency tail is summable only for k > d; outside that regime
+    there is no report.  ``K`` is fitted as the largest ratio when
+    ``calibration`` is None, else frozen from it.  Returns the report and
+    the constant used.
     """
     if not k > params.d:
         return [], {}
@@ -802,8 +805,9 @@ def trend_slope(trace: list[FunctionalSample], t_lo: float, t_hi: float) -> floa
 def run_verdicts(result: RunResult, params: Params) -> tuple[dict[str, bool], float]:
     """The verdicts on a whole run, and the gauge's ``trend_slope`` over its second half.
 
-    The lower bound of ``nonnegativity_c`` is that of tau c_t = Lap c - c + n
-    with n >= 0; each verdict's tolerance is in its line.
+    Hypotheses: none for ``mass_ledger_per_step`` (closed forms); n_0 >= 0 for
+    ``nonnegativity_n``; n >= 0 for ``nonnegativity_c``, the bound of tau c_t =
+    Lap c - c + n; a bounded solution for ``bounded_trend``.  Tolerances inline.
     """
     trace = result.trace
     t0, t_end = trace[0].t, trace[-1].t

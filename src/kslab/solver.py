@@ -130,20 +130,30 @@ class State:
 
 
 class _Carried(NamedTuple):
-    """A state as ``run`` carries it between steps: the time, the density
-    and the concentration's half spectrum.  Only ``run``, the helpers it
-    steps and samples through (``_steps``, ``_probe``, ``_Stepper.advance``,
-    ``_view``) and ``step`` see one, and a physical ``c`` is formed from it
-    only where something reads one: a ``_view``, ``run``'s final state and
-    ``step``'s result."""
+    """A run's whole state between steps: the time, the density, the
+    concentration's half spectrum, the steps taken, the running time
+    integrals of int(n) and int(n^2) (in closed form, so the mass ledgers
+    close exactly) and the largest relative mass ledger of a step so far.
+    Only ``run``, the helpers it steps and samples through (``_steps``,
+    ``_probe``, ``_Stepper.advance``, ``_view``) and ``step`` see one, and
+    a physical ``c`` is formed from it only where something reads one: a
+    ``_view``, ``run``'s final state and ``step``'s result."""
 
     t: float
     n: np.ndarray
     chat: np.ndarray
+    steps: int = 0
+    int_n: float = 0.0
+    int_n2: float = 0.0
+    ledger: float = 0.0
+
+    def is_finite(self) -> bool:
+        scalars = all(map(math.isfinite, (self.int_n, self.int_n2, self.ledger)))
+        return scalars and np.isfinite(self.n).all() and np.isfinite(self.chat).all()
 
 
 def _carry(state: State) -> _Carried:
-    """``state`` as a carried record, by one forward transform of its ``c``."""
+    """``state`` as a record of no steps, by one forward transform of its ``c``."""
     return _Carried(state.t, state.n.values, _rfft(state.c.values))
 
 
@@ -198,7 +208,6 @@ class RunResult:
     """Trajectory trace plus termination status and the final state."""
 
     status: RunStatus
-    status_time: float
     trace: list[FunctionalSample]
     final: State
     mass_ledger_rel_max: float
@@ -412,18 +421,16 @@ class _Stepper:
         damped = p.lam * int_n - (out_sum - n_sum)
         return int_n, damped / p.mu, damped, n_sum, out_sum
 
-    def advance(
-        self, now: _Carried, chat_out: np.ndarray | None = None
-    ) -> tuple[_Carried, float, float, float]:
-        """One step; returns (record, relative ledger, d int(n) dt, d int(n^2) dt).
+    def advance(self, now: _Carried, chat_out: np.ndarray | None = None) -> _Carried:
+        """One step from the record ``now``; returns the next record.
 
-        The step goes from one carried record to the next: it reads
-        ``now.chat`` as the concentration's spectrum and returns the new one,
-        with no transform of ``c`` at either end.  The two trailing values
-        are the step's contribution to the running time integrals of int(n)
-        and int(n^2), in the closed forms of the logistic substeps, which
-        are the only ones to change the mass.  The ledger is the step's mass
-        imbalance relative to the larger L^1 mass before and after it.
+        It reads ``now.chat`` as the concentration's spectrum and returns the
+        new one, with no transform of ``c`` at either end.  The new record
+        counts one more step, adds the step's contributions to the running
+        time integrals of int(n) and int(n^2), in the closed forms of the
+        logistic substeps (the only ones to change the mass), and keeps the
+        larger of ``now.ledger`` and the step's mass imbalance relative to
+        the larger L^1 mass before and after it.
         Everything but the new record's two arrays lives in the workspace.
 
         The new record's ``chat`` array holds stage a's ``a_c_hat`` and then
@@ -486,8 +493,9 @@ class _Stepper:
         mass_delta = hd * (mass_after - mass_before)
         ledger = abs(mass_delta - (p.lam * d_int_n - hd * (damped_a + damped_b)))
         l1 = hd * max(np.sum(np.abs(now.n, out=ws.phys)), np.sum(np.abs(new_n, out=ws.phys)))
-        new = _Carried(now.t + self.dt, new_n, new_chat)
-        return new, float(ledger / max(l1, 1e-300)), d_int_n, hd * (int_n2_a + int_n2_b)
+        ledger = max(float(ledger / max(l1, 1e-300)), now.ledger)  # a NaN step's wins
+        ints = now.int_n + d_int_n, now.int_n2 + hd * (int_n2_a + int_n2_b)
+        return _Carried(now.t + self.dt, new_n, new_chat, now.steps + 1, *ints, ledger)
 
 
 def _tendency_hat(
@@ -526,7 +534,7 @@ def step(state: State, params: Params, dt: float) -> State:
     if not dt > 0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    new = _Stepper(grid, params, dt).advance(_carry(state))[0]
+    new = _Stepper(grid, params, dt).advance(_carry(state))
     c = _irfft(new.chat, grid, work=new.chat)
     return State(new.t, ScalarField(grid, new.n), ScalarField(grid, c))
 
@@ -573,9 +581,9 @@ def _probe(now: _Carried, params: Params, h: float, eps: float, workspace: _Work
     ``h`` exactly (every finite gap up to 5.8 ``PROBE_TOL``) keeps the
     trial's first step of ``h`` as the next trial's step of ``2h``, which it
     is bit for bit: r such halvings cost 3 + 2r step evaluations and r + 2
-    stepper builds.  Returns the stepper of the accepted ``h``, its two
-    steps merged into one ``advance`` result, and the gap.  Once ``h`` falls
-    to ``eps`` it cannot advance the run, which raises FloatingPointError
+    stepper builds.  Returns the stepper of the accepted ``h``, the record
+    its two steps reach, and the gap.  Once ``h`` falls to ``eps`` it
+    cannot advance the run, which raises FloatingPointError
     instead of looping on.  At most one stepper, the coarse density and two
     records besides ``now`` are alive at a time, and those two records
     share one spectrum array: the second step of ``h`` writes its ``chat``
@@ -588,16 +596,15 @@ def _probe(now: _Carried, params: Params, h: float, eps: float, workspace: _Work
         stepper = mid = end = None  # the last trial's, before this one allocates
         try:
             if coarse is None:
-                coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(now)[0].n
+                coarse = _Stepper(grid, params, 2.0 * h, workspace).advance(now).n
             stepper = _Stepper(grid, params, h, workspace)
-            mid, *first = stepper.advance(now)
-            end, *second = stepper.advance(mid, mid.chat)
+            mid = stepper.advance(now)
+            end = stepper.advance(mid, mid.chat)
             err = _doubling_error(coarse, end.n, workspace.phys)
         except FloatingPointError:
             err = math.inf
         if err <= PROBE_TOL:
-            merged = (end, max(first[0], second[0]), first[1] + second[1], first[2] + second[2])
-            return stepper, merged, err
+            return stepper, end, err
         factor = _step_factor(err, 0.5)
         h *= factor
         # 2.0 * (0.5 * h) == h: the next step of 2h is the step of h just taken.
@@ -646,10 +653,11 @@ def _view(now: _Carried, ws: _Workspace, c=None, grad_abs=None) -> State:
 
 
 def _steps(now: _Carried, grad_abs, params: Params, dt, t_end: float, eps: float, ws: _Workspace):
-    """A run's steps from the record ``now`` (whose ``|grad c|`` is
-    ``grad_abs``) to ``t_end``: yields each ``advance`` result (a probe's two
-    merged), its number of steps, and its record's ``|grad c|`` where a cap
-    was read from it (else None), for a sample of that record to reuse.
+    """A run's records from the record ``now`` (whose ``|grad c|`` is
+    ``grad_abs``) to ``t_end``: yields each next record (a probe's, two
+    steps on) and its ``|grad c|`` where a cap was read from it (else None),
+    for a sample of that record to reuse.  A record that is not finite
+    raises FloatingPointError before anything is read from it.
 
     A fixed ``dt`` steps at ``dt``.  The automatic step (``dt=None``) probes
     first and again once ``PROBE_EVERY`` steps have passed since its last
@@ -657,29 +665,33 @@ def _steps(now: _Carried, grad_abs, params: Params, dt, t_end: float, eps: float
     left)``, the cap being ``_transport_cap``; right after a probe it probes
     again at once where that bound is at least ``2h`` (regrow, the costly
     cap last), and between probes it steps at ``h``.  It reads no sample.
+    Its state besides the record is ``h``, the proposal, the step count at
+    its last probe that was not a regrow, and the regrow flag.
     """
     if dt is not None and not dt > eps:
         raise FloatingPointError("dt underflowed")
-    h, h_next, stepper, taken, regrow = dt, math.inf, None, PROBE_EVERY, False
+    h, h_next, stepper, probed, regrow = dt, math.inf, None, now.steps - PROBE_EVERY, False
     while now.t < t_end - eps:
-        if dt is None and (regrow or taken >= PROBE_EVERY):
+        probing = dt is None and (regrow or now.steps - probed >= PROBE_EVERY)
+        if probing:
             h = min(h_next, _transport_cap(grad_abs, params), 0.5 * (t_end - now.t))
             grad_abs = stepper = None  # neither is held through the probe, which builds its own
-            stepper, result, err = _probe(now, params, h, eps, ws)
+            probed = probed if regrow else now.steps
+            stepper, now, err = _probe(now, params, h, eps, ws)
             h, h_next = stepper.dt, stepper.dt * _step_factor(err, 5.0)
-            steps, taken = 2, (taken if regrow else 0) + 2
         else:
             grad_abs, dt_step = None, min(h, t_end - now.t)
             if stepper is None or stepper.dt != dt_step:
                 stepper = None  # the last step's goes before the build
                 stepper = _Stepper(ws.grid, params, dt_step, ws)
-            result, steps, taken = stepper.advance(now), 1, taken + 1
-        now = result[0]
-        regrow = steps == 2 and min(h_next, 0.5 * (t_end - now.t)) >= 2.0 * h
-        if (regrow or dt is None and taken >= PROBE_EVERY) and now.t < t_end - eps:
+            now = stepper.advance(now)
+        if not now.is_finite():
+            raise FloatingPointError("non-finite step result")
+        regrow = probing and min(h_next, 0.5 * (t_end - now.t)) >= 2.0 * h
+        if (regrow or dt is None and now.steps - probed >= PROBE_EVERY) and now.t < t_end - eps:
             grad_abs = _grad_abs_of(now, ws)
             regrow = regrow and _transport_cap(grad_abs, params) >= 2.0 * h
-        yield result, steps, grad_abs
+        yield now, grad_abs
 
 
 def run(
@@ -690,45 +702,44 @@ def run(
 ) -> RunResult:
     """Advance until t_end, blow-up suspicion, or numerical failure.
 
-    ``_steps`` takes the steps, and ``run`` samples them: at t=0, at the
-    end, and at each record ``monitor_every`` or more steps after the last
-    sample (a probe's two steps are one record).  Blow-up is suspected once
+    ``_steps`` makes the records, and ``run`` samples them: at t=0, at the
+    end, and at each record ``monitor_every`` or more steps past the last
+    sampled one (a probe's record is two steps on).  Blow-up is suspected once
     ``continuation_gauge`` exceeds ``BLOWUP_FACTOR`` times its value at the
     first sample (at least ``BLOWUP_FACTOR``); a first sample with a
-    non-finite gauge raises ``FloatingPointError``.  A step with a non-finite
-    result, a logistic substep with no flow to follow (outside the probe's
+    non-finite gauge raises ``FloatingPointError``.  A step to a non-finite
+    record, a logistic substep with no flow to follow (outside the probe's
     trials, which reject it), or a step too small to advance the clock ends
-    the run as a numerical failure.  ``params.d`` must be the grid's
-    dimension, which the monitors read from it.
+    the run as a numerical failure at the last finite record, which is
+    ``final``.  ``params.d`` must be the grid's dimension, which the monitors
+    read from it.
 
-    Between steps the run carries its state as a ``_Carried`` record, whose
-    concentration is a half spectrum: ``initial.c`` is transformed once, and
-    a physical ``c`` is formed by one inverse transform for each sample
-    (``_view``) and for the final state, which shares the last sample's when
-    the run ends there.  The monitors are handed a fresh ``State`` of each
-    sampled record: what they cache on its fields (``ScalarField.grad_abs``)
-    is dropped after the sample.  No array that ``initial``, a monitor's
-    state or the result holds is ever written.
+    The run's state is one ``_Carried`` record, whose concentration is a
+    half spectrum: ``initial.c`` is transformed once, and a physical ``c``
+    is formed by one inverse transform for each sample (``_view``) and for
+    the final state, which shares the last sample's when the run ends
+    there.  Each sample reads the record's ``int_n`` and ``int_n2``, and the
+    result the final record's ledger.  The monitors are handed a fresh
+    ``State`` of each sampled record: what they cache on its fields
+    (``ScalarField.grad_abs``) is dropped after the sample.  No array that
+    ``initial``, a monitor's state or the result holds is ever written.
     """
     grid = initial.grid
     if params.d != grid.d:
         raise ValueError(f"params.d = {params.d} differs from the grid dimension {grid.d}")
 
-    int_n = 0.0
-    int_n2 = 0.0
     t_end = initial.t + config.t_end
     eps = 1e-12 * max(1.0, abs(t_end))
     trace: list[FunctionalSample] = []
 
-    def sample(view: State, values: dict[str, float] | None = None) -> None:
-        """Append the trace entry of ``view``, a ``_view`` state, from its
-        ``_builtin_sample`` ``values`` (taken here by default)."""
+    def sample(view: State, now: _Carried, values: dict[str, float] | None = None) -> None:
+        """Append the trace entry of ``view``, a ``_view`` of the record
+        ``now``, from its ``_builtin_sample`` ``values`` (taken here by
+        default) and the record's running integrals."""
         if values is None:
             values = _builtin_sample(view)
-        # Running time integrals of int(n) and int(n^2), accumulated from the
-        # logistic substeps' closed forms so the mass ledgers close exactly.
-        values["int_l1_n"] = int_n
-        values["int_l2sq_n"] = int_n2
+        values["int_l1_n"] = now.int_n
+        values["int_l2sq_n"] = now.int_n2
         if monitors is not None:
             values.update({k: float(v) for k, v in monitors(view).items()})
         trace.append(FunctionalSample(t=view.t, values=values))
@@ -751,34 +762,19 @@ def run(
     if not math.isfinite(gauge):  # before the monitors see the state
         raise FloatingPointError(not_finite)
     cap = BLOWUP_FACTOR * max(gauge, 1.0)
-    sample(view, values)
+    sample(view, now, values)
     records = _steps(now, view.c.grad_abs, params, config.dt, t_end, eps, workspace)
-    ledger_rel_max = 0.0
-    status = RunStatus.COMPLETED
-    unsampled = 0  # steps since the last sample
-
-    def take(result: tuple[_Carried, float, float, float]) -> None:
-        nonlocal now, int_n, int_n2, ledger_rel_max
-        now, ledger_rel, d_int_n, d_int_n2 = result
-        finite = np.isfinite(now.n).all() and np.isfinite(now.chat).all()
-        if not (finite and all(map(math.isfinite, result[1:]))):
-            raise FloatingPointError("non-finite step result")
-        int_n += d_int_n
-        int_n2 += d_int_n2
-        ledger_rel_max = max(ledger_rel_max, ledger_rel)
-
+    status, sampled = RunStatus.COMPLETED, now.steps
     while now.t < t_end - eps:
         view = grad_abs = None  # the last sample's c and |grad c| go before the steps
         try:
-            result, steps, grad_abs = next(records)
-            take(result)
+            now, grad_abs = next(records)
         except FloatingPointError:
             status = RunStatus.NUMERICAL_FAILURE
             break
-        unsampled += steps
-        if unsampled >= config.monitor_every or not now.t < t_end - eps:
-            view, unsampled = _view(now, workspace, grad_abs=grad_abs), 0
-            sample(view)
+        if now.steps - sampled >= config.monitor_every or not now.t < t_end - eps:
+            view, sampled = _view(now, workspace, grad_abs=grad_abs), now.steps
+            sample(view, now)
             if continuation_gauge(trace[-1].values) > cap:
                 status = RunStatus.BLOWUP_SUSPECTED
                 break
@@ -787,10 +783,9 @@ def run(
     c = view.c.values if view is not None else _irfft(now.chat, grid, work=workspace.prod)
     return RunResult(
         status=status,
-        status_time=now.t,
         trace=trace,
         final=State(now.t, ScalarField(grid, now.n), ScalarField(grid, c)),
-        mass_ledger_rel_max=ledger_rel_max,
+        mass_ledger_rel_max=now.ledger,
     )
 
 

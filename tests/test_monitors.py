@@ -727,7 +727,7 @@ def synthetic_run(
         FunctionalSample(t, {"linf_n": gauge(t), "w1inf_c": 0.0, "min_n": min_n, "min_c": min_c(t)})
         for t in times
     ]
-    return RunResult(status, times[-1], trace, zero_state(make_grid(1, 16, 16.0)), ledger)
+    return RunResult(status, trace, zero_state(make_grid(1, 16, 16.0)), ledger)
 
 
 class TestRunVerdicts:

@@ -295,7 +295,7 @@ class TestLogisticSubstep:
             step(state, p, 0.1)
         res = run(state, p, RunConfig(t_end=0.5, dt=0.1))
         assert res.status is RunStatus.NUMERICAL_FAILURE
-        assert res.status_time == 0.0 and len(res.trace) == 1
+        assert res.final.t == 0.0 and len(res.trace) == 1
 
     def test_probe_shrinks_past_a_nonpositive_denominator(self, grid1d):
         # The probe's step of 2h = 0.03 has 1 + mu q n = 1 - 100 * 0.015 < 0
@@ -309,8 +309,8 @@ class TestLogisticSubstep:
             step(state, p, 0.03)
         stepper, merged, err = _probe(_carry(state), p, 0.015, 1e-12, _Workspace(grid1d))
         assert stepper.dt < 0.01 and err <= PROBE_TOL
-        assert merged[0].t == 2 * stepper.dt
-        assert np.isfinite(merged[0].n).all() and np.isfinite(merged[0].chat).all()
+        assert merged.t == 2 * stepper.dt
+        assert np.isfinite(merged.n).all() and np.isfinite(merged.chat).all()
 
 
 def _headline_damped(d, n_axis):
@@ -348,12 +348,12 @@ class TestAutoStep:
         r = round(math.log2(h0 / h))
         assert h == h0 / 2**r and r >= 2
         assert (len(advances), len(builds)) == (3 + 2 * r, r + 2)
-        assert merged[0].t == 2 * h
+        assert merged.t == 2 * h
         # Two carried steps of h: the probe's second one over the first's chat.
         fine = _Stepper(initial.grid, p, h)
-        kept = fine.advance(fine.advance(_carry(initial))[0])[0]
-        assert merged[0].n.tobytes() == kept.n.tobytes()
-        assert merged[0].chat.tobytes() == kept.chat.tobytes()
+        kept = fine.advance(fine.advance(_carry(initial)))
+        assert merged.n.tobytes() == kept.n.tobytes()
+        assert merged.chat.tobytes() == kept.chat.tobytes()
 
     def test_regrow_probes_again_at_once(self, monkeypatch):
         # Past the opening transient a probe's gap leaves far more than 2x
@@ -503,7 +503,7 @@ def _run_without_regrow(initial, p, config):
     ws = _Workspace(initial.grid)
     while now.t < config.t_end - 1e-12:
         h = min(h_next, suggest_dt(_view(now, ws), p), 0.5 * (config.t_end - now.t))
-        stepper, (now, *_), err = _probe(now, p, h, 1e-12, ws)
+        stepper, now, err = _probe(now, p, h, 1e-12, ws)
         h_next = stepper.dt * solver._step_factor(err, 5.0)
         for _ in range(solver.PROBE_EVERY - 2):
             dt = min(stepper.dt, config.t_end - now.t)
@@ -511,7 +511,7 @@ def _run_without_regrow(initial, p, config):
                 break
             if dt != stepper.dt:
                 stepper = _Stepper(initial.grid, p, dt, ws)
-            now = stepper.advance(now)[0]
+            now = stepper.advance(now)
     return now
 
 
@@ -555,7 +555,7 @@ def _split_step_bytes(d, n_axis):
     now = _carry(_random_state(grid, d))
     ran = fields._halves.ran  # the helper_halves fixture's list, or this child's copy
     before = len(ran)
-    new = stepper.advance(now)[0]
+    new = stepper.advance(now)
     return new.n.tobytes() + new.chat.tobytes(), len(ran) - before
 
 
@@ -570,13 +570,13 @@ class TestWorkspaceStep:
             for _ in range(3):  # each from the public state: the formula's bytes
                 now = _carry(state)
                 del helper_halves[:]
-                new, ledger, d_int_n, d_int_n2 = stepper.advance(now)
+                new = stepper.advance(now)
                 halves = len(helper_halves)
                 n, c, *scalars = _allocating_split_step(state, p, 0.01)
                 state = _uncarried(grid, new)
                 assert new.n.tobytes() == n.tobytes()
                 assert state.c.values.tobytes() == c.tobytes()
-                assert [ledger, d_int_n, d_int_n2] == scalars
+                assert [new.ledger, new.int_n, new.int_n2] == scalars
                 assert halves == (2 * STEP_TRANSFORMS[grid.d] if split else 0)
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
@@ -639,17 +639,17 @@ class TestWorkspaceStep:
         stepper = _Stepper(grid, Params(d=2, **self.P), 0.01)
         start = _carry(_random_state(grid, 7))
         start_bytes = start.n.tobytes() + start.chat.tobytes()
-        kept = stepper.advance(start)[0]
+        kept = stepper.advance(start)
         kept_bytes = kept.n.tobytes() + kept.chat.tobytes()
         later = kept
         for _ in range(3):
-            later = stepper.advance(later)[0]
+            later = stepper.advance(later)
         assert kept.n.tobytes() + kept.chat.tobytes() == kept_bytes
-        again = stepper.advance(start)[0]
+        again = stepper.advance(start)
         assert again.n.tobytes() + again.chat.tobytes() == kept_bytes
         assert start.n.tobytes() + start.chat.tobytes() == start_bytes
         buffers = [b for b in vars(stepper.ws).values() if isinstance(b, np.ndarray)]
-        for array in (*kept[1:], *later[1:], *again[1:]):
+        for array in (kept.n, kept.chat, later.n, later.chat, again.n, again.chat):
             assert not any(np.shares_memory(array, b) for b in buffers)
 
     def test_warm_step_allocates_only_the_new_state(self):
@@ -660,7 +660,7 @@ class TestWorkspaceStep:
         grid = make_grid(3, 32, 20.0)
         stepper = _Stepper(grid, Params(d=3, **self.P), 1e-3)
         state = _carry(_random_state(grid, 3))
-        stepper.advance(stepper.advance(state)[0])
+        stepper.advance(stepper.advance(state))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -669,7 +669,7 @@ class TestWorkspaceStep:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert out[0].t > state.t
+        assert out.t > state.t
         assert peak <= 2.1 * 8 * grid.npoints + 16 * np.getbufsize()
 
     def test_workspace_is_three_spectra_two_bands_and_a_field(self):
@@ -697,12 +697,12 @@ class TestWorkspaceStep:
         p = Params(d=3, **self.P)
         start = _random_state(grid, 5)
         now = _carry(start)
-        new, *scalars = _Stepper(grid, p, 0.01).advance(now, now.chat)
+        new = _Stepper(grid, p, 0.01).advance(now, now.chat)
         n, c, *want = _allocating_split_step(start, p, 0.01)
         assert new.chat is now.chat
         assert new.n.tobytes() == n.tobytes()
         assert _irfft(new.chat, grid).tobytes() == c.tobytes()
-        assert scalars == want
+        assert [new.ledger, new.int_n, new.int_n2] == want
 
     def test_headline_shaped_run_peak(self):
         # The damped headline run at 32^3.  Its peak, during a probe's second
@@ -929,14 +929,14 @@ class TestRun:
         p = Params(chi=1e308, tau=1.0, lam=0.0, mu=1.0, d=1)
         res = run(gauss_state, p, RunConfig(t_end=0.05, dt=None))
         assert res.status is RunStatus.NUMERICAL_FAILURE
-        assert res.status_time == 0.0 and len(res.trace) == 1
+        assert res.final.t == 0.0 and len(res.trace) == 1
 
     def test_vanishing_fixed_dt_is_numerical_failure(self, gauss_state):
         # dt is below the clock's resolution eps = 1e-12 max(1, t_end): the
         # run could not advance, so it must stop instead of sampling forever.
         res = run(gauss_state, PARAMS_1D, RunConfig(t_end=1.0, dt=1e-13))
         assert res.status is RunStatus.NUMERICAL_FAILURE
-        assert res.status_time == 0.0 and len(res.trace) == 1
+        assert res.final.t == 0.0 and len(res.trace) == 1
 
     @pytest.mark.parametrize("dt", [None, 0.01])
     def test_overwhelming_damping_keeps_a_finite_ledger(self, gauss_state, dt):
@@ -949,6 +949,41 @@ class TestRun:
         assert res.mass_ledger_rel_max <= 1e-10
         remnant = gauss_state.grid.box_len / (p.mu * 0.05)
         assert res.trace[-1].values["mass"] == pytest.approx(remnant, rel=1e-3)
+
+    def test_non_finite_step_ends_at_the_last_finite_record(self, monkeypatch):
+        # The 11th step evaluation, a plain step at the controller's probe
+        # cadence, yields a density with a NaN.  The run ends there as a
+        # numerical failure whose final state is the record that step
+        # started from, and no |grad c| is formed from the poisoned record.
+        grid = make_grid(1, 128, 40.0)
+        bump = np.exp(-(grid.mesh()[0] ** 2) / 8.0)
+        initial = State(0.0, ScalarField(grid, 0.5 + 0.1 * bump), ScalarField(grid, 0.05 * bump))
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+        advance, grad_abs_hat = _Stepper.advance, solver._grad_abs_hat
+        calls, poisoned, gradients_after = [], [], []
+
+        def poisoning(self, now, *args):
+            new = advance(self, now, *args)
+            calls.append(self.dt)
+            if len(calls) == 11:
+                poisoned.append((now.t, now.n.copy(), _irfft(now.chat, grid), new.t))
+                new.n[7] = np.nan
+            return new
+
+        def counted(*args):
+            if poisoned:
+                gradients_after.append(args)
+            return grad_abs_hat(*args)
+
+        monkeypatch.setattr(_Stepper, "advance", poisoning)
+        monkeypatch.setattr(solver, "_grad_abs_hat", counted)
+        res = run(initial, p, RunConfig(t_end=5.0, dt=None))
+        assert res.status is RunStatus.NUMERICAL_FAILURE and poisoned
+        last_t, last_n, last_c, poisoned_t = poisoned[0]
+        assert res.final.is_finite() and res.final.t == last_t < poisoned_t
+        assert res.final.n.values.tobytes() == last_n.tobytes()
+        assert res.final.c.values.tobytes() == last_c.tobytes()
+        assert not gradients_after
 
     def test_trace_times_strictly_increasing(self, gauss_state):
         res = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.3, dt=None, monitor_every=7))
