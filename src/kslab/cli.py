@@ -282,9 +282,9 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
     else:
-        cfg = ExperimentConfig().validate()
+        cfg = ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed).validate()
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 

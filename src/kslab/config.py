@@ -117,7 +117,7 @@ class ExperimentConfig:
         # Largest truncation radius that still fits: just under box_len/4.
         return 0.24 * self.box_len
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         for section, build in (("grid", self.grid), ("params", self.params), ("run", self.run_config)):
             try:
                 build()
@@ -148,14 +148,10 @@ class ExperimentConfig:
             raise ConfigError(f"monitor.{exc}") from exc
         if self.monitor_centers not in ("max+lattice", "lattice"):
             raise ConfigError("monitor.centers must be 'max+lattice' or 'lattice'")
-        return self
 
     @staticmethod
     def from_mapping(kv: dict[str, str]) -> "ExperimentConfig":
-        cfg = ExperimentConfig()
-        for key, value in kv.items():
-            cfg = _apply(cfg, key, value)
-        return cfg.validate()
+        return ExperimentConfig(**dict(_apply(key, value) for key, value in kv.items()))
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
@@ -194,13 +190,13 @@ CONFIG_KEYS = {
 SWEEP_ALIASES = {"mu": "params.mu", "chi": "params.chi"}
 
 
-def _apply(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
-    """Set one dotted key on an existing config; unknown keys are errors."""
+def _apply(key: str, value: str) -> tuple[str, object]:
+    """The field one dotted key sets and its converted value; unknown keys are errors."""
     entry = CONFIG_KEYS.get(key)
     if entry is None:
         raise ConfigError(f"unknown configuration key '{key}'")
     attr, conv = entry
-    return replace(cfg, **{attr: conv(value, key)})
+    return attr, conv(value, key)
 
 
 @dataclass(frozen=True)
@@ -218,6 +214,6 @@ class SweepSpec:
             raise ConfigError("sweep value list must be nonempty")
 
     def configs(self) -> list[ExperimentConfig]:
-        """One validated config per value; '.17g' text round-trips every float exactly."""
+        """One config per value; '.17g' text round-trips every float exactly."""
         key = SWEEP_ALIASES.get(self.parameter, self.parameter)
-        return [_apply(self.base, key, f"{v:.17g}").validate() for v in self.values]
+        return [replace(self.base, **dict([_apply(key, f"{v:.17g}")])) for v in self.values]

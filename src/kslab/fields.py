@@ -101,6 +101,8 @@ def make_grid(d: int, n_axis: int, box_len: float) -> Grid:
         raise ValueError(f"n_axis must be a power of two >= 8, got {n_axis}")
     if not box_len > 0:
         raise ValueError(f"box_len must be positive, got {box_len}")
+    if not math.isfinite(box_len):
+        raise ValueError(f"box_len must be finite, got {box_len}")
     return Grid(d=d, n_axis=int(n_axis), box_len=float(box_len))
 
 
@@ -502,6 +504,8 @@ def heat_propagate(
         raise ValueError(f"propagation time must be nonnegative, got {t}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    if not all(math.isfinite(v) for v in (t, tau, damping)):
+        raise ValueError(f"t, tau and damping must be finite, got {t}, {tau}, {damping}")
     if t == 0:
         return f
     mult = np.exp(-(t / tau) * (damping + _k_squared_r(f.grid)))

@@ -43,7 +43,6 @@ from .fields import (
     _irfft,
     _rfft,
     gradient,
-    hessian_sq,
     integrate,
     laplacian,
 )
@@ -258,34 +257,35 @@ def prop22_check(trace: list[FunctionalSample], params: Params) -> list[Residual
     ``int ||n||^2`` (``int_l2sq_n``) from the first sample.  ``mass_ledger``:
     ``||n||_1 + mu int ||n||^2 <= e^{lam (t - t_0)} ||n_0||_1``, from
     ``d/dt int n = lam int n - mu int n^2`` where n >= 0 (``||n||_1 = int n``)
-    and lam >= 0; ``mass_ledger_printed`` (no ``mu``) follows only for mu >= 1
-    and is informational.  Testing ``tau c_t = Delta c - c + n`` against ``c``
-    and ``-Delta c``, with ``int n f <= (||n||^2 + ||f||^2) / 2``, gives for any n
+    and lam >= 0.  Testing ``tau c_t = Delta c - c + n`` against ``c`` and
+    ``-Delta c``, with ``int n f <= (||n||^2 + ||f||^2) / 2``, gives for any n
     ``tau ||c||^2 + int (2 ||grad c||^2 + ||c||^2) <= tau ||c_0||^2 + int ||n||^2``
     and ``tau ||grad c||^2 + int (||Delta c||^2 + 2 ||grad c||^2)
     <= tau ||grad c_0||^2 + int ||n||^2``, whose left sides ``chem_energy``
-    and ``chem_gradient_energy`` check as the no larger ``int ||c||_{H^1}^2``
-    and ``int ||grad c||_{H^1}^2`` (trapezoid rule over the samples;
-    ``||D^2 c|| = ||Delta c||`` on the torus).  All but the printed form pass
-    within 1e-6 max(1, sup_t ||n||_1).
+    and ``chem_gradient_energy`` check as the no larger
+    ``int (||c||^2 + ||grad c||^2)`` and ``int (||grad c||^2 + ||Delta c||^2)``
+    (trapezoid rule over the samples).  All pass within
+    1e-6 max(1, sup_t ||n||_1).
     """
     t = _times(trace)
     get = lambda key: _column(trace, key)
     l1_n = get("l1_n")
     growth = np.exp(params.lam * (t - t[0])) * l1_n[0]
     int_l2sq_n = get("int_l2sq_n") - trace[0].values["int_l2sq_n"]
+    l2sq_c, l2sq_gradc = get("l2sq_c"), get("l2sq_gradc")
 
-    def chem(key: str, dissipation: str) -> np.ndarray:
+    def chem(x: np.ndarray, dissipation: np.ndarray) -> np.ndarray:
         """``tau X + int D`` less its bound ``tau X(t_0) + int ||n||^2``."""
-        x = params.tau * get(key)
-        return x + _cumtrapz(t, get(dissipation)) - (x[0] + int_l2sq_n)
+        x = params.tau * x
+        return x + _cumtrapz(t, dissipation) - (x[0] + int_l2sq_n)
 
     tol = 1e-6 * max(1.0, float(np.max(np.abs(l1_n))))
     return [
-        ResidualReport("mass_ledger_printed", t, l1_n + int_l2sq_n - growth),
         ResidualReport("mass_ledger", t, l1_n + params.mu * int_l2sq_n - growth, tolerance=tol),
-        ResidualReport("chem_energy", t, chem("l2sq_c", "h1sq_c"), tolerance=tol),
-        ResidualReport("chem_gradient_energy", t, chem("l2sq_gradc", "h1sq_gradc"), tolerance=tol),
+        ResidualReport("chem_energy", t, chem(l2sq_c, l2sq_c + l2sq_gradc), tolerance=tol),
+        ResidualReport(
+            "chem_gradient_energy", t, chem(l2sq_gradc, l2sq_gradc + get("l2sq_lapc")), tolerance=tol
+        ),
     ]
 
 
@@ -716,9 +716,9 @@ class TraceRecorder:
     """Computes every key of a sampled state that its ``check`` reads.
 
     Produces l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc and lk_uloc_n,
-    and the ledger ingredients l1_n, l2sq_c, l2sq_gradc, h1sq_c and
-    h1sq_gradc; the run loop itself records mass, linf_n, w1inf_c, min_n,
-    min_c and the ledger's int_l2sq_n.  ``lk_uloc_n`` takes unit balls when
+    and the ledger ingredients l1_n, l2sq_c, l2sq_gradc and l2sq_lapc; the
+    run loop itself records mass, linf_n, w1inf_c, min_n, min_c and the
+    ledger's int_l2sq_n.  ``lk_uloc_n`` takes unit balls when
     the grid resolves them, else the smallest radius the center scan can see
     (2h).  ``y`` takes the ``default_centers`` of the grid, plus the argmax
     of n when ``track_max_center``.
@@ -755,8 +755,6 @@ class TraceRecorder:
             # With no chemotaxis the density term of z is undefined; track the
             # gradient part so the trace stays finite.
             z_max = float(np.max(0.5 * p.tau * grad_c.values**2))
-        l2sq_c = lp_norm(c, 2) ** 2
-        l2sq_gradc = lp_norm(grad_c, 2) ** 2
         return {
             "l1_uloc_n": uloc_norm(n, self.l1_params),
             "l2_uloc_gradc": uloc_norm(grad_c, self.l2_params),
@@ -765,10 +763,9 @@ class TraceRecorder:
             "linf_gradc": grad_c.max_abs(),
             "lk_uloc_n": uloc_norm(n, self.lk_params),
             "l1_n": integrate(ScalarField(n.grid, np.abs(n.values))),
-            "l2sq_c": l2sq_c,
-            "l2sq_gradc": l2sq_gradc,
-            "h1sq_c": l2sq_c + l2sq_gradc,
-            "h1sq_gradc": l2sq_gradc + integrate(hessian_sq(c)),
+            "l2sq_c": lp_norm(c, 2) ** 2,
+            "l2sq_gradc": lp_norm(grad_c, 2) ** 2,
+            "l2sq_lapc": lp_norm(laplacian(c), 2) ** 2,
         }
 
     def check(

@@ -86,6 +86,8 @@ class UlocNormParams:
             raise ValueError(
                 "ball radius must be at least 2h so the scan resolves the ball scale"
             )
+        if not (math.isfinite(self.p) and math.isfinite(self.ball_radius)):
+            raise ValueError("exponent p and ball radius must be finite")
         return self
 
 

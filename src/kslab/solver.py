@@ -816,6 +816,8 @@ class PicardConfig:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.quadrature_nodes < 1:
@@ -866,9 +868,11 @@ def default_picard_horizon(params: Params, M: float) -> float:
 
 def contractive_picard_horizon(initial: State, params: Params) -> float:
     """Formula horizon, halved up to 8 times until a cheap probe shows
-    contraction factor < 1."""
+    contraction factor < 1; a formula horizon that underflows to 0 finds none."""
     T = default_picard_horizon(params, data_bound(initial))
     for _ in range(9):
+        if not T > 0:
+            break
         probe = picard_local_solve(
             initial, params, PicardConfig(horizon=T, iterations=3, quadrature_nodes=4)
         )
@@ -886,8 +890,8 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
     averaged from the adjacent nodes.  One table per field holds the
     semigroup at the half nodes m dt/2, m = 0..2Q: node i is m = 2i and
     midpoint q is m = 2q + 1.  The free flow S(t_i) u0 seeds the iteration
-    and starts every iterate.  Divergence (growing successive differences)
-    is reported, never silently accepted.
+    and starts every iterate.  Divergence (growing successive differences,
+    or a non-finite one) is reported, never silently accepted.
     """
     grid = initial.grid
     p = params
@@ -933,8 +937,9 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
         for i in range(Q + 1):
             dc_hat = cs_a[i] - cs_b[i]
             dn, dc = _irfft(ns_a[i] - ns_b[i], grid), _irfft(dc_hat, grid)
-            worst = max(worst, sup(dn) + sup(dc) + sup(_grad_abs_hat(dc_hat, grid)))
-        return worst
+            # np.maximum keeps a NaN gap, which max() would drop.
+            worst = np.maximum(worst, sup(dn) + sup(dc) + sup(_grad_abs_hat(dc_hat, grid)))
+        return float(worst)
 
     ns, cs = free_n, free_c
     diff_norms: list[float] = []
@@ -948,7 +953,9 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
         for i in range(1, len(diff_norms))
         if diff_norms[i - 1] > 0
     ]
-    diverged = len(diff_norms) >= 2 and diff_norms[-1] > diff_norms[0]
+    diverged = not all(map(math.isfinite, diff_norms)) or (
+        len(diff_norms) >= 2 and diff_norms[-1] > diff_norms[0]
+    )
     final = State(
         t=initial.t + T,
         n=ScalarField(grid, _irfft(ns[Q], grid)),

@@ -142,8 +142,6 @@ def test_criterion_05_global_ledgers():
             monitors=TraceRecorder(p, grid),
         )
         for report in prop22_check(res.trace, p):
-            if report.passed is None:
-                continue  # mass_ledger_printed: reported for reference only
             ok &= report.passed
             worst = max(worst, report.max_margin() / report.tolerance)
     _verdict(5, "global_ledgers", ok, f"worst margin / tolerance {worst:.2e}")

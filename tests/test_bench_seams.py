@@ -150,13 +150,13 @@ def test_lane_transforms_are_traced(d, n_axis, ffts, split_everywhere, monkeypat
 
 def test_monitor_transforms_are_traced(tmp_path, monkeypatch):
     # The seeded 2D 128^2 state of the monitor2d workload.  The CLI sample
-    # takes 12 transforms once |grad c| is cached on the state.  The coupled
+    # takes 10 transforms once |grad c| is cached on the state.  The coupled
     # monitors transform n and c once each and take every derivative from
     # those spectra and the tendency spectra: 35 transforms on a fresh state,
     # 3 fewer after a CLI sample has cached |grad c|, 17 for z_residual.
     path = tmp_path / "monitor2d.cfg"
     _load("child")._write_config(path, 5.0, 10.0)
-    cfg = replace(ExperimentConfig.from_file(path), seed=1).validate()
+    cfg = replace(ExperimentConfig.from_file(path), seed=1)
     initial = _initial(cfg)
     grid, params = initial.grid, cfg.params()
 
@@ -174,11 +174,11 @@ def test_monitor_transforms_are_traced(tmp_path, monkeypatch):
         call()
         return sum(1 for span in tracer.spans if span[0] in tracing.FFT)
 
-    assert ffts(lambda: cli(fresh())) == 15
+    assert ffts(lambda: cli(fresh())) == 13
     assert ffts(lambda: coupled(fresh())) == 35
     sampled = fresh()
-    assert ffts(lambda: cli(sampled)) == 15
-    assert ffts(lambda: cli(sampled)) == 12
+    assert ffts(lambda: cli(sampled)) == 13
+    assert ffts(lambda: cli(sampled)) == 10
     assert ffts(lambda: coupled(sampled)) == 32
     assert ffts(lambda: z_residual(fresh(), params)) == 17
 

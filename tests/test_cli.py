@@ -366,7 +366,7 @@ class TestVerdictParity:
 
         reports, fitted = recorder.check(result.trace)
         assert [r.name for r in reports] == [
-            "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
+            "mass_ledger", "chem_energy", "chem_gradient_energy",
             "uloc_combined", "linf_reconstruction", "z_sup_cap",
         ]
         lines = ["t,name,margin,calibration"]
@@ -405,7 +405,7 @@ class TestVerdictParity:
             "initial": build_initial(grid, "gaussian_bump", 1.0, 2.5, M=8.0),
         }
         exec(snippet, scope)
-        assert len(scope["reports"]) == 7
+        assert len(scope["reports"]) == 6
         assert all(scope["verdicts"].values())
 
     def test_readme_coupled_snippet_runs(self):
@@ -433,7 +433,7 @@ class TestSampleCost:
     def test_one_gradient_per_sampled_state(self, monkeypatch):
         # The run loop's own sample, the CLI monitors and the next dt all need
         # |grad c| of the same state; it must be formed once.
-        cfg = ExperimentConfig(n_axis=64).validate()
+        cfg = ExperimentConfig(n_axis=64)
         params = cfg.params()
         state = build_initial(
             cfg.grid(), cfg.preset, cfg.amplitude, cfg.effective_width(), cfg.effective_M()

@@ -29,6 +29,7 @@ from kslab.fields import (
     magnitude,
     make_grid,
 )
+from kslab.presets import build_initial
 from kslab.suites import _random_field
 
 
@@ -53,6 +54,10 @@ class TestMakeGrid:
             make_grid(4, 64, 10.0)
         with pytest.raises(ValueError):
             make_grid(1, 64, -1.0)
+
+    def test_rejects_infinite_box(self):
+        with pytest.raises(ValueError, match="box_len must be finite"):
+            make_grid(1, 64, math.inf)
 
     def test_coords_centered(self):
         grid = make_grid(1, 256, 40.0)
@@ -283,6 +288,23 @@ class TestHessian:
         )
         assert np.max(lhs - 4.0 * hessian_sq(c).values * gc * gc) <= 1e-9
 
+    @pytest.mark.parametrize("d,n_axis", [(2, 64), (3, 16)])
+    def test_integral_is_that_of_the_laplacian_squared(self, d, n_axis, rng):
+        # On the torus int |D^2 c|^2 = int (Lap c)^2, which lets the monitors
+        # read ||Lap c||^2 and take no Hessian.  Exact for dealiased fields.
+        grid = make_grid(d, n_axis, 20.0)
+        c = dealias(ScalarField(grid, rng.standard_normal(grid.shape)))
+        want = integrate(ScalarField(grid, laplacian(c).values ** 2))
+        assert abs(integrate(hessian_sq(c)) - want) <= 1e-12 * want
+
+    def test_integral_gap_on_data_with_nyquist_modes(self):
+        # The monitor2d initial state (seed 1) carries Nyquist modes, whose
+        # mixed partials the Hessian zeroes and the Laplacian does not.
+        grid = make_grid(2, 128, 40.0)
+        c = build_initial(grid, "random_smooth", 5.0, 2.5, 9.6, seed=1).c
+        want = integrate(ScalarField(grid, laplacian(c).values ** 2))
+        assert abs(integrate(hessian_sq(c)) - want) <= 1e-8 * want
+
 
 class TestSpectralCores:
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
@@ -354,6 +376,15 @@ class TestHeatPropagate:
         f = ScalarField(grid1d, np.zeros(grid1d.shape))
         with pytest.raises(ValueError):
             heat_propagate(f, -0.1)
+
+    @pytest.mark.parametrize(
+        "t,tau,damping",
+        [(math.inf, 1.0, 0.0), (math.nan, 1.0, 0.0), (0.1, 1.0, math.nan), (0.1, math.inf, 0.0)],
+    )
+    def test_non_finite_arguments_rejected(self, grid1d, t, tau, damping):
+        f = ScalarField(grid1d, np.ones(grid1d.shape))
+        with pytest.raises(ValueError, match="must be finite"):
+            heat_propagate(f, t, tau=tau, damping=damping)
 
 
 class TestMaxAbs:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kslab import monitors
+from kslab.cli import TRACE_COLUMNS
 from kslab.config import ConfigError, ExperimentConfig
 from kslab.fields import (
     ScalarField,
@@ -192,8 +193,10 @@ class TestGlobalLedgers:
         for name in ("chem_energy", "chem_gradient_energy"):
             assert reports[name].passed and reports[name].max_margin() == 0.0
         t = np.array([s.t for s in res.trace])
-        l2sq_c, h1sq_c = (np.array([s.values[k] for s in res.trace]) for k in ("l2sq_c", "h1sq_c"))
-        by_mass = p.tau * l2sq_c + monitors._cumtrapz(t, h1sq_c) - (
+        l2sq_c, l2sq_gradc = (
+            np.array([s.values[k] for s in res.trace]) for k in ("l2sq_c", "l2sq_gradc")
+        )
+        by_mass = p.tau * l2sq_c + monitors._cumtrapz(t, l2sq_c + l2sq_gradc) - (
             p.tau * l2sq_c[0] + res.trace[0].values["l1_n"]
         )
         assert np.max(by_mass) > 1e3 * reports["chem_energy"].tolerance
@@ -795,12 +798,14 @@ class TestMonitorSettings:
     @pytest.mark.parametrize("recorder", [TraceRecorder, CoupledRecorder])
     @pytest.mark.parametrize("change,message", BROKEN)
     def test_recorder_raises_when_built_with_the_config_message(self, recorder, change, message):
-        cfg = replace(ExperimentConfig(d=1, n_axis=128, box_len=40.0), **change)
+        base = ExperimentConfig(d=1, n_axis=128, box_len=40.0)
+        s = {"n_axis": 128, "monitor_k": base.monitor_k, "monitor_R": base.monitor_R, **change}
+        grid = make_grid(1, s["n_axis"], 40.0)
         with pytest.raises(ValueError) as built:
-            recorder(cfg.params(), cfg.grid(), k=cfg.monitor_k, R=cfg.monitor_R)
+            recorder(base.params(), grid, k=s["monitor_k"], R=s["monitor_R"])
         assert str(built.value) == message
         with pytest.raises(ConfigError) as validated:
-            cfg.validate()
+            replace(base, **change)
         assert str(validated.value) == f"monitor.{message}"
 
     def test_rules_are_written_only_in_validate_settings(self):
@@ -819,10 +824,29 @@ def test_one_recorder_feeds_every_trace_check(grid1d):
     res = run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), monitors=recorder)
     reports, fitted = recorder.check(res.trace)
     assert [r.name for r in reports] == [
-        "mass_ledger_printed", "mass_ledger", "chem_energy", "chem_gradient_energy",
+        "mass_ledger", "chem_energy", "chem_gradient_energy",
         "uloc_combined", "linf_reconstruction", "z_sup_cap",
     ]
     assert sorted(fitted) == ["linf_reconstruction", "uloc_combined"]
+
+
+def test_every_recorded_key_is_read_or_written(grid1d):
+    # In the regime of test_one_recorder_feeds_every_trace_check, each key
+    # the recorder stores outside trace.csv's columns is one its check needs:
+    # a stored value that nothing reads fails here.
+    p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+    initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
+    recorder = TraceRecorder(p, grid1d, k=3)
+    res = run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), monitors=recorder)
+    unwritten = sorted(set(recorder(initial)) - set(TRACE_COLUMNS))
+    assert unwritten  # the guard guards something
+    for key in unwritten:
+        trace = [
+            FunctionalSample(s.t, {k: v for k, v in s.values.items() if k != key})
+            for s in res.trace
+        ]
+        with pytest.raises(ValueError, match=f"trace lacks required functional '{key}'"):
+            recorder.check(trace)
 
 
 def test_verdict_conditions_are_written_only_in_monitors():

@@ -306,6 +306,12 @@ class TestUlocNorm:
             uloc_norm(ones, UlocNormParams(p=1, ball_radius=0.3))
         assert uloc_norm(ones, UlocNormParams(p=1, ball_radius=2 * grid1d.spacing)) > 0
 
+    @pytest.mark.parametrize("p,R", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_settings_rejected(self, grid1d, p, R):
+        five = ScalarField(grid1d, np.full(grid1d.shape, 5.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            uloc_norm(five, UlocNormParams(p, R))
+
 
 class TestCoveringCheck:
     def test_constant_ratio_stable_in_radius(self):

@@ -43,6 +43,7 @@ from kslab.solver import (
     _phi2,
     approx_initial,
     continuation_gauge,
+    contractive_picard_horizon,
     data_bound,
     default_picard_horizon,
     determinism_check,
@@ -1126,14 +1127,69 @@ class TestPicard:
         )
         assert res.diverged
 
-    def test_contractive_horizon_probe(self, gauss_state):
-        from kslab.solver import contractive_picard_horizon
+    def test_non_finite_gap_is_divergence(self):
+        # Density of size 1e100 overflows the first iterate's source, so every
+        # later gap is NaN: it must show and count as divergence, not as 0.
+        grid = make_grid(1, 64, 40.0)
+        x = grid.mesh()[0]
+        huge = State(
+            0.0, ScalarField(grid, 1e100 * np.exp(-(x**2))), ScalarField(grid, np.exp(-(x**2)))
+        )
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = picard_local_solve(
+                huge, p, PicardConfig(horizon=1.0, iterations=4, quadrature_nodes=4)
+            )
+        assert math.isfinite(res.diff_norms[0])
+        assert all(math.isnan(gap) for gap in res.diff_norms[1:])
+        assert res.diverged
 
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            PicardConfig(horizon=math.inf)
+
+    def test_contractive_horizon_probe(self, gauss_state):
         T = contractive_picard_horizon(gauss_state, PARAMS_1D)
         res = picard_local_solve(
             gauss_state, PARAMS_1D, PicardConfig(horizon=T, iterations=4, quadrature_nodes=8)
         )
         assert all(r < 1.0 for r in res.ratios)
+
+    def _probe_contracts(self, state, horizon):
+        probe = picard_local_solve(
+            state, PARAMS_1D, PicardConfig(horizon=horizon, iterations=3, quadrature_nodes=4)
+        )
+        return not probe.diverged and all(r < 1.0 for r in probe.ratios)
+
+    def test_contractive_horizon_halves_a_horizon_that_does_not_contract(
+        self, gauss_state, monkeypatch
+    ):
+        # The formula (9.5e-5 here) contracts on all data tried, so it is
+        # replaced by 100: the probe fails there and at 4 halvings.
+        monkeypatch.setattr(solver, "default_picard_horizon", lambda params, M: 100.0)
+        T = contractive_picard_horizon(gauss_state, PARAMS_1D)
+        assert T == 100.0 * 0.5**5
+        assert self._probe_contracts(gauss_state, T)
+        assert not self._probe_contracts(gauss_state, 2.0 * T)
+
+    def test_contractive_horizon_raises_when_no_halving_contracts(self, gauss_state, monkeypatch):
+        # From 1e4, eight halvings reach 39 (the probe first contracts at 3.1).
+        monkeypatch.setattr(solver, "default_picard_horizon", lambda params, M: 1e4)
+        with pytest.raises(FloatingPointError, match="no contractive horizon"):
+            contractive_picard_horizon(gauss_state, PARAMS_1D)
+
+    def test_contractive_horizon_raises_when_the_formula_underflows(self, grid1d):
+        # Data of size 1e200 take the formula horizon (size^-2) below the
+        # smallest float.
+        x = grid1d.mesh()[0]
+        huge = State(
+            0.0,
+            ScalarField(grid1d, 1e200 * np.exp(-(x**2) / 8.0)),
+            ScalarField(grid1d, 0.5 * np.exp(-(x**2) / 8.0)),
+        )
+        assert default_picard_horizon(PARAMS_1D, data_bound(huge)) == 0.0
+        with pytest.raises(FloatingPointError, match="no contractive horizon"):
+            contractive_picard_horizon(huge, PARAMS_1D)
 
     def test_agrees_with_stepper_under_refinement(self, gauss_state):
         # Two independent discretizations of the same mild solution, both of
