@@ -43,6 +43,7 @@ _HEADER = struct.Struct("<IIdd")
 
 
 def state_to_bytes(state: State) -> bytes:
+    """``state`` in the KSLB1 layout above."""
     grid = state.grid
     header = MAGIC + _HEADER.pack(grid.d, grid.n_axis, grid.box_len, state.t)
     n_bytes = np.ascontiguousarray(state.n.values, dtype="<f8").tobytes()
@@ -51,6 +52,7 @@ def state_to_bytes(state: State) -> bytes:
 
 
 def state_from_bytes(blob: bytes) -> State:
+    """The state a KSLB1 blob holds."""
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError("not a checkpoint: bad magic bytes")
     offset = len(MAGIC)
@@ -92,9 +94,11 @@ def atomic_open(path: str | Path, mode: str = "w"):
 
 
 def save_checkpoint(path: str | Path, state: State) -> None:
+    """Write ``state`` to ``path`` atomically, in the KSLB1 layout."""
     with atomic_open(path, "wb") as fh:
         fh.write(state_to_bytes(state))
 
 
 def load_checkpoint(path: str | Path) -> State:
+    """The state of the KSLB1 file at ``path``."""
     return state_from_bytes(Path(path).read_bytes())

@@ -87,7 +87,7 @@ def _residual_reports(
     """The reports on the trace ``recorder`` fed, their fitted or asserted constants,
     and their verdicts."""
     reports, fitted = recorder.check(result.trace, calibration)
-    verdicts = {r.name: r.passed for r in reports if r.passed is not None}
+    verdicts = {r.name: r.passed for r in reports}
     return reports, fitted, verdicts
 
 

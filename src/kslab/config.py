@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .fields import Grid, make_grid
+from .fields import Grid, _is_integer, make_grid
 from .monitors import validate_settings
 from .presets import PRESET_NAMES
 from .solver import Params, RunConfig
@@ -47,6 +47,7 @@ class ConfigError(ValueError):
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
+    """The key=value pairs of a config text; a later key overrides an earlier one."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -136,10 +137,16 @@ class ExperimentConfig:
             raise ConfigError("init.amplitude must be nonnegative")
         if self.width is not None and not self.width > 0:
             raise ConfigError("init.width must be positive")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError("init.amplitude must be finite")
+        if self.width is not None and not math.isfinite(self.width):
+            raise ConfigError("init.width must be finite")
         if self.M is not None and not self.M > 0:
             raise ConfigError("init.M must be positive")
         if not 2.0 * self.effective_M() < self.box_len / 2.0:
             raise ConfigError("init.M too large: need 2M < box_len/2")
+        if not _is_integer(self.seed):
+            raise ConfigError("init.seed must be an integer")
         if self.seed < 0:
             raise ConfigError("init.seed must be nonnegative")
         try:

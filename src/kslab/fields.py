@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +37,11 @@ __all__ = [
     "dealias",
     "magnitude",
 ]
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer setting: any integral type (numpy's too) but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -95,6 +101,9 @@ class Grid:
 
 def make_grid(d: int, n_axis: int, box_len: float) -> Grid:
     """Build a periodic grid; rejects non power-of-two sizes and d outside 1..3."""
+    for name, value in (("d", d), ("n_axis", n_axis)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer")
     if d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
     if not (_is_power_of_two(n_axis) and n_axis >= 8):
@@ -479,10 +488,12 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def laplacian(f: ScalarField) -> ScalarField:
+    """Spectral Laplacian, the multiplier -|k|^2."""
     return _apply_multiplier(f, -_k_squared_r(f.grid))
 
 
 def divergence(v: VectorField) -> ScalarField:
+    """Spectral divergence: the sum of each component's derivative along its axis."""
     parts = zip(v.components, _k_axes_odd_r(v.grid))
     return ScalarField(v.grid, sum(_apply_multiplier(comp, 1j * ka).values for comp, ka in parts))
 

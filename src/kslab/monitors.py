@@ -41,6 +41,7 @@ from .fields import (
     _grad_hat,
     _hessian_sq_hat,
     _irfft,
+    _is_integer,
     _rfft,
     gradient,
     integrate,
@@ -103,24 +104,24 @@ COMPARISON_TOL = 1e-3
 class ResidualReport:
     """Signed margins LHS - RHS of one inequality along a trace.
 
-    ``calibration`` is the constant the margins were taken against and
-    ``tolerance`` the largest margin that still passes; a report without a
-    tolerance is informational and carries no verdict.
+    ``tolerance`` is the largest margin that still passes, so every report
+    carries a verdict; ``calibration`` is the constant the margins were
+    taken against, if any.
     """
 
     name: str
     times: np.ndarray
     margins: np.ndarray
+    tolerance: float
     calibration: float | None = None
-    tolerance: float | None = None
 
     def max_margin(self) -> float:
         return float(np.max(self.margins)) if len(self.margins) else -math.inf
 
     @property
-    def passed(self) -> bool | None:
-        """The report's verdict: None without a tolerance, else whether every margin is within it."""
-        return None if self.tolerance is None else bool(self.max_margin() <= self.tolerance)
+    def passed(self) -> bool:
+        """The report's verdict: whether every margin is within the tolerance."""
+        return bool(self.max_margin() <= self.tolerance)
 
 
 def _times(trace: list[FunctionalSample]) -> np.ndarray:
@@ -161,6 +162,8 @@ def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
 def validate_settings(grid: Grid, k: int, R: float) -> None:
     """A recorder's rules on k and R: the moment cutoff needs R >= 1, the uniformly
     local scans R >= 2h, and the cutoff's support B_2R must fit in half the box."""
+    if not _is_integer(k):
+        raise ValueError("k must be an integer")
     if k < 3:
         raise ValueError("k must be >= 3")
     min_R = max(1.0, 2.0 * grid.spacing)

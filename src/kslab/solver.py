@@ -23,7 +23,6 @@ Positivity is never enforced: undershoots are recorded by
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .fields import (
     _band,
     _grad_abs_hat,
     _irfft,
+    _is_integer,
     _k_axes_odd_r,
     _k_squared_r,
     _real_view,
@@ -107,6 +107,10 @@ class Params:
         for name, value in (("lambda", self.lam), ("mu", self.mu)):
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not _is_integer(self.d):
+            raise ValueError("d must be an integer")
+        if self.d not in (1, 2, 3):
+            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,8 @@ class FunctionalSample:
 
 
 class RunStatus(Enum):
+    """How a run ended: at ``t_end``, on suspected blow-up, or when a step failed numerically."""
+
     COMPLETED = "completed"
     BLOWUP_SUSPECTED = "blowup_suspected"
     NUMERICAL_FAILURE = "numerical_failure"
@@ -195,9 +201,7 @@ class RunConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        if isinstance(self.monitor_every, bool) or not isinstance(
-            self.monitor_every, numbers.Integral
-        ):
+        if not _is_integer(self.monitor_every):
             raise ValueError("monitor_every must be an integer")
         if self.monitor_every < 1:
             raise ValueError("monitor_every must be >= 1")
@@ -829,7 +833,6 @@ class PicardResult:
     """Fixed-point iteration record: final iterate and contraction diagnostics."""
 
     final: State
-    times: np.ndarray
     diff_norms: list[float]
     ratios: list[float]
     diverged: bool
@@ -885,13 +888,14 @@ def contractive_picard_horizon(initial: State, params: Params) -> float:
 def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> PicardResult:
     """Iterate the mild-solution map on [0, T] and report contraction behaviour.
 
-    Iterates live on the nodes i dt of Q = quadrature_nodes sub-intervals;
-    the Duhamel integrals use the composite midpoint rule with the integrand
-    averaged from the adjacent nodes.  One table per field holds the
-    semigroup at the half nodes m dt/2, m = 0..2Q: node i is m = 2i and
-    midpoint q is m = 2q + 1.  The free flow S(t_i) u0 seeds the iteration
-    and starts every iterate.  Divergence (growing successive differences,
-    or a non-finite one) is reported, never silently accepted.
+    Iterates live on the nodes i dt of Q = quadrature_nodes sub-intervals,
+    each as one stacked half spectrum (n^, c^); the Duhamel integrals use the
+    composite midpoint rule with the integrand averaged from the adjacent
+    nodes.  One stacked table holds the semigroup of both fields at the half
+    nodes m dt/2, m = 0..2Q: node i is m = 2i and midpoint q is m = 2q + 1.
+    The free flow S(t_i) u0 seeds the iteration and starts every iterate.
+    Divergence (growing successive differences, or a non-finite one) is
+    reported, never silently accepted.
     """
     grid = initial.grid
     p = params
@@ -903,50 +907,47 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
 
     # m (dt/2) is the real number i dt or (q + 1/2) dt, and so rounds alike.
     half_dt = 0.5 * dt
-    prop_n = [np.exp(-(m * half_dt) * ksq) for m in range(2 * Q + 1)]
-    prop_c = [np.exp(-(m * half_dt) / p.tau * (1.0 + ksq)) for m in range(2 * Q + 1)]
+    prop = [
+        np.stack((np.exp(-(m * half_dt) * ksq), np.exp(-(m * half_dt) / p.tau * (1.0 + ksq))))
+        for m in range(2 * Q + 1)
+    ]
+    u0 = np.stack((_rfft(initial.n.values), _rfft(initial.c.values)))
+    free = [prop[2 * i] * u0 for i in range(Q + 1)]
 
-    n0_hat = _rfft(initial.n.values)
-    c0_hat = _rfft(initial.c.values)
-    free_n = [prop_n[2 * i] * n0_hat for i in range(Q + 1)]
-    free_c = [prop_c[2 * i] * c0_hat for i in range(Q + 1)]
-
-    def apply_map(ns, cs):
-        mid_src_n, mid_src_c = [], []
+    def apply_map(us):
+        mid_src = []
         for q in range(Q):
-            n_mid = 0.5 * (ns[q] + ns[q + 1])
-            c_mid = 0.5 * (cs[q] + cs[q + 1])
-            n_phys = _irfft(n_mid, grid)
-            mid_src_n.append(_source_hat(p, ws, n_mid, c_mid, n_phys, np.empty_like(n_mid)))
-            mid_src_c.append(n_mid / p.tau)
-        new_ns, new_cs = [n0_hat], [c0_hat]
+            n_mid, c_mid = 0.5 * (us[q] + us[q + 1])
+            src = np.empty_like(u0)
+            _source_hat(p, ws, n_mid, c_mid, _irfft(n_mid, grid), src[0])
+            np.divide(n_mid, p.tau, out=src[1])
+            mid_src.append(src)
+        new_us = [u0]
         for i in range(1, Q + 1):
-            acc_n, acc_c = free_n[i], free_c[i]
+            acc = free[i]
             for q in range(i):
-                acc_n = acc_n + dt * prop_n[2 * (i - q) - 1] * mid_src_n[q]
-                acc_c = acc_c + dt * prop_c[2 * (i - q) - 1] * mid_src_c[q]
-            new_ns.append(acc_n)
-            new_cs.append(acc_c)
-        return new_ns, new_cs
+                acc = acc + dt * prop[2 * (i - q) - 1] * mid_src[q]
+            new_us.append(acc)
+        return new_us
 
     def sup(values: np.ndarray) -> float:
         return ScalarField(grid, values).max_abs()
 
-    def diff_norm(ns_a, cs_a, ns_b, cs_b) -> float:
+    def diff_norm(us_a, us_b) -> float:
         worst = 0.0
-        for i in range(Q + 1):
-            dc_hat = cs_a[i] - cs_b[i]
-            dn, dc = _irfft(ns_a[i] - ns_b[i], grid), _irfft(dc_hat, grid)
+        for u_a, u_b in zip(us_a, us_b):
+            dn_hat, dc_hat = u_a - u_b
+            dn, dc = _irfft(dn_hat, grid), _irfft(dc_hat, grid)
             # np.maximum keeps a NaN gap, which max() would drop.
             worst = np.maximum(worst, sup(dn) + sup(dc) + sup(_grad_abs_hat(dc_hat, grid)))
         return float(worst)
 
-    ns, cs = free_n, free_c
+    us = free
     diff_norms: list[float] = []
     for _ in range(config.iterations):
-        new_ns, new_cs = apply_map(ns, cs)
-        diff_norms.append(diff_norm(new_ns, new_cs, ns, cs))
-        ns, cs = new_ns, new_cs
+        new_us = apply_map(us)
+        diff_norms.append(diff_norm(new_us, us))
+        us = new_us
 
     ratios = [
         diff_norms[i] / diff_norms[i - 1]
@@ -956,18 +957,13 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
     diverged = not all(map(math.isfinite, diff_norms)) or (
         len(diff_norms) >= 2 and diff_norms[-1] > diff_norms[0]
     )
+    n_hat, c_hat = us[Q]
     final = State(
         t=initial.t + T,
-        n=ScalarField(grid, _irfft(ns[Q], grid)),
-        c=ScalarField(grid, _irfft(cs[Q], grid)),
+        n=ScalarField(grid, _irfft(n_hat, grid)),
+        c=ScalarField(grid, _irfft(c_hat, grid)),
     )
-    return PicardResult(
-        final=final,
-        times=initial.t + dt * np.arange(Q + 1),
-        diff_norms=diff_norms,
-        ratios=ratios,
-        diverged=diverged,
-    )
+    return PicardResult(final=final, diff_norms=diff_norms, ratios=ratios, diverged=diverged)
 
 
 def nonnegativity_report(state: State) -> tuple[float, float]:

@@ -55,6 +55,8 @@ __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check of a suite: its verdict and a line of detail."""
+
     name: str
     passed: bool
     detail: str

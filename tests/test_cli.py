@@ -119,6 +119,25 @@ class TestConfigParsing:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"d": 2.0}, "grid.d must be an integer"),
+            ({"n_axis": 64.0}, "grid.n_axis must be an integer"),
+            ({"seed": 1.5, "preset": "random_smooth"}, "init.seed must be an integer"),
+            ({"seed": True}, "init.seed must be an integer"),
+            ({"monitor_k": 3.5}, "monitor.k must be an integer"),
+            ({"amplitude": math.inf}, "init.amplitude must be finite"),
+            ({"width": math.inf}, "init.width must be finite"),
+        ],
+    )
+    def test_library_rejects_what_the_file_rejects(self, change, message):
+        # The config file's converters never produce these; a library caller
+        # used to get a TypeError or an overflow from the run instead.
+        with pytest.raises(ConfigError) as rejected:
+            ExperimentConfig(**{"n_axis": 64, **change})
+        assert str(rejected.value) == message
+
     def test_sweep_spec_requires_values(self):
         with pytest.raises(ConfigError):
             SweepSpec(parameter="mu", values=())

@@ -55,6 +55,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 64, -1.0)
 
+    @pytest.mark.parametrize(
+        "d,n_axis,name", [(True, 64, "d"), (2.0, 64, "d"), (2, 64.0, "n_axis"), (2, True, "n_axis")]
+    )
+    def test_rejects_a_non_integer_size(self, d, n_axis, name):
+        # True would stand for d = 1; a float would fail later, as a TypeError.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_grid(d, n_axis, 40.0)
+        assert make_grid(np.int64(2), np.int64(64), 40.0).shape == (64, 64)
+
     def test_rejects_infinite_box(self):
         with pytest.raises(ValueError, match="box_len must be finite"):
             make_grid(1, 64, math.inf)

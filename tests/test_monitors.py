@@ -147,8 +147,10 @@ class TestReportVerdict:
     def report(self, margin, tolerance):
         return ResidualReport("r", np.array([0.0, 1.0]), np.array([-1.0, margin]), tolerance=tolerance)
 
-    def test_no_tolerance_no_verdict(self):
-        assert self.report(1.0, None).passed is None
+    def test_tolerance_is_required(self):
+        # Every report is judged: one built without a tolerance is refused.
+        with pytest.raises(TypeError, match="tolerance"):
+            ResidualReport("r", np.array([0.0]), np.array([1.0]))
 
     def test_passes_at_the_tolerance_and_fails_just_above(self):
         assert self.report(1e-6, 1e-6).passed is True
@@ -790,6 +792,8 @@ class TestMonitorSettings:
     # so 2h rather than 1 bounds R from below.
     BROKEN = [
         ({"monitor_k": 2}, "k must be >= 3"),
+        ({"monitor_k": 3.5}, "k must be an integer"),
+        ({"monitor_k": True}, "k must be an integer"),
         ({"monitor_R": 0.5}, "R must be >= max(1, 2h) = 1"),
         ({"n_axis": 16, "monitor_R": 4.0}, "R must be >= max(1, 2h) = 5"),
         ({"monitor_R": 10.0}, "R too large: need 2R < box_len/2"),
