@@ -10,6 +10,8 @@ grid), so only the sampled fields themselves take full arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fields import Grid
@@ -56,6 +58,10 @@ def build_initial(
     shape (a central bump for ``two_bumps``), a neutral choice that
     exercises both equations from t=0.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not (width > 0 and math.isfinite(width)):
+        raise ValueError("width must be positive and finite")
     coords = np.ix_(*[grid.axis_coords()] * grid.d)
 
     def bump(shift: float = 0.0) -> np.ndarray:

@@ -44,7 +44,7 @@ from .fields import (
     _with_grad_abs,
     integrate,
 )
-from .norms import cutoff_psi, lp_norm, w1inf_norm
+from .norms import cutoff_psi, w1inf_norm
 
 __all__ = [
     "Params",
@@ -60,9 +60,6 @@ __all__ = [
     "run",
     "approx_initial",
     "picard_local_solve",
-    "default_picard_horizon",
-    "contractive_picard_horizon",
-    "data_bound",
     "nonnegativity_report",
     "determinism_check",
     "suggest_dt",
@@ -822,10 +819,14 @@ class PicardConfig:
             raise ValueError("horizon must be positive")
         if not math.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.quadrature_nodes < 1:
-            raise ValueError("need at least one quadrature node")
+        for name, value in (
+            ("iterations", self.iterations),
+            ("quadrature_nodes", self.quadrature_nodes),
+        ):
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -836,53 +837,6 @@ class PicardResult:
     diff_norms: list[float]
     ratios: list[float]
     diverged: bool
-
-
-def data_bound(initial: State) -> float:
-    """Size gauge of the initial data used by the horizon formulas."""
-    n, c = initial.n, initial.c
-    m_n = lp_norm(n, 1) + lp_norm(n, math.inf)
-    grad_c = c.grad_abs
-    m_c = (
-        math.sqrt(lp_norm(c, 2) ** 2 + lp_norm(grad_c, 2) ** 2)
-        + c.max_abs()
-        + grad_c.max_abs()
-    )
-    return max(m_n, m_c)
-
-
-def default_picard_horizon(params: Params, M: float) -> float:
-    """Horizon in the contraction regime, built from semigroup-constant estimates.
-
-    The gradient constant of the heat semigroup is estimated as d/sqrt(pi)
-    (exact in one dimension); the quadratic exponent follows from the
-    T^(1/2)-scaling of the smoothing estimate.
-    """
-    c1 = params.d / math.sqrt(math.pi)
-    cands = [1.0]
-    if params.lam > 0:
-        cands.append(1.0 / (4.0 * params.lam))
-    denom = 8.0 * M * (2.0 * c1 * params.chi + params.mu)
-    if denom > 0:
-        cands.append(denom**-2.0)
-    cands.append((params.tau / (4.0 * (1.0 + c1 * math.sqrt(params.tau)))) ** 2)
-    return min(cands)
-
-
-def contractive_picard_horizon(initial: State, params: Params) -> float:
-    """Formula horizon, halved up to 8 times until a cheap probe shows
-    contraction factor < 1; a formula horizon that underflows to 0 finds none."""
-    T = default_picard_horizon(params, data_bound(initial))
-    for _ in range(9):
-        if not T > 0:
-            break
-        probe = picard_local_solve(
-            initial, params, PicardConfig(horizon=T, iterations=3, quadrature_nodes=4)
-        )
-        if not probe.diverged and all(r < 1.0 for r in probe.ratios):
-            return T
-        T *= 0.5
-    raise FloatingPointError("no contractive horizon found after repeated halving")
 
 
 def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> PicardResult:

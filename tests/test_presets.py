@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,25 @@ class TestPresets:
     def test_unknown_preset_rejected(self, grid1d):
         with pytest.raises(ValueError):
             build_initial(grid1d, "vortex", 1.0, 2.5, M=8.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "amplitude,width,match",
+        [
+            (math.nan, 2.5, "amplitude must be finite"),
+            (math.inf, 2.5, "amplitude must be finite"),
+            (1.0, math.nan, "width must be positive and finite"),
+            (1.0, math.inf, "width must be positive and finite"),
+            (1.0, 0.0, "width must be positive and finite"),
+            (1.0, -2.5, "width must be positive and finite"),
+        ],
+    )
+    def test_bad_data_rejected_before_sampling(self, amplitude, width, match):
+        # Sampled, nan gives a non-finite state and inf or a zero width only a
+        # RuntimeWarning, which this test turns into an error.
+        grid = make_grid(1, 64, 40.0)
+        with pytest.raises(ValueError, match=match):
+            build_initial(grid, "gaussian_bump", amplitude, width, M=9.0)
 
     @pytest.mark.parametrize("box_len", [40.0, 16.0 * np.pi])
     @pytest.mark.parametrize("d, n_axis", [(1, 256), (2, 64), (3, 16)])
