@@ -55,9 +55,12 @@ def state_from_bytes(blob: bytes) -> State:
     """The state a KSLB1 blob holds."""
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError("not a checkpoint: bad magic bytes")
-    offset = len(MAGIC)
-    d, n_axis, box_len, t = _HEADER.unpack_from(blob, offset)
-    offset += _HEADER.size
+    offset = len(MAGIC) + _HEADER.size
+    if len(blob) < offset:
+        raise ValueError(
+            f"checkpoint truncated or padded: expected at least {offset} bytes, got {len(blob)}"
+        )
+    d, n_axis, box_len, t = _HEADER.unpack_from(blob, len(MAGIC))
     grid = make_grid(d, n_axis, box_len)
     count = grid.npoints
     expected = offset + 2 * count * 8

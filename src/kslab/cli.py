@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
-from .fields import _cpus, _transform_serially
+from .fields import _cpus
 from .monitors import ResidualReport, TraceRecorder, mu_zero_estimate, run_verdicts
 from .presets import build_initial
 from .solver import FunctionalSample, RunResult, RunStatus, State, run
@@ -209,12 +209,9 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
 
-    cpus = _cpus()
-    workers = min(workers, len(jobs), cpus)  # the pool starts every worker at once
+    workers = min(workers, len(jobs), _cpus())  # the pool starts every worker at once
     if workers > 1:
-        # A pool as large as the CPUs leaves no core for split transforms.
-        serial = _transform_serially if workers == cpus else None
-        with ProcessPoolExecutor(max_workers=workers, initializer=serial) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(job) for job in jobs]

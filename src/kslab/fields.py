@@ -200,7 +200,6 @@ def magnitude(v: VectorField) -> ScalarField:
 # 1.20/1.86 against 0.79/0.94; 64^3 1.52/2.28 against 0.92/1.22; 128^3
 # 17.5/26.5 against 8.5/13.7.
 SPLIT_MIN_POINTS = 2**18
-_serial = False  # True in the workers of a sweep pool with one worker per CPU
 _helper_thread: tuple[int, ThreadPoolExecutor] | None = None  # (owning pid, executor)
 
 
@@ -209,12 +208,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _transform_serially() -> None:
-    """Pool initializer: this process's transforms stay on its own thread."""
-    global _serial
-    _serial = True
 
 
 def _helper() -> ThreadPoolExecutor:
@@ -235,7 +228,7 @@ def _halves(shape: tuple[int, ...], run: Callable[[slice], object], n: int) -> N
     field of ``shape`` splits its transforms, the lower half here while the
     helper thread runs the upper one in a copy of the caller's context (and
     so its numpy error state).  The halves must write disjoint memory."""
-    if math.prod(shape) < SPLIT_MIN_POINTS or _serial or _cpus() < 2:
+    if math.prod(shape) < SPLIT_MIN_POINTS or _cpus() < 2:
         run(slice(None))
         return
     pending = _helper().submit(contextvars.copy_context().run, run, slice(n // 2, None))

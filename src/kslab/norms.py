@@ -63,6 +63,8 @@ class CutoffSpec:
     def validate(self, grid: Grid) -> "CutoffSpec":
         if len(self.center) != grid.d:
             raise ValueError("cutoff center dimension mismatch")
+        if not all(math.isfinite(x) for x in self.center):
+            raise ValueError("cutoff center must be finite")
         if not self.radius > 0:
             raise ValueError("cutoff radius must be positive")
         if not 2.0 * self.radius < grid.box_len / 2.0:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, _is_integer
 from .solver import State, approx_initial
 
 __all__ = ["build_initial", "PRESET_NAMES"]
@@ -62,6 +62,8 @@ def build_initial(
         raise ValueError("amplitude must be finite")
     if not (width > 0 and math.isfinite(width)):
         raise ValueError("width must be positive and finite")
+    if seed is not None and not _is_integer(seed):
+        raise ValueError("seed must be an integer")
     coords = np.ix_(*[grid.axis_coords()] * grid.d)
 
     def bump(shift: float = 0.0) -> np.ndarray:

@@ -654,9 +654,9 @@ class TestSweepCommand:
         "workers,values,cpus,pool",
         [
             (100000, "1", 2, None),  # one row: the serial loop, no pool
-            (100000, "0.5,1", 2, (2, True)),  # one worker per CPU: serial transforms
-            (2, "0.5,1,2", 4, (2, False)),
-            (8, "0.5,1", 4, (2, False)),
+            (100000, "0.5,1", 2, 2),
+            (2, "0.5,1,2", 4, 2),
+            (8, "0.5,1", 4, 2),
             (4, "0.5,1,2", 1, None),
         ],
     )
@@ -668,8 +668,8 @@ class TestSweepCommand:
         class InProcessPool:
             """Records the pool it is asked for and maps in this process."""
 
-            def __init__(self, max_workers, initializer=None):
-                made.append((max_workers, initializer))
+            def __init__(self, max_workers):
+                made.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -685,11 +685,7 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(fast_config), "--out", str(tmp_path / "sweep"),
                 "--param", "mu", "--values", values, "--workers", str(workers)]
         assert main(argv) == EXIT_OK
-        if pool is None:
-            assert made == []
-        else:
-            size, serial = pool
-            assert made == [(size, fields._transform_serially if serial else None)]
+        assert made == ([] if pool is None else [pool])
 
     def test_any_config_key_sets_its_rows(self, fast_config, tmp_path):
         out = tmp_path / "sweep"
@@ -717,6 +713,21 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[4]) for row in rows] == expected
         assert expected[0] != expected[1]
+
+    def test_failed_row_is_recorded_and_the_sweep_goes_on(self, fast_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "init.amplitude", "--values", "1,1e308"]
+        assert main(argv) == EXIT_OK
+        base = ExperimentConfig.from_file(fast_config)
+        mu0 = cli._fmt(mu_zero_estimate(base.monitor_k, base.params()).mu0)
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("1,completed,")
+        assert rows[1] == f"1e+308,error,nan,0,{mu0}"
+        printed = capsys.readouterr().out
+        assert "init.amplitude_1: status: completed" in printed
+        assert ("init.amplitude_1e+308: FloatingPointError: "
+                "the initial continuation gauge is not finite") in printed
 
     def test_parallel_stdout_is_labelled_in_row_order(self, fast_config, tmp_path, capsys):
         printed = []

@@ -145,14 +145,6 @@ class TestSplitTransforms:
         _assert_numpy_bytes(big, rng.standard_normal(big.shape))
         assert helper_halves == []
 
-    def test_pool_initializer_keeps_transforms_on_one_thread(self, monkeypatch, helper_halves):
-        monkeypatch.setattr(fields, "_cpus", lambda: 2)
-        monkeypatch.setattr(fields, "_serial", False)
-        fields._transform_serially()
-        grid = make_grid(3, 64, 20.0)
-        _assert_numpy_bytes(grid, np.random.default_rng(3).standard_normal(grid.shape))
-        assert helper_halves == []
-
     def test_concurrent_callers_get_numpy_bytes(self, split_everywhere, rng):
         # More callers than cores share the one helper, with frequent thread
         # switches; each waits only for its own halves.

@@ -122,6 +122,13 @@ class TestCutoffPhi:
         with pytest.raises(ValueError):
             cutoff_phi(grid, CutoffSpec((0.0,), 10.0))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_center_must_be_finite(self, x):
+        # Unchecked, a nan center gives an all-zero weight with no error.
+        grid = make_grid(2, 32, 20.0)
+        with pytest.raises(ValueError, match="cutoff center must be finite"):
+            cutoff_phi(grid, CutoffSpec((x, 0.0), 1.0))
+
     @pytest.mark.parametrize("R", [1.0, 2.0, 4.0, 8.0])
     def test_gradient_matches_finite_differences(self, R):
         grid = make_grid(1, 2048, 80.0)

@@ -86,22 +86,25 @@ class TestPresets:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "amplitude,width,match",
+        "preset,amplitude,width,seed,match",
         [
-            (math.nan, 2.5, "amplitude must be finite"),
-            (math.inf, 2.5, "amplitude must be finite"),
-            (1.0, math.nan, "width must be positive and finite"),
-            (1.0, math.inf, "width must be positive and finite"),
-            (1.0, 0.0, "width must be positive and finite"),
-            (1.0, -2.5, "width must be positive and finite"),
+            ("gaussian_bump", math.nan, 2.5, None, "amplitude must be finite"),
+            ("gaussian_bump", math.inf, 2.5, None, "amplitude must be finite"),
+            ("gaussian_bump", 1.0, math.nan, None, "width must be positive and finite"),
+            ("gaussian_bump", 1.0, math.inf, None, "width must be positive and finite"),
+            ("gaussian_bump", 1.0, 0.0, None, "width must be positive and finite"),
+            ("gaussian_bump", 1.0, -2.5, None, "width must be positive and finite"),
+            ("random_smooth", 1.0, 2.5, 1.5, "seed must be an integer"),
+            ("random_smooth", 1.0, 2.5, True, "seed must be an integer"),
         ],
     )
-    def test_bad_data_rejected_before_sampling(self, amplitude, width, match):
+    def test_bad_data_rejected_before_sampling(self, preset, amplitude, width, seed, match):
         # Sampled, nan gives a non-finite state and inf or a zero width only a
-        # RuntimeWarning, which this test turns into an error.
+        # RuntimeWarning, which this test turns into an error; numpy refuses
+        # a seed of 1.5 with a TypeError and takes True as seed 1.
         grid = make_grid(1, 64, 40.0)
         with pytest.raises(ValueError, match=match):
-            build_initial(grid, "gaussian_bump", amplitude, width, M=9.0)
+            build_initial(grid, preset, amplitude, width, M=9.0, seed=seed)
 
     @pytest.mark.parametrize("box_len", [40.0, 16.0 * np.pi])
     @pytest.mark.parametrize("d, n_axis", [(1, 256), (2, 64), (3, 16)])

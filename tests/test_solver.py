@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from kslab import fields, solver
-from kslab.checkpoint import load_checkpoint, save_checkpoint, state_from_bytes, state_to_bytes
+from kslab.checkpoint import (
+    MAGIC,
+    load_checkpoint,
+    save_checkpoint,
+    state_from_bytes,
+    state_to_bytes,
+)
 from kslab.fields import (
     ScalarField,
     _dealias_mask_r,
@@ -1280,8 +1286,9 @@ class TestCheckpoint:
 
     def test_rejects_truncation(self, gauss_state):
         blob = state_to_bytes(gauss_state)
-        with pytest.raises(ValueError):
-            state_from_bytes(blob[:-8])
+        for short in (blob[:-8], MAGIC, MAGIC + b"abc"):
+            with pytest.raises(ValueError, match="checkpoint truncated or padded"):
+                state_from_bytes(short)
 
 
 class TestExactFront:
