@@ -19,6 +19,7 @@ renamed over the target once it is complete.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -43,16 +44,15 @@ _HEADER = struct.Struct("<IIdd")
 
 
 def state_to_bytes(state: State) -> bytes:
-    """``state`` in the KSLB1 layout above."""
+    """``state`` in the KSLB1 layout above, with each sample copied once."""
     grid = state.grid
     header = MAGIC + _HEADER.pack(grid.d, grid.n_axis, grid.box_len, state.t)
-    n_bytes = np.ascontiguousarray(state.n.values, dtype="<f8").tobytes()
-    c_bytes = np.ascontiguousarray(state.c.values, dtype="<f8").tobytes()
-    return header + n_bytes + c_bytes
+    samples = (np.ascontiguousarray(f.values, dtype="<f8").data for f in (state.n, state.c))
+    return b"".join((header, *samples))
 
 
 def state_from_bytes(blob: bytes) -> State:
-    """The state a KSLB1 blob holds."""
+    """The state a KSLB1 blob holds; every value of it must be finite."""
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError("not a checkpoint: bad magic bytes")
     offset = len(MAGIC) + _HEADER.size
@@ -70,6 +70,8 @@ def state_from_bytes(blob: bytes) -> State:
         )
     n_vals = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
     c_vals = np.frombuffer(blob, dtype="<f8", count=count, offset=offset + count * 8)
+    if not (math.isfinite(t) and np.isfinite(n_vals).all() and np.isfinite(c_vals).all()):
+        raise ValueError("checkpoint holds a non-finite time or value")
     return State(
         t=t,
         n=ScalarField(grid, n_vals.reshape(grid.shape).copy()),

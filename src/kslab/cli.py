@@ -91,14 +91,17 @@ def _residual_reports(
     return reports, fitted, verdicts
 
 
-def _read_calibration(path: Path) -> dict[str, float]:
-    """The constants of a prior calibrate run: a JSON object of finite numbers."""
+def _read_calibration(path: Path, names: tuple[str, ...]) -> dict[str, float]:
+    """The constants of a prior calibrate run: a JSON object that maps each of
+    ``names``, and nothing else, to a finite number."""
     try:
         calibration = json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"assert mode needs {path} from a prior calibrate run: {exc}") from exc
     if not isinstance(calibration, dict) or {type(v) for v in calibration.values()} - {int, float}:
         raise ConfigError(f"{path} must map each constant to a number")
+    if set(calibration) != set(names):
+        raise ConfigError(f"{path} must give exactly the constants {list(names)}")
     return {name: _to_float(repr(v), f"{path}: {name}") for name, v in calibration.items()}
 
 
@@ -110,9 +113,11 @@ def _initial(cfg: ExperimentConfig) -> State:
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
-    calibration = _read_calibration(out / "calibration.json") if mode == "assert" else None
-    params = cfg.params()
     recorder = _CliRecorder(cfg)
+    calibration = None
+    if mode == "assert":
+        calibration = _read_calibration(out / "calibration.json", recorder.constants)
+    params = cfg.params()
     result = run(_initial(cfg), params, cfg.run_config(), monitors=recorder)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -204,8 +209,8 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
     if len(set(rows)) < len(rows):
         raise ConfigError(f"sweep values must name distinct row directories, got {rows}")
     if mode == "assert":  # each row's worker reads it again; a bad one stops the sweep here
-        for row in rows:
-            _read_calibration(out / row / "calibration.json")
+        for cfg, row in zip(configs, rows):
+            _read_calibration(out / row / "calibration.json", _CliRecorder(cfg).constants)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
 

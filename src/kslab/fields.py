@@ -370,31 +370,14 @@ def _k_squared_r(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _dealias_mask_r(grid: Grid) -> np.ndarray:
-    """2/3-rule mask in the half-spectrum: keep |mode index| <= N/3 per axis."""
-    n = grid.n_axis
-    full_idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    half_idx = np.fft.rfftfreq(n, d=1.0 / n)
-    mask = np.ones(grid.rshape, dtype=bool)
-    for ax in range(grid.d):
-        idx = half_idx if ax == grid.d - 1 else full_idx
-        keep = idx <= n / 3.0
-        shape = [1] * grid.d
-        shape[ax] = len(keep)
-        mask = mask & keep.reshape(shape)
-    return mask
-
-
-@lru_cache(maxsize=64)
-def _band(grid: Grid) -> tuple[tuple[int, ...], tuple, tuple]:
-    """The modes the 2/3 rule keeps (``_dealias_mask_r``) as blocks of the
-    half spectrum.  With ``k = N // 3`` a full axis keeps ``0..k`` and
-    ``N-k..N-1`` and the last axis ``0..k``.
+def _band(grid: Grid) -> tuple[tuple[int, ...], tuple]:
+    """The modes the 2/3 rule keeps as blocks of the half spectrum.  With
+    ``k = N // 3`` a full axis keeps ``0..k`` and ``N-k..N-1`` and the last
+    axis ``0..k``.
 
     Returns the band-compact shape, which holds those modes alone in that
-    order (``(2k+1)^(d-1) (k+1)`` entries), the pairs (half-spectrum index,
-    compact index) of the band's ``2^(d-1)`` blocks, and the half-spectrum
-    indices of ``2^d - 1`` blocks that tile the dropped modes.
+    order (``(2k+1)^(d-1) (k+1)`` entries), and the pairs (half-spectrum
+    index, compact index) of the band's ``2^(d-1)`` blocks.
     """
     n, k = grid.n_axis, grid.n_axis // 3
     full = ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1)))
@@ -403,12 +386,7 @@ def _band(grid: Grid) -> tuple[tuple[int, ...], tuple, tuple]:
     blocks = tuple(
         (tuple(r[0] for r in rs), tuple(r[1] for r in rs)) for rs in itertools.product(*kept)
     )
-    dropped = []
-    for axis in range(grid.d):
-        gap = slice(k + 1, n - k) if axis < grid.d - 1 else slice(k + 1, None)
-        for rs in itertools.product(*kept[:axis]):
-            dropped.append(tuple(r[0] for r in rs) + (gap,))
-    return shape, blocks, tuple(dropped)
+    return shape, blocks
 
 
 def _real_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -522,5 +500,6 @@ def integrate(f: ScalarField) -> float:
 
 
 def dealias(f: ScalarField) -> ScalarField:
-    """Zero all modes above the 2/3 cutoff (applied after nonlinear products)."""
-    return _apply_multiplier(f, _dealias_mask_r(f.grid))
+    """Zero all modes above the 2/3 cutoff: the band transform's round trip."""
+    fhat = _rfft(f.values, band=True)
+    return ScalarField(f.grid, _irfft(fhat, f.grid, work=fhat))

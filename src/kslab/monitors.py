@@ -771,12 +771,21 @@ class TraceRecorder:
             "l2sq_lapc": lp_norm(laplacian(c), 2) ** 2,
         }
 
+    @property
+    def constants(self) -> tuple[str, ...]:
+        """The generic constants ``check`` fits, which a calibration must give:
+        ``linf_reconstruction`` reports only for k > d."""
+        return ("uloc_combined",) + (("linf_reconstruction",) if self.k > self.params.d else ())
+
     def check(
         self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
     ) -> tuple[list[ResidualReport], dict[str, float]]:
         """The ``residuals.csv`` families of a trace this recorder fed, in file
-        order, with their fitted or frozen constants."""
+        order, with their fitted or frozen constants.  A ``calibration`` must
+        name exactly the ``constants``."""
         p = self.params
+        if calibration is not None and set(calibration) != set(self.constants):
+            raise ValueError(f"calibration must give exactly {list(self.constants)}")
         uloc, fitted = uloc_combined_check(trace, p, calibration)
         linf, linf_fitted = linf_reconstruction_check(trace, p, self.k, calibration)
         reports = prop22_check(trace, p) + uloc + linf + z_sup_cap_check(trace, p)

@@ -316,7 +316,7 @@ def _transport_hat(params: Params, ws: _Scratch, chat, n_phys, out):
     and then reads ``-chi (+0) = -0 + 0j``.
     """
     grid, prod, phys = ws.grid, ws.prod, ws.phys
-    band, blocks, _ = _band(grid)
+    band, blocks = _band(grid)
     at = 1 if out.shape == band else 0  # which index of a block addresses out
     out.fill(0.0)
     for ik in ws.ik_odd:
@@ -444,15 +444,10 @@ class _Stepper:
         u and added once stage a's transport term has read ``a_c_hat``.
 
         Both transport terms are band-compact, so only the band's blocks of
-        ``a_n_hat`` take them.  At a dropped mode a full ``nn_u`` would hold
-        ``-0 + 0j`` and ``nn_a - nn_u`` be ``+0 + 0j``, so their terms would
-        add ``-0 + 0j`` (which turns an imaginary ``-0`` into ``+0``) and
-        then ``+0 + 0j`` (which turns any ``-0`` into ``+0``).  The
-        dropped blocks take ``.imag += 0.0`` and ``+= 0.0`` at those
-        points instead, so every byte is kept, the c correction's too.
+        ``a_n_hat`` take them.
         """
         ws, grid, p = self.ws, self.grid, self.params
-        _, blocks, dropped = _band(grid)
+        blocks = _band(grid)[1]
         new_n = np.empty(grid.shape)
         int_n_a, int_n2_a, damped_a, mass_before, _ = self._logistic(now.n, new_n)
 
@@ -464,8 +459,6 @@ class _Stepper:
         p1_n = self._gather(self.p1_n)
         for full, band in blocks:
             a_n_hat[full] += np.multiply(p1_n[full], nn_u[band], out=ws.prod[full])
-        for full in dropped:
-            a_n_hat[full].imag += 0.0
         if chat_out is None:
             chat_out = np.empty(grid.rshape, dtype=np.complex128)
         a_c_hat = np.multiply(self._gather(self.exp_c), now.chat, out=chat_out)
@@ -484,8 +477,6 @@ class _Stepper:
         p2_n = self._gather(self.p2_n)
         for full, band in blocks:
             a_n_hat[full] += np.multiply(p2_n[full], nn_a[band], out=nn_a[band])
-        for full in dropped:
-            a_n_hat[full] += 0.0
         _irfft(a_n_hat, grid, out=new_n, work=a_n_hat)
         int_n_b, int_n2_b, damped_b, _, mass_after = self._logistic(new_n, new_n)
 

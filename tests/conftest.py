@@ -7,6 +7,21 @@ from kslab import fields
 from kslab.fields import make_grid
 
 
+def dealias_mask(grid):
+    """The 2/3 rule's kept modes in the half spectrum, from ``np.fft.fftfreq``:
+    |mode index| <= N/3 on every axis.  The tests' oracle for the band."""
+    n = grid.n_axis
+    full_idx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    half_idx = np.fft.rfftfreq(n, d=1.0 / n)
+    mask = np.ones(grid.rshape, dtype=bool)
+    for ax in range(grid.d):
+        idx = half_idx if ax == grid.d - 1 else full_idx
+        shape = [1] * grid.d
+        shape[ax] = len(idx)
+        mask = mask & (idx <= n / 3.0).reshape(shape)
+    return mask
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -302,6 +302,9 @@ class TestRunCommand:
             '{"uloc_combined": true}',
             '{"uloc_combined": NaN}',
             '{"uloc_combined": Infinity}',
+            "{}",
+            '{"uloc_combined": 1.0}',
+            '{"uloc_combined": 1.0, "linf_reconstruction": 1.0, "bogus": 1}',
         ],
     )
     def test_malformed_calibration_exits_64_before_running(
@@ -758,14 +761,15 @@ class TestSweepCommand:
         assert str(out / "mu_1" / "calibration.json") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ['{"uloc_combined": NaN}', "{}"])
     def test_assert_with_a_malformed_calibration_exits_64_and_writes_nothing(
-        self, fast_config, tmp_path, capsys
+        self, fast_config, tmp_path, capsys, text
     ):
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", str(fast_config), "--out", str(out),
                 "--param", "mu", "--values", "1,2"]
         assert main(argv) == EXIT_OK
-        (out / "mu_2" / "calibration.json").write_text('{"uloc_combined": NaN}')
+        (out / "mu_2" / "calibration.json").write_text(text)
         before = tree(out)
         capsys.readouterr()
         assert main(argv + ["--mode", "assert"]) == EXIT_USAGE

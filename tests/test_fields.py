@@ -11,7 +11,6 @@ from kslab.fields import (
     ScalarField,
     _apply_multiplier,
     _band,
-    _dealias_mask_r,
     _grad_abs_hat,
     _grad_hat,
     _hessian_sq_hat,
@@ -31,6 +30,8 @@ from kslab.fields import (
 )
 from kslab.presets import build_initial
 from kslab.suites import _random_field
+
+from conftest import dealias_mask
 
 
 class TestMakeGrid:
@@ -180,7 +181,7 @@ class TestSplitTransforms:
 def _assert_band_bytes(grid, values):
     """``_rfft`` with ``band`` gives numpy's transform with the 2/3 rule applied
     after it, +0.0 at every dropped mode, into a fresh array or over ``out``."""
-    keep = _dealias_mask_r(grid)
+    keep = dealias_mask(grid)
     want = np.fft.rfftn(values)
     want[~keep] = 0.0
     assert _rfft(values, band=True).tobytes() == want.tobytes()
@@ -195,18 +196,16 @@ class TestBandTransform:
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 64)])
     def test_band_blocks_tile_the_half_spectrum(self, d, n_axis):
         grid = make_grid(d, n_axis, 20.0)
-        shape, blocks, dropped = _band(grid)
+        shape, blocks = _band(grid)
         k = n_axis // 3
         assert shape == (2 * k + 1,) * (d - 1) + (k + 1,)
         full, compact = np.zeros(grid.rshape, int), np.zeros(shape, int)
         for at_full, at_compact in blocks:
             full[at_full] += 1
             compact[at_compact] += 1
-        for at_full in dropped:
-            full[at_full] += 10
-        keep = _dealias_mask_r(grid)
-        assert (full[keep] == 1).all() and (full[~keep] == 10).all()
-        assert (compact == 1).all() and len(dropped) == 2**d - 1
+        keep = dealias_mask(grid)
+        assert (full[keep] == 1).all() and (full[~keep] == 0).all()
+        assert (compact == 1).all() and len(blocks) == 2 ** (d - 1)
 
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 8)])
     def test_unsplit_gives_masked_numpy_bytes(self, d, n_axis, helper_halves, rng):
@@ -455,4 +454,12 @@ class TestDealias:
         coeffs = np.fft.fft(fd.values)
         n = grid1d.n_axis
         assert np.max(np.abs(coeffs[n // 3 + 1 : n - n // 3])) <= 1e-9
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_bytes_are_numpy_round_trip_with_the_mask(self, d, n_axis, rng):
+        grid = make_grid(d, n_axis, 20.0)
+        keep = dealias_mask(grid)
+        for values in (rng.standard_normal(grid.shape), np.full(grid.shape, -0.0)):
+            want = np.fft.irfftn(np.fft.rfftn(values) * keep, grid.shape, tuple(range(d)))
+            assert dealias(ScalarField(grid, values)).values.tobytes() == want.tobytes()
 

@@ -832,6 +832,18 @@ def test_one_recorder_feeds_every_trace_check(grid1d):
         "uloc_combined", "linf_reconstruction", "z_sup_cap",
     ]
     assert sorted(fitted) == ["linf_reconstruction", "uloc_combined"]
+    assert sorted(recorder.constants) == sorted(fitted)
+    # A frozen set of constants must be exactly the fitted one: a missing
+    # constant would otherwise be taken as 0.0, and an unknown one ignored.
+    assert recorder.check(res.trace, fitted)[1] == fitted
+    for bad in ({}, {"uloc_combined": 1.0}, {**fitted, "bogus": 1.0}):
+        with pytest.raises(ValueError, match="calibration must give exactly"):
+            recorder.check(res.trace, bad)
+    # With k <= d the reconstruction has no report, and so no constant.
+    grid3d = make_grid(3, 16, 10.0)
+    assert TraceRecorder(Params(chi=1.0, tau=1.0, d=3), grid3d, k=3).constants == (
+        "uloc_combined",
+    )
 
 
 def test_every_recorded_key_is_read_or_written(grid1d):
