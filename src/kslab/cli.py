@@ -22,7 +22,13 @@ import numpy as np
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
 from .fields import _cpus
-from .monitors import ResidualReport, TraceRecorder, mu_zero_estimate, run_verdicts
+from .monitors import (
+    ResidualReport,
+    TraceRecorder,
+    mu_zero_estimate,
+    run_verdicts,
+    validate_calibration,
+)
 from .presets import build_initial
 from .solver import FunctionalSample, RunResult, RunStatus, State, run
 from .suites import run_suite
@@ -92,16 +98,18 @@ def _residual_reports(
 
 
 def _read_calibration(path: Path, names: tuple[str, ...]) -> dict[str, float]:
-    """The constants of a prior calibrate run: a JSON object that maps each of
-    ``names``, and nothing else, to a finite number."""
+    """The constants of a prior calibrate run: a JSON object of finite numbers
+    that ``validate_calibration`` accepts for ``names``."""
     try:
         calibration = json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"assert mode needs {path} from a prior calibrate run: {exc}") from exc
     if not isinstance(calibration, dict) or {type(v) for v in calibration.values()} - {int, float}:
         raise ConfigError(f"{path} must map each constant to a number")
-    if set(calibration) != set(names):
-        raise ConfigError(f"{path} must give exactly the constants {list(names)}")
+    try:
+        validate_calibration(names, calibration)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return {name: _to_float(repr(v), f"{path}: {name}") for name, v in calibration.items()}
 
 

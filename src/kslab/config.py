@@ -34,9 +34,9 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .fields import Grid, _is_integer, make_grid
+from .fields import Grid, make_grid
 from .monitors import validate_settings
-from .presets import PRESET_NAMES
+from .presets import validate_initial
 from .solver import Params, RunConfig
 
 __all__ = ["ExperimentConfig", "SweepSpec", "ConfigError", "parse_kv_text"]
@@ -118,10 +118,21 @@ class ExperimentConfig:
         # Largest truncation radius that still fits: just under box_len/4.
         return 0.24 * self.box_len
 
+    def _initial_data(self) -> None:
+        validate_initial(
+            self.grid(), self.preset, self.amplitude, self.effective_width(), self.effective_M(), self.seed
+        )
+
     def __post_init__(self):
-        for section, build in (("grid", self.grid), ("params", self.params), ("run", self.run_config)):
+        for section, check in (
+            ("grid", self.grid),
+            ("params", self.params),
+            ("run", self.run_config),
+            ("init", self._initial_data),
+            ("monitor", lambda: validate_settings(self.grid(), self.monitor_k, self.monitor_R)),
+        ):
             try:
-                build()
+                check()
             except ValueError as exc:
                 raise ConfigError(f"{section}.{exc}") from exc
         field_bytes = 8 * self.n_axis**self.d  # one real field; a run holds several
@@ -131,28 +142,6 @@ class ExperimentConfig:
                 f"grid.n_axis={self.n_axis}: one field of {field_bytes} bytes exceeds "
                 f"the machine's {memory} bytes of memory"
             )
-        if self.preset not in PRESET_NAMES:
-            raise ConfigError(f"init.preset must be one of {PRESET_NAMES}")
-        if not self.amplitude >= 0:
-            raise ConfigError("init.amplitude must be nonnegative")
-        if self.width is not None and not self.width > 0:
-            raise ConfigError("init.width must be positive")
-        if not math.isfinite(self.amplitude):
-            raise ConfigError("init.amplitude must be finite")
-        if self.width is not None and not math.isfinite(self.width):
-            raise ConfigError("init.width must be finite")
-        if self.M is not None and not self.M > 0:
-            raise ConfigError("init.M must be positive")
-        if not 2.0 * self.effective_M() < self.box_len / 2.0:
-            raise ConfigError("init.M too large: need 2M < box_len/2")
-        if not _is_integer(self.seed):
-            raise ConfigError("init.seed must be an integer")
-        if self.seed < 0:
-            raise ConfigError("init.seed must be nonnegative")
-        try:
-            validate_settings(self.grid(), self.monitor_k, self.monitor_R)
-        except ValueError as exc:
-            raise ConfigError(f"monitor.{exc}") from exc
         if self.monitor_centers not in ("max+lattice", "lattice"):
             raise ConfigError("monitor.centers must be 'max+lattice' or 'lattice'")
 

@@ -8,10 +8,11 @@ explicit damping-threshold assembly, and the low/high frequency sup-norm
 reconstruction.
 
 Generic absolute constants that the analysis never pins down are handled in
-two modes: "calibrate" fits the constant on a designated reference
-trajectory, "assert" freezes it and requires the signed margins to stay
+two modes: "calibrate" fits each on a reference trajectory, "assert" freezes
+them from a calibration naming exactly the recorder's ``constants``
+(``validate_calibration``) and requires the signed margins to stay
 nonpositive.  Margins follow the convention LHS - RHS, so negative means
-satisfied.
+satisfied; each report carries the constant it was taken against.
 
 A recorder puts quantities of one state in the trace of ``run``, and its
 ``check`` turns the trace it recorded into reports with their own pass
@@ -88,6 +89,7 @@ __all__ = [
     "integration_by_parts_gap",
     "default_centers",
     "validate_settings",
+    "validate_calibration",
     "TraceRecorder",
     "trend_slope",
     "run_verdicts",
@@ -137,9 +139,16 @@ def _column(trace: list[FunctionalSample], key: str) -> np.ndarray:
 
 def _constant(name: str, need: np.ndarray, calibration: dict[str, float] | None) -> float:
     """Constant ``name`` frozen from ``calibration``, else the least >= 0 covering ``need``."""
-    if calibration is not None:
-        return calibration.get(name, 0.0)
-    return max(0.0, float(np.max(need))) if len(need) else 0.0
+    if calibration is None:
+        return max(0.0, float(np.max(need))) if len(need) else 0.0
+    if name not in calibration:
+        raise ValueError(f"calibration lacks the constant '{name}'")
+    return calibration[name]
+
+
+def _fitted(reports: list[ResidualReport], constants: tuple[str, ...]) -> dict[str, float]:
+    """The constant each report named in ``constants`` was taken against."""
+    return {r.name: r.calibration for r in reports if r.name in constants}
 
 
 def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
@@ -171,6 +180,13 @@ def validate_settings(grid: Grid, k: int, R: float) -> None:
         raise ValueError(f"R must be >= max(1, 2h) = {min_R:g}")
     if not 2.0 * R < grid.box_len / 2.0:
         raise ValueError("R too large: need 2R < box_len/2")
+
+
+def validate_calibration(constants: tuple[str, ...], calibration: dict[str, float]) -> None:
+    """A calibration's rule: it names exactly the generic ``constants`` a recorder
+    fits, so none is missing and none is ignored."""
+    if set(calibration) != set(constants):
+        raise ValueError(f"calibration must give exactly {list(constants)}")
 
 
 def argmax_center(f: ScalarField) -> tuple[float, ...]:
@@ -231,12 +247,8 @@ def z_residual(state: State, params: Params) -> tuple[ScalarField, float]:
         raise ValueError("the comparison inequality is claimed only for tau = 1")
     level = z_comparison_level(params)
     z = z_field(state, params)
-    grid = state.grid
-    chat = _rfft(state.c.values)
-    ws = _Scratch(grid)
-    dn_hat, dc_hat = _tendency_hat(state, params, _rfft(state.n.values), chat, ws)
-    g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
-    z_t = params.tau * g_dot + _irfft(dn_hat, grid, out=ws.phys, work=ws.prod) / params.chi
+    _, _, _, n_t, g_dot = _rates(state, params)
+    z_t = params.tau * g_dot + n_t / params.chi
     resid = z_t - laplacian(z).values + z.values - level
     return ScalarField(state.grid, resid), float(np.max(resid))
 
@@ -309,14 +321,15 @@ def uloc_combined_check(
     trace: list[FunctionalSample],
     params: Params,
     calibration: dict[str, float] | None = None,
-) -> tuple[list[ResidualReport], dict[str, float]]:
+) -> list[ResidualReport]:
     """Margins of F(t) <= base + headroom along a trace.
 
     base = 4 ||n_0||_{L^1_uloc} + 2 chi tau ||grad c_0||^2_{L^2_uloc} is the
     data part of the bound, read from the first sample.  The headroom is a
     generic constant the analysis leaves open: fitted as the smallest one
     closing the trace when ``calibration`` is None (so calibrate passes by
-    construction), else frozen from it.  Returns the report and the headroom.
+    construction), else frozen from it; the report's ``calibration`` is the
+    headroom.
     """
     f = uloc_combined_series(trace, params)
     chi_tau = params.chi * params.tau
@@ -330,7 +343,7 @@ def uloc_combined_check(
         calibration=headroom,
         tolerance=1e-6 * max(1.0, base + headroom),
     )
-    return [report], {"uloc_combined": headroom}
+    return [report]
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +490,18 @@ def _dot(u: tuple[np.ndarray, ...], v: tuple[np.ndarray, ...]) -> np.ndarray:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _rates(state: State, params: Params):
+    """The spectra of n and c (each transformed once), the scratch, n_t (in its
+    ``phys``; its ``prod`` is free) and grad c . grad c_t at one state."""
+    grid = state.grid
+    nhat, chat = _rfft(state.n.values), _rfft(state.c.values)
+    ws = _Scratch(grid)
+    dn_hat, dc_hat = _tendency_hat(state, params, nhat, chat, ws)
+    n_t = _irfft(dn_hat, grid, out=ws.phys, work=ws.prod)
+    g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
+    return nhat, chat, ws, n_t, g_dot
+
+
 def _moment_rate(
     n: np.ndarray, n_t: np.ndarray, g: np.ndarray, g_dot: np.ndarray, j: int, k: int
 ) -> np.ndarray:
@@ -523,13 +548,9 @@ class CoupledRecorder:
         tau, mu, lam, d = params.tau, params.mu, params.lam, params.d
         three_d = 3.0**d
         grid = state.grid
-        nhat, chat = _rfft(state.n.values), _rfft(state.c.values)
-        ws = _Scratch(grid)  # lent to the tendencies, then holding n_t and the |grad c|^2 spectrum
-        dn_hat, dc_hat = _tendency_hat(state, params, nhat, chat, ws)
-        n_t = _irfft(dn_hat, grid, out=ws.phys, work=ws.prod)
+        nhat, chat, ws, n_t, g_dot = _rates(state, params)
         n = state.n.values
         gc = state.c.grad_abs.values
-        g_dot = _dot(_grad_hat(chat, grid), _grad_hat(dc_hat, grid))
         grad_n = _grad_hat(nhat, grid)
         gn2 = _dot(grad_n, grad_n)
         grad_gc2 = _grad_hat(_rfft(gc * gc, out=ws.prod), grid)
@@ -588,6 +609,14 @@ class CoupledRecorder:
             out[f"{name}_generic"] = float(generic[name])
         return out
 
+    @property
+    def constants(self) -> tuple[str, ...]:
+        """The families, each with the generic constant ``check`` fits, which a
+        calibration must give."""
+        return ("density_power", "gradient_power", "mixed_first") + tuple(
+            f"mixed_order_{j}" for j in range(2, self.k)
+        )
+
     def check(
         self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
     ) -> tuple[list[ResidualReport], dict[str, float]]:
@@ -595,19 +624,18 @@ class CoupledRecorder:
 
         The generic constant C of each family is fitted as the smallest one
         closing every sample whose generic series exceeds 1e-300 when
-        ``calibration`` is None, else frozen from it.  Each report passes
-        within 1e-6 max(1, sup_t |explicit|).
+        ``calibration`` is None, else frozen from it, which must name exactly
+        the ``constants``.  Each report passes within 1e-6 max(1, sup_t |explicit|).
         """
+        if calibration is not None:
+            validate_calibration(self.constants, calibration)
         t = _times(trace)
-        reports, fitted = [], {}
-        for name in ["density_power", "gradient_power", "mixed_first"] + [
-            f"mixed_order_{j}" for j in range(2, self.k)
-        ]:
+        reports = []
+        for name in self.constants:
             explicit = _column(trace, f"{name}_explicit")
             generic = _column(trace, f"{name}_generic")
             usable = generic > 1e-300
             const = _constant(name, explicit[usable] / generic[usable], calibration)
-            fitted[name] = const
             reports.append(
                 ResidualReport(
                     name,
@@ -617,7 +645,7 @@ class CoupledRecorder:
                     tolerance=1e-6 * max(1.0, float(np.max(np.abs(explicit)))),
                 )
             )
-        return reports, fitted
+        return reports, _fitted(reports, self.constants)
 
 
 def integration_by_parts_gap(n_field: ScalarField, spec: CutoffSpec, k: int) -> float:
@@ -683,7 +711,7 @@ def linf_reconstruction_check(
     params: Params,
     k: int,
     calibration: dict[str, float] | None = None,
-) -> tuple[list[ResidualReport], dict[str, float]]:
+) -> list[ResidualReport]:
     """Ratio of ||grad c||_inf to its three-ingredient reconstruction bound.
 
     Checks ``||grad c(t)||_inf <= K (||grad c_0||_{L^2_uloc} + ||c_0||_{W^{1,inf}}
@@ -691,11 +719,11 @@ def linf_reconstruction_check(
     ``l2_uloc_gradc``, ``w1inf_c``, ``lk_uloc_n``) with a generic ``K``.
     The high-frequency tail is summable only for k > d; outside that regime
     there is no report.  ``K`` is fitted as the largest ratio when
-    ``calibration`` is None, else frozen from it.  Returns the report and
-    the constant used.
+    ``calibration`` is None, else frozen from it; the report's
+    ``calibration`` is ``K``.
     """
     if not k > params.d:
-        return [], {}
+        return []
     running = np.maximum.accumulate(_column(trace, "lk_uloc_n"))
     denom = _column(trace, "l2_uloc_gradc")[0] + _column(trace, "w1inf_c")[0] + running
     linf = _column(trace, "linf_gradc")
@@ -708,7 +736,7 @@ def linf_reconstruction_check(
         calibration=const,
         tolerance=1e-6 * max(1.0, const),
     )
-    return [report], {"linf_reconstruction": const}
+    return [report]
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +809,13 @@ class TraceRecorder:
         self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
     ) -> tuple[list[ResidualReport], dict[str, float]]:
         """The ``residuals.csv`` families of a trace this recorder fed, in file
-        order, with their fitted or frozen constants.  A ``calibration`` must
-        name exactly the ``constants``."""
+        order, with their fitted or frozen ``constants``."""
         p = self.params
-        if calibration is not None and set(calibration) != set(self.constants):
-            raise ValueError(f"calibration must give exactly {list(self.constants)}")
-        uloc, fitted = uloc_combined_check(trace, p, calibration)
-        linf, linf_fitted = linf_reconstruction_check(trace, p, self.k, calibration)
-        reports = prop22_check(trace, p) + uloc + linf + z_sup_cap_check(trace, p)
-        return reports, {**fitted, **linf_fitted}
+        if calibration is not None:
+            validate_calibration(self.constants, calibration)
+        reports = prop22_check(trace, p) + uloc_combined_check(trace, p, calibration)
+        reports += linf_reconstruction_check(trace, p, self.k, calibration) + z_sup_cap_check(trace, p)
+        return reports, _fitted(reports, self.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +833,12 @@ def trend_slope(trace: list[FunctionalSample], t_lo: float, t_hi: float) -> floa
                 ys.append(math.log(gauge))
     if len(ts) < 2:
         return 0.0
-    coeffs = np.polyfit(np.array(ts), np.array(ys), 1)
-    return float(coeffs[0])
+    # The least-squares slope in closed form, with no LAPACK call (np.polyfit's
+    # first one costs a process about 1.3 MB of resident memory).
+    t, y = np.array(ts), np.array(ys)
+    dt = t - t.mean()
+    den = float(np.sum(dt * dt))
+    return float(np.sum(dt * (y - y.mean()))) / den if den else 0.0
 
 
 def run_verdicts(result: RunResult, params: Params) -> tuple[dict[str, bool], float]:

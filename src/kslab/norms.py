@@ -198,12 +198,17 @@ def _smoothstep_down(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _validate_truncation(grid: Grid, M: float) -> None:
+    """The rules on a truncation radius: M > 0, and the support B_2M fits in half the box."""
+    if not M > 0:
+        raise ValueError("M must be positive")
+    if not 2.0 * M < grid.box_len / 2.0:
+        raise ValueError("M too large: need 2M < box_len/2")
+
+
 def cutoff_psi(grid: Grid, M: float) -> ScalarField:
     """Smooth plateau: 1 on B_M(0), 0 outside B_{2M}(0), monotone radial between."""
-    if not M > 0:
-        raise ValueError("truncation radius M must be positive")
-    if not 2.0 * M < grid.box_len / 2.0:
-        raise ValueError("truncation support must fit in the box: need 2M < box_len/2")
+    _validate_truncation(grid, M)
     return ScalarField(grid, _smoothstep_down(grid.radius() / M - 1.0))
 
 

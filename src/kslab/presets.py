@@ -15,9 +15,10 @@ import math
 import numpy as np
 
 from .fields import Grid, _is_integer
+from .norms import _validate_truncation
 from .solver import State, approx_initial
 
-__all__ = ["build_initial", "PRESET_NAMES"]
+__all__ = ["build_initial", "validate_initial", "PRESET_NAMES"]
 
 PRESET_NAMES = ("gaussian_bump", "two_bumps", "constant", "random_smooth")
 
@@ -44,6 +45,25 @@ def _random_modes(amps: np.ndarray, grid: Grid, amplitude: float) -> np.ndarray:
     return amplitude * total / peak if peak > 0 else total
 
 
+def validate_initial(
+    grid: Grid, preset: str, amplitude: float, width: float, M: float, seed: int | None = None
+) -> None:
+    """The rules on initial data, for ``build_initial`` and the config's ``init.*`` keys."""
+    if preset not in PRESET_NAMES:
+        raise ValueError(f"preset must be one of {PRESET_NAMES}")
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not amplitude >= 0:
+        raise ValueError("amplitude must be nonnegative")
+    if not (width > 0 and math.isfinite(width)):
+        raise ValueError("width must be positive and finite")
+    _validate_truncation(grid, M)
+    if seed is not None and not _is_integer(seed):
+        raise ValueError("seed must be an integer")
+    if seed is not None and seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def build_initial(
     grid: Grid,
     preset: str,
@@ -56,14 +76,10 @@ def build_initial(
 
     The chemical field starts at half the density amplitude with the same
     shape (a central bump for ``two_bumps``), a neutral choice that
-    exercises both equations from t=0.
+    exercises both equations from t=0.  The arguments are checked by
+    ``validate_initial`` before anything is sampled.
     """
-    if not math.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
-    if not (width > 0 and math.isfinite(width)):
-        raise ValueError("width must be positive and finite")
-    if seed is not None and not _is_integer(seed):
-        raise ValueError("seed must be an integer")
+    validate_initial(grid, preset, amplitude, width, M, seed)
     coords = np.ix_(*[grid.axis_coords()] * grid.d)
 
     def bump(shift: float = 0.0) -> np.ndarray:
@@ -81,13 +97,11 @@ def build_initial(
         c0 = 0.5 * amplitude * bump()
     elif preset == "constant":
         n0, c0 = amplitude, 0.5 * amplitude
-    elif preset == "random_smooth":
+    else:  # random_smooth
         rng = np.random.default_rng(0 if seed is None else seed)
         # Band-limited nonnegative noise: random low modes, lifted above zero.
         amps_n = rng.standard_normal((4,) * grid.d + (2,))
         amps_c = rng.standard_normal((4,) * grid.d + (2,))
         n0 = _random_modes(amps_n, grid, amplitude)
         c0 = 0.5 * _random_modes(amps_c, grid, amplitude)
-    else:
-        raise ValueError(f"unknown preset '{preset}' (choose from {PRESET_NAMES})")
     return approx_initial(n0, c0, M, grid)

@@ -128,7 +128,7 @@ class TestConfigParsing:
             ({"seed": True}, "init.seed must be an integer"),
             ({"monitor_k": 3.5}, "monitor.k must be an integer"),
             ({"amplitude": math.inf}, "init.amplitude must be finite"),
-            ({"width": math.inf}, "init.width must be finite"),
+            ({"width": math.inf}, "init.width must be positive and finite"),
         ],
     )
     def test_library_rejects_what_the_file_rejects(self, change, message):

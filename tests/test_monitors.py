@@ -224,9 +224,9 @@ class TestUlocCombined:
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
         res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.02, dt=0.01), R=2.0)
         assert np.all(uloc_combined_series(res.trace, p) == 0.0)
-        reports, fitted = uloc_combined_check(res.trace, p)
-        assert fitted == {"uloc_combined": 0.0}
-        assert np.all(reports[0].margins == 0.0)
+        [report] = uloc_combined_check(res.trace, p)
+        assert report.calibration == 0.0
+        assert np.all(report.margins == 0.0)
 
     def test_equilibrium_constant_in_time(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
@@ -250,13 +250,16 @@ class TestUlocCombined:
         base = 4 * values[0]  # crude headroom: the bound's data part
         assert max(values) <= base + 1.0
         # The fitted headroom closes the trace; frozen at zero it need not.
-        reports, fitted = uloc_combined_check(res.trace, p)
-        assert reports[0].max_margin() <= reports[0].tolerance
-        frozen, _ = uloc_combined_check(res.trace, p, fitted)
-        assert np.array_equal(frozen[0].margins, reports[0].margins)
-        if fitted["uloc_combined"] > 0:
-            strict, _ = uloc_combined_check(res.trace, p, {})
-            assert strict[0].max_margin() > strict[0].tolerance
+        [report] = uloc_combined_check(res.trace, p)
+        assert report.max_margin() <= report.tolerance
+        [frozen] = uloc_combined_check(res.trace, p, {"uloc_combined": report.calibration})
+        assert np.array_equal(frozen.margins, report.margins)
+        if report.calibration > 0:
+            [strict] = uloc_combined_check(res.trace, p, {"uloc_combined": 0.0})
+            assert strict.max_margin() > strict.tolerance
+        # A calibration without the headroom is refused, not taken as 0.0.
+        with pytest.raises(ValueError, match="calibration lacks the constant 'uloc_combined'"):
+            uloc_combined_check(res.trace, p, {})
 
 
 class TestMoments:
@@ -555,6 +558,17 @@ class TestOdeResiduals:
         for r in frozen:
             assert r.max_margin() <= 1e-9
 
+    def test_calibration_must_name_exactly_the_families(self, short_run):
+        # A missing family would otherwise be frozen at 0.0, and an unknown
+        # name ignored.
+        trace, recorder = short_run
+        assert set(recorder.constants) == self.FAMILIES
+        fitted = recorder.check(trace)[1]
+        partial = {k: v for k, v in fitted.items() if k != "mixed_first"}
+        for bad in ({}, partial, {**fitted, "bogus": 3.0}):
+            with pytest.raises(ValueError, match="calibration must give exactly"):
+                recorder.check(trace, bad)
+
     def test_fit_picks_largest_ratio(self, grid1d):
         # Synthetic trace with positive explicit margins: the fit is the
         # largest explicit/generic ratio over samples with a usable generic
@@ -689,9 +703,9 @@ class TestReconstruction:
     def test_zero_chemical_gives_zero_ratios(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
         res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.02, dt=0.01))
-        reports, fitted = linf_reconstruction_check(res.trace, p, 3)
-        assert fitted == {"linf_reconstruction": 0.0}
-        assert np.all(reports[0].margins == 0.0)
+        [report] = linf_reconstruction_check(res.trace, p, 3)
+        assert report.calibration == 0.0
+        assert np.all(report.margins == 0.0)
         assert low_high_split_error(res.final.c) <= 1e-10
 
     def test_split_exact_on_any_state(self, grid2d, rng):
@@ -703,10 +717,13 @@ class TestReconstruction:
         keys = ("l2_uloc_gradc", "w1inf_c", "lk_uloc_n")
         trace = [FunctionalSample(0.0, {"linf_gradc": 3.0, **{key: 1.0 for key in keys}})]
         for d, k in ((2, 2), (3, 3), (3, 2)):
-            assert linf_reconstruction_check(trace, Params(chi=1.0, d=d), k) == ([], {})
-        reports, fitted = linf_reconstruction_check(trace, Params(chi=1.0, d=2), 3)
-        assert [r.name for r in reports] == ["linf_reconstruction"]
-        assert fitted == {"linf_reconstruction": 1.0}
+            assert linf_reconstruction_check(trace, Params(chi=1.0, d=d), k) == []
+        [report] = linf_reconstruction_check(trace, Params(chi=1.0, d=2), 3)
+        assert report.name == "linf_reconstruction"
+        assert report.calibration == 1.0
+        # A calibration without K is refused, not taken as 0.0.
+        with pytest.raises(ValueError, match="calibration lacks the constant 'linf_reconstruction'"):
+            linf_reconstruction_check(trace, Params(chi=1.0, d=2), 3, {})
 
     def test_ratio_bounded_along_3d_run(self):
         grid = make_grid(3, 64, 20.0)
@@ -717,10 +734,10 @@ class TestReconstruction:
             initial, p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10), k=4, R=1.0
         )
         assert res.status is RunStatus.COMPLETED
-        reports, fitted = linf_reconstruction_check(res.trace, p, 4)
+        [report] = linf_reconstruction_check(res.trace, p, 4)
         assert low_high_split_error(res.final.c) <= 1e-10
-        assert np.all(np.isfinite(reports[0].margins))
-        assert fitted["linf_reconstruction"] <= 10.0
+        assert np.all(np.isfinite(report.margins))
+        assert report.calibration <= 10.0
 
 
 def synthetic_run(
@@ -870,7 +887,7 @@ def test_verdict_conditions_are_written_only_in_monitors():
     # library; a copy elsewhere would drift from it when a bound changes.
     src = Path(monitors.__file__).parent
     keys = mu_zero_estimate(3, Params(chi=1.0, tau=1.0, d=3)).margins
-    needles = (*keys, "max_margin() <=")
+    needles = (*keys, "max_margin() <=", "calibration must give exactly")
     home = (src / "monitors.py").read_text()
     assert len(keys) == 5 and all(needle in home for needle in needles)
     for path in sorted(src.glob("*.py")):

@@ -1,9 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kslab import presets
+from kslab.config import ConfigError, ExperimentConfig
 from kslab.fields import integrate, make_grid
 from kslab.norms import cutoff_psi
 from kslab.presets import PRESET_NAMES, build_initial
@@ -96,12 +100,16 @@ class TestPresets:
             ("gaussian_bump", 1.0, -2.5, None, "width must be positive and finite"),
             ("random_smooth", 1.0, 2.5, 1.5, "seed must be an integer"),
             ("random_smooth", 1.0, 2.5, True, "seed must be an integer"),
+            ("gaussian_bump", -1.0, 2.5, None, "amplitude must be nonnegative"),
+            ("random_smooth", 1.0, 2.5, -1, "seed must be nonnegative"),
         ],
     )
     def test_bad_data_rejected_before_sampling(self, preset, amplitude, width, seed, match):
         # Sampled, nan gives a non-finite state and inf or a zero width only a
         # RuntimeWarning, which this test turns into an error; numpy refuses
-        # a seed of 1.5 with a TypeError and takes True as seed 1.
+        # a seed of 1.5 with a TypeError, -1 with its own message, and takes
+        # True as seed 1; a negative amplitude would be caught only once
+        # sampled, as a negative density.
         grid = make_grid(1, 64, 40.0)
         with pytest.raises(ValueError, match=match):
             build_initial(grid, preset, amplitude, width, M=9.0, seed=seed)
@@ -136,3 +144,34 @@ class TestPresets:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * grid.npoints
+
+
+class TestInitialDataRules:
+    # Each rule of validate_initial broken once, through the library and
+    # through the config's init.* keys.
+    BROKEN = [
+        ({"preset": "vortex"}, f"preset must be one of {PRESET_NAMES}"),
+        ({"amplitude": -1.0}, "amplitude must be nonnegative"),
+        ({"width": 0.0}, "width must be positive and finite"),
+        ({"M": -1.0}, "M must be positive"),
+        ({"M": 10.0}, "M too large: need 2M < box_len/2"),
+        ({"seed": -1}, "seed must be nonnegative"),
+    ]
+
+    @pytest.mark.parametrize("change,message", BROKEN)
+    def test_config_gives_the_library_message_after_init(self, change, message):
+        data = {"preset": "random_smooth", "amplitude": 1.0, "width": 2.5, "M": 8.0, "seed": 0}
+        base = ExperimentConfig(d=1, n_axis=64, box_len=40.0, **data)
+        with pytest.raises(ValueError) as built:
+            build_initial(base.grid(), **{**data, **change})
+        assert str(built.value) == message
+        with pytest.raises(ConfigError) as validated:
+            replace(base, **change)
+        assert str(validated.value) == f"init.{message}"
+
+    def test_rules_are_written_only_in_presets(self):
+        src = Path(presets.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text()
+            for needle in ("preset must be", "amplitude must be", "width must be", "seed must be"):
+                assert (needle in text) == (path.name == "presets.py"), (path.name, needle)
