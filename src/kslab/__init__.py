@@ -22,8 +22,6 @@ from .fields import (
     make_grid,
 )
 from .norms import (
-    CutoffSpec,
-    UlocNormParams,
     cutoff_phi,
     cutoff_psi,
     lp_norm,

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Grid, ScalarField, _apply_multiplier, _k_squared_r
-from .norms import UlocNormParams, _smoothstep_down, uloc_norm
+from .norms import _smoothstep_down, uloc_norm
 
 __all__ = [
     "DyadicConfig",
@@ -104,7 +104,7 @@ def generalized_young_check(f: ScalarField, p: float, j: int) -> float:
     """
     if j < 0:
         raise ValueError("the scaling bound is stated for j >= 0")
-    base = uloc_norm(f, UlocNormParams(p, 1.0))
+    base = uloc_norm(f, p, 1.0)
     if base == 0.0:
         return 0.0
     numer = dyadic_block(f, j).max_abs() + low_freq(f, j).max_abs()

@@ -81,13 +81,20 @@ class Grid:
         x = self.axis_coords()
         return tuple(np.meshgrid(*([x] * self.d), indexing="ij"))
 
+    def check_center(self, center: tuple[float, ...]) -> tuple[float, ...]:
+        """``center`` as a tuple; raises ValueError unless it is ``d`` finite coordinates."""
+        center = tuple(center)
+        if len(center) != self.d or not all(math.isfinite(x) for x in center):
+            raise ValueError(f"center must be {self.d} finite coordinates, got {center}")
+        return center
+
     def wrapped_delta(self, center: tuple[float, ...]) -> tuple[np.ndarray, ...]:
         """Per-axis signed displacement from ``center``, wrapped into [-L/2, L/2).
 
         Each is laid out on an open mesh (length N along its own axis, 1
         along the others), so together they broadcast to ``shape``.
         """
-        L = self.box_len
+        L, center = self.box_len, self.check_center(center)
         axes = np.ix_(*[self.axis_coords()] * self.d)
         return tuple((axis - c + 0.5 * L) % L - 0.5 * L for axis, c in zip(axes, center))
 
@@ -95,7 +102,7 @@ class Grid:
         """Wrapped Euclidean distance from ``center`` (default: the origin)."""
         if center is None:
             center = (0.0,) * self.d
-        deltas = self.wrapped_delta(tuple(center))
+        deltas = self.wrapped_delta(center)
         return np.sqrt(sum(dx * dx for dx in deltas))
 
 

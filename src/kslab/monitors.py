@@ -49,8 +49,8 @@ from .fields import (
     laplacian,
 )
 from .norms import (
-    CutoffSpec,
-    UlocNormParams,
+    _check_centers,
+    _check_support,
     _cutoff_integrals,
     cutoff_phi,
     cutoff_phi_gradient,
@@ -170,7 +170,8 @@ def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
 
 def validate_settings(grid: Grid, k: int, R: float) -> None:
     """A recorder's rules on k and R: the moment cutoff needs R >= 1, the uniformly
-    local scans R >= 2h, and the cutoff's support B_2R must fit in half the box."""
+    local scans R >= 2h, and the cutoff's support B_2R must fit in half the box
+    (the support rule of ``norms``)."""
     if not _is_integer(k):
         raise ValueError("k must be an integer")
     if k < 3:
@@ -178,8 +179,7 @@ def validate_settings(grid: Grid, k: int, R: float) -> None:
     min_R = max(1.0, 2.0 * grid.spacing)
     if not R >= min_R:
         raise ValueError(f"R must be >= max(1, 2h) = {min_R:g}")
-    if not 2.0 * R < grid.box_len / 2.0:
-        raise ValueError("R too large: need 2R < box_len/2")
+    _check_support(grid, "R", R)
 
 
 def validate_calibration(constants: tuple[str, ...], calibration: dict[str, float]) -> None:
@@ -350,8 +350,8 @@ def uloc_combined_check(
 # Cutoff-weighted moment functionals
 
 
-def moment(state: State, j: int, k: int, cutoff: CutoffSpec) -> float:
-    """Weighted moment integral of n^j |grad c|^(2k-2j) over the cutoff.
+def moment(state: State, j: int, k: int, center: tuple[float, ...], R: float) -> float:
+    """Weighted moment integral of n^j |grad c|^(2k-2j) over the cutoff at ``center``, radius R.
 
     One center of the sliding cutoff integral ``combined_y`` reads everywhere.
     """
@@ -360,7 +360,7 @@ def moment(state: State, j: int, k: int, cutoff: CutoffSpec) -> float:
     integrand = state.n.values**j
     if j < k:
         integrand = integrand * state.c.grad_abs.values ** (2 * k - 2 * j)
-    return float(_cutoff_integrals(integrand, state.grid, cutoff.radius, (cutoff.center,))[0])
+    return float(_cutoff_integrals(integrand, state.grid, R, (center,))[0])
 
 
 def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
@@ -530,7 +530,7 @@ class CoupledRecorder:
     over ``centers`` (one combined integrand, one sliding cutoff integral),
     and ``<family>_generic``, the uniformly local series that the fitted
     constant of ``check`` multiplies.  ``centers`` defaults to the
-    ``default_centers`` of the grid.
+    ``default_centers`` of the grid; given ones are checked when it is built.
     """
 
     def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0, centers=None):
@@ -539,9 +539,8 @@ class CoupledRecorder:
         self.k = k
         self.R = R
         self.centers = default_centers(grid) if centers is None else centers
+        _check_centers(grid, self.centers)
         self.c_j = mu_zero_estimate(k, params).c_j
-        self.nk_params = UlocNormParams(float(k), R)
-        self.gc_params = UlocNormParams(2.0 * k, R)
 
     def __call__(self, state: State) -> dict[str, float]:
         params, k, R, c_j = self.params, self.k, self.R, self.c_j
@@ -579,8 +578,8 @@ class CoupledRecorder:
                 + gn2 * gc ** (2 * k - 4)
             ),
         }
-        nk = uloc_norm(state.n, self.nk_params) ** k
-        gc2k = uloc_norm(state.c.grad_abs, self.gc_params) ** (2 * k)
+        nk = uloc_norm(state.n, float(k), R) ** k
+        gc2k = uloc_norm(state.c.grad_abs, 2.0 * k, R) ** (2 * k)
         generic = {
             "density_power": three_d * k / (2.0 * (k - 1) * R**2) * nk
             + three_d * k / R ** (2 * k) * gc2k
@@ -648,11 +647,11 @@ class CoupledRecorder:
         return reports, _fitted(reports, self.constants)
 
 
-def integration_by_parts_gap(n_field: ScalarField, spec: CutoffSpec, k: int) -> float:
+def integration_by_parts_gap(n_field: ScalarField, center: tuple, R: float, k: int) -> float:
     """Gap between -int(Lap n * n^(k-1) phi) and its integrated-by-parts form."""
     grid = n_field.grid
-    phi = cutoff_phi(grid, spec).values
-    grad_phi = cutoff_phi_gradient(grid, spec)
+    phi = cutoff_phi(grid, center, R).values
+    grad_phi = cutoff_phi_gradient(grid, center, R)
     n = n_field.values
     grad_n = gradient(n_field)
     lhs = -integrate(ScalarField(grid, laplacian(n_field).values * n ** (k - 1) * phi))
@@ -769,9 +768,6 @@ class TraceRecorder:
         self.R = R
         self.centers = default_centers(grid)
         self.track_max_center = track_max_center
-        self.l1_params = UlocNormParams(1.0, R)
-        self.l2_params = UlocNormParams(2.0, R)
-        self.lk_params = UlocNormParams(float(k), max(1.0, 2.0 * grid.spacing))
 
     def __call__(self, state: State) -> dict[str, float]:
         p = self.params
@@ -787,12 +783,12 @@ class TraceRecorder:
             # gradient part so the trace stays finite.
             z_max = float(np.max(0.5 * p.tau * grad_c.values**2))
         return {
-            "l1_uloc_n": uloc_norm(n, self.l1_params),
-            "l2_uloc_gradc": uloc_norm(grad_c, self.l2_params),
+            "l1_uloc_n": uloc_norm(n, 1.0, self.R),
+            "l2_uloc_gradc": uloc_norm(grad_c, 2.0, self.R),
             "y": combined_y(state, p, self.k, self.R, centers),
             "z_max": z_max,
             "linf_gradc": grad_c.max_abs(),
-            "lk_uloc_n": uloc_norm(n, self.lk_params),
+            "lk_uloc_n": uloc_norm(n, float(self.k), max(1.0, 2.0 * n.grid.spacing)),
             "l1_n": integrate(ScalarField(n.grid, np.abs(n.values))),
             "l2sq_c": lp_norm(c, 2) ** 2,
             "l2sq_gradc": lp_norm(grad_c, 2) ** 2,

@@ -20,7 +20,6 @@ off-grid center is served by a weight shifted by its sub-grid offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +34,6 @@ from .fields import (
 )
 
 __all__ = [
-    "CutoffSpec",
-    "UlocNormParams",
     "lp_norm",
     "w1inf_norm",
     "cutoff_phi",
@@ -53,44 +50,21 @@ __all__ = [
 _EXP_FLOOR = -700.0
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Center and radius of the compactly supported weight (support B_{2R})."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    def validate(self, grid: Grid) -> "CutoffSpec":
-        if len(self.center) != grid.d:
-            raise ValueError("cutoff center dimension mismatch")
-        if not all(math.isfinite(x) for x in self.center):
-            raise ValueError("cutoff center must be finite")
-        if not self.radius > 0:
-            raise ValueError("cutoff radius must be positive")
-        if not 2.0 * self.radius < grid.box_len / 2.0:
-            raise ValueError(
-                "cutoff support must fit in the box: need 2R < box_len/2"
-            )
-        return self
+def _check_support(grid: Grid, name: str, X: float) -> None:
+    """The rule on a cutoff radius ``X`` named ``name``: X > 0, and the support
+    B_2X fits in half the box."""
+    if not X > 0:
+        raise ValueError(f"{name} must be positive")
+    if not 2.0 * X < grid.box_len / 2.0:
+        raise ValueError(f"{name} too large: need 2{name} < box_len/2")
 
 
-@dataclass(frozen=True)
-class UlocNormParams:
-    """Exponent and ball radius of the sliding-sup scan over every grid point."""
-
-    p: float
-    ball_radius: float = 1.0
-
-    def validate(self, grid: Grid) -> "UlocNormParams":
-        if not self.p >= 1:
-            raise ValueError("exponent p must be >= 1")
-        if not self.ball_radius >= 2.0 * grid.spacing:
-            raise ValueError(
-                "ball radius must be at least 2h so the scan resolves the ball scale"
-            )
-        if not (math.isfinite(self.p) and math.isfinite(self.ball_radius)):
-            raise ValueError("exponent p and ball radius must be finite")
-        return self
+def _check_centers(grid: Grid, centers: tuple[tuple[float, ...], ...]) -> None:
+    """The rule on a cutoff's centers: at least one, each ``d`` finite coordinates."""
+    if len(centers) == 0:
+        raise ValueError("centers must name at least one point")
+    for center in centers:
+        grid.check_center(center)
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
@@ -107,15 +81,15 @@ def w1inf_norm(c: ScalarField) -> float:
     return c.max_abs() + c.grad_abs.max_abs()
 
 
-def _phi_radial_parts(grid: Grid, spec: CutoffSpec):
+def _phi_radial_parts(grid: Grid, center: tuple[float, ...], R: float):
     """The live support of the weight and, on it only, phi, g'(r), g''(r) and g'(r)/r.
 
     The support is r < 2R where the exponent g(r) is above ``_EXP_FLOOR``;
     the weight and all its derivatives vanish off it.  Returns the mask and
-    the four values at its points, in mask order.
+    the four values at its points, in mask order.  Checks R and the center.
     """
-    R = spec.radius
-    r = grid.radius(spec.center)
+    _check_support(grid, "R", R)
+    r = grid.radius(center)
     live = r < 2.0 * R
     r = r[live]
     denom = r * r - 4.0 * R * R
@@ -138,20 +112,18 @@ def _on_support(grid: Grid, live: np.ndarray, values: np.ndarray) -> ScalarField
     return ScalarField(grid, out)
 
 
-def cutoff_phi(grid: Grid, spec: CutoffSpec) -> ScalarField:
+def cutoff_phi(grid: Grid, center: tuple[float, ...], R: float) -> ScalarField:
     """The compact radial weight, equal to e^{1/3} at the center and 1 at r=R."""
-    spec.validate(grid)
-    live, phi, *_ = _phi_radial_parts(grid, spec)
+    live, phi, *_ = _phi_radial_parts(grid, center, R)
     return _on_support(grid, live, phi)
 
 
-def cutoff_phi_gradient(grid: Grid, spec: CutoffSpec) -> VectorField:
+def cutoff_phi_gradient(grid: Grid, center: tuple[float, ...], R: float) -> VectorField:
     """Analytic gradient of the compact weight (phi * g'(r) * x/r)."""
-    spec.validate(grid)
-    live, phi, _, _, gp_over_r = _phi_radial_parts(grid, spec)
+    live, phi, _, _, gp_over_r = _phi_radial_parts(grid, center, R)
     radial = phi * gp_over_r
     comps = []
-    for dx in grid.wrapped_delta(spec.center):
+    for dx in grid.wrapped_delta(center):
         # Off the support the component is 0 * dx, a zero with the sign of dx.
         comp = np.zeros(grid.shape)
         comp *= dx
@@ -160,23 +132,21 @@ def cutoff_phi_gradient(grid: Grid, spec: CutoffSpec) -> VectorField:
     return VectorField(grid, tuple(comps))
 
 
-def cutoff_phi_laplacian(grid: Grid, spec: CutoffSpec) -> ScalarField:
+def cutoff_phi_laplacian(grid: Grid, center: tuple[float, ...], R: float) -> ScalarField:
     """Analytic Laplacian: phi * (g'' + g'^2 + (d-1) g'/r)."""
-    spec.validate(grid)
     d = grid.d
-    live, phi, gp, gpp, gp_over_r = _phi_radial_parts(grid, spec)
+    live, phi, gp, gpp, gp_over_r = _phi_radial_parts(grid, center, R)
     return _on_support(grid, live, phi * (gpp + gp * gp + (d - 1) * gp_over_r))
 
 
-def cutoff_phi_hessian_norm(grid: Grid, spec: CutoffSpec) -> ScalarField:
+def cutoff_phi_hessian_norm(grid: Grid, center: tuple[float, ...], R: float) -> ScalarField:
     """Pointwise Frobenius norm of the analytic Hessian of the compact weight.
 
     For a radial e^{g(r)} the Hessian splits into the radial direction with
     eigenvalue phi*(g'' + g'^2) and d-1 tangential directions with phi*g'/r.
     """
-    spec.validate(grid)
     d = grid.d
-    live, phi, gp, gpp, gp_over_r = _phi_radial_parts(grid, spec)
+    live, phi, gp, gpp, gp_over_r = _phi_radial_parts(grid, center, R)
     radial = phi * (gpp + gp * gp)
     tangential = phi * gp_over_r
     return _on_support(grid, live, np.sqrt(radial**2 + (d - 1) * tangential**2))
@@ -198,17 +168,9 @@ def _smoothstep_down(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_truncation(grid: Grid, M: float) -> None:
-    """The rules on a truncation radius: M > 0, and the support B_2M fits in half the box."""
-    if not M > 0:
-        raise ValueError("M must be positive")
-    if not 2.0 * M < grid.box_len / 2.0:
-        raise ValueError("M too large: need 2M < box_len/2")
-
-
 def cutoff_psi(grid: Grid, M: float) -> ScalarField:
     """Smooth plateau: 1 on B_M(0), 0 outside B_{2M}(0), monotone radial between."""
-    _validate_truncation(grid, M)
+    _check_support(grid, "M", M)
     return ScalarField(grid, _smoothstep_down(grid.radius() / M - 1.0))
 
 
@@ -230,7 +192,7 @@ def _weight_hat(grid: Grid, kind: str, radius: float, shift: tuple[float, ...]) 
     else:
         # Centered at the first sample minus the shift, sample o is at o*h + shift.
         corner = tuple(-0.5 * grid.box_len - s for s in shift)
-        weight = cutoff_phi(grid, CutoffSpec(center=corner, radius=radius)).values
+        weight = cutoff_phi(grid, corner, radius).values
     hat = _rfft(weight)
     hat.setflags(write=False)
     return hat
@@ -259,11 +221,12 @@ def _cutoff_integrals(
     A center splits into its nearest grid point and the sub-grid shift from
     it; centers sharing a shift read one convolution.
     """
+    _check_support(grid, "R", radius)
+    _check_centers(grid, centers)
     L, h, n = grid.box_len, grid.spacing, grid.n_axis
     convs: dict[tuple[float, ...], np.ndarray] = {}
     out = []
     for center in centers:
-        CutoffSpec(center=center, radius=radius).validate(grid)
         idx = [round((c + 0.5 * L) / h) for c in center]
         # Same expression as Grid.axis_coords, so grid centers get shift 0.
         shift = tuple(c - (-0.5 * L + h * i) for c, i in zip(center, idx))
@@ -273,22 +236,27 @@ def _cutoff_integrals(
     return np.array(out)
 
 
-def uloc_norm(f: ScalarField, params: UlocNormParams) -> float:
-    """Sup over every grid-point center of the local L^p norm on wrapped balls."""
-    params.validate(f.grid)
-    f_pow = np.abs(f.values) ** params.p
+def uloc_norm(f: ScalarField, p: float, R: float) -> float:
+    """Sup over every grid-point center of the L^p norm on the wrapped ball B_R (R >= 2h)."""
+    if not p >= 1:
+        raise ValueError("exponent p must be >= 1")
+    if not R >= 2.0 * f.grid.spacing:
+        raise ValueError("ball radius must be at least 2h so the scan resolves the ball scale")
+    if not (math.isfinite(p) and math.isfinite(R)):
+        raise ValueError("exponent p and ball radius must be finite")
+    f_pow = np.abs(f.values) ** p
     zero = (0.0,) * f.grid.d
-    integrals = _sliding_integrals(f_pow, f.grid, "ball", params.ball_radius, zero)
+    integrals = _sliding_integrals(f_pow, f.grid, "ball", R, zero)
     # Ball integrals of |f|^p are nonnegative: clamp the FFT roundoff.
-    return float(np.max(np.maximum(integrals, 0.0)) ** (1.0 / params.p))
+    return float(np.max(np.maximum(integrals, 0.0)) ** (1.0 / p))
 
 
 def uloc_covering_check(f: ScalarField, p: float, R: float) -> float:
     """Ratio ||f||_{p,R}^p / (R^d ||f||_{p,1}^p); bounded uniformly by covering."""
     if not R >= 1:
         raise ValueError("covering check requires R >= 1")
-    base = uloc_norm(f, UlocNormParams(p, 1.0))
+    base = uloc_norm(f, p, 1.0)
     if base == 0.0:
         return 0.0
-    wide = uloc_norm(f, UlocNormParams(p, R))
+    wide = uloc_norm(f, p, R)
     return float(wide**p / (R**f.grid.d * base**p))

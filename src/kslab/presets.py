@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .fields import Grid, _is_integer
-from .norms import _validate_truncation
+from .norms import _check_support
 from .solver import State, approx_initial
 
 __all__ = ["build_initial", "validate_initial", "PRESET_NAMES"]
@@ -57,7 +57,7 @@ def validate_initial(
         raise ValueError("amplitude must be nonnegative")
     if not (width > 0 and math.isfinite(width)):
         raise ValueError("width must be positive and finite")
-    _validate_truncation(grid, M)
+    _check_support(grid, "M", M)
     if seed is not None and not _is_integer(seed):
         raise ValueError("seed must be an integer")
     if seed is not None and seed < 0:

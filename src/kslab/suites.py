@@ -39,8 +39,6 @@ from .monitors import (
     z_residual,
 )
 from .norms import (
-    CutoffSpec,
-    UlocNormParams,
     cutoff_phi,
     cutoff_phi_gradient,
     cutoff_phi_hessian_norm,
@@ -147,18 +145,17 @@ def suite_norms() -> list[CheckResult]:
     interior_ok = True
     edge_ok = True
     for R in radii:
-        spec = CutoffSpec(center=(0.0,), radius=R)
-        phi = cutoff_phi(grid, spec)
-        r = grid.radius(spec.center)
+        phi = cutoff_phi(grid, (0.0,), R)
+        r = grid.radius((0.0,))
         ball = r < R
         interior_ok &= bool(np.all(phi.values[ball] >= 1.0 - 1e-12))
         interior_ok &= bool(np.all(phi.values[ball] < 2.0))
         edge_ok &= bool(np.all(phi.values[r >= 2.0 * R] == 0.0))
-        gmax = magnitude(cutoff_phi_gradient(grid, spec)).max_abs()
-        hmax = cutoff_phi_hessian_norm(grid, spec).max_abs()
-        fits_grad.append(gmax * R)
+        gmag = magnitude(cutoff_phi_gradient(grid, (0.0,), R))
+        hmax = cutoff_phi_hessian_norm(grid, (0.0,), R).max_abs()
+        fits_grad.append(gmag.max_abs() * R)
         fits_hess.append(hmax * R * R)
-        grad_sq = magnitude(cutoff_phi_gradient(grid, spec)).values ** 2
+        grad_sq = gmag.values**2
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(phi.values > 0, grad_sq / np.where(phi.values > 0, phi.values, 1.0), 0.0)
         fits_ratio.append(float(np.max(ratio)) * R * R)
@@ -177,11 +174,10 @@ def suite_norms() -> list[CheckResult]:
     grid2 = make_grid(2, 64, 40.0)
     f = _random_field(grid2, rng)
     g = _random_field(grid2, rng)
-    params = UlocNormParams(2.0, 2.0)
-    nf, ng = uloc_norm(f, params), uloc_norm(g, params)
-    nsum = uloc_norm(f + g, params)
+    nf, ng = uloc_norm(f, 2.0, 2.0), uloc_norm(g, 2.0, 2.0)
+    nsum = uloc_norm(f + g, 2.0, 2.0)
     alpha = 1.7
-    homog = abs(uloc_norm(alpha * f, params) - alpha * nf)
+    homog = abs(uloc_norm(alpha * f, 2.0, 2.0) - alpha * nf)
     out.append(
         _result(
             "norms.uloc_is_a_norm",
@@ -304,8 +300,8 @@ def suite_monitors() -> list[CheckResult]:
     # At the peak of n every moment is genuinely positive.  Far from it the
     # integrand vanishes and the FFT sliding integral reads roundoff, of
     # order eps * int |integrand|, of either sign.
-    peak = CutoffSpec(center=argmax_center(state.n), radius=2.0)
-    least = min(moment(state, j, 3, peak) for j in range(0, 4))
+    peak = argmax_center(state.n)
+    least = min(moment(state, j, 3, peak, 2.0) for j in range(0, 4))
     out.append(
         _result("monitors.moments_nonnegative", least > 0, f"min {least:.3g} at the peak of n")
     )

@@ -23,7 +23,7 @@ from kslab.monitors import (
     z_residual,
     z_sup_cap_check,
 )
-from kslab.norms import CutoffSpec, cutoff_phi, lp_norm
+from kslab.norms import cutoff_phi, lp_norm
 from kslab.presets import build_initial
 from kslab.solver import (
     Params,
@@ -152,7 +152,7 @@ def test_criterion_06_cutoff_suite():
     # points, box 80, R = 1, 2, 4, 8, spread at most 5%), plus the centre value.
     grid = make_grid(1, 2048, 80.0)
     i0 = int(np.argmin(np.abs(grid.axis_coords())))
-    center_err = abs(cutoff_phi(grid, CutoffSpec((0.0,), 4.0)).values[i0] - math.exp(1.0 / 3.0))
+    center_err = abs(cutoff_phi(grid, (0.0,), 4.0).values[i0] - math.exp(1.0 / 3.0))
     rows = [r for r in suite_norms() if r.name.startswith("norms.cutoff_")]
     names = [r.name.removeprefix("norms.cutoff_") for r in rows]
     assert names == [

@@ -76,6 +76,16 @@ class TestMakeGrid:
         assert x[-1] == 20.0 - grid.spacing
         assert 0.0 in x
 
+    @pytest.mark.parametrize("center", [(1.0,), (1.0, 2.0, 3.0), (math.nan, 0.0), (0.0, math.inf)])
+    def test_radius_needs_d_finite_coordinates(self, center):
+        # Unchecked, a short center broadcasts to a (32, 1) array and a long
+        # one loses its third coordinate.
+        grid = make_grid(2, 32, 20.0)
+        with pytest.raises(ValueError, match="center must be 2 finite coordinates"):
+            grid.radius(center)
+        with pytest.raises(ValueError, match="center must be 2 finite coordinates"):
+            grid.wrapped_delta(center)
+
 
 class TestSpectralTransform:
     def test_constant_is_pure_dc(self, grid1d):

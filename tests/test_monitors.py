@@ -41,7 +41,7 @@ from kslab.monitors import (
     z_residual,
     z_sup_cap_check,
 )
-from kslab.norms import CutoffSpec, _cutoff_integrals, cutoff_phi
+from kslab.norms import _cutoff_integrals, cutoff_phi
 from kslab.presets import build_initial
 from kslab.solver import (
     FunctionalSample,
@@ -265,9 +265,9 @@ class TestUlocCombined:
 class TestMoments:
     def test_vanish_without_density(self, grid1d):
         state = zero_state(grid1d)
-        spec = CutoffSpec((0.0,), 2.0)
+        center, R = (0.0,), 2.0
         for j in (1, 2, 3):
-            assert moment(state, j, 3, spec) == 0.0
+            assert moment(state, j, 3, center, R) == 0.0
 
     def test_top_moment_of_constant_state(self, grid1d):
         # j=k: the gradient factor drops out and the integral is a^k int(phi).
@@ -277,9 +277,9 @@ class TestMoments:
             ScalarField(grid1d, np.full(grid1d.shape, a)),
             ScalarField(grid1d, np.full(grid1d.shape, 0.3)),
         )
-        spec = CutoffSpec((0.0,), 2.0)
-        phi_mass = integrate(cutoff_phi(grid1d, spec))
-        assert abs(moment(state, 3, 3, spec) - a**3 * phi_mass) <= 1e-12
+        center, R = (0.0,), 2.0
+        phi_mass = integrate(cutoff_phi(grid1d, center, R))
+        assert abs(moment(state, 3, 3, center, R) - a**3 * phi_mass) <= 1e-12
 
     def test_gradient_moment_against_refined_quadrature(self):
         # j=0 single-mode oracle: evaluate int |grad c|^{2k} phi on a 4x finer
@@ -291,13 +291,13 @@ class TestMoments:
             x = grid.mesh()[0]
             c = ScalarField(grid, np.sin(2 * np.pi * x / grid.box_len))
             state = State(0.0, ScalarField(grid, np.zeros(grid.shape)), c)
-            vals[n_axis] = moment(state, 0, k, CutoffSpec((0.0,), 4.0))
+            vals[n_axis] = moment(state, 0, k, (0.0,), 4.0)
         assert abs(vals[256] - vals[1024]) <= 1e-8 * abs(vals[1024])
 
     def test_moment_order_bounds(self, grid1d):
         state = zero_state(grid1d)
         with pytest.raises(ValueError):
-            moment(state, 4, 3, CutoffSpec((0.0,), 2.0))
+            moment(state, 4, 3, (0.0,), 2.0)
 
 
 class TestCombinedFunctional:
@@ -357,10 +357,10 @@ class TestSlidingCutoffOracle:
         gc = magnitude(gradient(state.c)).values
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=d)
         b = mu_zero_estimate(k, p).b
-        phis = [cutoff_phi(grid, CutoffSpec(center, R)) for center in centers]
+        phis = [cutoff_phi(grid, center, R) for center in centers]
         for j in range(k + 1):
             direct = [integrate(phi * (n**j * gc ** (2 * k - 2 * j))) for phi in phis]
-            got = [moment(state, j, k, CutoffSpec(center, R)) for center in centers]
+            got = [moment(state, j, k, center, R) for center in centers]
             assert_per_center(got, direct)
         integrand = gc ** (2 * k) + sum(
             b[j] * n**j * gc ** (2 * k - 2 * j) for j in range(1, k + 1)
@@ -415,7 +415,7 @@ class TestSlidingCutoffOracle:
             integrands[f"m35_next_{j}"] = n ** (j + 1) * gc ** (2 * k - 2 * j)
 
         for center in oracle_centers(state):
-            phi = cutoff_phi(grid, CutoffSpec(center, R))
+            phi = cutoff_phi(grid, center, R)
             m = {name: integrate(phi * f) for name, f in integrands.items()}
             want = {
                 "density_power": m[f"dm_{k}"]
@@ -623,7 +623,7 @@ class TestOdeResiduals:
         # about 4x each time the gap halves.
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        k, spec = 3, CutoffSpec((0.0,), 2.0)
+        k, center, R = 3, (0.0,), 2.0
 
         def record(state):
             n_t, c_t = rhs(state, p)
@@ -633,12 +633,12 @@ class TestOdeResiduals:
             )
             values = {}
             for j in range(k + 1):
-                values[f"m_{j}"] = moment(state, j, k, spec)
+                values[f"m_{j}"] = moment(state, j, k, center, R)
                 integrand = _moment_rate(
                     state.n.values, n_t.values, state.c.grad_abs.values, g_dot, j, k
                 )
                 values[f"dm_{j}"] = float(
-                    _cutoff_integrals(integrand, state.grid, spec.radius, (spec.center,))[0]
+                    _cutoff_integrals(integrand, state.grid, R, (center,))[0]
                 )
             return values
 
@@ -657,9 +657,9 @@ class TestOdeResiduals:
     def test_integration_by_parts_identity(self, grid1d):
         x = grid1d.mesh()[0]
         n = ScalarField(grid1d, 1.0 + np.exp(-(x**2) / 8.0))
-        spec = CutoffSpec((0.0,), 4.0)
+        center, R = (0.0,), 4.0
         for k in (2, 3, 4):
-            assert integration_by_parts_gap(n, spec, k) <= 1e-8
+            assert integration_by_parts_gap(n, center, R, k) <= 1e-8
 
     def test_gradient_laplacian_identity(self, grid2d, rng):
         # grad(Lap c) . grad c = 1/2 Lap |grad c|^2 - |D^2 c|^2 pointwise.
@@ -834,6 +834,31 @@ class TestMonitorSettings:
         for path in sorted(src.glob("*.py")):
             text = path.read_text()
             assert text.count("max(1, 2h)") == (path.name == "monitors.py"), path.name
+
+
+def test_support_rule_is_written_only_in_norms():
+    # "2X < box_len/2" for R (monitors, cutoffs) and M (presets) is one rule.
+    src = Path(monitors.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert path.read_text().count("box_len/2") == (path.name == "norms.py"), path.name
+
+
+@pytest.mark.parametrize(
+    "centers,message",
+    [
+        ((), "centers must name at least one point"),
+        (((0.0, 1.0),), "center must be 1 finite coordinates"),
+        (((0.0,), (math.nan,)), "center must be 1 finite coordinates"),
+    ],
+)
+def test_centers_are_checked_before_any_sample(grid1d, centers, message):
+    # Unchecked, an empty tuple built and then failed at the first sample
+    # inside numpy's max, and a bad center was found only at that sample.
+    p = Params(chi=1.0, tau=1.0, d=1)
+    with pytest.raises(ValueError, match=message):
+        CoupledRecorder(p, grid1d, 3, 2.0, centers)
+    with pytest.raises(ValueError, match=message):
+        combined_y(zero_state(grid1d), p, 3, 2.0, centers)
 
 
 def test_one_recorder_feeds_every_trace_check(grid1d):

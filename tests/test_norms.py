@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from kslab.fields import ScalarField, gradient, integrate, magnitude, make_grid
 from kslab.norms import (
-    CutoffSpec,
-    UlocNormParams,
     cutoff_phi,
     cutoff_phi_gradient,
     cutoff_phi_hessian_norm,
@@ -87,8 +85,8 @@ class TestW1Inf:
 class TestCutoffPhi:
     def test_center_value_exact(self):
         grid = make_grid(1, 256, 40.0)
-        spec = CutoffSpec((0.0,), 4.0)
-        phi = cutoff_phi(grid, spec)
+        center, R = (0.0,), 4.0
+        phi = cutoff_phi(grid, center, R)
         i0 = int(np.argmin(np.abs(grid.axis_coords())))
         assert abs(phi.values[i0] - math.exp(1.0 / 3.0)) <= 1e-12
 
@@ -96,7 +94,7 @@ class TestCutoffPhi:
         # Choose R on the grid so a sample sits exactly at distance R.
         grid = make_grid(1, 256, 40.0)
         R = 25 * grid.spacing
-        phi = cutoff_phi(grid, CutoffSpec((0.0,), R))
+        phi = cutoff_phi(grid, (0.0,), R)
         x = grid.axis_coords()
         iR = int(np.argmin(np.abs(x - R)))
         assert x[iR] == R
@@ -104,37 +102,37 @@ class TestCutoffPhi:
 
     def test_zero_outside_support(self):
         grid = make_grid(2, 64, 40.0)
-        spec = CutoffSpec((1.0, -2.0), 3.0)
-        phi = cutoff_phi(grid, spec)
-        outside = grid.radius(spec.center) >= 2 * spec.radius
+        center, R = (1.0, -2.0), 3.0
+        phi = cutoff_phi(grid, center, R)
+        outside = grid.radius(center) >= 2 * R
         assert np.all(phi.values[outside] == 0.0)
 
     def test_range_on_inner_ball(self):
         grid = make_grid(1, 1024, 40.0)
-        spec = CutoffSpec((0.0,), 4.0)
-        phi = cutoff_phi(grid, spec)
-        ball = grid.radius(spec.center) < spec.radius
+        center, R = (0.0,), 4.0
+        phi = cutoff_phi(grid, center, R)
+        ball = grid.radius(center) < R
         assert np.all(phi.values[ball] >= 1.0)
         assert np.all(phi.values[ball] < 2.0)
 
     def test_support_must_fit_box(self):
         grid = make_grid(1, 256, 40.0)
         with pytest.raises(ValueError):
-            cutoff_phi(grid, CutoffSpec((0.0,), 10.0))
+            cutoff_phi(grid, (0.0,), 10.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_center_must_be_finite(self, x):
         # Unchecked, a nan center gives an all-zero weight with no error.
         grid = make_grid(2, 32, 20.0)
-        with pytest.raises(ValueError, match="cutoff center must be finite"):
-            cutoff_phi(grid, CutoffSpec((x, 0.0), 1.0))
+        with pytest.raises(ValueError, match="center must be 2 finite coordinates"):
+            cutoff_phi(grid, (x, 0.0), 1.0)
 
     @pytest.mark.parametrize("R", [1.0, 2.0, 4.0, 8.0])
     def test_gradient_matches_finite_differences(self, R):
         grid = make_grid(1, 2048, 80.0)
-        spec = CutoffSpec((0.0,), R)
-        phi = cutoff_phi(grid, spec).values
-        gp = cutoff_phi_gradient(grid, spec).components[0].values
+        center = (0.0,)
+        phi = cutoff_phi(grid, center, R).values
+        gp = cutoff_phi_gradient(grid, center, R).components[0].values
         h = grid.spacing
         fd = (phi[2:] - phi[:-2]) / (2 * h)
         # Central differences are O(h^2 phi'''); compare away from the edge.
@@ -144,13 +142,13 @@ class TestCutoffPhi:
 
     def test_laplacian_matches_finite_differences(self):
         grid = make_grid(1, 2048, 80.0)
-        spec = CutoffSpec((0.0,), 4.0)
-        phi = cutoff_phi(grid, spec).values
-        lap = cutoff_phi_laplacian(grid, spec).values
+        center, R = (0.0,), 4.0
+        phi = cutoff_phi(grid, center, R).values
+        lap = cutoff_phi_laplacian(grid, center, R).values
         h = grid.spacing
         fd = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / h**2
         x = grid.axis_coords()[1:-1]
-        interior = np.abs(x) < 1.7 * spec.radius
+        interior = np.abs(x) < 1.7 * R
         assert np.max(np.abs(lap[1:-1][interior] - fd[interior])) <= 100 * h**2
 
     def test_scaling_constants_stable(self):
@@ -159,11 +157,11 @@ class TestCutoffPhi:
         grid = make_grid(1, 2048, 80.0)
         grad_c, hess_c, ratio_c = [], [], []
         for R in (1.0, 2.0, 4.0, 8.0):
-            spec = CutoffSpec((0.0,), R)
-            phi = cutoff_phi(grid, spec).values
-            gmag = magnitude(cutoff_phi_gradient(grid, spec)).values
+            center = (0.0,)
+            phi = cutoff_phi(grid, center, R).values
+            gmag = magnitude(cutoff_phi_gradient(grid, center, R)).values
             grad_c.append(np.max(gmag) * R)
-            hess_c.append(cutoff_phi_hessian_norm(grid, spec).max_abs() * R * R)
+            hess_c.append(cutoff_phi_hessian_norm(grid, center, R).max_abs() * R * R)
             ratio = np.where(phi > 0, gmag**2 / np.where(phi > 0, phi, 1.0), 0.0)
             ratio_c.append(np.max(ratio) * R * R)
         for fits in (grad_c, hess_c, ratio_c):
@@ -172,11 +170,11 @@ class TestCutoffPhi:
     def test_boundary_values_vanish(self):
         # Both phi and its normal derivative vanish at the support edge.
         grid = make_grid(1, 2048, 80.0)
-        spec = CutoffSpec((0.0,), 4.0)
-        phi = cutoff_phi(grid, spec).values
-        gp = cutoff_phi_gradient(grid, spec).components[0].values
-        r = grid.radius(spec.center)
-        at_edge = np.abs(r - 2 * spec.radius) <= grid.spacing
+        center, R = (0.0,), 4.0
+        phi = cutoff_phi(grid, center, R).values
+        gp = cutoff_phi_gradient(grid, center, R).components[0].values
+        r = grid.radius(center)
+        at_edge = np.abs(r - 2 * R) <= grid.spacing
         assert np.max(np.abs(phi[at_edge])) <= 1e-3
         assert np.max(np.abs(gp[at_edge])) <= 1e-2
 
@@ -184,10 +182,10 @@ class TestCutoffPhi:
         # Only the radius and the result are full arrays; the weight and its
         # derivative pieces live on the support.
         grid = make_grid(3, 32, 20.0)
-        spec = CutoffSpec((0.0, 0.0, 0.0), 2.0)
+        center, R = (0.0, 0.0, 0.0), 2.0
         tracemalloc.start()
         try:
-            cutoff_phi(grid, spec)
+            cutoff_phi(grid, center, R)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,7 +233,7 @@ class TestUlocNorm:
         # oracle value for R=1, h=40/256 is 13 h (strict inequality at edges).
         grid = make_grid(1, 256, 40.0)
         f = ScalarField(grid, np.ones(grid.shape))
-        got = uloc_norm(f, UlocNormParams(p=1, ball_radius=1.0))
+        got = uloc_norm(f, 1, 1.0)
         assert abs(got - 13 * grid.spacing) <= 1e-12
         assert abs(got - 2.0) <= 2 * grid.spacing
 
@@ -244,33 +242,33 @@ class TestUlocNorm:
         sel = np.abs(grid1d.axis_coords()) < 0.4
         vals[sel] = 2.0
         f = ScalarField(grid1d, vals)
-        got = uloc_norm(f, UlocNormParams(p=2, ball_radius=1.0))
+        got = uloc_norm(f, 2, 1.0)
         assert abs(got - lp_norm(f, 2)) <= 1e-12
 
     def test_monotone_in_radius(self, grid1d, rng):
         f = ScalarField(grid1d, rng.standard_normal(grid1d.shape))
-        base = uloc_norm(f, UlocNormParams(p=2, ball_radius=1.0))
+        base = uloc_norm(f, 2, 1.0)
         for R in (2.0, 4.0, 8.0):
-            assert base <= uloc_norm(f, UlocNormParams(p=2, ball_radius=R)) + 1e-12
+            assert base <= uloc_norm(f, 2, R) + 1e-12
 
     @pytest.mark.parametrize("p,R", [(1, 1.0), (2, 2.0), (3, 1.5)])
     def test_matches_brute_force_1d(self, p, R, rng):
         grid = make_grid(1, 64, 20.0)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
-        mine = uloc_norm(f, UlocNormParams(p=p, ball_radius=R))
+        mine = uloc_norm(f, p, R)
         assert abs(mine - uloc_brute_force(f, p, R)) <= 1e-10
 
     def test_matches_brute_force_2d(self, rng):
         grid = make_grid(2, 32, 12.0)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
-        mine = uloc_norm(f, UlocNormParams(p=2, ball_radius=1.5))
+        mine = uloc_norm(f, 2, 1.5)
         assert abs(mine - uloc_brute_force(f, 2, 1.5)) <= 1e-10
 
     def test_matches_brute_force_3d(self, rng):
         # Every grid point is a center, in 3D as in 1D and 2D.
         grid = make_grid(3, 16, 8.0)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
-        mine = uloc_norm(f, UlocNormParams(p=1, ball_radius=1.0))
+        mine = uloc_norm(f, 1, 1.0)
         assert abs(mine - uloc_brute_force(f, 1, 1.0)) <= 1e-10
 
     def test_ball_integrals_aligned_per_center(self, rng):
@@ -291,7 +289,7 @@ class TestUlocNorm:
         for shift in (0.0, 0.1, -0.13):
             phi_integrals = _sliding_integrals(f.values, grid, "phi", 1.5, (shift,))
             direct = [
-                integrate(f * cutoff_phi(grid, CutoffSpec((coords[idx] + shift,), 1.5)))
+                integrate(f * cutoff_phi(grid, (coords[idx] + shift,), 1.5))
                 for idx in (0, 7, 33)
             ]
             scale = max(abs(x) for x in direct)
@@ -301,23 +299,22 @@ class TestUlocNorm:
     def test_norm_axioms(self, grid2d, rng):
         f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
         g = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
-        params = UlocNormParams(2.0, 2.0)
-        assert uloc_norm(f + g, params) <= uloc_norm(f, params) + uloc_norm(g, params) + 1e-10
-        assert abs(uloc_norm(2.5 * f, params) - 2.5 * uloc_norm(f, params)) <= 1e-10
+        assert uloc_norm(f + g, 2.0, 2.0) <= uloc_norm(f, 2.0, 2.0) + uloc_norm(g, 2.0, 2.0) + 1e-10
+        assert abs(uloc_norm(2.5 * f, 2.0, 2.0) - 2.5 * uloc_norm(f, 2.0, 2.0)) <= 1e-10
 
     def test_stride_invariant_enforced(self, grid1d):
         # The scan steps one grid point, h = 0.156, and must resolve the
         # ball: a radius below 2h is refused, 2h itself is scanned.
         ones = ScalarField(grid1d, np.ones(grid1d.shape))
         with pytest.raises(ValueError, match="at least 2h"):
-            uloc_norm(ones, UlocNormParams(p=1, ball_radius=0.3))
-        assert uloc_norm(ones, UlocNormParams(p=1, ball_radius=2 * grid1d.spacing)) > 0
+            uloc_norm(ones, 1, 0.3)
+        assert uloc_norm(ones, 1, 2 * grid1d.spacing) > 0
 
     @pytest.mark.parametrize("p,R", [(math.inf, 1.0), (1.0, math.inf)])
     def test_non_finite_settings_rejected(self, grid1d, p, R):
         five = ScalarField(grid1d, np.full(grid1d.shape, 5.0))
         with pytest.raises(ValueError, match="must be finite"):
-            uloc_norm(five, UlocNormParams(p, R))
+            uloc_norm(five, p, R)
 
 
 class TestCoveringCheck:
