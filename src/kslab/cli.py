@@ -2,8 +2,8 @@
 studies, property suites, and report rendering.
 
 Exit codes: 0 completed/pass, 2 blow-up suspected, 3 numerical failure
-(including an arithmetic overflow anywhere in the computation), 4 invariant
-failure, 64 usage error.
+(including an arithmetic overflow anywhere in the computation), 4 a failed
+verdict of ``run`` or a failed ``check``, 64 usage error.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
 from .fields import _cpus
-from .monitors import (
-    ResidualReport,
-    TraceRecorder,
-    mu_zero_estimate,
-    run_verdicts,
-    validate_calibration,
-)
+from .monitors import ResidualReport, TraceRecorder, mu_zero_estimate, run_verdicts
 from .presets import build_initial
 from .solver import FunctionalSample, RunResult, RunStatus, State, run
 from .suites import run_suite
@@ -82,35 +76,18 @@ def _write_residuals_csv(path: Path, reports: list[ResidualReport]) -> None:
     with atomic_open(path) as fh:
         fh.write("t,name,margin,calibration\n")
         for report in reports:
-            cal = "" if report.calibration is None else _fmt(report.calibration)
+            const = "" if report.constant is None else _fmt(report.constant)
             for t, margin in zip(report.times, report.margins):
-                fh.write(f"{_fmt(t)},{report.name},{_fmt(margin)},{cal}\n")
+                fh.write(f"{_fmt(t)},{report.name},{_fmt(margin)},{const}\n")
 
 
 def _residual_reports(
-    recorder: TraceRecorder, result: RunResult, calibration: dict[str, float] | None
-) -> tuple[list[ResidualReport], dict[str, float], dict[str, bool]]:
-    """The reports on the trace ``recorder`` fed, their fitted or asserted constants,
-    and their verdicts."""
-    reports, fitted = recorder.check(result.trace, calibration)
-    verdicts = {r.name: r.passed for r in reports}
-    return reports, fitted, verdicts
-
-
-def _read_calibration(path: Path, names: tuple[str, ...]) -> dict[str, float]:
-    """The constants of a prior calibrate run: a JSON object of finite numbers
-    that ``validate_calibration`` accepts for ``names``."""
-    try:
-        calibration = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise ConfigError(f"assert mode needs {path} from a prior calibrate run: {exc}") from exc
-    if not isinstance(calibration, dict) or {type(v) for v in calibration.values()} - {int, float}:
-        raise ConfigError(f"{path} must map each constant to a number")
-    try:
-        validate_calibration(names, calibration)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return {name: _to_float(repr(v), f"{path}: {name}") for name, v in calibration.items()}
+    recorder: TraceRecorder, result: RunResult
+) -> tuple[list[ResidualReport], dict[str, bool]]:
+    """The reports on the trace ``recorder`` fed, and the verdicts of those that
+    are not measurements."""
+    reports = recorder.check(result.trace)
+    return reports, {r.name: r.passed for r in reports if r.tolerance is not None}
 
 
 def _initial(cfg: ExperimentConfig) -> State:
@@ -120,11 +97,8 @@ def _initial(cfg: ExperimentConfig) -> State:
     )
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
+def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     recorder = _CliRecorder(cfg)
-    calibration = None
-    if mode == "assert":
-        calibration = _read_calibration(out / "calibration.json", recorder.constants)
     params = cfg.params()
     result = run(_initial(cfg), params, cfg.run_config(), monitors=recorder)
 
@@ -132,11 +106,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
     _write_trace_csv(out / "trace.csv", result.trace)
     save_checkpoint(out / "final.kslb", result.final)
 
-    reports, fitted, verdicts = _residual_reports(recorder, result, calibration)
+    reports, verdicts = _residual_reports(recorder, result)
     _write_residuals_csv(out / "residuals.csv", reports)
-    if mode == "calibrate":
-        with atomic_open(out / "calibration.json") as fh:
-            fh.write(json.dumps(fitted, sort_keys=True, indent=1))
 
     run_level, slope = run_verdicts(result, params)
     verdicts.update(run_level)
@@ -149,7 +120,6 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
         "mass_ledger_rel_max": result.mass_ledger_rel_max,
         "trend_slope_second_half": slope,
         "verdicts": verdicts,
-        "mode": mode,
     }
     with atomic_open(out / "summary.json") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=1))
@@ -162,22 +132,21 @@ def cmd_run(cfg: ExperimentConfig, out: Path, mode: str) -> int:
         return EXIT_BLOWUP
     if result.status is RunStatus.NUMERICAL_FAILURE:
         return EXIT_NUMERICAL
-    if mode == "assert" and not all(verdicts.values()):
+    if not all(verdicts.values()):
         return EXIT_INVARIANT
     return EXIT_OK
 
 
-def _sweep_worker(args: tuple[ExperimentConfig, str, str]) -> dict:
-    cfg, out_dir, mode = args
+def _sweep_worker(args: tuple[ExperimentConfig, str]) -> dict:
+    cfg, out_dir = args
     out = Path(out_dir)
     printed = io.StringIO()  # the row's own lines, which cmd_sweep prints in row order
     try:
         with contextlib.redirect_stdout(printed):
-            code = cmd_run(cfg, out, mode)
+            cmd_run(cfg, out)
         summary = json.loads((out / "summary.json").read_text())
         return {
             "ok": True,
-            "exit": code,
             "status": summary["status"],
             "sup_linf_n": summary["sup_linf_n"],
             "bounded": summary["verdicts"].get("bounded_trend", False),
@@ -211,16 +180,13 @@ def _write_mconv_csv(out: Path, m_values: tuple[float, ...], rows: list[str]) ->
         print("single M given: nothing to compare")
 
 
-def cmd_sweep(spec: SweepSpec, out: Path, workers: int, mode: str) -> int:
+def cmd_sweep(spec: SweepSpec, out: Path, workers: int) -> int:
     configs = spec.configs()
     rows = [f"{spec.parameter}_{value:g}" for value in spec.values]
     if len(set(rows)) < len(rows):
         raise ConfigError(f"sweep values must name distinct row directories, got {rows}")
-    if mode == "assert":  # each row's worker reads it again; a bad one stops the sweep here
-        for cfg, row in zip(configs, rows):
-            _read_calibration(out / row / "calibration.json", _CliRecorder(cfg).constants)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, str(out / row), mode) for cfg, row in zip(configs, rows)]
+    jobs = [(cfg, str(out / row)) for cfg, row in zip(configs, rows)]
 
     workers = min(workers, len(jobs), _cpus())  # the pool starts every worker at once
     if workers > 1:
@@ -322,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="one run per parameter value")
     for p in (p_run, p_sweep):
         add_common(p)
-        p.add_argument("--mode", choices=("calibrate", "assert"), default="calibrate")
     p_sweep.add_argument("--param", choices=(*SWEEP_ALIASES, *CONFIG_KEYS), required=True)
     p_sweep.add_argument("--values", type=str, required=True, help="comma-separated list")
     p_sweep.add_argument("--workers", type=int, default=1,
@@ -333,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     add_common(p_mconv)
     p_mconv.add_argument("--M", dest="values", metavar="M", required=True,
                          help="comma-separated radii")
-    p_mconv.set_defaults(param="init.M", workers=1, mode="calibrate")
+    p_mconv.set_defaults(param="init.M", workers=1)
 
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("suite", help="fields|norms|dyadic|solver|monitors|all")
@@ -345,14 +310,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            return cmd_run(_load_config(args), args.out, args.mode)
+            return cmd_run(_load_config(args), args.out)
         if args.command in ("sweep", "mconv"):
             if args.workers < 1:
                 p_sweep.error("--workers must be at least 1")
             flag = "--M" if args.command == "mconv" else "--values"
             values = tuple(_to_float(v, flag) for v in args.values.split(",") if v.strip())
             spec = SweepSpec(parameter=args.param, values=values, base=_load_config(args))
-            return cmd_sweep(spec, args.out, args.workers, args.mode)
+            return cmd_sweep(spec, args.out, args.workers)
         if args.command == "check":
             return cmd_check(args.suite)
         if args.command == "report":

@@ -7,22 +7,21 @@ moment functionals with their coupled differential inequalities, the
 explicit damping-threshold assembly, and the low/high frequency sup-norm
 reconstruction.
 
-Generic absolute constants that the analysis never pins down are handled in
-two modes: "calibrate" fits each on a reference trajectory, "assert" freezes
-them from a calibration naming exactly the recorder's ``constants``
-(``validate_calibration``) and requires the signed margins to stay
-nonpositive.  Margins follow the convention LHS - RHS, so negative means
-satisfied; each report carries the constant it was taken against.
+A family whose bound carries a generic absolute constant that the analysis
+never pins down fits it on the very trace it reads, so it could not fail: it
+is a measurement, a report with no tolerance and no verdict.  Margins follow
+the convention LHS - RHS, so negative means satisfied; each report carries
+the constant it was taken against.
 
 A recorder puts quantities of one state in the trace of ``run``, and its
-``check`` turns the trace it recorded into reports with their own pass
-tolerance; it checks its exponent k and cutoff radius R once, when it is
-built (``validate_settings``).  The time derivatives in ``CoupledRecorder``
-and ``z_residual`` are taken from the tendencies of ``solver.rhs`` in
-spectral form, so no margin depends on the sampling rate, and each transforms
-n and c once.  Every pass/fail of ``kslab run`` comes from
-``TraceRecorder.check`` (its ``residuals.csv`` families) and ``run_verdicts``
-(the verdicts on the run as a whole), and ``kslab check`` and the acceptance
+``check`` turns the trace it recorded into reports, each with its own pass
+tolerance or none; it checks its exponent k and cutoff radius R once, when
+it is built (``validate_settings``).  The time derivatives in
+``CoupledRecorder`` and ``z_residual`` are taken from the tendencies of
+``solver.rhs`` in spectral form, so no margin depends on the sampling rate,
+and each transforms n and c once.  Every pass/fail of ``kslab run`` comes
+from ``TraceRecorder.check`` (its ``residuals.csv`` families that are not
+measurements) and ``run_verdicts`` (the verdicts on the run as a whole), and ``kslab check`` and the acceptance
 gate judge through the same functions:
 ``ResidualReport.passed``, ``MuZeroReport.holds``, ``COMPARISON_TOL`` and
 ``run_verdicts``.
@@ -89,7 +88,6 @@ __all__ = [
     "integration_by_parts_gap",
     "default_centers",
     "validate_settings",
-    "validate_calibration",
     "TraceRecorder",
     "trend_slope",
     "run_verdicts",
@@ -106,16 +104,17 @@ COMPARISON_TOL = 1e-3
 class ResidualReport:
     """Signed margins LHS - RHS of one inequality along a trace.
 
-    ``tolerance`` is the largest margin that still passes, so every report
-    carries a verdict; ``calibration`` is the constant the margins were
-    taken against, if any.
+    ``tolerance`` is the largest margin that still passes; a report whose
+    constant is fitted to its own margins has none (``None``): it is a
+    measurement and carries no verdict.  ``constant`` is the constant the
+    margins were taken against, if any.
     """
 
     name: str
     times: np.ndarray
     margins: np.ndarray
-    tolerance: float
-    calibration: float | None = None
+    tolerance: float | None
+    constant: float | None = None
 
     def max_margin(self) -> float:
         return float(np.max(self.margins)) if len(self.margins) else -math.inf
@@ -123,6 +122,8 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         """The report's verdict: whether every margin is within the tolerance."""
+        if self.tolerance is None:
+            raise ValueError(f"'{self.name}' is a measurement: it has no verdict")
         return bool(self.max_margin() <= self.tolerance)
 
 
@@ -137,18 +138,9 @@ def _column(trace: list[FunctionalSample], key: str) -> np.ndarray:
     return np.array([s.values[key] for s in trace])
 
 
-def _constant(name: str, need: np.ndarray, calibration: dict[str, float] | None) -> float:
-    """Constant ``name`` frozen from ``calibration``, else the least >= 0 covering ``need``."""
-    if calibration is None:
-        return max(0.0, float(np.max(need))) if len(need) else 0.0
-    if name not in calibration:
-        raise ValueError(f"calibration lacks the constant '{name}'")
-    return calibration[name]
-
-
-def _fitted(reports: list[ResidualReport], constants: tuple[str, ...]) -> dict[str, float]:
-    """The constant each report named in ``constants`` was taken against."""
-    return {r.name: r.calibration for r in reports if r.name in constants}
+def _constant(need: np.ndarray) -> float:
+    """The fitted constant: the least >= 0 covering ``need``."""
+    return max(0.0, float(np.max(need))) if len(need) else 0.0
 
 
 def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
@@ -180,13 +172,6 @@ def validate_settings(grid: Grid, k: int, R: float) -> None:
     if not R >= min_R:
         raise ValueError(f"R must be >= max(1, 2h) = {min_R:g}")
     _check_support(grid, "R", R)
-
-
-def validate_calibration(constants: tuple[str, ...], calibration: dict[str, float]) -> None:
-    """A calibration's rule: it names exactly the generic ``constants`` a recorder
-    fits, so none is missing and none is ignored."""
-    if set(calibration) != set(constants):
-        raise ValueError(f"calibration must give exactly {list(constants)}")
 
 
 def argmax_center(f: ScalarField) -> tuple[float, ...]:
@@ -231,7 +216,7 @@ def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[Resid
     cap = max(float(z_max[0]), level)
     return [
         ResidualReport(
-            "z_sup_cap", _times(trace), z_max - cap, calibration=level, tolerance=COMPARISON_TOL
+            "z_sup_cap", _times(trace), z_max - cap, constant=level, tolerance=COMPARISON_TOL
         )
     ]
 
@@ -317,33 +302,24 @@ def uloc_combined_series(trace: list[FunctionalSample], params: Params) -> np.nd
     return _column(trace, "l1_uloc_n") + 0.25 * chi_tau * _column(trace, "l2_uloc_gradc") ** 2
 
 
-def uloc_combined_check(
-    trace: list[FunctionalSample],
-    params: Params,
-    calibration: dict[str, float] | None = None,
-) -> list[ResidualReport]:
-    """Margins of F(t) <= base + headroom along a trace.
+def uloc_combined_check(trace: list[FunctionalSample], params: Params) -> list[ResidualReport]:
+    """Margins of F(t) <= base + headroom along a trace: a measurement.
 
     base = 4 ||n_0||_{L^1_uloc} + 2 chi tau ||grad c_0||^2_{L^2_uloc} is the
     data part of the bound, read from the first sample.  The headroom is a
-    generic constant the analysis leaves open: fitted as the smallest one
-    closing the trace when ``calibration`` is None (so calibrate passes by
-    construction), else frozen from it; the report's ``calibration`` is the
+    generic constant the analysis leaves open, fitted as the smallest one
+    closing the trace, so the report has no verdict; its ``constant`` is the
     headroom.
     """
     f = uloc_combined_series(trace, params)
     chi_tau = params.chi * params.tau
     first = trace[0].values
     base = 4.0 * first["l1_uloc_n"] + 2.0 * chi_tau * first["l2_uloc_gradc"] ** 2
-    headroom = _constant("uloc_combined", f - base, calibration)
-    report = ResidualReport(
-        "uloc_combined",
-        _times(trace),
-        f - base - headroom,
-        calibration=headroom,
-        tolerance=1e-6 * max(1.0, base + headroom),
-    )
-    return [report]
+    headroom = _constant(f - base)
+    margins = f - base - headroom
+    return [
+        ResidualReport("uloc_combined", _times(trace), margins, tolerance=None, constant=headroom)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +505,9 @@ class CoupledRecorder:
     record holds ``<family>_explicit``, the largest explicit margin LHS - RHS
     over ``centers`` (one combined integrand, one sliding cutoff integral),
     and ``<family>_generic``, the uniformly local series that the fitted
-    constant of ``check`` multiplies.  ``centers`` defaults to the
-    ``default_centers`` of the grid; given ones are checked when it is built.
+    constant of ``check`` multiplies, so every family is a measurement.
+    ``centers`` defaults to the ``default_centers`` of the grid; given ones
+    are checked when it is built.
     """
 
     def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0, centers=None):
@@ -608,43 +585,24 @@ class CoupledRecorder:
             out[f"{name}_generic"] = float(generic[name])
         return out
 
-    @property
-    def constants(self) -> tuple[str, ...]:
-        """The families, each with the generic constant ``check`` fits, which a
-        calibration must give."""
-        return ("density_power", "gradient_power", "mixed_first") + tuple(
-            f"mixed_order_{j}" for j in range(2, self.k)
-        )
-
-    def check(
-        self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
-    ) -> tuple[list[ResidualReport], dict[str, float]]:
+    def check(self, trace: list[FunctionalSample]) -> list[ResidualReport]:
         """Margins explicit - C generic of each family along a trace this recorder fed.
 
         The generic constant C of each family is fitted as the smallest one
-        closing every sample whose generic series exceeds 1e-300 when
-        ``calibration`` is None, else frozen from it, which must name exactly
-        the ``constants``.  Each report passes within 1e-6 max(1, sup_t |explicit|).
+        closing every sample whose generic series exceeds 1e-300, so each
+        report is a measurement with C as its ``constant``.
         """
-        if calibration is not None:
-            validate_calibration(self.constants, calibration)
         t = _times(trace)
         reports = []
-        for name in self.constants:
+        families = ["density_power", "gradient_power", "mixed_first"]
+        for name in families + [f"mixed_order_{j}" for j in range(2, self.k)]:
             explicit = _column(trace, f"{name}_explicit")
             generic = _column(trace, f"{name}_generic")
             usable = generic > 1e-300
-            const = _constant(name, explicit[usable] / generic[usable], calibration)
-            reports.append(
-                ResidualReport(
-                    name,
-                    t,
-                    explicit - const * generic,
-                    calibration=const,
-                    tolerance=1e-6 * max(1.0, float(np.max(np.abs(explicit)))),
-                )
-            )
-        return reports, _fitted(reports, self.constants)
+            const = _constant(explicit[usable] / generic[usable])
+            margins = explicit - const * generic
+            reports.append(ResidualReport(name, t, margins, tolerance=None, constant=const))
+        return reports
 
 
 def integration_by_parts_gap(n_field: ScalarField, center: tuple, R: float, k: int) -> float:
@@ -706,20 +664,16 @@ def low_high_split_error(c: ScalarField) -> float:
 
 
 def linf_reconstruction_check(
-    trace: list[FunctionalSample],
-    params: Params,
-    k: int,
-    calibration: dict[str, float] | None = None,
+    trace: list[FunctionalSample], params: Params, k: int
 ) -> list[ResidualReport]:
-    """Ratio of ||grad c||_inf to its three-ingredient reconstruction bound.
+    """Ratio of ||grad c||_inf to its three-ingredient reconstruction bound: a measurement.
 
     Checks ``||grad c(t)||_inf <= K (||grad c_0||_{L^2_uloc} + ||c_0||_{W^{1,inf}}
     + sup_{s<=t} ||n(s)||_{L^k_uloc})`` (keys ``linf_gradc``,
     ``l2_uloc_gradc``, ``w1inf_c``, ``lk_uloc_n``) with a generic ``K``.
     The high-frequency tail is summable only for k > d; outside that regime
-    there is no report.  ``K`` is fitted as the largest ratio when
-    ``calibration`` is None, else frozen from it; the report's
-    ``calibration`` is ``K``.
+    there is no report.  ``K`` is fitted as the largest ratio, so the report
+    has no verdict; its ``constant`` is ``K``.
     """
     if not k > params.d:
         return []
@@ -727,15 +681,11 @@ def linf_reconstruction_check(
     denom = _column(trace, "l2_uloc_gradc")[0] + _column(trace, "w1inf_c")[0] + running
     linf = _column(trace, "linf_gradc")
     ratios = np.divide(linf, denom, out=np.zeros_like(linf), where=denom > 0)
-    const = _constant("linf_reconstruction", ratios, calibration)
-    report = ResidualReport(
-        "linf_reconstruction",
-        _times(trace),
-        ratios - const,
-        calibration=const,
-        tolerance=1e-6 * max(1.0, const),
-    )
-    return [report]
+    const = _constant(ratios)
+    margins = ratios - const
+    return [
+        ResidualReport("linf_reconstruction", _times(trace), margins, tolerance=None, constant=const)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -795,23 +745,11 @@ class TraceRecorder:
             "l2sq_lapc": lp_norm(laplacian(c), 2) ** 2,
         }
 
-    @property
-    def constants(self) -> tuple[str, ...]:
-        """The generic constants ``check`` fits, which a calibration must give:
-        ``linf_reconstruction`` reports only for k > d."""
-        return ("uloc_combined",) + (("linf_reconstruction",) if self.k > self.params.d else ())
-
-    def check(
-        self, trace: list[FunctionalSample], calibration: dict[str, float] | None = None
-    ) -> tuple[list[ResidualReport], dict[str, float]]:
-        """The ``residuals.csv`` families of a trace this recorder fed, in file
-        order, with their fitted or frozen ``constants``."""
+    def check(self, trace: list[FunctionalSample]) -> list[ResidualReport]:
+        """The ``residuals.csv`` families of a trace this recorder fed, in file order."""
         p = self.params
-        if calibration is not None:
-            validate_calibration(self.constants, calibration)
-        reports = prop22_check(trace, p) + uloc_combined_check(trace, p, calibration)
-        reports += linf_reconstruction_check(trace, p, self.k, calibration) + z_sup_cap_check(trace, p)
-        return reports, _fitted(reports, self.constants)
+        reports = prop22_check(trace, p) + uloc_combined_check(trace, p)
+        return reports + linf_reconstruction_check(trace, p, self.k) + z_sup_cap_check(trace, p)
 
 
 # ---------------------------------------------------------------------------

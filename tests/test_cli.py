@@ -47,6 +47,16 @@ monitor.k=3
 monitor.R=2.0
 """
 
+# The benchmark's 2D sweep rows: random_smooth data of amplitude 20 on 128^2,
+# auto dt to t = 10 (mu = 1 here).
+SWEEP2D_CONFIG = (
+    "grid.d=2\ngrid.n_axis=128\ngrid.box_len=40\n"
+    "params.chi=1.0\nparams.tau=1.0\nparams.lambda=0.0\nparams.mu=1.0\n"
+    "init.preset=random_smooth\ninit.amplitude=20.0\n"
+    "run.dt=auto\nrun.t_end=10.0\nrun.monitor_every=10\n"
+    "monitor.k=3\nmonitor.centers=max+lattice\n"
+)
+
 
 @pytest.fixture
 def fast_config(tmp_path):
@@ -150,7 +160,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         code = main(["run", "--config", str(fast_config), "--out", str(out)])
         assert code == EXIT_OK
-        for artifact in ("trace.csv", "residuals.csv", "final.kslb", "summary.json", "calibration.json"):
+        for artifact in ("trace.csv", "residuals.csv", "final.kslb", "summary.json"):
             assert (out / artifact).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "completed"
@@ -279,58 +289,20 @@ class TestRunCommand:
         assert code == EXIT_NUMERICAL
         assert "OverflowError" in capsys.readouterr().err
 
-    def test_assert_mode_needs_prior_calibration(self, fast_config, tmp_path):
+    def test_failing_verdict_exits_4_after_writing_its_artifacts(self, tmp_path, capsys):
+        # The benchmark's 2D sweep row at mu = 0.1 completes at 128^2 but
+        # undershoots to min_n = -0.090.
+        cfg = tmp_path / "undershoot.cfg"
+        cfg.write_text(SWEEP2D_CONFIG.replace("params.mu=1.0", "params.mu=0.1"))
         out = tmp_path / "out"
-        code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
-        assert code == EXIT_USAGE
-        assert not (out / "trace.csv").exists()
-
-    def test_calibrate_then_assert(self, fast_config, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
-        code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
-        assert code == EXIT_OK
-
-    # A malformed calibration.json is a usage error caught before the run,
-    # which would otherwise overwrite trace.csv and final.kslb first.
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "[1, 2]",
-            "null",
-            '{"uloc_combined": "x"}',
-            '{"uloc_combined": true}',
-            '{"uloc_combined": NaN}',
-            '{"uloc_combined": Infinity}',
-            "{}",
-            '{"uloc_combined": 1.0}',
-            '{"uloc_combined": 1.0, "linf_reconstruction": 1.0, "bogus": 1}',
-        ],
-    )
-    def test_malformed_calibration_exits_64_before_running(
-        self, fast_config, tmp_path, capsys, text
-    ):
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
-        (out / "trace.csv").unlink()
-        (out / "calibration.json").write_text(text)
-        before = tree(out)
-        code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
-        assert code == EXIT_USAGE
-        assert tree(out) == before
-        assert "calibration.json" in capsys.readouterr().err
-
-    def test_assert_fails_below_fitted_constant(self, fast_config, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
-        cal_path = out / "calibration.json"
-        fitted = json.loads(cal_path.read_text())
-        assert fitted["linf_reconstruction"] > 1e-3
-        cal_path.write_text(json.dumps({**fitted, "linf_reconstruction": 0.0}))
-        code = main(["run", "--config", str(fast_config), "--out", str(out), "--mode", "assert"])
-        assert code == EXIT_INVARIANT
-        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
-        assert [name for name, ok in verdicts.items() if not ok] == ["linf_reconstruction"]
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == EXIT_INVARIANT
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "completed"
+        assert not summary["verdicts"]["nonnegativity_n"]
+        assert "FAIL nonnegativity_n" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == [
+            "final.kslb", "residuals.csv", "summary.json", "trace.csv"
+        ]
 
 
 class TestAtomicWrites:
@@ -367,15 +339,14 @@ class TestAtomicWrites:
         out = tmp_path / "out"
         main(["run", "--config", str(fast_config), "--out", str(out)])
         assert sorted(p.name for p in out.iterdir()) == [
-            "calibration.json", "final.kslb", "residuals.csv", "summary.json", "trace.csv"
+            "final.kslb", "residuals.csv", "summary.json", "trace.csv"
         ]
 
 
 class TestVerdictParity:
     def test_library_checks_reproduce_run_residuals(self, fast_config, tmp_path):
         # The library recorder and checks, with no CLI code in between, must
-        # give the residuals.csv rows, calibration.json and run-level verdicts
-        # of `kslab run`.
+        # give the residuals.csv rows and the verdicts of `kslab run`.
         out = tmp_path / "out"
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         cfg = ExperimentConfig.from_file(fast_config)
@@ -386,32 +357,34 @@ class TestVerdictParity:
         )
         result = run(initial, params, cfg.run_config(), monitors=recorder)
 
-        reports, fitted = recorder.check(result.trace)
+        reports = recorder.check(result.trace)
         assert [r.name for r in reports] == [
             "mass_ledger", "chem_energy", "chem_gradient_energy",
             "uloc_combined", "linf_reconstruction", "z_sup_cap",
         ]
         lines = ["t,name,margin,calibration"]
         for r in reports:
-            cal = "" if r.calibration is None else f"{r.calibration:.17g}"
-            lines += [f"{t:.17g},{r.name},{m:.17g},{cal}" for t, m in zip(r.times, r.margins)]
+            const = "" if r.constant is None else f"{r.constant:.17g}"
+            lines += [f"{t:.17g},{r.name},{m:.17g},{const}" for t, m in zip(r.times, r.margins)]
         assert "\n".join(lines) + "\n" == (out / "residuals.csv").read_text()
-        assert json.dumps(fitted, sort_keys=True, indent=1) == (out / "calibration.json").read_text()
         summary = json.loads((out / "summary.json").read_text())
         verdicts, slope = run_verdicts(result, params)
-        assert {name: summary["verdicts"][name] for name in verdicts} == verdicts
+        verdicts.update((r.name, r.passed) for r in reports if r.tolerance is not None)
+        assert summary["verdicts"] == verdicts
         assert summary["trend_slope_second_half"] == slope
 
     def test_readme_verdict_table_lists_every_summary_verdict(self, fast_config, tmp_path):
         # 1D with k = 3 > d and tau = 1, mu > d chi / 4: every verdict applies.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("\n### Verdicts\n", 1)[1].split("\n### ", 1)[0]
-        rows = [line for line in section.splitlines() if line.startswith("| `")]
-        names = [row.split("|")[1].strip().strip("`") for row in rows]
+        rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+        names = [row[1].strip().strip("`") for row in rows if "measurement" not in row[5]]
+        measured = [row[1].strip().strip("`") for row in rows if "measurement" in row[5]]
         out = tmp_path / "out"
         assert main(["run", "--config", str(fast_config), "--out", str(out)]) == EXIT_OK
         verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
         assert sorted(names) == sorted(verdicts)
+        assert measured == ["uloc_combined", "linf_reconstruction"]
 
 
     def test_readme_verdicts_snippet_runs(self):
@@ -428,6 +401,10 @@ class TestVerdictParity:
         }
         exec(snippet, scope)
         assert len(scope["reports"]) == 6
+        assert sorted(scope["verdicts"]) == [
+            "bounded_trend", "chem_energy", "chem_gradient_energy", "mass_ledger",
+            "mass_ledger_per_step", "nonnegativity_c", "nonnegativity_n", "z_sup_cap",
+        ]
         assert all(scope["verdicts"].values())
 
     def test_readme_coupled_snippet_runs(self):
@@ -447,8 +424,71 @@ class TestVerdictParity:
         assert [r.name for r in scope["reports"]] == [
             "density_power", "gradient_power", "mixed_first", "mixed_order_2"
         ]
-        assert all(r.passed for r in scope["reports"])
+        # Measurements: each carries its fitted constant and no verdict.
+        for r in scope["reports"]:
+            assert r.tolerance is None and math.isfinite(r.constant)
         assert scope["worst"] <= monitors.COMPARISON_TOL
+
+
+class TestVerdictsCanFail:
+    """Every verdict of a default 2D `kslab run` fails when one value it reads is wrong.
+
+    Each entry names the recorded value changed at the last sample (or, for
+    the per-step ledger, in the run's result) and how.
+    """
+
+    BREAKS = {
+        "mass_ledger": ("l1_n", lambda v: 1.01 * v),
+        "chem_energy": ("l2sq_c", lambda v: 10.0 * v),
+        "chem_gradient_energy": ("l2sq_gradc", lambda v: 100.0 * v),
+        "z_sup_cap": ("z_max", lambda v: 10.0 * v),
+        "mass_ledger_per_step": ("mass_ledger_rel_max", lambda v: 1e-9),
+        "nonnegativity_n": ("min_n", lambda v: -1.0),
+        "nonnegativity_c": ("min_c", lambda v: -1.0),
+        "bounded_trend": ("linf_n", lambda v: 10.0 * v),
+    }
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        cfg = ExperimentConfig(monitor_every=1)  # the defaults, sampled at every step
+        assert (cfg.d, cfg.tau, cfg.chi) == (2, 1.0, 1.0) and cfg.mu > cfg.d * cfg.chi / 4
+        recorder = _CliRecorder(cfg)
+        result = run(cli._initial(cfg), cfg.params(), cfg.run_config(), monitors=recorder)
+        return recorder, result, cfg.params()
+
+    @staticmethod
+    def verdicts(recorder, result, params) -> dict[str, bool]:
+        verdicts = cli._residual_reports(recorder, result)[1]
+        verdicts.update(run_verdicts(result, params)[0])
+        return verdicts
+
+    def test_the_run_passes_every_verdict_and_the_measurements_give_none(self, default_run):
+        verdicts = self.verdicts(*default_run)
+        assert sorted(verdicts) == sorted(self.BREAKS)
+        assert all(verdicts.values())
+
+    @pytest.mark.parametrize("verdict", sorted(BREAKS))
+    def test_a_wrong_value_fails_its_verdict(self, default_run, verdict):
+        recorder, result, params = default_run
+        key, change = self.BREAKS[verdict]
+        if key == "mass_ledger_rel_max":
+            result = replace(result, mass_ledger_rel_max=change(result.mass_ledger_rel_max))
+        else:
+            last = result.trace[-1]
+            wrong = FunctionalSample(last.t, {**last.values, key: change(last.values[key])})
+            result = replace(result, trace=result.trace[:-1] + [wrong])
+        assert not self.verdicts(recorder, result, params)[verdict]
+
+
+def test_no_calibration_is_left_but_the_residuals_header():
+    # One mode: a fitted constant is a measurement in residuals.csv, and
+    # nothing carries it from one run to the next.  The file's last column
+    # keeps its name, so the file keeps its bytes.
+    src = Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        found = [line.strip() for line in path.read_text().splitlines() if "calibrat" in line.lower()]
+        header = ['fh.write("t,name,margin,calibration\\n")'] if path.name == "cli.py" else []
+        assert found == header, path.name
 
 
 class TestSampleCost:
@@ -495,6 +535,9 @@ class TestArgumentErrors:
             ["sweep", "--param", "mu", "--values", "1", "--workers", "x"],
             ["sweep", "--param", "mu", "--values", "1", "--workers", "0"],
             ["sweep", "--param", "mu", "--values", "1", "--workers", "-3"],
+            # `kslab run` has one mode, so no command takes --mode.
+            ["run", "--mode", "assert"],
+            ["sweep", "--param", "mu", "--values", "1", "--mode", "calibrate"],
             ["mconv", "--M", "6", "--mode", "assert"],
             ["mconv", "--M", "6", "--workers", "2"],
         ],
@@ -594,16 +637,9 @@ class TestSweepCommand:
             assert float(sup) < 10.0
 
     def test_damped_2d_rows_stay_nonnegative(self, tmp_path):
-        # The damped rows of the benchmark's 2D sweep: random_smooth data of
-        # amplitude 20 on 128^2, auto dt to t = 10.
+        # The damped rows of the benchmark's 2D sweep.
         cfg = tmp_path / "sweep2d.cfg"
-        cfg.write_text(
-            "grid.d=2\ngrid.n_axis=128\ngrid.box_len=40\n"
-            "params.chi=1.0\nparams.tau=1.0\nparams.lambda=0.0\nparams.mu=1.0\n"
-            "init.preset=random_smooth\ninit.amplitude=20.0\n"
-            "run.dt=auto\nrun.t_end=10.0\nrun.monitor_every=10\n"
-            "monitor.k=3\nmonitor.centers=max+lattice\n"
-        )
+        cfg.write_text(SWEEP2D_CONFIG)
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1",
                 "--param", "mu", "--values", "1,10"]
@@ -748,34 +784,6 @@ class TestSweepCommand:
         for row in rows:
             assert f"{row}: status: completed" in printed[0].splitlines()
 
-    # Every row's calibration.json is read before any row runs, as ``run``
-    # reads its own; otherwise each row would fail in its worker, sweep.csv
-    # would list them as errors and the sweep would exit 0.
-    def test_assert_without_calibration_exits_64_without_artifacts(
-        self, fast_config, tmp_path, capsys
-    ):
-        out = tmp_path / "sweep"
-        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
-                "--param", "mu", "--values", "1,2", "--mode", "assert"]
-        assert main(argv) == EXIT_USAGE
-        assert str(out / "mu_1" / "calibration.json") in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", ['{"uloc_combined": NaN}', "{}"])
-    def test_assert_with_a_malformed_calibration_exits_64_and_writes_nothing(
-        self, fast_config, tmp_path, capsys, text
-    ):
-        out = tmp_path / "sweep"
-        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
-                "--param", "mu", "--values", "1,2"]
-        assert main(argv) == EXIT_OK
-        (out / "mu_2" / "calibration.json").write_text(text)
-        before = tree(out)
-        capsys.readouterr()
-        assert main(argv + ["--mode", "assert"]) == EXIT_USAGE
-        assert str(out / "mu_2" / "calibration.json") in capsys.readouterr().err
-        assert tree(out) == before
-
 
 class TestMconvCommand:
     def test_compact_data_identical_across_truncations(self, tmp_path):
@@ -820,8 +828,8 @@ class TestMconvCommand:
         assert (mconv / "mconv.csv").read_bytes() == (sweep / "mconv.csv").read_bytes()
         assert len((mconv / "sweep.csv").read_text().splitlines()) == 4
         for m in (4, 6, 8):
-            summary = json.loads((mconv / f"init.M_{m}" / "summary.json").read_text())
-            assert summary["mode"] == "calibrate"
+            row = f"init.M_{m}/summary.json"
+            assert (mconv / row).read_bytes() == (sweep / row).read_bytes()
 
     def test_rows_stopped_at_different_times_not_compared(self, tmp_path, capsys):
         # An undamped collapse: the M = 4 row reports blow-up at t = 0.264

@@ -148,9 +148,14 @@ class TestReportVerdict:
         return ResidualReport("r", np.array([0.0, 1.0]), np.array([-1.0, margin]), tolerance=tolerance)
 
     def test_tolerance_is_required(self):
-        # Every report is judged: one built without a tolerance is refused.
+        # Every report states its tolerance, None for a measurement: one built
+        # without it is refused.
         with pytest.raises(TypeError, match="tolerance"):
             ResidualReport("r", np.array([0.0]), np.array([1.0]))
+
+    def test_a_measurement_has_no_verdict(self):
+        with pytest.raises(ValueError, match="'r' is a measurement: it has no verdict"):
+            self.report(0.0, None).passed
 
     def test_passes_at_the_tolerance_and_fails_just_above(self):
         assert self.report(1e-6, 1e-6).passed is True
@@ -225,7 +230,7 @@ class TestUlocCombined:
         res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.02, dt=0.01), R=2.0)
         assert np.all(uloc_combined_series(res.trace, p) == 0.0)
         [report] = uloc_combined_check(res.trace, p)
-        assert report.calibration == 0.0
+        assert report.constant == 0.0
         assert np.all(report.margins == 0.0)
 
     def test_equilibrium_constant_in_time(self, grid1d):
@@ -249,17 +254,10 @@ class TestUlocCombined:
         values = uloc_combined_series(res.trace, p)
         base = 4 * values[0]  # crude headroom: the bound's data part
         assert max(values) <= base + 1.0
-        # The fitted headroom closes the trace; frozen at zero it need not.
+        # The fitted headroom closes the trace, so the report is a measurement.
         [report] = uloc_combined_check(res.trace, p)
-        assert report.max_margin() <= report.tolerance
-        [frozen] = uloc_combined_check(res.trace, p, {"uloc_combined": report.calibration})
-        assert np.array_equal(frozen.margins, report.margins)
-        if report.calibration > 0:
-            [strict] = uloc_combined_check(res.trace, p, {"uloc_combined": 0.0})
-            assert strict.max_margin() > strict.tolerance
-        # A calibration without the headroom is refused, not taken as 0.0.
-        with pytest.raises(ValueError, match="calibration lacks the constant 'uloc_combined'"):
-            uloc_combined_check(res.trace, p, {})
+        assert report.tolerance is None and report.constant >= 0.0
+        assert report.max_margin() <= 0.0
 
 
 class TestMoments:
@@ -542,38 +540,25 @@ class TestOdeResiduals:
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
         recorder = CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,),))
         res = run(zero_state(grid1d), p, RunConfig(t_end=0.004, dt=1e-3, monitor_every=1), monitors=recorder)
-        reports, _ = recorder.check(res.trace, calibration=dict.fromkeys(self.FAMILIES, 1.0))
+        reports = recorder.check(res.trace)
         assert {r.name for r in reports} == self.FAMILIES
         for r in reports:
             assert len(r.margins) == 5
             assert r.max_margin() <= 0.0
 
-    def test_calibrate_then_assert(self, short_run):
+    def test_every_family_is_a_measurement(self, short_run):
+        # Each constant is fitted to the trace it closes, so no family can fail.
         trace, recorder = short_run
-        reports, fitted = recorder.check(trace)
-        assert set(fitted) == self.FAMILIES
+        reports = recorder.check(trace)
+        assert {r.name for r in reports} == self.FAMILIES
         for r in reports:
-            assert r.max_margin() <= r.tolerance
-        frozen, _ = recorder.check(trace, calibration=fitted)
-        for r in frozen:
+            assert r.tolerance is None and r.constant >= 0.0
             assert r.max_margin() <= 1e-9
-
-    def test_calibration_must_name_exactly_the_families(self, short_run):
-        # A missing family would otherwise be frozen at 0.0, and an unknown
-        # name ignored.
-        trace, recorder = short_run
-        assert set(recorder.constants) == self.FAMILIES
-        fitted = recorder.check(trace)[1]
-        partial = {k: v for k, v in fitted.items() if k != "mixed_first"}
-        for bad in ({}, partial, {**fitted, "bogus": 3.0}):
-            with pytest.raises(ValueError, match="calibration must give exactly"):
-                recorder.check(trace, bad)
 
     def test_fit_picks_largest_ratio(self, grid1d):
         # Synthetic trace with positive explicit margins: the fit is the
         # largest explicit/generic ratio over samples with a usable generic
-        # series, freezing it reproduces the margins, and a frozen constant
-        # below it fails.
+        # series.
         rows = [(0.5, 1.0), (3.0, 2.0), (1.0, 4.0), (0.0, 0.0)]
         trace = [
             FunctionalSample(
@@ -584,18 +569,10 @@ class TestOdeResiduals:
             for i, row in enumerate(rows)
         ]
         recorder = CoupledRecorder(Params(chi=1.0, d=1), grid1d)
-        reports, fitted = recorder.check(trace)
-        assert fitted == dict.fromkeys(self.FAMILIES, 1.5)
+        reports = recorder.check(trace)
+        assert {r.name: r.constant for r in reports} == dict.fromkeys(self.FAMILIES, 1.5)
         for r in reports:
             assert np.array_equal(r.margins, [-1.0, 0.0, -5.0, 0.0])
-            assert r.max_margin() <= r.tolerance
-        frozen, refit = recorder.check(trace, calibration=fitted)
-        assert refit == fitted
-        for r, f in zip(reports, frozen):
-            assert np.array_equal(r.margins, f.margins)
-        strict, _ = recorder.check(trace, calibration=dict.fromkeys(self.FAMILIES, 1.4))
-        for r in strict:
-            assert r.max_margin() > r.tolerance
 
     def test_sampling_rate_independent(self, grid1d):
         # Margins are quantities of one state: sampling every step or every
@@ -611,8 +588,8 @@ class TestOdeResiduals:
         assert [s.t for s in sparse.trace] == [s.t for s in dense.trace[::20]]
         for a, b in zip(sparse.trace, dense.trace[::20]):
             assert a.values == b.values
-        reports, fitted = recorder.check(sparse.trace)
-        assert set(fitted) == self.FAMILIES
+        reports = recorder.check(sparse.trace)
+        assert {r.name for r in reports} == self.FAMILIES
         for r in reports:
             assert len(r.margins) == 3
             assert np.all(np.isfinite(r.margins))
@@ -704,7 +681,7 @@ class TestReconstruction:
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
         res = recorded_run(zero_state(grid1d), p, RunConfig(t_end=0.02, dt=0.01))
         [report] = linf_reconstruction_check(res.trace, p, 3)
-        assert report.calibration == 0.0
+        assert report.constant == 0.0
         assert np.all(report.margins == 0.0)
         assert low_high_split_error(res.final.c) <= 1e-10
 
@@ -720,10 +697,7 @@ class TestReconstruction:
             assert linf_reconstruction_check(trace, Params(chi=1.0, d=d), k) == []
         [report] = linf_reconstruction_check(trace, Params(chi=1.0, d=2), 3)
         assert report.name == "linf_reconstruction"
-        assert report.calibration == 1.0
-        # A calibration without K is refused, not taken as 0.0.
-        with pytest.raises(ValueError, match="calibration lacks the constant 'linf_reconstruction'"):
-            linf_reconstruction_check(trace, Params(chi=1.0, d=2), 3, {})
+        assert report.constant == 1.0 and report.tolerance is None
 
     def test_ratio_bounded_along_3d_run(self):
         grid = make_grid(3, 64, 20.0)
@@ -737,7 +711,7 @@ class TestReconstruction:
         [report] = linf_reconstruction_check(res.trace, p, 4)
         assert low_high_split_error(res.final.c) <= 1e-10
         assert np.all(np.isfinite(report.margins))
-        assert report.calibration <= 10.0
+        assert report.constant <= 10.0
 
 
 def synthetic_run(
@@ -868,24 +842,14 @@ def test_one_recorder_feeds_every_trace_check(grid1d):
     initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
     recorder = TraceRecorder(p, grid1d, k=3)
     res = run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), monitors=recorder)
-    reports, fitted = recorder.check(res.trace)
+    reports = recorder.check(res.trace)
     assert [r.name for r in reports] == [
         "mass_ledger", "chem_energy", "chem_gradient_energy",
         "uloc_combined", "linf_reconstruction", "z_sup_cap",
     ]
-    assert sorted(fitted) == ["linf_reconstruction", "uloc_combined"]
-    assert sorted(recorder.constants) == sorted(fitted)
-    # A frozen set of constants must be exactly the fitted one: a missing
-    # constant would otherwise be taken as 0.0, and an unknown one ignored.
-    assert recorder.check(res.trace, fitted)[1] == fitted
-    for bad in ({}, {"uloc_combined": 1.0}, {**fitted, "bogus": 1.0}):
-        with pytest.raises(ValueError, match="calibration must give exactly"):
-            recorder.check(res.trace, bad)
-    # With k <= d the reconstruction has no report, and so no constant.
-    grid3d = make_grid(3, 16, 10.0)
-    assert TraceRecorder(Params(chi=1.0, tau=1.0, d=3), grid3d, k=3).constants == (
-        "uloc_combined",
-    )
+    # The two families with a fitted constant are the measurements.
+    measured = [r.name for r in reports if r.tolerance is None]
+    assert measured == ["uloc_combined", "linf_reconstruction"]
 
 
 def test_every_recorded_key_is_read_or_written(grid1d):
@@ -912,7 +876,7 @@ def test_verdict_conditions_are_written_only_in_monitors():
     # library; a copy elsewhere would drift from it when a bound changes.
     src = Path(monitors.__file__).parent
     keys = mu_zero_estimate(3, Params(chi=1.0, tau=1.0, d=3)).margins
-    needles = (*keys, "max_margin() <=", "calibration must give exactly")
+    needles = (*keys, "max_margin() <=")
     home = (src / "monitors.py").read_text()
     assert len(keys) == 5 and all(needle in home for needle in needles)
     for path in sorted(src.glob("*.py")):
