@@ -200,6 +200,20 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_BLOWUP
 
+    def test_blowup_exits_2_though_verdicts_fail(self, tmp_path, capsys):
+        # The forced blow-up above also fails four verdicts; the status decides.
+        cfg = tmp_path / "blow.cfg"
+        text = FAST_CONFIG.replace("params.lambda=0.0", "params.lambda=1.0")
+        text = text.replace("params.mu=1.0", "params.mu=0.0")
+        cfg.write_text(text + "run.t_end=5.0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "blowup_suspected"
+        assert not summary["verdicts"]["bounded_trend"]
+        assert not summary["verdicts"]["nonnegativity_n"]
+        assert "FAIL bounded_trend" in capsys.readouterr().out
+
     def test_overflowing_initial_data_is_numerical_failure_without_artifacts(
         self, tmp_path, capsys
     ):
@@ -767,6 +781,26 @@ class TestSweepCommand:
         assert "init.amplitude_1: status: completed" in printed
         assert ("init.amplitude_1e+308: FloatingPointError: "
                 "the initial continuation gauge is not finite") in printed
+
+    def test_a_row_failing_a_verdict_leaves_the_sweep_exit_0(self, tmp_path, capsys):
+        # The mu = 0.1 row completes but fails nonnegativity_n, so its own
+        # `kslab run` would exit 4; the sweep records it and exits 0.
+        cfg = tmp_path / "sweep2d.cfg"
+        cfg.write_text(SWEEP2D_CONFIG)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1",
+                "--param", "mu", "--values", "0.1,1"]
+        assert main(argv) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [(float(row.split(",")[0]), row.split(",")[1]) for row in rows] == [
+            (0.1, "completed"), (1.0, "completed")
+        ]
+        assert not json.loads((out / "mu_0.1" / "summary.json").read_text())["verdicts"][
+            "nonnegativity_n"
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert "mu_0.1: FAIL nonnegativity_n" in printed
+        assert "mu_1: PASS nonnegativity_n" in printed
 
     def test_parallel_stdout_is_labelled_in_row_order(self, fast_config, tmp_path, capsys):
         printed = []
