@@ -29,7 +29,7 @@ from .norms import (
     uloc_norm,
     w1inf_norm,
 )
-from .dyadic import DyadicConfig, dyadic_block, generalized_young_check, low_freq
+from .dyadic import block_range, dyadic_block, generalized_young_check, low_freq
 from .solver import (
     Params,
     PicardConfig,

@@ -1,5 +1,5 @@
-"""Command line driver: single runs, parameter sweeps, truncation-convergence
-studies, property suites, and report rendering.
+"""Command line interface: single runs, parameter sweeps (a sweep over ``init.M``
+is the truncation-convergence study), property suites, and report rendering.
 
 Exit codes: 0 completed/pass, 2 blow-up suspected, 3 numerical failure
 (including an arithmetic overflow anywhere in the computation), 4 a failed
@@ -55,13 +55,7 @@ class _CliRecorder(TraceRecorder):
     """Per-sample monitor of ``kslab run``: the ``TraceRecorder`` the config's monitor keys set."""
 
     def __init__(self, cfg: ExperimentConfig):
-        super().__init__(
-            cfg.params(),
-            cfg.grid(),
-            k=cfg.monitor_k,
-            R=cfg.monitor_R,
-            track_max_center=(cfg.monitor_centers == "max+lattice"),
-        )
+        super().__init__(cfg.params(), cfg.grid(), k=cfg.monitor_k, R=cfg.monitor_R)
 
 
 def _write_trace_csv(path: Path, trace: list[FunctionalSample]) -> None:
@@ -294,12 +288,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="parallel rows; at most one process per row and per CPU "
                               "this process may use, and one runs the rows in turn")
 
-    p_mconv = sub.add_parser("mconv", help="truncation-radius study: a sweep over init.M")
-    add_common(p_mconv)
-    p_mconv.add_argument("--M", dest="values", metavar="M", required=True,
-                         help="comma-separated radii")
-    p_mconv.set_defaults(param="init.M", workers=1)
-
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("suite", help="fields|norms|dyadic|solver|monitors|all")
 
@@ -311,11 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return cmd_run(_load_config(args), args.out)
-        if args.command in ("sweep", "mconv"):
+        if args.command == "sweep":
             if args.workers < 1:
                 p_sweep.error("--workers must be at least 1")
-            flag = "--M" if args.command == "mconv" else "--values"
-            values = tuple(_to_float(v, flag) for v in args.values.split(",") if v.strip())
+            values = tuple(_to_float(v, "--values") for v in args.values.split(",") if v.strip())
             spec = SweepSpec(parameter=args.param, values=values, base=_load_config(args))
             return cmd_sweep(spec, args.out, args.workers)
         if args.command == "check":

@@ -24,7 +24,9 @@ Example::
 Lines starting with '#' and blank lines are ignored.  'auto' lets the run
 choose the step.  Products are always dealiased by the 2/3 rule, so there is
 no switch for it.  The run derives its blow-up cap from the initial data, so
-there is no key for that either.
+there is no key for that either.  ``monitor.centers`` has the one value
+``max+lattice`` (the fixed lattice plus the argmax of n); the key stays so
+that config files which set it still load.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class ExperimentConfig:
                 f"grid.n_axis={self.n_axis}: one field of {field_bytes} bytes exceeds "
                 f"the machine's {memory} bytes of memory"
             )
-        if self.monitor_centers not in ("max+lattice", "lattice"):
-            raise ConfigError("monitor.centers must be 'max+lattice' or 'lattice'")
+        if self.monitor_centers != "max+lattice":
+            raise ConfigError("monitor.centers must be 'max+lattice'")
 
     @staticmethod
     def from_mapping(kv: dict[str, str]) -> "ExperimentConfig":

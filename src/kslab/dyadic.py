@@ -15,7 +15,6 @@ and at the Nyquist-touching j_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +23,7 @@ from .fields import Grid, ScalarField, _apply_multiplier, _k_squared_r
 from .norms import _smoothstep_down, uloc_norm
 
 __all__ = [
-    "DyadicConfig",
+    "block_range",
     "dyadic_block",
     "low_freq",
     "reconstruct",
@@ -51,33 +50,25 @@ def _k_radial(grid: Grid) -> np.ndarray:
     return np.sqrt(_k_squared_r(grid))
 
 
-@dataclass(frozen=True)
-class DyadicConfig:
-    """Resolvable block range for a grid."""
-
-    j_min: int
-    j_max: int
-
-    @staticmethod
-    def for_grid(grid: Grid) -> "DyadicConfig":
-        k_min = 2.0 * np.pi / grid.box_len
-        k_max = float(np.max(_k_radial(grid)))
-        j_min = math.floor(math.log2(k_min))
-        # Smallest j with (3/4) * 2^(j+1) >= k_max, so S_{j_max+1} == identity.
-        j_max = math.ceil(math.log2(k_max / (2.0 * _LOW_EDGE)))
-        return DyadicConfig(j_min=j_min, j_max=j_max)
-
-    def block_range(self) -> range:
-        return range(self.j_min, self.j_max + 1)
+@lru_cache(maxsize=64)
+def block_range(grid: Grid) -> range:
+    """The blocks j_min..j_max that resolve ``grid``: 2^j_min <= 2 pi / L, and
+    j_max is the smallest j with (3/4) 2^(j+1) >= the largest grid wavenumber,
+    so S_{j_max+1} is the identity on the grid."""
+    k_min = 2.0 * np.pi / grid.box_len
+    k_max = float(np.max(_k_radial(grid)))
+    j_min = math.floor(math.log2(k_min))
+    j_max = math.ceil(math.log2(k_max / (2.0 * _LOW_EDGE)))
+    return range(j_min, j_max + 1)
 
 
 def dyadic_block(f: ScalarField, j: int) -> ScalarField:
     """Filter f through the annular bump at scale 2^j (zero out of range)."""
     grid = f.grid
-    cfg = DyadicConfig.for_grid(grid)
+    blocks = block_range(grid)
     # Out-of-range blocks are identically zero on the grid; the lower guard
     # also keeps 2**j away from floating underflow in the profile argument.
-    if j > cfg.j_max + 1 or j < cfg.j_min - 40:
+    if j > blocks.stop or j < blocks.start - 40:
         return ScalarField(grid, np.zeros(grid.shape))
     return _apply_multiplier(f, block_profile(_k_radial(grid) / 2.0**j))
 
@@ -87,11 +78,11 @@ def low_freq(f: ScalarField, j: int) -> ScalarField:
     return _apply_multiplier(f, lowpass_profile(_k_radial(f.grid) / 2.0**j))
 
 
-def reconstruct(f: ScalarField, cfg: DyadicConfig | None = None) -> ScalarField:
-    """Low-pass at j_min plus all blocks; equals f up to roundoff."""
-    cfg = cfg or DyadicConfig.for_grid(f.grid)
-    total = low_freq(f, cfg.j_min)
-    for j in cfg.block_range():
+def reconstruct(f: ScalarField) -> ScalarField:
+    """Low-pass at j_min plus every block of ``block_range``; equals f up to roundoff."""
+    blocks = block_range(f.grid)
+    total = low_freq(f, blocks.start)
+    for j in blocks:
         total = total + dyadic_block(f, j)
     return total
 

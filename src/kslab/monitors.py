@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicConfig, reconstruct
+from .dyadic import block_range, dyadic_block, low_freq
 from .fields import (
     Grid,
     ScalarField,
@@ -194,11 +194,14 @@ def z_field(state: State, params: Params) -> ScalarField:
 
 
 def z_comparison_level(params: Params) -> float:
-    """The constant (lambda+1)^2 / (4 mu chi - d chi^2) bounding z from above."""
-    denom = 4.0 * params.mu * params.chi - params.d * params.chi**2
-    if not denom > 0:
-        raise ValueError("comparison level requires mu > d chi / 4")
-    return (params.lam + 1.0) ** 2 / denom
+    """The constant (lambda+1)^2 / (4 mu chi - d chi^2) bounding z from above.
+
+    It is formed as a quotient of positive factors, so a tiny chi gives a large
+    (at worst infinite) level rather than a product that underflows to 0.
+    """
+    if not (params.chi > 0 and params.mu > params.d * params.chi / 4.0):
+        raise ValueError("comparison level requires chi > 0 and mu > d chi / 4")
+    return (params.lam + 1.0) ** 2 / params.chi / (4.0 * params.mu - params.d * params.chi)
 
 
 def z_sup_cap_check(trace: list[FunctionalSample], params: Params) -> list[ResidualReport]:
@@ -655,11 +658,13 @@ def interpolation_check(u: ScalarField, k: int) -> float:
 
 def low_high_split_error(c: ScalarField) -> float:
     """Max error of grad c = S_0 grad c + sum_{j>=0} block_j grad c."""
-    cfg = DyadicConfig(0, DyadicConfig.for_grid(c.grid).j_max)
+    blocks = range(0, block_range(c.grid).stop)
     worst = 0.0
     for comp in gradient(c).components:
-        total = reconstruct(comp, cfg).values
-        worst = max(worst, float(np.max(np.abs(total - comp.values))))
+        total = low_freq(comp, 0)
+        for j in blocks:
+            total = total + dyadic_block(comp, j)
+        worst = max(worst, float(np.max(np.abs(total.values - comp.values))))
     return worst
 
 
@@ -700,30 +705,20 @@ class TraceRecorder:
     run loop itself records mass, linf_n, w1inf_c, min_n, min_c and the
     ledger's int_l2sq_n.  ``lk_uloc_n`` takes unit balls when
     the grid resolves them, else the smallest radius the center scan can see
-    (2h).  ``y`` takes the ``default_centers`` of the grid, plus the argmax
-    of n when ``track_max_center``.
+    (2h).  ``y`` takes the ``default_centers`` of the grid plus the argmax of
+    n, a grid point, which reads the convolution of every grid-point center.
     """
 
-    def __init__(
-        self,
-        params: Params,
-        grid: Grid,
-        k: int = 3,
-        R: float = 2.0,
-        track_max_center: bool = True,
-    ):
+    def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0):
         validate_settings(grid, k, R)
         self.params = params
         self.k = k
         self.R = R
         self.centers = default_centers(grid)
-        self.track_max_center = track_max_center
 
     def __call__(self, state: State) -> dict[str, float]:
         p = self.params
-        centers = self.centers
-        if self.track_max_center:
-            centers = centers + (argmax_center(state.n),)
+        centers = self.centers + (argmax_center(state.n),)
         n, c = state.n, state.c
         grad_c = c.grad_abs
         if p.chi > 0:

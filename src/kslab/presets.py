@@ -46,7 +46,7 @@ def _random_modes(amps: np.ndarray, grid: Grid, amplitude: float) -> np.ndarray:
 
 
 def validate_initial(
-    grid: Grid, preset: str, amplitude: float, width: float, M: float, seed: int | None = None
+    grid: Grid, preset: str, amplitude: float, width: float, M: float, seed: int = 0
 ) -> None:
     """The rules on initial data, for ``build_initial`` and the config's ``init.*`` keys."""
     if preset not in PRESET_NAMES:
@@ -58,9 +58,9 @@ def validate_initial(
     if not (width > 0 and math.isfinite(width)):
         raise ValueError("width must be positive and finite")
     _check_support(grid, "M", M)
-    if seed is not None and not _is_integer(seed):
+    if not _is_integer(seed):
         raise ValueError("seed must be an integer")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise ValueError("seed must be nonnegative")
 
 
@@ -70,7 +70,7 @@ def build_initial(
     amplitude: float,
     width: float,
     M: float,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> State:
     """Sample a preset and truncate it to compact support at radius M.
 
@@ -98,7 +98,7 @@ def build_initial(
     elif preset == "constant":
         n0, c0 = amplitude, 0.5 * amplitude
     else:  # random_smooth
-        rng = np.random.default_rng(0 if seed is None else seed)
+        rng = np.random.default_rng(seed)
         # Band-limited nonnegative noise: random low modes, lifted above zero.
         amps_n = rng.standard_normal((4,) * grid.d + (2,))
         amps_c = rng.standard_normal((4,) * grid.d + (2,))

@@ -202,21 +202,21 @@ def suite_dyadic() -> list[CheckResult]:
     rng = np.random.default_rng(13)
     out = []
     grid = make_grid(1, 256, 40.0)
-    cfg = dy.DyadicConfig.for_grid(grid)
+    blocks = dy.block_range(grid)
     f = _random_field(grid, rng)
-    rec = dy.reconstruct(f, cfg)
+    rec = dy.reconstruct(f)
     gap = np.max(np.abs(rec.values - f.values))
     out.append(_result("dyadic.partition_of_unity", gap <= 1e-10, f"gap {gap:.2e}"))
 
     worst = 0.0
-    for j in cfg.block_range():
-        for jp in cfg.block_range():
+    for j in blocks:
+        for jp in blocks:
             if abs(j - jp) >= 2:
                 worst = max(worst, dy.dyadic_block(dy.dyadic_block(f, jp), j).max_abs())
     out.append(_result("dyadic.block_near_orthogonality", worst <= 1e-12, f"max {worst:.2e}"))
 
     consts = []
-    for j in range(0, min(cfg.j_max, 4) + 1):
+    for j in range(0, min(blocks.stop, 5)):
         bj = dy.dyadic_block(f, j)
         denom = bj.max_abs()
         if denom > 1e-12:

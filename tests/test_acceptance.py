@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kslab.dyadic import DyadicConfig, dyadic_block, generalized_young_check, reconstruct
+from kslab.dyadic import dyadic_block, generalized_young_check, reconstruct
 from kslab.fields import ScalarField, make_grid
 from kslab.monitors import (
     COMPARISON_TOL,

@@ -148,6 +148,15 @@ class TestConfigParsing:
             ExperimentConfig(**{"n_axis": 64, **change})
         assert str(rejected.value) == message
 
+    def test_lattice_only_centers_rejected(self, tmp_path, capsys):
+        # One center rule: the lattice plus the argmax of n.
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text(FAST_CONFIG + "monitor.centers=lattice\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "monitor.centers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_spec_requires_values(self):
         with pytest.raises(ConfigError):
             SweepSpec(parameter="mu", values=())
@@ -552,8 +561,10 @@ class TestArgumentErrors:
             # `kslab run` has one mode, so no command takes --mode.
             ["run", "--mode", "assert"],
             ["sweep", "--param", "mu", "--values", "1", "--mode", "calibrate"],
+            # The truncation study is `sweep --param init.M`; `mconv` is no command.
             ["mconv", "--M", "6", "--mode", "assert"],
             ["mconv", "--M", "6", "--workers", "2"],
+            ["mconv", "--M", "6"],
         ],
     )
     def test_usage_error_exits_64_without_artifacts(self, argv, tmp_path, capsys):
@@ -597,7 +608,11 @@ class TestInputPaths:
     # caught before anything is simulated or written.
     @pytest.mark.parametrize(
         "argv",
-        [["run"], ["sweep", "--param", "mu", "--values", "1"], ["mconv", "--M", "6"]],
+        [
+            ["run"],
+            ["sweep", "--param", "mu", "--values", "1"],
+            ["sweep", "--param", "init.M", "--values", "6"],
+        ],
         ids=["run", "sweep", "mconv"],
     )
     @pytest.mark.parametrize(
@@ -614,6 +629,14 @@ class TestInputPaths:
         assert tree(tmp_path) == before
         blocking = tmp_path / (config if out == "out" else out)
         assert str(blocking) in capsys.readouterr().err
+
+    def test_binary_config_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"grid.d=\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"{cfg}: not a text file" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -819,14 +842,20 @@ class TestSweepCommand:
             assert f"{row}: status: completed" in printed[0].splitlines()
 
 
-class TestMconvCommand:
+def mconv(cfg: Path, out: Path, values: str, *flags: str) -> int:
+    """The truncation study: a sweep over init.M, which also writes mconv.csv."""
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--param", "init.M", "--values", values]
+    return main(argv + list(flags))
+
+
+class TestMconvSweep:
     def test_compact_data_identical_across_truncations(self, tmp_path):
         # The bump is supported well inside the smallest truncation, so all
         # runs coincide and every pairwise difference vanishes.
         cfg = tmp_path / "m.cfg"
         cfg.write_text(FAST_CONFIG.replace("init.width=2.5", "init.width=1.0"))
         out = tmp_path / "mconv"
-        code = main(["mconv", "--config", str(cfg), "--out", str(out), "--M", "6,7,8"])
+        code = mconv(cfg, out, "6,7,8")
         assert code == EXIT_OK
         rows = (out / "mconv.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
@@ -840,30 +869,22 @@ class TestMconvCommand:
         cfg = tmp_path / "m.cfg"
         cfg.write_text(FAST_CONFIG.replace("init.width=2.5", "init.width=4.0"))
         out = tmp_path / "mconv"
-        main(["mconv", "--config", str(cfg), "--out", str(out), "--M", "4,6,8"])
+        mconv(cfg, out, "4,6,8")
         rows = (out / "mconv.csv").read_text().splitlines()[1:]
         diffs = [float(r.split(",")[2]) for r in rows]
         assert diffs[1] < diffs[0]
 
     def test_oversized_truncation_usage_error(self, fast_config, tmp_path):
-        code = main(
-            ["mconv", "--config", str(fast_config), "--out", str(tmp_path / "m"), "--M", "5,15"]
-        )
+        code = mconv(fast_config, tmp_path / "m", "5,15")
         assert code == EXIT_USAGE
 
-    def test_mconv_is_a_sweep_over_init_M(self, tmp_path):
+    def test_workers_write_the_same_bytes(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(FAST_CONFIG.replace("init.width=2.5", "init.width=4.0"))
-        mconv, sweep = tmp_path / "mconv", tmp_path / "sweep"
-        assert main(["mconv", "--config", str(cfg), "--out", str(mconv), "--M", "4,6,8"]) == EXIT_OK
-        argv = ["sweep", "--config", str(cfg), "--out", str(sweep),
-                "--param", "init.M", "--values", "4,6,8"]
-        assert main(argv) == EXIT_OK
-        assert (mconv / "mconv.csv").read_bytes() == (sweep / "mconv.csv").read_bytes()
-        assert len((mconv / "sweep.csv").read_text().splitlines()) == 4
-        for m in (4, 6, 8):
-            row = f"init.M_{m}/summary.json"
-            assert (mconv / row).read_bytes() == (sweep / row).read_bytes()
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert mconv(cfg, one, "4,6,8") == EXIT_OK
+        assert mconv(cfg, two, "4,6,8", "--workers", "2") == EXIT_OK
+        assert (one / "mconv.csv").read_bytes() == (two / "mconv.csv").read_bytes()
 
     def test_rows_stopped_at_different_times_not_compared(self, tmp_path, capsys):
         # An undamped collapse: the M = 4 row reports blow-up at t = 0.264
@@ -875,7 +896,7 @@ class TestMconvCommand:
             "init.width=0.8\nrun.t_end=0.5\n"
         )
         out = tmp_path / "m"
-        assert main(["mconv", "--config", str(cfg), "--out", str(out), "--M", "0.3,4"]) == EXIT_OK
+        assert mconv(cfg, out, "0.3,4") == EXIT_OK
         statuses = [line.split(",")[1] for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert statuses == ["completed", "blowup_suspected"]
         assert (out / "mconv.csv").read_text().splitlines()[1:] == ["0.29999999999999999,4,nan,nan"]
@@ -883,7 +904,7 @@ class TestMconvCommand:
 
     def test_single_truncation_degenerate(self, fast_config, tmp_path):
         out = tmp_path / "m"
-        code = main(["mconv", "--config", str(fast_config), "--out", str(out), "--M", "6"])
+        code = mconv(fast_config, out, "6")
         assert code == EXIT_OK
         assert len((out / "mconv.csv").read_text().splitlines()) == 1
 

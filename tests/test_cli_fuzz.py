@@ -56,7 +56,7 @@ VALID = {
     "run.monitor_every": _ints(1, 6),
     "monitor.k": _ints(3, 6),
     "monitor.R": _floats(2.0, 3.0),
-    "monitor.centers": st.sampled_from(["max+lattice", "lattice"]),
+    "monitor.centers": st.just("max+lattice"),
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslab.dyadic import (
-    DyadicConfig,
+    block_range,
     dyadic_block,
     generalized_young_check,
     low_freq,
@@ -36,8 +36,7 @@ class TestBlocks:
 
     def test_constant_killed_by_blocks(self, grid1d):
         one = ScalarField(grid1d, np.ones(grid1d.shape))
-        cfg = DyadicConfig.for_grid(grid1d)
-        for j in cfg.block_range():
+        for j in block_range(grid1d):
             assert dyadic_block(one, j).max_abs() <= 1e-14
 
     def test_constant_passes_lowpass(self, grid1d):
@@ -51,8 +50,7 @@ class TestBlocks:
         assert low_freq(f, 0).max_abs() <= 1e-12
 
     def test_out_of_range_block_is_zero(self, grid1d, noise):
-        cfg = DyadicConfig.for_grid(grid1d)
-        assert dyadic_block(noise, cfg.j_max + 3).max_abs() <= 1e-12
+        assert dyadic_block(noise, block_range(grid1d).stop + 2).max_abs() <= 1e-12
 
     def test_telescoping(self, grid1d, noise):
         for j in (-1, 0, 1, 2):
@@ -67,27 +65,26 @@ class TestBlocks:
             assert np.max(np.abs(rec.values - f.values)) <= 1e-10
 
     def test_partition_multipliers_sum_to_one(self, grid1d):
-        cfg = DyadicConfig.for_grid(grid1d)
         from kslab.dyadic import _k_radial, block_profile, lowpass_profile
 
+        blocks = block_range(grid1d)
         k = _k_radial(grid1d)
-        total = lowpass_profile(k / 2.0**cfg.j_min)
-        for j in cfg.block_range():
+        total = lowpass_profile(k / 2.0**blocks.start)
+        for j in blocks:
             total = total + block_profile(k / 2.0**j)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_block_near_orthogonality(self, grid1d, noise):
-        cfg = DyadicConfig.for_grid(grid1d)
-        for j in cfg.block_range():
-            for jp in cfg.block_range():
+        blocks = block_range(grid1d)
+        for j in blocks:
+            for jp in blocks:
                 if abs(j - jp) >= 2:
                     out = dyadic_block(dyadic_block(noise, jp), j)
                     assert out.max_abs() <= 1e-12
 
     def test_bernstein_scaling(self, grid1d, noise):
-        cfg = DyadicConfig.for_grid(grid1d)
         consts = []
-        for j in range(0, min(cfg.j_max, 4) + 1):
+        for j in range(0, min(block_range(grid1d).stop, 5)):
             bj = dyadic_block(noise, j)
             if bj.max_abs() > 1e-12:
                 consts.append(
@@ -155,10 +152,10 @@ class TestGeneralizedYoung:
         assert max(ratios) / min(ratios) <= 3.0
 
 
-class TestDyadicConfig:
+class TestBlockRange:
     def test_block_range_covers_grid(self, grid1d):
-        cfg = DyadicConfig.for_grid(grid1d)
+        blocks = block_range(grid1d)
         k_min = 2 * np.pi / grid1d.box_len
         k_max = np.pi * grid1d.n_axis / grid1d.box_len
-        assert 2.0**cfg.j_min <= k_min
-        assert 1.5 * 2.0**cfg.j_max >= k_max
+        assert 2.0**blocks.start <= k_min
+        assert 1.5 * 2.0**blocks[-1] >= k_max

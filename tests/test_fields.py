@@ -9,6 +9,7 @@ import pytest
 from kslab import fields
 from kslab.fields import (
     ScalarField,
+    VectorField,
     _apply_multiplier,
     _band,
     _grad_abs_hat,
@@ -387,6 +388,12 @@ class TestHeatPropagate:
         with pytest.raises(ValueError):
             heat_propagate(f, -0.1)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_tau_rejected(self, grid1d, tau):
+        f = ScalarField(grid1d, np.ones(grid1d.shape))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            heat_propagate(f, 0.1, tau=tau)
+
     @pytest.mark.parametrize(
         "t,tau,damping",
         [(math.inf, 1.0, 0.0), (math.nan, 1.0, 0.0), (0.1, 1.0, math.nan), (0.1, math.inf, 0.0)],
@@ -395,6 +402,20 @@ class TestHeatPropagate:
         f = ScalarField(grid1d, np.ones(grid1d.shape))
         with pytest.raises(ValueError, match="must be finite"):
             heat_propagate(f, t, tau=tau, damping=damping)
+
+
+class TestVectorField:
+    def test_wrong_component_count_rejected(self, grid2d):
+        f = ScalarField(grid2d, np.zeros(grid2d.shape))
+        with pytest.raises(ValueError, match="component count must equal grid dimension"):
+            VectorField(grid2d, (f,))
+
+    def test_components_on_another_grid_rejected(self, grid2d):
+        other = make_grid(2, 32, grid2d.box_len)
+        f = ScalarField(grid2d, np.zeros(grid2d.shape))
+        g = ScalarField(other, np.zeros(other.shape))
+        with pytest.raises(ValueError, match="all components must share the grid"):
+            VectorField(grid2d, (f, g))
 
 
 class TestMaxAbs:

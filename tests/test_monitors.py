@@ -116,6 +116,21 @@ class TestComparisonFunction:
         with pytest.raises(ValueError):
             z_residual(zero_state(grid1d), p)
 
+    def test_rejects_no_chemotaxis(self, grid1d):
+        p = Params(chi=0.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+        with pytest.raises(ValueError, match="requires chi > 0"):
+            z_field(zero_state(grid1d), p)
+
+    def test_tiny_coefficients_keep_the_cap(self):
+        # mu > d chi / 4 holds, but 4 mu chi - d chi^2 underflows to 0: the
+        # level (about 6e428) is past the largest float and reads inf, and
+        # the cap still holds instead of the check refusing its own regime.
+        p = Params(chi=2.3101005535402942e-215, tau=1.0, lam=0.0, mu=2.3101005535402942e-215, d=1)
+        assert z_comparison_level(p) == math.inf
+        trace = [FunctionalSample(t, {"z_max": 1.0}) for t in (0.0, 0.1)]
+        [report] = z_sup_cap_check(trace, p)
+        assert report.passed
+
     def test_residual_small_along_smooth_run(self):
         grid = make_grid(2, 64, 40.0)
         chi, d = 1.0, 2
@@ -674,6 +689,13 @@ class TestInterpolation:
     def test_rejects_low_order(self, grid1d):
         with pytest.raises(ValueError):
             interpolation_check(ScalarField(grid1d, np.ones(grid1d.shape)), 1)
+
+    def test_constant_above_one_is_bracketed_by_doubling(self):
+        # u = 1 on a box of length 1/2: no gradient, so C^2 (1/2)^2 = 1/2
+        # gives C = sqrt(2), past the first bracket C = 1.
+        grid = make_grid(1, 8, 0.5)
+        C = interpolation_check(ScalarField(grid, np.ones(grid.shape)), 2)
+        assert abs(C - math.sqrt(2.0)) <= 1e-12
 
 
 class TestReconstruction:

@@ -310,6 +310,12 @@ class TestUlocNorm:
             uloc_norm(ones, 1, 0.3)
         assert uloc_norm(ones, 1, 2 * grid1d.spacing) > 0
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+    def test_exponent_below_one_rejected(self, grid1d, p):
+        ones = ScalarField(grid1d, np.ones(grid1d.shape))
+        with pytest.raises(ValueError, match="exponent p must be >= 1"):
+            uloc_norm(ones, p, 1.0)
+
     @pytest.mark.parametrize("p,R", [(math.inf, 1.0), (1.0, math.inf)])
     def test_non_finite_settings_rejected(self, grid1d, p, R):
         five = ScalarField(grid1d, np.full(grid1d.shape, 5.0))
@@ -327,6 +333,11 @@ class TestCoveringCheck:
     def test_zero_field(self, grid1d):
         f = ScalarField(grid1d, np.zeros(grid1d.shape))
         assert uloc_covering_check(f, 2, 4.0) == 0.0
+
+    def test_radius_below_one_rejected(self, grid1d):
+        f = ScalarField(grid1d, np.ones(grid1d.shape))
+        with pytest.raises(ValueError, match="covering check requires R >= 1"):
+            uloc_covering_check(f, 1, 0.5)
 
     def test_single_bump_at_most_one(self, grid1d):
         vals = np.zeros(grid1d.shape)

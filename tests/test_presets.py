@@ -92,16 +92,17 @@ class TestPresets:
     @pytest.mark.parametrize(
         "preset,amplitude,width,seed,match",
         [
-            ("gaussian_bump", math.nan, 2.5, None, "amplitude must be finite"),
-            ("gaussian_bump", math.inf, 2.5, None, "amplitude must be finite"),
-            ("gaussian_bump", 1.0, math.nan, None, "width must be positive and finite"),
-            ("gaussian_bump", 1.0, math.inf, None, "width must be positive and finite"),
-            ("gaussian_bump", 1.0, 0.0, None, "width must be positive and finite"),
-            ("gaussian_bump", 1.0, -2.5, None, "width must be positive and finite"),
+            ("gaussian_bump", math.nan, 2.5, 0, "amplitude must be finite"),
+            ("gaussian_bump", math.inf, 2.5, 0, "amplitude must be finite"),
+            ("gaussian_bump", 1.0, math.nan, 0, "width must be positive and finite"),
+            ("gaussian_bump", 1.0, math.inf, 0, "width must be positive and finite"),
+            ("gaussian_bump", 1.0, 0.0, 0, "width must be positive and finite"),
+            ("gaussian_bump", 1.0, -2.5, 0, "width must be positive and finite"),
             ("random_smooth", 1.0, 2.5, 1.5, "seed must be an integer"),
             ("random_smooth", 1.0, 2.5, True, "seed must be an integer"),
-            ("gaussian_bump", -1.0, 2.5, None, "amplitude must be nonnegative"),
+            ("gaussian_bump", -1.0, 2.5, 0, "amplitude must be nonnegative"),
             ("random_smooth", 1.0, 2.5, -1, "seed must be nonnegative"),
+            ("gaussian_bump", 1.0, 2.5, None, "seed must be an integer"),
         ],
     )
     def test_bad_data_rejected_before_sampling(self, preset, amplitude, width, seed, match):

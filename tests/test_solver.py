@@ -1149,6 +1149,10 @@ class TestPicard:
             ({"horizon": 0.1, "iterations": True}, "iterations must be an integer"),
             ({"horizon": 0.1, "quadrature_nodes": 2.5}, "quadrature_nodes must be an integer"),
             ({"horizon": 0.1, "quadrature_nodes": True}, "quadrature_nodes must be an integer"),
+            ({"horizon": 0.0}, "horizon must be positive"),
+            ({"horizon": -0.1}, "horizon must be positive"),
+            ({"horizon": 0.1, "iterations": 0}, "iterations must be >= 1"),
+            ({"horizon": 0.1, "quadrature_nodes": 0}, "quadrature_nodes must be >= 1"),
         ],
     )
     def test_bad_config_rejected(self, kwargs, match):
