@@ -146,7 +146,7 @@ def _sweep_worker(args: tuple[ExperimentConfig, str]) -> dict:
             "bounded": summary["verdicts"].get("bounded_trend", False),
             "printed": printed.getvalue(),
         }
-    except Exception as exc:  # per-row failures recorded, sweep continues
+    except ArithmeticError as exc:  # a row's numerical failure is recorded, the sweep goes on
         printed.write(f"{type(exc).__name__}: {exc}\n")
         return {"ok": False, "printed": printed.getvalue()}
 
@@ -179,6 +179,9 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int) -> int:
     rows = [f"{spec.parameter}_{value:g}" for value in spec.values]
     if len(set(rows)) < len(rows):
         raise ConfigError(f"sweep values must name distinct row directories, got {rows}")
+    blocked = [row for row in rows if (out / row).exists() and not (out / row).is_dir()]
+    if blocked:
+        raise ConfigError(f"sweep rows {blocked} under {out} are files, not directories")
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, str(out / row)) for cfg, row in zip(configs, rows)]
 
@@ -219,21 +222,35 @@ def cmd_check(suite: str) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
 
 
+def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of a CSV artifact; one with no header, or with a row not
+    as wide as its header, is a usage error that names the file."""
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} cannot be read as text: {exc}") from None
+    if not lines or not lines[0]:
+        raise ConfigError(f"{path} has no header")
+    header, *rows = (line.split(",") for line in lines)
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{path} line {number} has {len(row)} fields, its header {len(header)}")
+    return header, rows
+
+
 def cmd_report(out: Path) -> int:
     """Re-render the run CSVs into one long-format table for plotting."""
-    rows: list[tuple[str, str, str, str]] = []
-    for source in ("trace", "sweep"):
-        wide = out / f"{source}.csv"
-        if wide.exists():
-            header, *lines = wide.read_text().splitlines()
-            names = header.split(",")[1:]
-            for line in lines:
-                key, *values = line.split(",")
-                rows.extend((source, key, name, value) for name, value in zip(names, values))
-    residuals = out / "residuals.csv"
-    if residuals.exists():
-        for line in residuals.read_text().splitlines()[1:]:
-            rows.append(("residual", *line.split(",")[:3]))
+    rows: list[tuple[str, ...]] = []
+    for source in ("trace", "sweep", "residuals"):
+        path = out / f"{source}.csv"
+        if not path.exists():
+            continue
+        header, table = _read_table(path)
+        if source == "residuals":
+            rows.extend(("residual", *row[:3]) for row in table)
+        else:
+            for key, *values in table:
+                rows.extend((source, key, name, value) for name, value in zip(header[1:], values))
     if not rows:
         print(f"no CSV artifacts found under {out}", file=sys.stderr)
         return EXIT_USAGE

@@ -138,9 +138,17 @@ def _column(trace: list[FunctionalSample], key: str) -> np.ndarray:
     return np.array([s.values[key] for s in trace])
 
 
-def _constant(need: np.ndarray) -> float:
-    """The fitted constant: the least >= 0 covering ``need``."""
-    return max(0.0, float(np.max(need))) if len(need) else 0.0
+def _measurement(name: str, times: np.ndarray, explicit: np.ndarray, generic=1.0) -> ResidualReport:
+    """The one fit of a family's generic constant C to its own trace: a measurement.
+
+    C is the least value >= 0 with ``explicit - C generic <= 0`` on every sample
+    whose ``generic`` exceeds 1e-300; the margins are ``explicit - C generic``.
+    """
+    generic = np.broadcast_to(generic, explicit.shape)
+    usable = generic > 1e-300
+    need = explicit[usable] / generic[usable]
+    C = max(0.0, float(np.max(need))) if len(need) else 0.0
+    return ResidualReport(name, times, explicit - C * generic, tolerance=None, constant=C)
 
 
 def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
@@ -310,19 +318,13 @@ def uloc_combined_check(trace: list[FunctionalSample], params: Params) -> list[R
 
     base = 4 ||n_0||_{L^1_uloc} + 2 chi tau ||grad c_0||^2_{L^2_uloc} is the
     data part of the bound, read from the first sample.  The headroom is a
-    generic constant the analysis leaves open, fitted as the smallest one
-    closing the trace, so the report has no verdict; its ``constant`` is the
-    headroom.
+    generic constant the analysis leaves open, the ``_measurement`` of ``F - base``.
     """
     f = uloc_combined_series(trace, params)
     chi_tau = params.chi * params.tau
     first = trace[0].values
     base = 4.0 * first["l1_uloc_n"] + 2.0 * chi_tau * first["l2_uloc_gradc"] ** 2
-    headroom = _constant(f - base)
-    margins = f - base - headroom
-    return [
-        ResidualReport("uloc_combined", _times(trace), margins, tolerance=None, constant=headroom)
-    ]
+    return [_measurement("uloc_combined", _times(trace), f - base)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,23 +591,14 @@ class CoupledRecorder:
         return out
 
     def check(self, trace: list[FunctionalSample]) -> list[ResidualReport]:
-        """Margins explicit - C generic of each family along a trace this recorder fed.
-
-        The generic constant C of each family is fitted as the smallest one
-        closing every sample whose generic series exceeds 1e-300, so each
-        report is a measurement with C as its ``constant``.
-        """
+        """The ``_measurement`` of each family's explicit and generic columns
+        along a trace this recorder fed."""
         t = _times(trace)
-        reports = []
         families = ["density_power", "gradient_power", "mixed_first"]
-        for name in families + [f"mixed_order_{j}" for j in range(2, self.k)]:
-            explicit = _column(trace, f"{name}_explicit")
-            generic = _column(trace, f"{name}_generic")
-            usable = generic > 1e-300
-            const = _constant(explicit[usable] / generic[usable])
-            margins = explicit - const * generic
-            reports.append(ResidualReport(name, t, margins, tolerance=None, constant=const))
-        return reports
+        return [
+            _measurement(name, t, _column(trace, f"{name}_explicit"), _column(trace, f"{name}_generic"))
+            for name in families + [f"mixed_order_{j}" for j in range(2, self.k)]
+        ]
 
 
 def integration_by_parts_gap(n_field: ScalarField, center: tuple, R: float, k: int) -> float:
@@ -677,8 +670,7 @@ def linf_reconstruction_check(
     + sup_{s<=t} ||n(s)||_{L^k_uloc})`` (keys ``linf_gradc``,
     ``l2_uloc_gradc``, ``w1inf_c``, ``lk_uloc_n``) with a generic ``K``.
     The high-frequency tail is summable only for k > d; outside that regime
-    there is no report.  ``K`` is fitted as the largest ratio, so the report
-    has no verdict; its ``constant`` is ``K``.
+    there is no report.  ``K`` is the ``_measurement`` of the ratios.
     """
     if not k > params.d:
         return []
@@ -686,11 +678,7 @@ def linf_reconstruction_check(
     denom = _column(trace, "l2_uloc_gradc")[0] + _column(trace, "w1inf_c")[0] + running
     linf = _column(trace, "linf_gradc")
     ratios = np.divide(linf, denom, out=np.zeros_like(linf), where=denom > 0)
-    const = _constant(ratios)
-    margins = ratios - const
-    return [
-        ResidualReport("linf_reconstruction", _times(trace), margins, tolerance=None, constant=const)
-    ]
+    return [_measurement("linf_reconstruction", _times(trace), ratios)]
 
 
 # ---------------------------------------------------------------------------

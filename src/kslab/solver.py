@@ -278,9 +278,9 @@ class _Workspace(_Scratch):
     array, and its concentration into the new concentration's.
 
     All of it is one allocation, which glibc's malloc maps apart from its
-    heap, so it leaves no hole among the run's arrays there (six separate
-    buffers left a 1.4 MB hole at 64^3, which the headline run's peak RSS
-    kept).
+    heap in a process's first ``run`` (freeing it raises the mmap threshold,
+    so later runs place it in the heap); there it leaves no hole among the
+    run's arrays (six separate buffers left a 1.4 MB hole at 64^3).
 
     ``run`` allocates one per run and hands it to every ``_Stepper`` it
     builds, so a step allocates only the two arrays of its new record.  The

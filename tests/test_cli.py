@@ -805,6 +805,34 @@ class TestSweepCommand:
         assert ("init.amplitude_1e+308: FloatingPointError: "
                 "the initial continuation gauge is not finite") in printed
 
+    def test_a_file_at_a_row_path_exits_64_and_writes_nothing(
+        self, fast_config, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "mu_1").write_text("not a row\n")
+        before = tree(tmp_path)
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg, out: pytest.fail("a row was simulated"))
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "mu", "--values", "0.5,1"]
+        assert main(argv) == EXIT_USAGE
+        assert tree(tmp_path) == before
+        assert "['mu_1']" in capsys.readouterr().err
+
+    def test_a_fault_of_the_program_in_a_row_propagates(self, fast_config, tmp_path, monkeypatch):
+        # Only an arithmetic failure becomes an error row; any other exception
+        # is a fault of the program and ends the sweep.
+        def faulty(cfg, out):
+            raise KeyError("a fault")
+
+        monkeypatch.setattr(cli, "cmd_run", faulty)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", "mu", "--values", "0.5,1", "--workers", "1"]
+        with pytest.raises(KeyError, match="a fault"):
+            main(argv)
+        assert not (out / "sweep.csv").exists()
+
     def test_a_row_failing_a_verdict_leaves_the_sweep_exit_0(self, tmp_path, capsys):
         # The mu = 0.1 row completes but fails nonnegativity_n, so its own
         # `kslab run` would exit 4; the sweep records it and exits 0.
@@ -963,3 +991,20 @@ class TestReportCommand:
 
     def test_empty_directory_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "name,content,message",
+        [
+            ("trace.csv", b"", "has no header"),
+            ("residuals.csv", b"t,name,margin,calibration\n0,mass_ledger\n", "line 2 has 2 fields"),
+            ("sweep.csv", b"value,status\n\xff,\xfe\n", "cannot be read as text"),
+            ("trace.csv", None, "cannot be read as text"),
+        ],
+        ids=["empty-trace", "ragged-residuals", "binary-sweep", "trace-is-a-directory"],
+    )
+    def test_csv_that_is_no_table_exits_64_naming_it(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        path.mkdir() if content is None else path.write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"{tmp_path / name} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report_long.csv").exists()

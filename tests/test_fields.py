@@ -418,6 +418,16 @@ class TestVectorField:
             VectorField(grid2d, (f, g))
 
 
+class TestScalarArithmetic:
+    def test_sub_and_pow_match_numpy(self, grid2d, rng):
+        a = rng.standard_normal(grid2d.shape)
+        b = rng.standard_normal(grid2d.shape)
+        f, g = ScalarField(grid2d, a), ScalarField(grid2d, b)
+        for got, want in [(f - g, a - b), (f - 0.5, a - 0.5), (f**2, a**2), (g**3, b**3)]:
+            assert got.grid == grid2d
+            assert np.array_equal(got.values, want)
+
+
 class TestMaxAbs:
     @pytest.mark.parametrize(
         "values",

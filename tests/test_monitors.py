@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -905,3 +906,15 @@ def test_verdict_conditions_are_written_only_in_monitors():
         if path.name != "monitors.py":
             text = path.read_text()
             assert [n for n in needles if n in text] == [], path.name
+
+
+def test_every_measurement_comes_from_one_fit():
+    # A constant fitted to its own trace makes a report a measurement, and one
+    # helper fits it: no other line of the package builds a report with no
+    # tolerance, and the old per-family fit is gone.
+    src = Path(monitors.__file__).parent
+    fit = inspect.getsource(monitors._measurement)
+    assert "tolerance=None" in fit and not hasattr(monitors, "_constant")
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text().replace(fit, "")
+        assert [n for n in ("tolerance=None", "_constant(") if n in text] == [], path.name

@@ -4,6 +4,7 @@ import multiprocessing
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as PoolTimeout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from kslab.presets import build_initial
 from kslab.solver import (
     BLOWUP_FACTOR,
     PROBE_TOL,
+    FunctionalSample,
     Params,
     PicardConfig,
     RunConfig,
@@ -1159,14 +1161,13 @@ class TestPicard:
         with pytest.raises(ValueError, match=match):
             PicardConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "d,n_axis,box_len,mu", [(1, 256, 40.0, 1.0), (2, 64, 20.0, 1.0), (3, 16, 20.0, 0.0)]
-    )
+    @pytest.mark.parametrize("d,n_axis,box_len,mu", [(2, 64, 20.0, 1.0), (3, 16, 20.0, 0.0)])
     def test_agrees_with_stepper_under_refinement(self, d, n_axis, box_len, mu):
         # Two independent discretizations of the same mild solution, both of
-        # second order: the gap must shrink by at least 3.5x (it reads 4.0,
-        # 4.0 and 3.99) when both resolutions are doubled; a first-order
-        # oracle reads 2.0.  The routes agree only where n^2 is resolved: the
+        # second order: the gap must shrink by at least 3.5x (it reads 4.0
+        # and 3.99) when both resolutions are doubled; a first-order oracle
+        # reads 2.0.  The 1D case is acceptance criterion 09, on the same data
+        # and settings.  The routes agree only where n^2 is resolved: the
         # stepper's logistic substep is exact pointwise, the oracle dealiases
         # mu n^2.  So the 3D case runs undamped (at mu = 1 on 16^3 the gap
         # does not shrink).
@@ -1224,6 +1225,24 @@ class TestDeterminism:
     def test_identical_auto_dt_runs(self, gauss_state):
         cfg = RunConfig(t_end=2.0, dt=None, monitor_every=4)
         assert determinism_check(gauss_state, PARAMS_1D, cfg)
+
+    @pytest.mark.parametrize("differ", ["trace_length", "sample_value", "final_state"])
+    def test_differing_runs_are_caught(self, gauss_state, monkeypatch, differ):
+        # Two runs that differ in any of the three compared parts fail the check.
+        real = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.05, dt=5e-3, monitor_every=5))
+        other = real
+        if differ == "trace_length":
+            other = replace(real, trace=real.trace[:-1])
+        elif differ == "sample_value":
+            last = real.trace[-1]
+            changed = FunctionalSample(last.t, {**last.values, "mass": last.values["mass"] + 1.0})
+            other = replace(real, trace=real.trace[:-1] + [changed])
+        else:
+            n = ScalarField(real.final.grid, real.final.n.values + 1.0)
+            other = replace(real, final=replace(real.final, n=n))
+        results = iter([real, other])
+        monkeypatch.setattr(solver, "run", lambda *args: next(results))
+        assert not determinism_check(gauss_state, PARAMS_1D, RunConfig(t_end=0.05))
 
     def test_monitor_stride_does_not_change_dynamics(self, gauss_state):
         a = run(gauss_state, PARAMS_1D, RunConfig(t_end=0.2, dt=5e-3, monitor_every=4))
