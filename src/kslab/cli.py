@@ -195,7 +195,10 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int) -> int:
     with atomic_open(out / "sweep.csv") as fh:
         fh.write("value,status,sup_linf_n,bounded,mu_zero_reference\n")
         for value, cfg, res in zip(spec.values, configs, results):
-            mu0 = _fmt(mu_zero_estimate(cfg.monitor_k, cfg.params()).mu0)
+            try:
+                mu0 = _fmt(mu_zero_estimate(cfg.monitor_k, cfg.params()).mu0)
+            except ArithmeticError:  # the row's mu_0 assembly overflows
+                mu0 = "nan"
             if res["ok"]:
                 fh.write(
                     f"{_fmt(value)},{res['status']},{_fmt(res['sup_linf_n'])},"

@@ -25,8 +25,9 @@ Lines starting with '#' and blank lines are ignored.  'auto' lets the run
 choose the step.  Products are always dealiased by the 2/3 rule, so there is
 no switch for it.  The run derives its blow-up cap from the initial data, so
 there is no key for that either.  ``monitor.centers`` has the one value
-``max+lattice`` (the fixed lattice plus the argmax of n); the key stays so
-that config files which set it still load.
+``max+lattice``, which selects nothing: every sup over centers is over
+every grid point.  The key stays so that config files which set it still
+load.
 """
 
 from __future__ import annotations

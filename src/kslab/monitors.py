@@ -48,9 +48,9 @@ from .fields import (
     laplacian,
 )
 from .norms import (
-    _check_centers,
     _check_support,
-    _cutoff_integrals,
+    _cutoff_integral,
+    _cutoff_sup,
     cutoff_phi,
     cutoff_phi_gradient,
     lp_norm,
@@ -86,7 +86,6 @@ __all__ = [
     "low_high_split_error",
     "linf_reconstruction_check",
     "integration_by_parts_gap",
-    "default_centers",
     "validate_settings",
     "TraceRecorder",
     "trend_slope",
@@ -149,23 +148,6 @@ def _measurement(name: str, times: np.ndarray, explicit: np.ndarray, generic=1.0
     need = explicit[usable] / generic[usable]
     C = max(0.0, float(np.max(need))) if len(need) else 0.0
     return ResidualReport(name, times, explicit - C * generic, tolerance=None, constant=C)
-
-
-def default_centers(grid: Grid) -> tuple[tuple[float, ...], ...]:
-    """Eight fixed lattice points spread through the box."""
-    L = grid.box_len
-    if grid.d == 1:
-        return tuple((-L / 2 + i * L / 8,) for i in range(8))
-    if grid.d == 2:
-        pts = [(i * L / 4, j * L / 4) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        pts.remove((0.0, 0.0))
-        return tuple(pts)
-    return tuple(
-        (sx * L / 4, sy * L / 4, sz * L / 4)
-        for sx in (-1, 1)
-        for sy in (-1, 1)
-        for sz in (-1, 1)
-    )
 
 
 def validate_settings(grid: Grid, k: int, R: float) -> None:
@@ -334,14 +316,14 @@ def uloc_combined_check(trace: list[FunctionalSample], params: Params) -> list[R
 def moment(state: State, j: int, k: int, center: tuple[float, ...], R: float) -> float:
     """Weighted moment integral of n^j |grad c|^(2k-2j) over the cutoff at ``center``, radius R.
 
-    One center of the sliding cutoff integral ``combined_y`` reads everywhere.
+    One center of the sliding cutoff integral whose sup ``combined_y`` takes.
     """
     if not 0 <= j <= k:
         raise ValueError("moment order j must satisfy 0 <= j <= k")
     integrand = state.n.values**j
     if j < k:
         integrand = integrand * state.c.grad_abs.values ** (2 * k - 2 * j)
-    return float(_cutoff_integrals(integrand, state.grid, R, (center,))[0])
+    return _cutoff_integral(integrand, state.grid, R, center)
 
 
 def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
@@ -352,8 +334,8 @@ def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
     return {j: lead * float(k) ** (2 * j) for j in range(1, k + 1)}
 
 
-def combined_y(state: State, params: Params, k: int, R: float, centers: tuple) -> float:
-    """Max over ``centers`` of y = m_0 + sum_j b_j m_j, the coupled functional.
+def combined_y(state: State, params: Params, k: int, R: float) -> float:
+    """Sup over every grid-point center of y = m_0 + sum_j b_j m_j, the coupled functional.
 
     The b_j are those of ``mu_zero_estimate(k, params)`` and R is the cutoff
     radius.  y is linear in the moment integrands, so their weighted sum
@@ -366,7 +348,7 @@ def combined_y(state: State, params: Params, k: int, R: float, centers: tuple) -
     integrand = gc ** (2 * k)
     for j in range(1, k + 1):
         integrand = integrand + b[j] * n**j * gc ** (2 * k - 2 * j)
-    return float(np.max(_cutoff_integrals(integrand, state.grid, R, centers)))
+    return _cutoff_sup(integrand, state.grid, R)
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +490,16 @@ class CoupledRecorder:
     with cutoff radius R.  Each time derivative comes from the tendencies of
     ``rhs``, so every margin is a quantity of one state.  Per family the
     record holds ``<family>_explicit``, the largest explicit margin LHS - RHS
-    over ``centers`` (one combined integrand, one sliding cutoff integral),
-    and ``<family>_generic``, the uniformly local series that the fitted
-    constant of ``check`` multiplies, so every family is a measurement.
-    ``centers`` defaults to the ``default_centers`` of the grid; given ones
-    are checked when it is built.
+    over every grid-point center (one combined integrand, one sliding cutoff
+    integral), and ``<family>_generic``, the uniformly local series that the
+    fitted constant of ``check`` multiplies, so every family is a measurement.
     """
 
-    def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0, centers=None):
+    def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0):
         validate_settings(grid, k, R)
         self.params = params
         self.k = k
         self.R = R
-        self.centers = default_centers(grid) if centers is None else centers
-        _check_centers(grid, self.centers)
         self.c_j = mu_zero_estimate(k, params).c_j
 
     def __call__(self, state: State) -> dict[str, float]:
@@ -585,8 +563,7 @@ class CoupledRecorder:
             generic[f"mixed_order_{j}"] = lam * j * R**d + c_j[j] / R**2 * (nk + gc2k)
         out: dict[str, float] = {}
         for name, integrand in explicit.items():
-            margins = _cutoff_integrals(integrand, grid, R, self.centers)
-            out[f"{name}_explicit"] = float(np.max(margins))
+            out[f"{name}_explicit"] = _cutoff_sup(integrand, grid, R)
             out[f"{name}_generic"] = float(generic[name])
         return out
 
@@ -693,8 +670,8 @@ class TraceRecorder:
     run loop itself records mass, linf_n, w1inf_c, min_n, min_c and the
     ledger's int_l2sq_n.  ``lk_uloc_n`` takes unit balls when
     the grid resolves them, else the smallest radius the center scan can see
-    (2h).  ``y`` takes the ``default_centers`` of the grid plus the argmax of
-    n, a grid point, which reads the convolution of every grid-point center.
+    (2h).  ``y``, like the uniformly local norms, is the sup over every
+    grid-point center.
     """
 
     def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0):
@@ -702,11 +679,9 @@ class TraceRecorder:
         self.params = params
         self.k = k
         self.R = R
-        self.centers = default_centers(grid)
 
     def __call__(self, state: State) -> dict[str, float]:
         p = self.params
-        centers = self.centers + (argmax_center(state.n),)
         n, c = state.n, state.c
         grad_c = c.grad_abs
         if p.chi > 0:
@@ -718,7 +693,7 @@ class TraceRecorder:
         return {
             "l1_uloc_n": uloc_norm(n, 1.0, self.R),
             "l2_uloc_gradc": uloc_norm(grad_c, 2.0, self.R),
-            "y": combined_y(state, p, self.k, self.R, centers),
+            "y": combined_y(state, p, self.k, self.R),
             "z_max": z_max,
             "linf_gradc": grad_c.max_abs(),
             "lk_uloc_n": uloc_norm(n, float(self.k), max(1.0, 2.0 * n.grid.spacing)),

@@ -59,14 +59,6 @@ def _check_support(grid: Grid, name: str, X: float) -> None:
         raise ValueError(f"{name} too large: need 2{name} < box_len/2")
 
 
-def _check_centers(grid: Grid, centers: tuple[tuple[float, ...], ...]) -> None:
-    """The rule on a cutoff's centers: at least one, each ``d`` finite coordinates."""
-    if len(centers) == 0:
-        raise ValueError("centers must name at least one point")
-    for center in centers:
-        grid.check_center(center)
-
-
 def lp_norm(f: ScalarField, p: float) -> float:
     """(integral of |f|^p)^(1/p); p = inf gives the max sample magnitude."""
     if p == math.inf or p == np.inf:
@@ -213,27 +205,26 @@ def _sliding_integrals(
     return conv
 
 
-def _cutoff_integrals(
-    f: np.ndarray, grid: Grid, radius: float, centers: tuple[tuple[float, ...], ...]
-) -> np.ndarray:
-    """Integral of f against the cutoff weight at each center, in order.
+def _cutoff_integral(f: np.ndarray, grid: Grid, radius: float, center: tuple[float, ...]) -> float:
+    """Integral of f against the cutoff weight at ``center``.
 
-    A center splits into its nearest grid point and the sub-grid shift from
-    it; centers sharing a shift read one convolution.
+    The center splits into its nearest grid point and the sub-grid shift from it.
     """
     _check_support(grid, "R", radius)
-    _check_centers(grid, centers)
+    center = grid.check_center(center)
     L, h, n = grid.box_len, grid.spacing, grid.n_axis
-    convs: dict[tuple[float, ...], np.ndarray] = {}
-    out = []
-    for center in centers:
-        idx = [round((c + 0.5 * L) / h) for c in center]
-        # Same expression as Grid.axis_coords, so grid centers get shift 0.
-        shift = tuple(c - (-0.5 * L + h * i) for c, i in zip(center, idx))
-        if shift not in convs:
-            convs[shift] = _sliding_integrals(f, grid, "phi", radius, shift)
-        out.append(convs[shift][tuple(i % n for i in idx)])
-    return np.array(out)
+    idx = [round((c + 0.5 * L) / h) for c in center]
+    # Same expression as Grid.axis_coords, so grid centers get shift 0.
+    shift = tuple(c - (-0.5 * L + h * i) for c, i in zip(center, idx))
+    conv = _sliding_integrals(f, grid, "phi", radius, shift)
+    return float(conv[tuple(i % n for i in idx)])
+
+
+def _cutoff_sup(f: np.ndarray, grid: Grid, radius: float) -> float:
+    """Sup over every grid-point center of the integral of f against the cutoff weight."""
+    _check_support(grid, "R", radius)
+    zero = (0.0,) * grid.d
+    return float(np.max(_sliding_integrals(f, grid, "phi", radius, zero)))
 
 
 def uloc_norm(f: ScalarField, p: float, R: float) -> float:

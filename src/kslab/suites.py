@@ -32,7 +32,6 @@ from .monitors import (
     COMPARISON_TOL,
     argmax_center,
     combined_y,
-    default_centers,
     moment,
     mu_zero_estimate,
     run_verdicts,
@@ -305,7 +304,7 @@ def suite_monitors() -> list[CheckResult]:
     out.append(
         _result("monitors.moments_nonnegative", least > 0, f"min {least:.3g} at the peak of n")
     )
-    y = combined_y(state, p, 3, 2.0, default_centers(grid))
+    y = combined_y(state, p, 3, 2.0)
     out.append(_result("monitors.combined_functional_finite", math.isfinite(y), f"y {y:.4g}"))
     return out
 

@@ -805,6 +805,28 @@ class TestSweepCommand:
         assert ("init.amplitude_1e+308: FloatingPointError: "
                 "the initial continuation gauge is not finite") in printed
 
+    @pytest.mark.parametrize(
+        "param,values",
+        [
+            ("params.lambda", "0.5,1e308"),
+            ("params.chi", "1,1e300"),
+            ("params.tau", "1,1e-300"),
+            ("monitor.k", "3,200"),
+        ],
+    )
+    def test_a_row_whose_mu_zero_overflows_reads_nan(self, fast_config, tmp_path, capsys, param, values):
+        # The row fails in its run, and the assembly of its mu_0 reference
+        # overflows too: the sweep still writes its table and exits 0.
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(fast_config), "--out", str(out),
+                "--param", param, "--values", values]
+        assert main(argv) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].split(",")[1] == "completed"
+        assert rows[1] == f"{cli._fmt(float(values.split(',')[1]))},error,nan,0,nan"
+        first = f"{param}_{float(values.split(',')[0]):g}: status: completed"
+        assert first in capsys.readouterr().out.splitlines()
+
     def test_a_file_at_a_row_path_exits_64_and_writes_nothing(
         self, fast_config, tmp_path, capsys, monkeypatch
     ):

@@ -1,4 +1,7 @@
+import importlib
 import inspect
+import itertools
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +28,6 @@ from kslab.monitors import (
     _moment_rate,
     argmax_center,
     combined_y,
-    default_centers,
     integration_by_parts_gap,
     interpolation_check,
     linf_reconstruction_check,
@@ -42,7 +44,7 @@ from kslab.monitors import (
     z_residual,
     z_sup_cap_check,
 )
-from kslab.norms import _cutoff_integrals, cutoff_phi
+from kslab.norms import _cutoff_integral, cutoff_phi
 from kslab.presets import build_initial
 from kslab.solver import (
     FunctionalSample,
@@ -100,7 +102,7 @@ class TestComparisonFunction:
         state = State(0.0, huge, huge)
         call = {
             "rhs": lambda: rhs(state, p),
-            "CoupledRecorder": lambda: CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,),))(state),
+            "CoupledRecorder": lambda: CoupledRecorder(p, grid1d, 3, 2.0)(state),
             "z_residual": lambda: z_residual(state, p),
         }[monitor]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -317,7 +319,7 @@ class TestMoments:
 class TestCombinedFunctional:
     def test_zero_state(self, grid1d):
         p = Params(chi=1.0, tau=1.0, d=1)
-        assert combined_y(zero_state(grid1d), p, 3, 2.0, default_centers(grid1d)) == 0.0
+        assert combined_y(zero_state(grid1d), p, 3, 2.0) == 0.0
 
     def test_coefficient_ratio(self):
         for k in (3, 4, 5):
@@ -338,8 +340,12 @@ class TestCombinedFunctional:
 
 
 def undershooting_state(d, rng):
-    """A bump in n over a band-limited wiggle that dips below zero, and a smooth c."""
-    grid = make_grid(d, {1: 256, 2: 64, 3: 32}[d], {1: 40.0, 2: 40.0, 3: 20.0}[d])
+    """A bump in n over a band-limited wiggle that dips below zero, and a smooth c.
+
+    The 1D and 2D grids are small enough for a dense weight matrix over
+    every grid-point center.
+    """
+    grid = make_grid(d, {1: 256, 2: 32, 3: 32}[d], {1: 40.0, 2: 20.0, 3: 20.0}[d])
     r2 = sum(x**2 for x in grid.mesh())
     wiggle = _random_field(grid, rng, grid.n_axis // 8).values
     n = ScalarField(grid, 2.0 * np.exp(-r2 / 4.0) + 0.2 * wiggle)
@@ -349,8 +355,24 @@ def undershooting_state(d, rng):
 
 
 def oracle_centers(state):
-    """The default lattice, the argmax of n and the off-grid point (3, ..., 3)."""
-    return default_centers(state.grid) + (argmax_center(state.n), (3.0,) * state.grid.d)
+    """The 2^d lattice points at +-L/4 on each axis, the argmax of n and the
+    off-grid point (3, ..., 3)."""
+    q = state.grid.box_len / 4.0
+    lattice = tuple(itertools.product((-q, q), repeat=state.grid.d))
+    return lattice + (argmax_center(state.n), (3.0,) * state.grid.d)
+
+
+def grid_points(grid):
+    """Every grid point, in the order of the flattened field."""
+    return tuple(itertools.product(grid.axis_coords().tolist(), repeat=grid.d))
+
+
+def direct(grid, R, integrands, centers):
+    """Direct cutoff-weighted quadrature of each integrand at each center: a
+    dense weight matrix with one ``cutoff_phi`` row per center."""
+    weights = np.array([cutoff_phi(grid, center, R).values.ravel() for center in centers])
+    weights *= grid.spacing**grid.d
+    return {name: weights @ f.ravel() for name, f in integrands.items()}
 
 
 def assert_per_center(got, direct):
@@ -359,8 +381,16 @@ def assert_per_center(got, direct):
     assert np.all(np.abs(np.asarray(got) - direct) <= 1e-12 * scale)
 
 
+def y_integrand(state, params, k):
+    """|grad c|^(2k) + sum_j b_j n^j |grad c|^(2k-2j), from the public operators."""
+    b = mu_zero_estimate(k, params).b
+    n, gc = state.n.values, magnitude(gradient(state.c)).values
+    return gc ** (2 * k) + sum(b[j] * n**j * gc ** (2 * k - 2 * j) for j in range(1, k + 1))
+
+
 class TestSlidingCutoffOracle:
-    """The one-convolution moments against direct cutoff-weighted quadrature."""
+    """The one-convolution moments against direct cutoff-weighted quadrature,
+    and each sup against the largest direct value over every grid-point center."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_moments_and_combined_functional(self, d, rng):
@@ -370,25 +400,41 @@ class TestSlidingCutoffOracle:
         n = state.n.values
         gc = magnitude(gradient(state.c)).values
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=d)
-        b = mu_zero_estimate(k, p).b
-        phis = [cutoff_phi(grid, center, R) for center in centers]
+        moments = direct(grid, R, {j: n**j * gc ** (2 * k - 2 * j) for j in range(k + 1)}, centers)
         for j in range(k + 1):
-            direct = [integrate(phi * (n**j * gc ** (2 * k - 2 * j))) for phi in phis]
-            got = [moment(state, j, k, center, R) for center in centers]
-            assert_per_center(got, direct)
-        integrand = gc ** (2 * k) + sum(
-            b[j] * n**j * gc ** (2 * k - 2 * j) for j in range(1, k + 1)
-        )
-        direct = [integrate(phi * integrand) for phi in phis]
-        got = [combined_y(state, p, k, R, (center,)) for center in centers]
-        assert_per_center(got, direct)
-        y = combined_y(state, p, k, R, centers)
-        assert abs(y - max(direct)) <= 1e-12 * np.max(np.abs(direct))
+            assert_per_center([moment(state, j, k, center, R) for center in centers], moments[j])
+        y = combined_y(state, p, k, R)
+        integrand = {"y": y_integrand(state, p, k)}
+        if d < 3:
+            want = direct(grid, R, integrand, grid_points(grid))["y"]
+            assert abs(y - np.max(want)) <= 1e-12 * np.max(np.abs(want))
+        else:
+            want = direct(grid, R, integrand, centers)["y"]
+            assert np.all(y >= want - 1e-12 * np.max(np.abs(want)))
+
+    def test_sup_away_from_the_lattice_and_the_argmax(self, grid1d):
+        # n peaks on a lattice point and |grad c| is steep between two others:
+        # the largest y is at neither, and the sup over every grid point finds it.
+        x = grid1d.mesh()[0]
+        n = ScalarField(grid1d, np.exp(-((x + 10.0) ** 2)))
+        state = State(0.0, n, ScalarField(grid1d, 3.0 * np.exp(-((x - 7.5) ** 2) / 2.0)))
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        k, R = 3, 2.0
+        integrand = {"y": y_integrand(state, p, k)}
+        want = np.max(direct(grid1d, R, integrand, grid_points(grid1d))["y"])
+        L = grid1d.box_len
+        lattice = tuple((-L / 2 + i * L / 8,) for i in range(8))
+        seen = direct(grid1d, R, integrand, lattice + (argmax_center(n),))["y"]
+        assert np.max(seen) < 0.6 * want
+        assert abs(combined_y(state, p, k, R) - want) <= 1e-12 * want
+        assert abs(TraceRecorder(p, grid1d, k, R)(state)["y"] - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ode_ingredients(self, d, rng):
-        # Each family's explicit margin at each center, against the sum of
-        # its terms, every term a direct cutoff-weighted quadrature.
+        # Each family's explicit margin against the sum of its terms, every
+        # term a direct cutoff-weighted quadrature: the recorded value is the
+        # largest over every grid-point center (in 3D, at least the value at
+        # each oracle center).
         state = undershooting_state(d, rng)
         grid, k, R = state.grid, 4, 2.0
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=d)
@@ -428,46 +474,47 @@ class TestSlidingCutoffOracle:
             integrands[f"cross35_{j}"] = gn2 * n ** (j - 1) * gc ** (2 * k - 2 * j - 2)
             integrands[f"m35_next_{j}"] = n ** (j + 1) * gc ** (2 * k - 2 * j)
 
-        for center in oracle_centers(state):
-            phi = cutoff_phi(grid, center, R)
-            m = {name: integrate(phi * f) for name, f in integrands.items()}
-            want = {
-                "density_power": m[f"dm_{k}"]
-                + k * (k - 1) / 4.0 * m["diss_n_k"]
-                - (k * m["m2_top"] + (c_j[k] - p.mu * k) * m["m_kp1"]),
-                "gradient_power": m["dm_0"]
-                + k * (k - 1) / 4.0 * m["diss_c"]
-                + k * m["hess_c"]
-                + 2.0 * k * m["m_0"]
-                - (d + 1.0 + 2.0 * (k - 1.0)) * k * m["m2_top"],
-                "mixed_first": m["dm_1"]
-                + (k - 1.0) * (k - 2.0) / 2.0 * m["mixed_diss_a"]
-                + (2.0 * k - 2.0) * m["mixed_diss_b"]
+        m = direct(grid, R, integrands, grid_points(grid) if d < 3 else oracle_centers(state))
+        want = {
+            "density_power": m[f"dm_{k}"]
+            + k * (k - 1) / 4.0 * m["diss_n_k"]
+            - (k * m["m2_top"] + (c_j[k] - p.mu * k) * m["m_kp1"]),
+            "gradient_power": m["dm_0"]
+            + k * (k - 1) / 4.0 * m["diss_c"]
+            + k * m["hess_c"]
+            + 2.0 * k * m["m_0"]
+            - (d + 1.0 + 2.0 * (k - 1.0)) * k * m["m2_top"],
+            "mixed_first": m["dm_1"]
+            + (k - 1.0) * (k - 2.0) / 2.0 * m["mixed_diss_a"]
+            + (2.0 * k - 2.0) * m["mixed_diss_b"]
+            - (
+                c_j[1] * m["diss_c"]
+                + p.lam / 2.0 * m["gradc_2km2"]
+                + (c_j[1] - p.mu) * m["m2_top"]
+                + m["mixed_cross"]
+            ),
+        }
+        for j in range(2, k):
+            want[f"mixed_order_{j}"] = (
+                m[f"dm_{j}"]
+                + j * (j - 1) / 4.0 * m[f"diss35_{j}"]
                 - (
-                    c_j[1] * m["diss_c"]
-                    + p.lam / 2.0 * m["gradc_2km2"]
-                    + (c_j[1] - p.mu) * m["m2_top"]
-                    + m["mixed_cross"]
-                ),
-            }
-            for j in range(2, k):
-                want[f"mixed_order_{j}"] = (
-                    m[f"dm_{j}"]
-                    + j * (j - 1) / 4.0 * m[f"diss35_{j}"]
-                    - (
-                        m[f"cross35_{j}"]
-                        + c_j[j] * m["diss_c"]
-                        + (c_j[j] - p.mu * j) * m[f"m35_next_{j}"]
-                        + p.lam * j * m["gradc_2km2"]
-                        + c_j[j] * m["m2_top"]
-                    )
+                    m[f"cross35_{j}"]
+                    + c_j[j] * m["diss_c"]
+                    + (c_j[j] - p.mu * j) * m[f"m35_next_{j}"]
+                    + p.lam * j * m["gradc_2km2"]
+                    + c_j[j] * m["m2_top"]
                 )
-            got = CoupledRecorder(p, grid, k, R, (center,))(state)
-            assert set(got) == {f"{name}_{part}" for name in want for part in ("explicit", "generic")}
-            # Roundoff relative to the largest weighted term.
-            scale = max(c_j.values()) * max(abs(v) for v in m.values())
-            for name, value in want.items():
-                assert abs(got[f"{name}_explicit"] - value) <= 1e-12 * scale
+            )
+        got = CoupledRecorder(p, grid, k, R)(state)
+        assert set(got) == {f"{name}_{part}" for name in want for part in ("explicit", "generic")}
+        # Roundoff relative to the largest weighted term.
+        scale = max(c_j.values()) * max(np.max(np.abs(v)) for v in m.values())
+        for name, values in want.items():
+            if d < 3:
+                assert abs(got[f"{name}_explicit"] - np.max(values)) <= 1e-12 * scale
+            else:
+                assert np.all(got[f"{name}_explicit"] >= values - 1e-12 * scale)
 
 
 class TestMuZero:
@@ -548,13 +595,13 @@ class TestOdeResiduals:
     def short_run(self, grid1d):
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        recorder = CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,), (3.0,)))
+        recorder = CoupledRecorder(p, grid1d, 3, 2.0)
         res = run(initial, p, RunConfig(t_end=0.1, dt=1e-3, monitor_every=5), monitors=recorder)
         return res.trace, recorder
 
     def test_zero_state_margins_nonpositive(self, grid1d):
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
-        recorder = CoupledRecorder(p, grid1d, 3, 2.0, ((0.0,),))
+        recorder = CoupledRecorder(p, grid1d, 3, 2.0)
         res = run(zero_state(grid1d), p, RunConfig(t_end=0.004, dt=1e-3, monitor_every=1), monitors=recorder)
         reports = recorder.check(res.trace)
         assert {r.name for r in reports} == self.FAMILIES
@@ -630,9 +677,7 @@ class TestOdeResiduals:
                 integrand = _moment_rate(
                     state.n.values, n_t.values, state.c.grad_abs.values, g_dot, j, k
                 )
-                values[f"dm_{j}"] = float(
-                    _cutoff_integrals(integrand, state.grid, R, (center,))[0]
-                )
+                values[f"dm_{j}"] = _cutoff_integral(integrand, state.grid, R, center)
             return values
 
         res = run(initial, p, RunConfig(t_end=0.016, dt=1e-4, monitor_every=1), monitors=record)
@@ -840,22 +885,10 @@ def test_support_rule_is_written_only_in_norms():
         assert path.read_text().count("box_len/2") == (path.name == "norms.py"), path.name
 
 
-@pytest.mark.parametrize(
-    "centers,message",
-    [
-        ((), "centers must name at least one point"),
-        (((0.0, 1.0),), "center must be 1 finite coordinates"),
-        (((0.0,), (math.nan,)), "center must be 1 finite coordinates"),
-    ],
-)
-def test_centers_are_checked_before_any_sample(grid1d, centers, message):
-    # Unchecked, an empty tuple built and then failed at the first sample
-    # inside numpy's max, and a bad center was found only at that sample.
-    p = Params(chi=1.0, tau=1.0, d=1)
-    with pytest.raises(ValueError, match=message):
-        CoupledRecorder(p, grid1d, 3, 2.0, centers)
-    with pytest.raises(ValueError, match=message):
-        combined_y(zero_state(grid1d), p, 3, 2.0, centers)
+@pytest.mark.parametrize("center", [(0.0, 1.0), (math.nan,)])
+def test_moment_checks_its_center(grid1d, center):
+    with pytest.raises(ValueError, match="center must be 1 finite coordinates"):
+        moment(zero_state(grid1d), 0, 3, center, 2.0)
 
 
 def test_one_recorder_feeds_every_trace_check(grid1d):
@@ -918,3 +951,52 @@ def test_every_measurement_comes_from_one_fit():
     for path in sorted(src.glob("*.py")):
         text = path.read_text().replace(fit, "")
         assert [n for n in ("tolerance=None", "_constant(") if n in text] == [], path.name
+
+
+def test_every_sup_over_centers_is_over_every_grid_point():
+    # The cutoff functionals, like the uniformly local norms, take the sup over
+    # every grid-point center: no list of centers is kept, checked or taken.
+    src = Path(monitors.__file__).parent
+    gone = ("default_centers", "_check_centers", "_cutoff_integrals")
+    for path in sorted(src.glob("*.py")):
+        assert [name for name in gone if name in path.read_text()] == [], path.name
+        module = importlib.import_module("kslab" if path.stem == "__init__" else f"kslab.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else (obj,)
+            for fn in filter(inspect.isfunction, members):
+                assert "centers" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+def test_every_key_of_a_bare_run_is_read_or_written(grid1d):
+    # A run with no monitors records only keys that trace.csv writes, that
+    # TraceRecorder.check or run_verdicts reads, or that the benchmark's
+    # headline3d check compares with its reference: a stored value that
+    # nothing reads fails here.
+    p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+    initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
+    recorder = TraceRecorder(p, grid1d, k=3)
+    res = run(initial, p, RunConfig(t_end=0.1, dt=5e-3, monitor_every=10), monitors=recorder)
+    bare = run(initial, p, RunConfig(t_end=5e-3, dt=5e-3))
+    baseline = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+    reference = json.loads(baseline.read_text())["headline3d_reference"]
+    compared = {key for horizon in reference.values() if isinstance(horizon, dict)
+                for key in horizon["final"]}
+    unread = sorted(set(bare.trace[0].values) - set(TRACE_COLUMNS) - compared)
+    assert unread  # the guard guards something
+
+    def read(key):
+        trace = [
+            FunctionalSample(s.t, {k: v for k, v in s.values.items() if k != key})
+            for s in res.trace
+        ]
+        for judge in (lambda: recorder.check(trace), lambda: run_verdicts(replace(res, trace=trace), p)):
+            try:
+                judge()
+            except (KeyError, ValueError) as exc:
+                if key in str(exc):
+                    return True
+        return False
+
+    assert [key for key in unread if not read(key)] == []
