@@ -25,11 +25,10 @@ from .norms import (
     cutoff_phi,
     cutoff_psi,
     lp_norm,
-    uloc_covering_check,
     uloc_norm,
     w1inf_norm,
 )
-from .dyadic import block_range, dyadic_block, generalized_young_check, low_freq
+from .dyadic import block_range, dyadic_block, low_freq
 from .solver import (
     Params,
     PicardConfig,
@@ -39,8 +38,6 @@ from .solver import (
     RunStatus,
     State,
     approx_initial,
-    determinism_check,
-    nonnegativity_report,
     picard_local_solve,
     rhs,
     run,

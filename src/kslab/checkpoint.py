@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid, ScalarField, make_grid
+from .fields import ScalarField, make_grid
 from .solver import State
 
 __all__ = [

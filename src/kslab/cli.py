@@ -1,9 +1,9 @@
 """Command line interface: single runs, parameter sweeps (a sweep over ``init.M``
-is the truncation-convergence study), property suites, and report rendering.
+is the truncation-convergence study), and report rendering.
 
 Exit codes: 0 completed/pass, 2 blow-up suspected, 3 numerical failure
 (including an arithmetic overflow anywhere in the computation), 4 a failed
-verdict of ``run`` or a failed ``check``, 64 usage error.
+verdict of ``run``, 64 usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .fields import _cpus
 from .monitors import ResidualReport, TraceRecorder, mu_zero_estimate, run_verdicts
 from .presets import build_initial
 from .solver import FunctionalSample, RunResult, RunStatus, State, run
-from .suites import run_suite
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -214,17 +213,6 @@ def cmd_sweep(spec: SweepSpec, out: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_check(suite: str) -> int:
-    try:
-        results = run_suite(suite)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else ""))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
-
-
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     """The header and rows of a CSV artifact; one with no header, or with a row not
     as wide as its header, is a usage error that names the file."""
@@ -308,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="parallel rows; at most one process per row and per CPU "
                               "this process may use, and one runs the rows in turn")
 
-    p_check = sub.add_parser("check", help="run a property suite")
-    p_check.add_argument("suite", help="fields|norms|dyadic|solver|monitors|all")
-
     p_report = sub.add_parser("report", help="long-format table from run CSVs")
     p_report.add_argument("--out", type=Path, default=Path("out"))
 
@@ -325,8 +310,6 @@ def main(argv: list[str] | None = None) -> int:
             values = tuple(_to_float(v, "--values") for v in args.values.split(",") if v.strip())
             spec = SweepSpec(parameter=args.param, values=values, base=_load_config(args))
             return cmd_sweep(spec, args.out, args.workers)
-        if args.command == "check":
-            return cmd_check(args.suite)
         if args.command == "report":
             return cmd_report(args.out)
     except ConfigError as exc:

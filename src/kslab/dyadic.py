@@ -19,15 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Grid, ScalarField, _apply_multiplier, _k_squared_r
-from .norms import _smoothstep_down, uloc_norm
+from .fields import Grid, ScalarField, _apply_multiplier, _is_integer, _k_squared_r
+from .norms import _smoothstep_down
 
 __all__ = [
     "block_range",
     "dyadic_block",
     "low_freq",
     "reconstruct",
-    "generalized_young_check",
 ]
 
 _LOW_EDGE = 0.75
@@ -64,6 +63,8 @@ def block_range(grid: Grid) -> range:
 
 def dyadic_block(f: ScalarField, j: int) -> ScalarField:
     """Filter f through the annular bump at scale 2^j (zero out of range)."""
+    if not _is_integer(j):
+        raise ValueError("j must be an integer")
     grid = f.grid
     blocks = block_range(grid)
     # Out-of-range blocks are identically zero on the grid; the lower guard
@@ -75,6 +76,8 @@ def dyadic_block(f: ScalarField, j: int) -> ScalarField:
 
 def low_freq(f: ScalarField, j: int) -> ScalarField:
     """Smooth low-pass keeping |xi| below ~(4/3) 2^j; the DC mode always passes."""
+    if not _is_integer(j):
+        raise ValueError("j must be an integer")
     return _apply_multiplier(f, lowpass_profile(_k_radial(f.grid) / 2.0**j))
 
 
@@ -85,18 +88,3 @@ def reconstruct(f: ScalarField) -> ScalarField:
     for j in blocks:
         total = total + dyadic_block(f, j)
     return total
-
-
-def generalized_young_check(f: ScalarField, p: float, j: int) -> float:
-    """Ratio (||B_j f||_inf + ||S_j f||_inf) / (2^{(d/p) j} ||f||_{p,1}).
-
-    The scaling bound holds for j >= 0 with a constant independent of j and f;
-    the returned ratio is the empirical constant for this field and scale.
-    """
-    if j < 0:
-        raise ValueError("the scaling bound is stated for j >= 0")
-    base = uloc_norm(f, p, 1.0)
-    if base == 0.0:
-        return 0.0
-    numer = dyadic_block(f, j).max_abs() + low_freq(f, j).max_abs()
-    return float(numer / (2.0 ** (f.grid.d / p * j) * base))

@@ -21,8 +21,8 @@ it is built (``validate_settings``).  The time derivatives in
 ``solver.rhs`` in spectral form, so no margin depends on the sampling rate,
 and each transforms n and c once.  Every pass/fail of ``kslab run`` comes
 from ``TraceRecorder.check`` (its ``residuals.csv`` families that are not
-measurements) and ``run_verdicts`` (the verdicts on the run as a whole), and ``kslab check`` and the acceptance
-gate judge through the same functions:
+measurements) and ``run_verdicts`` (the verdicts on the run as a whole), and
+the acceptance gate judges through the same functions:
 ``ResidualReport.passed``, ``MuZeroReport.holds``, ``COMPARISON_TOL`` and
 ``run_verdicts``.
 """
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import block_range, dyadic_block, low_freq
 from .fields import (
     Grid,
     ScalarField,
@@ -43,7 +42,6 @@ from .fields import (
     _irfft,
     _is_integer,
     _rfft,
-    gradient,
     integrate,
     laplacian,
 )
@@ -51,8 +49,6 @@ from .norms import (
     _check_support,
     _cutoff_integral,
     _cutoff_sup,
-    cutoff_phi,
-    cutoff_phi_gradient,
     lp_norm,
     uloc_norm,
 )
@@ -82,10 +78,7 @@ __all__ = [
     "combined_y",
     "CoupledRecorder",
     "mu_zero_estimate",
-    "interpolation_check",
-    "low_high_split_error",
     "linf_reconstruction_check",
-    "integration_by_parts_gap",
     "validate_settings",
     "TraceRecorder",
     "trend_slope",
@@ -162,13 +155,6 @@ def validate_settings(grid: Grid, k: int, R: float) -> None:
     if not R >= min_R:
         raise ValueError(f"R must be >= max(1, 2h) = {min_R:g}")
     _check_support(grid, "R", R)
-
-
-def argmax_center(f: ScalarField) -> tuple[float, ...]:
-    """Grid coordinates of the largest sample."""
-    idx = np.unravel_index(int(np.argmax(f.values)), f.grid.shape)
-    coords = f.grid.axis_coords()
-    return tuple(float(coords[i]) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +314,8 @@ def moment(state: State, j: int, k: int, center: tuple[float, ...], R: float) ->
 
 def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:
     """Coefficients b_j = (k^(2-5k)(k-1) / (16 tau C0)) k^(2j), j = 1..k."""
+    if not _is_integer(k):
+        raise ValueError("k must be an integer")
     if k < 3:
         raise ValueError("coefficient assembly requires k >= 3")
     lead = float(k) ** (2 - 5 * k) * (k - 1) / (16.0 * tau * C0)
@@ -410,9 +398,12 @@ def _assemble_cj(k: int, params: Params) -> dict[int, float]:
 def mu_zero_estimate(k: int, params: Params) -> MuZeroReport:
     """Smallest damping threshold satisfying the sign conditions of the assembly.
 
-    Rejects k < 3 (an exponent in the top-order constant degenerates at k=2).
-    All intermediate constants and the condition margins are recorded.
+    Rejects a k that is not an integer, and k < 3 (an exponent in the
+    top-order constant degenerates at k=2).  All intermediate constants and
+    the condition margins are recorded.
     """
+    if not _is_integer(k):
+        raise ValueError("k must be an integer")
     if k < 3:
         raise ValueError("threshold assembly requires k >= 3")
     tau, d = params.tau, params.d
@@ -578,64 +569,8 @@ class CoupledRecorder:
         ]
 
 
-def integration_by_parts_gap(n_field: ScalarField, center: tuple, R: float, k: int) -> float:
-    """Gap between -int(Lap n * n^(k-1) phi) and its integrated-by-parts form."""
-    grid = n_field.grid
-    phi = cutoff_phi(grid, center, R).values
-    grad_phi = cutoff_phi_gradient(grid, center, R)
-    n = n_field.values
-    grad_n = gradient(n_field)
-    lhs = -integrate(ScalarField(grid, laplacian(n_field).values * n ** (k - 1) * phi))
-    gn2 = sum(comp.values**2 for comp in grad_n.components)
-    dot = sum(a.values * b.values for a, b in zip(grad_n.components, grad_phi.components))
-    rhs = integrate(
-        ScalarField(grid, (k - 1) * gn2 * n ** (k - 2) * phi + n ** (k - 1) * dot)
-    )
-    return abs(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
-# Interpolation and sup-norm reconstruction checks
-
-
-def interpolation_check(u: ScalarField, k: int) -> float:
-    """Smallest C with ||u||_2^2 <= C ||grad u||_2^2 + C^k (int |u|^(2/k))^k."""
-    if k < 2:
-        raise ValueError("interpolation check requires k >= 2")
-    target = lp_norm(u, 2) ** 2
-    if target == 0.0:
-        return 0.0
-    a = integrate(ScalarField(u.grid, u.grad_abs.values ** 2))
-    b = integrate(ScalarField(u.grid, np.abs(u.values) ** (2.0 / k))) ** k
-
-    def shortfall(c: float) -> float:
-        return c * a + c**k * b - target
-
-    hi = 1.0
-    while shortfall(hi) < 0:
-        hi *= 2.0
-        if hi > 1e30:
-            raise FloatingPointError("interpolation constant does not close")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if shortfall(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def low_high_split_error(c: ScalarField) -> float:
-    """Max error of grad c = S_0 grad c + sum_{j>=0} block_j grad c."""
-    blocks = range(0, block_range(c.grid).stop)
-    worst = 0.0
-    for comp in gradient(c).components:
-        total = low_freq(comp, 0)
-        for j in blocks:
-            total = total + dyadic_block(comp, j)
-        worst = max(worst, float(np.max(np.abs(total.values - comp.values))))
-    return worst
+# Sup-norm reconstruction
 
 
 def linf_reconstruction_check(

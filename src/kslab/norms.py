@@ -42,7 +42,6 @@ __all__ = [
     "cutoff_phi_hessian_norm",
     "cutoff_psi",
     "uloc_norm",
-    "uloc_covering_check",
 ]
 
 # Exponent underflows exp() far before this; the cutoff weight and its
@@ -229,25 +228,14 @@ def _cutoff_sup(f: np.ndarray, grid: Grid, radius: float) -> float:
 
 def uloc_norm(f: ScalarField, p: float, R: float) -> float:
     """Sup over every grid-point center of the L^p norm on the wrapped ball B_R (R >= 2h)."""
+    if not (math.isfinite(p) and math.isfinite(R)):
+        raise ValueError("exponent p and ball radius must be finite")
     if not p >= 1:
         raise ValueError("exponent p must be >= 1")
     if not R >= 2.0 * f.grid.spacing:
         raise ValueError("ball radius must be at least 2h so the scan resolves the ball scale")
-    if not (math.isfinite(p) and math.isfinite(R)):
-        raise ValueError("exponent p and ball radius must be finite")
     f_pow = np.abs(f.values) ** p
     zero = (0.0,) * f.grid.d
     integrals = _sliding_integrals(f_pow, f.grid, "ball", R, zero)
     # Ball integrals of |f|^p are nonnegative: clamp the FFT roundoff.
     return float(np.max(np.maximum(integrals, 0.0)) ** (1.0 / p))
-
-
-def uloc_covering_check(f: ScalarField, p: float, R: float) -> float:
-    """Ratio ||f||_{p,R}^p / (R^d ||f||_{p,1}^p); bounded uniformly by covering."""
-    if not R >= 1:
-        raise ValueError("covering check requires R >= 1")
-    base = uloc_norm(f, p, 1.0)
-    if base == 0.0:
-        return 0.0
-    wide = uloc_norm(f, p, R)
-    return float(wide**p / (R**f.grid.d * base**p))

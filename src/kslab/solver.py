@@ -16,8 +16,8 @@ Two independent routes to the same dynamics are provided:
   integrals.  It serves as an independent short-horizon oracle for the
   stepper and reports the empirical contraction factor.
 
-Positivity is never enforced: undershoots are recorded by
-``nonnegativity_report`` and judged by the test suite, not clipped away.
+Positivity is never enforced: undershoots are recorded in every trace sample
+(``min_n``, ``min_c``) and judged by ``monitors.run_verdicts``, not clipped away.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ __all__ = [
     "run",
     "approx_initial",
     "picard_local_solve",
-    "nonnegativity_report",
-    "determinism_check",
     "suggest_dt",
     "continuation_gauge",
 ]
@@ -523,6 +521,8 @@ def rhs(state: State, params: Params) -> tuple[ScalarField, ScalarField]:
 
 def step(state: State, params: Params, dt: float) -> State:
     """One deterministic split step of size dt."""
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     if not dt > 0:
         raise ValueError("dt must be positive")
     grid = state.grid
@@ -909,23 +909,3 @@ def picard_local_solve(initial: State, params: Params, config: PicardConfig) -> 
         c=ScalarField(grid, _irfft(c_hat, grid)),
     )
     return PicardResult(final=final, diff_norms=diff_norms, ratios=ratios, diverged=diverged)
-
-
-def nonnegativity_report(state: State) -> tuple[float, float]:
-    """Grid minima of (n, c); undershoots are reported, never clipped."""
-    return float(np.min(state.n.values)), float(np.min(state.c.values))
-
-
-def determinism_check(initial: State, params: Params, config: RunConfig) -> bool:
-    """Two runs from identical inputs must produce identical traces and finals."""
-    r1 = run(initial, params, config)
-    r2 = run(initial, params, config)
-    if len(r1.trace) != len(r2.trace):
-        return False
-    for s1, s2 in zip(r1.trace, r2.trace):
-        if s1.t != s2.t or s1.values != s2.values:
-            return False
-    return bool(
-        np.array_equal(r1.final.n.values, r2.final.n.values)
-        and np.array_equal(r1.final.c.values, r2.final.c.values)
-    )

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kslab import cli, config, fields, monitors, solver, suites
+from kslab import cli, config, fields, monitors, solver
 from kslab.checkpoint import atomic_open, load_checkpoint
 from kslab.cli import (
     EXIT_BLOWUP,
@@ -565,6 +565,8 @@ class TestArgumentErrors:
             ["mconv", "--M", "6", "--mode", "assert"],
             ["mconv", "--M", "6", "--workers", "2"],
             ["mconv", "--M", "6"],
+            # The property suites are tier-1 tests; `check` is no command.
+            ["check", "all"],
         ],
     )
     def test_usage_error_exits_64_without_artifacts(self, argv, tmp_path, capsys):
@@ -957,35 +959,6 @@ class TestMconvSweep:
         code = mconv(fast_config, out, "6")
         assert code == EXIT_OK
         assert len((out / "mconv.csv").read_text().splitlines()) == 1
-
-
-class TestCheckCommand:
-    def test_fields_suite_passes(self, capsys):
-        assert main(["check", "fields"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
-
-    def test_all_suites_pass(self, capsys):
-        assert main(["check", "all"]) == EXIT_OK
-        assert "FAIL" not in capsys.readouterr().out
-
-    def test_unknown_suite_usage_error(self):
-        assert main(["check", "nonsense"]) == EXIT_USAGE
-
-    def test_solver_ledger_row_is_judged_by_run_verdicts(self, monkeypatch, capsys):
-        judge = suites.run_verdicts
-
-        def rejecting(result, params):
-            verdicts, slope = judge(result, params)
-            return {**verdicts, "mass_ledger_per_step": False}, slope
-
-        monkeypatch.setattr(suites, "run_verdicts", rejecting)
-        assert main(["check", "solver"]) == EXIT_INVARIANT
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(" (")[0] for line in lines if line.startswith("FAIL")] == [
-            "FAIL solver.mass_ledger"
-        ]
 
 
 class TestReportCommand:

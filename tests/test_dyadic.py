@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from kslab.dyadic import (
-    block_range,
-    dyadic_block,
-    generalized_young_check,
-    low_freq,
-    reconstruct,
-)
-from kslab.fields import ScalarField, gradient, magnitude, make_grid
+from kslab.dyadic import block_range, dyadic_block, low_freq, reconstruct
+from kslab.fields import ScalarField, _irfft, _rfft, gradient, magnitude, make_grid
 from kslab.norms import cutoff_phi, uloc_norm
-from kslab.fields import _irfft, _rfft
+
+from conftest import generalized_young_check
 
 
 @pytest.fixture
@@ -48,6 +43,13 @@ class TestBlocks:
         L = grid1d.box_len
         f = ScalarField(grid1d, np.cos(2 * np.pi * 60 * x / L))  # |xi| ~ 9.4
         assert low_freq(f, 0).max_abs() <= 1e-12
+
+    # Unchecked, a nan scale gives an all-zero low-pass, and 1.5 filters at 2^1.5.
+    @pytest.mark.parametrize("j", [1.5, 2.0, np.nan, True, None])
+    def test_scale_must_be_an_integer(self, noise, j):
+        for cut in (dyadic_block, low_freq):
+            with pytest.raises(ValueError, match="j must be an integer"):
+                cut(noise, j)
 
     def test_out_of_range_block_is_zero(self, grid1d, noise):
         assert dyadic_block(noise, block_range(grid1d).stop + 2).max_abs() <= 1e-12

@@ -30,9 +30,7 @@ from kslab.fields import (
     make_grid,
 )
 from kslab.presets import build_initial
-from kslab.suites import _random_field
-
-from conftest import dealias_mask
+from conftest import dealias_mask, random_field
 
 
 class TestMakeGrid:
@@ -106,9 +104,11 @@ class TestSpectralTransform:
         assert big[1]
         assert abs(abs(coeffs[1]) - grid1d.n_axis / 2) < 1e-9
 
-    def test_round_trip(self, grid2d, rng):
-        f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
-        back = _irfft(_rfft(f.values), grid2d)
+    @pytest.mark.parametrize("d,n_axis", [(1, 256), (2, 64), (3, 16)])
+    def test_round_trip(self, d, n_axis, rng):
+        grid = make_grid(d, n_axis, 40.0)
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+        back = _irfft(_rfft(f.values), grid)
         assert np.max(np.abs(back - f.values)) <= 1e-12 * f.max_abs()
 
     def test_values_frozen(self, grid1d):
@@ -286,12 +286,12 @@ class TestHessian:
         assert hessian_sq(ScalarField(grid2d, np.ones(grid2d.shape))).max_abs() == 0.0
 
     def test_laplacian_bound(self, grid2d, rng):
-        c = _random_field(grid2d, rng, grid2d.n_axis // 8)
+        c = random_field(grid2d, rng, grid2d.n_axis // 8)
         lap_sq = laplacian(c).values ** 2
         assert np.max(lap_sq - grid2d.d * hessian_sq(c).values) <= 1e-9
 
     def test_gradient_square_bound(self, grid2d, rng):
-        c = _random_field(grid2d, rng, grid2d.n_axis // 8)
+        c = random_field(grid2d, rng, grid2d.n_axis // 8)
         gc = magnitude(gradient(c)).values
         lhs = sum(
             comp.values**2
@@ -489,7 +489,7 @@ class TestIntegrate:
 class TestDealias:
     def test_removes_high_modes_only(self, grid1d, rng):
         f = ScalarField(grid1d, rng.standard_normal(grid1d.shape))
-        low = _random_field(grid1d, rng, grid1d.n_axis // 4)
+        low = random_field(grid1d, rng, grid1d.n_axis // 4)
         assert np.max(np.abs(dealias(low).values - low.values)) <= 1e-12
         fd = dealias(f)
         coeffs = np.fft.fft(fd.values)

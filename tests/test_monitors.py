@@ -12,6 +12,7 @@ import pytest
 from kslab import monitors
 from kslab.cli import TRACE_COLUMNS
 from kslab.config import ConfigError, ExperimentConfig
+from kslab.dyadic import block_range, dyadic_block, low_freq
 from kslab.fields import (
     ScalarField,
     gradient,
@@ -26,12 +27,8 @@ from kslab.monitors import (
     ResidualReport,
     TraceRecorder,
     _moment_rate,
-    argmax_center,
     combined_y,
-    integration_by_parts_gap,
-    interpolation_check,
     linf_reconstruction_check,
-    low_high_split_error,
     moment,
     moment_coefficients,
     mu_zero_estimate,
@@ -44,7 +41,7 @@ from kslab.monitors import (
     z_residual,
     z_sup_cap_check,
 )
-from kslab.norms import _cutoff_integral, cutoff_phi
+from kslab.norms import _cutoff_integral, cutoff_phi, cutoff_phi_gradient, lp_norm
 from kslab.presets import build_initial
 from kslab.solver import (
     FunctionalSample,
@@ -56,7 +53,8 @@ from kslab.solver import (
     rhs,
     run,
 )
-from kslab.suites import _random_field
+
+from conftest import random_field
 
 
 def zero_state(grid):
@@ -134,10 +132,11 @@ class TestComparisonFunction:
         [report] = z_sup_cap_check(trace, p)
         assert report.passed
 
-    def test_residual_small_along_smooth_run(self):
-        grid = make_grid(2, 64, 40.0)
-        chi, d = 1.0, 2
-        p = Params(chi=chi, tau=1.0, lam=0.0, mu=d * chi / 2.0, d=d)
+    @pytest.mark.parametrize("d,n_axis", [(1, 256), (2, 64)])
+    def test_residual_small_along_smooth_run(self, d, n_axis):
+        # mu = 1 is the regime's edge d chi / 2 in 2D and inside it in 1D.
+        grid = make_grid(d, n_axis, 40.0)
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=d)
         initial = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
         res = run(
             initial,
@@ -310,6 +309,17 @@ class TestMoments:
             vals[n_axis] = moment(state, 0, k, (0.0,), 4.0)
         assert abs(vals[256] - vals[1024]) <= 1e-8 * abs(vals[1024])
 
+    def test_positive_at_the_peak_of_a_run(self, grid1d):
+        # At the peak of n every moment is genuinely positive.  Far from it the
+        # integrand vanishes and the FFT sliding integral reads roundoff, of
+        # order eps * int |integrand|, of either sign.
+        p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
+        initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
+        state = run(initial, p, RunConfig(t_end=0.2, dt=1e-3, monitor_every=20)).final
+        peak = argmax_center(state.n)
+        assert min(moment(state, j, 3, peak, 2.0) for j in range(0, 4)) > 0
+        assert math.isfinite(combined_y(state, p, 3, 2.0))
+
     def test_moment_order_bounds(self, grid1d):
         state = zero_state(grid1d)
         with pytest.raises(ValueError):
@@ -347,11 +357,18 @@ def undershooting_state(d, rng):
     """
     grid = make_grid(d, {1: 256, 2: 32, 3: 32}[d], {1: 40.0, 2: 20.0, 3: 20.0}[d])
     r2 = sum(x**2 for x in grid.mesh())
-    wiggle = _random_field(grid, rng, grid.n_axis // 8).values
+    wiggle = random_field(grid, rng, grid.n_axis // 8).values
     n = ScalarField(grid, 2.0 * np.exp(-r2 / 4.0) + 0.2 * wiggle)
     assert n.values.min() < 0.0
-    c = ScalarField(grid, 1.0 + _random_field(grid, rng, grid.n_axis // 8).values)
+    c = ScalarField(grid, 1.0 + random_field(grid, rng, grid.n_axis // 8).values)
     return State(0.0, n, c)
+
+
+def argmax_center(f):
+    """Grid coordinates of the largest sample."""
+    idx = np.unravel_index(int(np.argmax(f.values)), f.grid.shape)
+    coords = f.grid.axis_coords()
+    return tuple(float(coords[i]) for i in idx)
 
 
 def oracle_centers(state):
@@ -525,9 +542,10 @@ class TestMuZero:
             for j in range(2, k + 1):
                 assert rep.c_j[j] - rep.mu0 * j <= 0
 
-    def test_all_sign_conditions(self):
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_all_sign_conditions(self, lam):
         for k in (3, 4, 5):
-            p = Params(chi=1.0, tau=1.0, lam=1.0, mu=1.0, d=3)
+            p = Params(chi=1.0, tau=1.0, lam=lam, mu=1.0, d=3)
             assert mu_zero_estimate(k, p).holds
 
     # Each margin at the first value past its bound: 0 for the four strict
@@ -586,6 +604,34 @@ class TestMuZero:
     def test_rejects_degenerate_order(self):
         with pytest.raises(ValueError):
             mu_zero_estimate(2, Params(chi=1.0, tau=1.0, d=2))
+
+    # Unchecked, a float order raises TypeError deep in the assembly, and True reads as 1.
+    @pytest.mark.parametrize("k", [3.5, 3.0, True, math.nan])
+    def test_rejects_a_non_integer_order(self, k, grid1d):
+        p = Params(chi=1.0, tau=1.0, lam=0.5, mu=1.0, d=1)
+        for assemble in (
+            lambda: mu_zero_estimate(k, p),
+            lambda: combined_y(zero_state(grid1d), p, k, 2.0),
+            lambda: moment_coefficients(k, 1.0, 1.0),
+        ):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                assemble()
+
+
+def integration_by_parts_gap(n_field, center, R, k):
+    """Gap between -int(Lap n * n^(k-1) phi) and its integrated-by-parts form."""
+    grid = n_field.grid
+    phi = cutoff_phi(grid, center, R).values
+    grad_phi = cutoff_phi_gradient(grid, center, R)
+    n = n_field.values
+    grad_n = gradient(n_field)
+    lhs = -integrate(ScalarField(grid, laplacian(n_field).values * n ** (k - 1) * phi))
+    gn2 = sum(comp.values**2 for comp in grad_n.components)
+    dot = sum(a.values * b.values for a, b in zip(grad_n.components, grad_phi.components))
+    by_parts = integrate(
+        ScalarField(grid, (k - 1) * gn2 * n ** (k - 2) * phi + n ** (k - 1) * dot)
+    )
+    return abs(lhs - by_parts)
 
 
 class TestOdeResiduals:
@@ -701,7 +747,7 @@ class TestOdeResiduals:
 
     def test_gradient_laplacian_identity(self, grid2d, rng):
         # grad(Lap c) . grad c = 1/2 Lap |grad c|^2 - |D^2 c|^2 pointwise.
-        c = _random_field(grid2d, rng, grid2d.n_axis // 8)
+        c = random_field(grid2d, rng, grid2d.n_axis // 8)
         gc = gradient(c)
         lhs = sum(
             a.values * b.values
@@ -712,13 +758,39 @@ class TestOdeResiduals:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
+def interpolation_check(u, k):
+    """Smallest C with ||u||_2^2 <= C ||grad u||_2^2 + C^k (int |u|^(2/k))^k."""
+    if k < 2:
+        raise ValueError("interpolation check requires k >= 2")
+    target = lp_norm(u, 2) ** 2
+    if target == 0.0:
+        return 0.0
+    a = integrate(ScalarField(u.grid, u.grad_abs.values ** 2))
+    b = integrate(ScalarField(u.grid, np.abs(u.values) ** (2.0 / k))) ** k
+
+    def shortfall(c):
+        return c * a + c**k * b - target
+
+    hi = 1.0
+    while shortfall(hi) < 0:
+        hi *= 2.0
+        if hi > 1e30:
+            raise FloatingPointError("interpolation constant does not close")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if shortfall(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 class TestInterpolation:
     def test_zero_field(self, grid1d):
         assert interpolation_check(ScalarField(grid1d, np.zeros(grid1d.shape)), 2) == 0.0
 
     def test_bump_constant_closes_inequality(self, grid1d):
-        from kslab.norms import lp_norm
-
         u = ScalarField(grid1d, np.exp(-(grid1d.mesh()[0] ** 2) / 2.0))
         k = 2
         C = interpolation_check(u, k)
@@ -742,6 +814,18 @@ class TestInterpolation:
         grid = make_grid(1, 8, 0.5)
         C = interpolation_check(ScalarField(grid, np.ones(grid.shape)), 2)
         assert abs(C - math.sqrt(2.0)) <= 1e-12
+
+
+def low_high_split_error(c):
+    """Max error of grad c = S_0 grad c + sum_{j>=0} block_j grad c."""
+    blocks = range(0, block_range(c.grid).stop)
+    worst = 0.0
+    for comp in gradient(c).components:
+        total = low_freq(comp, 0)
+        for j in blocks:
+            total = total + dyadic_block(comp, j)
+        worst = max(worst, float(np.max(np.abs(total.values - comp.values))))
+    return worst
 
 
 class TestReconstruction:

@@ -15,7 +15,6 @@ from kslab.norms import (
     cutoff_phi_laplacian,
     cutoff_psi,
     lp_norm,
-    uloc_covering_check,
     uloc_norm,
     w1inf_norm,
 )
@@ -52,6 +51,12 @@ class TestLpNorm:
     def test_rejects_p_below_one(self, grid1d):
         with pytest.raises(ValueError):
             lp_norm(ScalarField(grid1d, np.ones(grid1d.shape)), 0.5)
+
+    def test_dominated_by_the_sup_norm(self, grid2d, rng):
+        # ||f||_p <= ||f||_inf |box|^(1/p) on the box of side L.
+        f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
+        p = 3.0
+        assert lp_norm(f, p) <= lp_norm(f, math.inf) * grid2d.box_len ** (grid2d.d / p) + 1e-12
 
     @given(alpha=st.floats(min_value=-10, max_value=10, allow_nan=False))
     @settings(max_examples=25, deadline=None)
@@ -316,11 +321,23 @@ class TestUlocNorm:
         with pytest.raises(ValueError, match="exponent p must be >= 1"):
             uloc_norm(ones, p, 1.0)
 
-    @pytest.mark.parametrize("p,R", [(math.inf, 1.0), (1.0, math.inf)])
+    # Checked after the R >= 2h rule, R = nan would be reported as too small.
+    @pytest.mark.parametrize("p,R", [(math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_settings_rejected(self, grid1d, p, R):
         five = ScalarField(grid1d, np.full(grid1d.shape, 5.0))
         with pytest.raises(ValueError, match="must be finite"):
             uloc_norm(five, p, R)
+
+
+def uloc_covering_check(f, p, R):
+    """Ratio ||f||_{p,R}^p / (R^d ||f||_{p,1}^p); bounded uniformly by covering."""
+    if not R >= 1:
+        raise ValueError("covering check requires R >= 1")
+    base = uloc_norm(f, p, 1.0)
+    if base == 0.0:
+        return 0.0
+    wide = uloc_norm(f, p, R)
+    return float(wide**p / (R**f.grid.d * base**p))
 
 
 class TestCoveringCheck:
