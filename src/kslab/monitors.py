@@ -144,9 +144,9 @@ def _measurement(name: str, times: np.ndarray, explicit: np.ndarray, generic=1.0
 
 
 def validate_settings(grid: Grid, k: int, R: float) -> None:
-    """A recorder's rules on k and R: the moment cutoff needs R >= 1, the uniformly
-    local scans R >= 2h, and the cutoff's support B_2R must fit in half the box
-    (the support rule of ``norms``)."""
+    """A recorder's rules on k and R: the moment cutoff needs R >= 1, its weight is
+    resolved by the grid when R >= 2h, and the cutoff's support B_2R must fit in
+    half the box (the support rule of ``norms``)."""
     if not _is_integer(k):
         raise ValueError("k must be an integer")
     if k < 3:
@@ -603,10 +603,8 @@ class TraceRecorder:
     Produces l1_uloc_n, l2_uloc_gradc, y, z_max, linf_gradc and lk_uloc_n,
     and the ledger ingredients l1_n, l2sq_c, l2sq_gradc and l2sq_lapc; the
     run loop itself records mass, linf_n, w1inf_c, min_n, min_c and the
-    ledger's int_l2sq_n.  ``lk_uloc_n`` takes unit balls when
-    the grid resolves them, else the smallest radius the center scan can see
-    (2h).  ``y``, like the uniformly local norms, is the sup over every
-    grid-point center.
+    ledger's int_l2sq_n.  Every uniformly local norm and ``y`` take the
+    recorder's radius ``R`` and are sups over every grid-point center.
     """
 
     def __init__(self, params: Params, grid: Grid, k: int = 3, R: float = 2.0):
@@ -631,7 +629,7 @@ class TraceRecorder:
             "y": combined_y(state, p, self.k, self.R),
             "z_max": z_max,
             "linf_gradc": grad_c.max_abs(),
-            "lk_uloc_n": uloc_norm(n, float(self.k), max(1.0, 2.0 * n.grid.spacing)),
+            "lk_uloc_n": uloc_norm(n, float(self.k), self.R),
             "l1_n": integrate(ScalarField(n.grid, np.abs(n.values))),
             "l2sq_c": lp_norm(c, 2) ** 2,
             "l2sq_gradc": lp_norm(grad_c, 2) ** 2,

@@ -10,9 +10,10 @@ Two cutoff families are provided:
 * ``cutoff_psi`` -- a smooth plateau equal to 1 on B_M(0) and 0 outside
   B_{2M}(0), used to truncate initial data to compact support.
 
-Every localized functional is one sliding-weight integral int f(y) w(y - x) dy,
-with w the ball indicator for sup_x ||f||_{L^p(B_R(x))} and ``cutoff_phi``
-for the moments.  ``_sliding_integrals`` evaluates it for all grid-point
+Every localized functional is one sliding-weight integral int f(y) w(y - x) dy
+with w = ``cutoff_phi``: the moments, and the uniformly local norms
+sup_x (int phi_R(y - x) |f(y)|^p dy)^(1/p), which lie between the ball norms
+of radius R and 2R.  ``_sliding_integrals`` evaluates it for all grid-point
 centers at once as an FFT convolution with a cached weight spectrum; an
 off-grid center is served by a weight shifted by its sub-grid offset.
 """
@@ -166,39 +167,24 @@ def cutoff_psi(grid: Grid, M: float) -> ScalarField:
 
 
 @lru_cache(maxsize=16)
-def _weight_hat(grid: Grid, kind: str, radius: float, shift: tuple[float, ...]) -> np.ndarray:
-    """Half spectrum of the weight at offsets o*h + shift (offset 0 at index 0).
-
-    ``kind`` is "ball" (strict dist^2 < radius^2) or "phi" (``cutoff_phi``).
-    """
-    if kind == "ball":
-        n, h = grid.n_axis, grid.spacing
-        offsets = ((np.arange(n) + n // 2) % n - n // 2) * h
-        dist_sq = np.zeros(grid.shape)
-        for ax, s in enumerate(shift):
-            shape = [1] * grid.d
-            shape[ax] = n
-            dist_sq = dist_sq + (offsets + s).reshape(shape) ** 2
-        weight = (dist_sq < radius * radius).astype(np.float64)
-    else:
-        # Centered at the first sample minus the shift, sample o is at o*h + shift.
-        corner = tuple(-0.5 * grid.box_len - s for s in shift)
-        weight = cutoff_phi(grid, corner, radius).values
+def _weight_hat(grid: Grid, radius: float, shift: tuple[float, ...]) -> np.ndarray:
+    """Half spectrum of ``cutoff_phi`` at offsets o*h + shift (offset 0 at index 0)."""
+    # Centered at the first sample minus the shift, sample o is at o*h + shift.
+    corner = tuple(-0.5 * grid.box_len - s for s in shift)
+    weight = cutoff_phi(grid, corner, radius).values
     hat = _rfft(weight)
     hat.setflags(write=False)
     return hat
 
 
-def _sliding_integrals(
-    f: np.ndarray, grid: Grid, kind: str, radius: float, shift: tuple[float, ...]
-) -> np.ndarray:
+def _sliding_integrals(f: np.ndarray, grid: Grid, radius: float, shift: tuple[float, ...]) -> np.ndarray:
     """Integral of f(y) w(y - x) over y for every center x = grid point + shift.
 
     Equals the direct sample sum of each center up to FFT roundoff relative
     to the largest value; signed wherever ``f`` is.
     """
     fhat = _rfft(f)
-    np.multiply(fhat, _weight_hat(grid, kind, radius, shift), out=fhat)
+    np.multiply(fhat, _weight_hat(grid, radius, shift), out=fhat)
     conv = _irfft(fhat, grid, work=fhat)
     conv *= grid.spacing**grid.d
     return conv
@@ -215,7 +201,7 @@ def _cutoff_integral(f: np.ndarray, grid: Grid, radius: float, center: tuple[flo
     idx = [round((c + 0.5 * L) / h) for c in center]
     # Same expression as Grid.axis_coords, so grid centers get shift 0.
     shift = tuple(c - (-0.5 * L + h * i) for c, i in zip(center, idx))
-    conv = _sliding_integrals(f, grid, "phi", radius, shift)
+    conv = _sliding_integrals(f, grid, radius, shift)
     return float(conv[tuple(i % n for i in idx)])
 
 
@@ -223,19 +209,14 @@ def _cutoff_sup(f: np.ndarray, grid: Grid, radius: float) -> float:
     """Sup over every grid-point center of the integral of f against the cutoff weight."""
     _check_support(grid, "R", radius)
     zero = (0.0,) * grid.d
-    return float(np.max(_sliding_integrals(f, grid, "phi", radius, zero)))
+    return float(np.max(_sliding_integrals(f, grid, radius, zero)))
 
 
 def uloc_norm(f: ScalarField, p: float, R: float) -> float:
-    """Sup over every grid-point center of the L^p norm on the wrapped ball B_R (R >= 2h)."""
+    """Sup over every grid-point center x of (int phi_R(y - x) |f(y)|^p dy)^(1/p)."""
     if not (math.isfinite(p) and math.isfinite(R)):
-        raise ValueError("exponent p and ball radius must be finite")
+        raise ValueError("exponent p and radius R must be finite")
     if not p >= 1:
         raise ValueError("exponent p must be >= 1")
-    if not R >= 2.0 * f.grid.spacing:
-        raise ValueError("ball radius must be at least 2h so the scan resolves the ball scale")
-    f_pow = np.abs(f.values) ** p
-    zero = (0.0,) * f.grid.d
-    integrals = _sliding_integrals(f_pow, f.grid, "ball", R, zero)
-    # Ball integrals of |f|^p are nonnegative: clamp the FFT roundoff.
-    return float(np.max(np.maximum(integrals, 0.0)) ** (1.0 / p))
+    # Integrals of |f|^p are nonnegative: clamp the FFT roundoff.
+    return max(_cutoff_sup(np.abs(f.values) ** p, f.grid, R), 0.0) ** (1.0 / p)

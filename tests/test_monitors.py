@@ -41,7 +41,7 @@ from kslab.monitors import (
     z_residual,
     z_sup_cap_check,
 )
-from kslab.norms import _cutoff_integral, cutoff_phi, cutoff_phi_gradient, lp_norm
+from kslab.norms import _cutoff_integral, _weight_hat, cutoff_phi, cutoff_phi_gradient, lp_norm
 from kslab.presets import build_initial
 from kslab.solver import (
     FunctionalSample,
@@ -855,7 +855,7 @@ class TestReconstruction:
         grid = make_grid(3, 64, 20.0)
         p = Params(chi=1.0, tau=1.0, lam=0.5, mu=2.0, d=3)
         initial = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=4.5)
-        # R = 1: unit balls for the initial gradient, as for the density.
+        # R = 1: the weight of radius 1 for the initial gradient and the density.
         res = recorded_run(
             initial, p, RunConfig(t_end=0.2, dt=5e-3, monitor_every=10), k=4, R=1.0
         )
@@ -1051,6 +1051,18 @@ def test_every_sup_over_centers_is_over_every_grid_point():
             members = vars(obj).values() if inspect.isclass(obj) else (obj,)
             for fn in filter(inspect.isfunction, members):
                 assert "centers" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+def test_one_sample_builds_one_weight_kernel():
+    # Every local functional of a sample (the uniformly local norms and y)
+    # slides the one cutoff weight at the recorder's radius: one spectrum.
+    grid = make_grid(2, 128, 40.0)
+    p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=2)
+    state = build_initial(grid, "gaussian_bump", 1.0, 2.5, M=9.0)
+    recorder = TraceRecorder(p, grid, k=3)
+    _weight_hat.cache_clear()
+    recorder(state)
+    assert _weight_hat.cache_info().misses == 1
 
 
 def test_every_key_of_a_bare_run_is_read_or_written(grid1d):
