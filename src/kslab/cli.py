@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -21,7 +22,6 @@ import numpy as np
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import CONFIG_KEYS, SWEEP_ALIASES, ConfigError, ExperimentConfig, SweepSpec, _to_float
-from .fields import _cpus
 from .monitors import ResidualReport, TraceRecorder, mu_zero_estimate, run_verdicts
 from .presets import build_initial
 from .solver import FunctionalSample, RunResult, RunStatus, State, run
@@ -171,6 +171,13 @@ def _write_mconv_csv(out: Path, m_values: tuple[float, ...], rows: list[str]) ->
             print(f"M {m_a:g} vs {m_b:g}: sup|dn|={dn:.3e} sup|dc|={dc:.3e}")
     if len(rows) == 1:
         print("single M given: nothing to compare")
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_sweep(spec: SweepSpec, out: Path, workers: int) -> int:

@@ -5,21 +5,17 @@ the whole space.  All derivatives are Fourier multipliers, quadrature is
 the periodic midpoint rule (spectrally accurate on the torus), and
 nonlinear products are formed in physical space with 2/3-rule dealiasing.
 
-Real fields travel through the half-spectrum (rfft) layout.  Its two
-transforms are the only code that runs work on a second thread.
+Real fields travel through the half-spectrum (rfft) layout; its two
+transforms run numpy's passes on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -200,59 +196,12 @@ def magnitude(v: VectorField) -> ScalarField:
 # Half-spectrum plumbing shared by every operator
 
 
-# Real fields of at least this many points split each transform pass across
-# two threads.  Median ms per rfft / irfft, one thread against two, on a
-# shared 2-core Xeon (BENCH_14.json): 128^2 0.067/0.078 against 0.117/0.128;
-# 32^3 0.20/0.24 against 0.26/0.29; 256^2 0.26/0.35 against 0.31/0.40; 512^2
-# 1.20/1.86 against 0.79/0.94; 64^3 1.52/2.28 against 0.92/1.22; 128^3
-# 17.5/26.5 against 8.5/13.7.
-SPLIT_MIN_POINTS = 2**18
-_helper_thread: tuple[int, ThreadPoolExecutor] | None = None  # (owning pid, executor)
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _helper() -> ThreadPoolExecutor:
-    """The process's one helper thread, made on first use.
-
-    A forked child inherits the executor but not its thread, and work
-    submitted there would never run, so each process makes its own.  Two
-    threads that race at the first use may each make one; either serves.
-    """
-    global _helper_thread
-    if _helper_thread is None or _helper_thread[0] != os.getpid():
-        _helper_thread = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="kslab-fft"))
-    return _helper_thread[1]
-
-
-def _halves(shape: tuple[int, ...], run: Callable[[slice], object], n: int) -> None:
-    """``run(s)`` with ``s`` the whole of an axis of length ``n``, or, when a
-    field of ``shape`` splits its transforms, the lower half here while the
-    helper thread runs the upper one in a copy of the caller's context (and
-    so its numpy error state).  The halves must write disjoint memory."""
-    if math.prod(shape) < SPLIT_MIN_POINTS or _cpus() < 2:
-        run(slice(None))
-        return
-    pending = _helper().submit(contextvars.copy_context().run, run, slice(n // 2, None))
-    try:
-        run(slice(0, n // 2))
-    finally:
-        pending.exception()  # wait: the upper half writes the caller's arrays until it ends
-    pending.result()
-
-
 def _rfft(values: np.ndarray, out: np.ndarray | None = None, band: bool = False) -> np.ndarray:
     """Half-spectrum transform into ``out`` (default: one fresh array).
 
     The passes, their order and so the bytes are those of ``np.fft.rfftn``:
     ``rfft`` over the last axis into ``out``, then ``fft`` in place there
-    over axes d-2 ... 0.  Each pass runs by ``_halves``: all but the last on
-    halves of axis 0, the last, over axis 0, on halves of axis 1.
+    over axes d-2 ... 0, each on the calling thread.
 
     With ``band`` the result is the transform with the 2/3 rule applied,
     +0.0 at every mode it drops, and only the kept band is transformed:
@@ -264,44 +213,28 @@ def _rfft(values: np.ndarray, out: np.ndarray | None = None, band: bool = False)
         out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), np.complex128)
     n = values.shape[-1]
     k = n // 3  # the 2/3 rule keeps |mode index| <= n/3 on every axis
+    np.fft.rfft(values, axis=-1, out=out)
+    if band:
+        out[..., k + 1 :] = 0.0
     if values.ndim == 1:
-        np.fft.rfft(values, out=out)
-        if band:
-            out[k + 1 :] = 0.0
         return out
     # The last axis's modes that the later passes transform, a full axis's
     # dropped modes, and the axis-1 modes that the pass over axis 0 takes.
     last = slice(0, k + 1) if band else slice(None)
     dropped = slice(k + 1, n - k)
-    if not band:
-        cols = (slice(0, out.shape[1]),)
-    elif values.ndim == 2:
-        cols = (last,)
-    else:
-        cols = (slice(0, k + 1), slice(n - k, n))
-
-    def leading(s):  # the passes before the one over axis 0, on rows s of axis 0
-        np.fft.rfft(values[s], axis=-1, out=out[s])
+    cols = [slice(None)]
+    if band:
+        cols = [last] if values.ndim == 2 else [slice(0, k + 1), slice(n - k, n)]
+    for axis in range(values.ndim - 2, 0, -1):
+        lines = out[..., last]
+        np.fft.fft(lines, axis=axis, out=lines)
         if band:
-            out[s, ..., k + 1 :] = 0.0
-        for axis in range(values.ndim - 2, 0, -1):
-            lines = out[s][..., last]
-            np.fft.fft(lines, axis=axis, out=lines)
-            if band:
-                lines[(slice(None),) * axis + (dropped,)] = 0.0
-
-    def first(s):  # the pass over axis 0, on the lines of ``cols`` in columns s of axis 1
-        lo, hi, _ = s.indices(cols[-1].stop)
-        for col in cols:
-            start, stop = max(lo, col.start), min(hi, col.stop)
-            if start < stop:
-                lines = out[(slice(None), slice(start, stop)) + (last,) * (values.ndim - 2)]
-                np.fft.fft(lines, axis=0, out=lines)
-                if band:
-                    lines[dropped] = 0.0
-
-    _halves(values.shape, leading, out.shape[0])
-    _halves(values.shape, first, cols[-1].stop)
+            lines[(slice(None),) * axis + (dropped,)] = 0.0
+    for col in cols:
+        lines = out[(slice(None), col) + (last,) * (values.ndim - 2)]
+        np.fft.fft(lines, axis=0, out=lines)
+        if band:
+            lines[dropped] = 0.0
     return out
 
 
@@ -318,8 +251,7 @@ def _irfft(
     ``irfft`` writes the last axis into ``out``.  The passes and their order
     are those of ``np.fft.irfftn``, and so are the bytes; with both buffers
     given nothing is allocated.  ``work`` may be ``coeffs`` itself when the
-    coefficients are spent.  The first pass, over axis 0, runs on halves of
-    axis 1, the rest on halves of axis 0.
+    coefficients are spent.
     """
     if grid.d == 1:
         return np.fft.irfft(coeffs, grid.n_axis, out=out)
@@ -327,15 +259,10 @@ def _irfft(
         out = np.empty(grid.shape)
     if work is None:
         work = np.empty(grid.rshape, np.complex128)
-    _halves(grid.shape, lambda s: np.fft.ifft(coeffs[:, s], axis=0, out=work[:, s]), work.shape[1])
-
-    def trailing(s):  # the passes after the one over axis 0, on rows s of axis 0
-        for axis in range(1, grid.d - 1):
-            np.fft.ifft(work[s], axis=axis, out=work[s])
-        np.fft.irfft(work[s], grid.n_axis, axis=-1, out=out[s])
-
-    _halves(grid.shape, trailing, grid.n_axis)
-    return out
+    np.fft.ifft(coeffs, axis=0, out=work)
+    for axis in range(1, grid.d - 1):
+        np.fft.ifft(work, axis=axis, out=work)
+    return np.fft.irfft(work, grid.n_axis, axis=-1, out=out)
 
 
 @lru_cache(maxsize=64)

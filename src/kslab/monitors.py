@@ -304,6 +304,8 @@ def moment(state: State, j: int, k: int, center: tuple[float, ...], R: float) ->
 
     One center of the sliding cutoff integral whose sup ``combined_y`` takes.
     """
+    if not (_is_integer(j) and _is_integer(k)):
+        raise ValueError("moment orders j and k must be integers")
     if not 0 <= j <= k:
         raise ValueError("moment order j must satisfy 0 <= j <= k")
     integrand = state.n.values**j

@@ -787,10 +787,13 @@ def approx_initial(n0: np.ndarray, c0: np.ndarray, M: float, grid: Grid) -> Stat
     ``n0`` and ``c0`` are arrays (or scalars) that broadcast to the grid's
     shape, such as fields evaluated on open-mesh coordinates.  The cell
     density must be nonnegative; the truncated data are compactly
-    supported in B_{2M}(0).
+    supported in B_{2M}(0).  Both must be finite.
     """
     n0 = np.broadcast_to(np.asarray(n0, dtype=np.float64), grid.shape)
     c0 = np.broadcast_to(np.asarray(c0, dtype=np.float64), grid.shape)
+    for name, data in (("n0", n0), ("c0", c0)):
+        if not (math.isfinite(np.min(data)) and math.isfinite(np.max(data))):
+            raise ValueError(f"initial data {name} must be finite")
     if np.min(n0) < 0:
         raise ValueError("initial cell density must be nonnegative")
     psi = cutoff_psi(grid, M).values

@@ -8,9 +8,8 @@ of those names, config keys or files would only surface when the benchmark
 runs.  This loads both modules by path (``perfbench`` is not a package),
 resolves every name tracing wraps, parses the config child writes and runs
 the sweep through child's swaps and check.  It also counts the
-transforms a traced step records when each transform splits its passes
-across two threads, and those of the CLI sample and the one-state coupled
-monitors.
+transforms a traced step records, and those of the CLI sample and the
+one-state coupled monitors.
 """
 
 import importlib
@@ -115,16 +114,14 @@ def _install_tracer(monkeypatch):
 
 
 @pytest.mark.parametrize("d,n_axis,ffts", [(3, 16, 15), (2, 32, 11)])
-def test_lane_transforms_are_traced(d, n_axis, ffts, split_everywhere, monkeypatch):
-    # A split transform runs raw numpy passes on the helper thread, never a
-    # traced function, so every _rfft/_irfft span opens on the calling thread
-    # with the step as its parent.  A carried step transforms no c: 3 + 4d.
+def test_lane_transforms_are_traced(d, n_axis, ffts, monkeypatch):
+    # Every _rfft/_irfft span opens on the calling thread with the step as its
+    # parent.  A carried step transforms no c: 3 + 4d.
     grid = make_grid(d, n_axis, 20.0)
     rng = np.random.default_rng(d)
     n = ScalarField(grid, 1.0 + 0.5 * rng.standard_normal(grid.shape))
     c = ScalarField(grid, rng.standard_normal(grid.shape))
     now = solver._carry(solver.State(0.0, n, c))
-    del split_everywhere[:]
     tracing, tracer = _install_tracer(monkeypatch)
     callers = set()
 
@@ -142,7 +139,6 @@ def test_lane_transforms_are_traced(d, n_axis, ffts, split_everywhere, monkeypat
     stepper.advance(now)
     counts = tracing.counts(tracer.spans)
     assert (counts["steps"], counts["fft_per_step"]) == (1, ffts)
-    assert len(split_everywhere) == 2 * ffts
     assert callers == {threading.get_ident()}
     spans = tracer.spans
     assert all(spans[s[3]][0] == "solver.step" for s in spans if s[0] in tracing.FFT)

@@ -1,12 +1,9 @@
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kslab import fields
 from kslab.fields import (
     ScalarField,
     VectorField,
@@ -132,61 +129,11 @@ def _assert_numpy_bytes(grid, values):
     assert _irfft(spent, grid, out=real, work=spent).tobytes() == back.tobytes()
 
 
-class TestSplitTransforms:
-    TRANSFORMS = 5  # per _assert_numpy_bytes call
-
-    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    def test_forced_split_gives_numpy_bytes(self, d, n_axis, split_everywhere, rng):
+class TestTransformBytes:
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 512), (3, 64)])
+    def test_gives_numpy_bytes(self, d, n_axis):
         grid = make_grid(d, n_axis, 20.0)
-        _assert_numpy_bytes(grid, rng.standard_normal(grid.shape))
-        # 1D is never split; otherwise the helper runs one half of each pass.
-        assert len(split_everywhere) == (0 if d == 1 else 2 * self.TRANSFORMS)
-
-    @pytest.mark.parametrize("d,n_axis", [(2, 512), (3, 64)])
-    def test_split_at_threshold_gives_numpy_bytes(self, d, n_axis, monkeypatch, helper_halves):
-        monkeypatch.setattr(fields, "_cpus", lambda: 2)
-        grid = make_grid(d, n_axis, 20.0)
-        assert grid.npoints == fields.SPLIT_MIN_POINTS
         _assert_numpy_bytes(grid, np.random.default_rng(d).standard_normal(grid.shape))
-        assert len(helper_halves) == 2 * self.TRANSFORMS
-
-    def test_small_fields_and_one_cpu_stay_on_one_thread(self, monkeypatch, helper_halves, rng):
-        big = make_grid(2, 512, 20.0)
-        _assert_numpy_bytes(make_grid(2, 256, 20.0), rng.standard_normal((256, 256)))
-        monkeypatch.setattr(fields, "_cpus", lambda: 1)
-        _assert_numpy_bytes(big, rng.standard_normal(big.shape))
-        assert helper_halves == []
-
-    def test_concurrent_callers_get_numpy_bytes(self, split_everywhere, rng):
-        # More callers than cores share the one helper, with frequent thread
-        # switches; each waits only for its own halves.
-        callers, rounds = 4, 10
-        grid = make_grid(3, 32, 20.0)
-        values = [rng.standard_normal(grid.shape) for _ in range(callers)]
-        want = [np.fft.rfftn(v) for v in values]
-        backs = [np.fft.irfftn(w, grid.shape, axes=range(3)).tobytes() for w in want]
-        got = [[] for _ in range(callers)]
-        start = threading.Barrier(callers)
-
-        def transform(i):
-            start.wait()
-            for _ in range(rounds):
-                got[i].append((_rfft(values[i]).tobytes(), _irfft(want[i], grid).tobytes()))
-
-        threads = [threading.Thread(target=transform, args=(i,)) for i in range(callers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for i in range(callers):
-            assert got[i] == [(want[i].tobytes(), backs[i])] * rounds
-        assert len(split_everywhere) == callers * rounds * 2 * 2
 
 
 def _assert_band_bytes(grid, values):
@@ -202,8 +149,6 @@ def _assert_band_bytes(grid, values):
 
 
 class TestBandTransform:
-    TRANSFORMS = 2  # per _assert_band_bytes call
-
     @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 64)])
     def test_band_blocks_tile_the_half_spectrum(self, d, n_axis):
         grid = make_grid(d, n_axis, 20.0)
@@ -218,25 +163,12 @@ class TestBandTransform:
         assert (full[keep] == 1).all() and (full[~keep] == 0).all()
         assert (compact == 1).all() and len(blocks) == 2 ** (d - 1)
 
-    @pytest.mark.parametrize("d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 8)])
-    def test_unsplit_gives_masked_numpy_bytes(self, d, n_axis, helper_halves, rng):
+    @pytest.mark.parametrize(
+        "d,n_axis", [(1, 64), (1, 8), (2, 32), (2, 8), (3, 16), (3, 8), (3, 64)]
+    )
+    def test_gives_masked_numpy_bytes(self, d, n_axis, rng):
         grid = make_grid(d, n_axis, 20.0)
         _assert_band_bytes(grid, rng.standard_normal(grid.shape))
-        assert helper_halves == []
-
-    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (2, 8), (3, 16), (3, 8)])
-    def test_forced_split_gives_masked_numpy_bytes(self, d, n_axis, split_everywhere, rng):
-        grid = make_grid(d, n_axis, 20.0)
-        _assert_band_bytes(grid, rng.standard_normal(grid.shape))
-        # 1D is never split; otherwise the helper runs one half of each pass.
-        assert len(split_everywhere) == (0 if d == 1 else 2 * self.TRANSFORMS)
-
-    def test_split_64_cubed_gives_masked_numpy_bytes(self, monkeypatch, helper_halves):
-        monkeypatch.setattr(fields, "_cpus", lambda: 2)
-        grid = make_grid(3, 64, 20.0)
-        assert grid.npoints >= fields.SPLIT_MIN_POINTS
-        _assert_band_bytes(grid, np.random.default_rng(3).standard_normal(grid.shape))
-        assert len(helper_halves) == 2 * self.TRANSFORMS
 
 
 class TestDerivatives:

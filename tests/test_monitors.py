@@ -325,6 +325,11 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment(state, 4, 3, (0.0,), 2.0)
 
+    @pytest.mark.parametrize("j,k", [(1.5, 3), (1, 2.5), (True, 3)])
+    def test_moment_orders_are_integers(self, grid1d, j, k):
+        with pytest.raises(ValueError, match="must be integers"):
+            moment(zero_state(grid1d), j, k, (0.0,), 2.0)
+
 
 class TestCombinedFunctional:
     def test_zero_state(self, grid1d):

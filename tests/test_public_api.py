@@ -123,3 +123,25 @@ def test_readme_layout_names_every_module():
     layout = text[text.index("\n## Layout\n") :].split("\n## ", 2)[1]
     listed = re.findall(r"^    src/kslab/(\w+\.py)\s", layout, flags=re.M)
     assert sorted(listed) == sorted(p.name for p in SRC.glob("*.py"))
+
+
+def test_only_cli_imports_concurrency():
+    # Every transform runs on its caller's thread; the sweep pool of cli is
+    # the one use of a second core.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.stem}: {name}"
+                for name in names
+                if name.split(".")[0] in ("threading", "contextvars", "concurrent")
+            ]
+    assert found == []

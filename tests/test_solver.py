@@ -1,9 +1,9 @@
 import gc
 import math
 import multiprocessing
+import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as PoolTimeout
 from dataclasses import replace
 
 import numpy as np
@@ -549,60 +549,42 @@ def _random_state(grid, seed):
     return State(0.0, ScalarField(grid, n), ScalarField(grid, rng.standard_normal(grid.shape)))
 
 
-# Transforms per carried step in 2D and 3D (1D is never split): one of the
-# density, two per axis for each stage's transport term, stage a's density
-# and the new density.  Split, each hands the helper thread one half of each
-# of its two passes.
-STEP_TRANSFORMS = {2: 11, 3: 15}
-
-
 def _uncarried(grid, now):
     """The State of a carried record, by one inverse transform that keeps ``now.chat``."""
     return State(now.t, ScalarField(grid, now.n), ScalarField(grid, _irfft(now.chat, grid)))
 
 
-def _split_step_bytes(d, n_axis):
-    """Bytes of one carried split step from seeded data, and the pass halves
-    that ran off the calling thread meanwhile (module level, for a pool
-    worker)."""
-    grid = make_grid(d, n_axis, 20.0)
-    stepper = _Stepper(grid, Params(d=d, **TestWorkspaceStep.P), 0.01)
-    now = _carry(_random_state(grid, d))
-    ran = fields._halves.ran  # the helper_halves fixture's list, or this child's copy
-    before = len(ran)
-    new = stepper.advance(now)
-    return new.n.tobytes() + new.chat.tobytes(), len(ran) - before
+def _threads_around_a_64_cubed_step():
+    """Live threads before and after a 3D 64^3 transform pair, and after a
+    carried step of that size (module level, for a forked worker)."""
+    grid = make_grid(3, 64, 20.0)
+    state = _random_state(grid, 3)
+    counts = [threading.active_count()]
+    now = _carry(state)  # a forward transform of c
+    _irfft(now.chat, grid)
+    counts.append(threading.active_count())
+    _Stepper(grid, Params(d=3, **TestWorkspaceStep.P), 0.01).advance(now)
+    counts.append(threading.active_count())
+    return counts
 
 
 class TestWorkspaceStep:
     P = dict(chi=1.3, tau=0.7, lam=0.4, mu=2.1)
 
-    def _assert_matches_allocating_formula(self, grid, helper_halves, split):
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_bitwise_equal_to_allocating_formula(self, d, n_axis):
+        grid = make_grid(d, n_axis, 20.0)
         for mu in (self.P["mu"], 0.0):  # the logistic flow and its mu = 0 limit
             p = Params(d=grid.d, **{**self.P, "mu": mu})
             stepper = _Stepper(grid, p, 0.01)
             state = _random_state(grid, grid.d)
             for _ in range(3):  # each from the public state: the formula's bytes
-                now = _carry(state)
-                del helper_halves[:]
-                new = stepper.advance(now)
-                halves = len(helper_halves)
+                new = stepper.advance(_carry(state))
                 n, c, *scalars = _allocating_split_step(state, p, 0.01)
                 state = _uncarried(grid, new)
                 assert new.n.tobytes() == n.tobytes()
                 assert state.c.values.tobytes() == c.tobytes()
                 assert [new.ledger, new.int_n, new.int_n2] == scalars
-                assert halves == (2 * STEP_TRANSFORMS[grid.d] if split else 0)
-
-    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    def test_bitwise_equal_to_allocating_formula(self, d, n_axis, helper_halves):
-        grid = make_grid(d, n_axis, 20.0)
-        self._assert_matches_allocating_formula(grid, helper_halves, split=False)
-
-    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
-    def test_lanes_bitwise_equal_to_allocating_formula(self, d, n_axis, split_everywhere):
-        grid = make_grid(d, n_axis, 20.0)
-        self._assert_matches_allocating_formula(grid, split_everywhere, split=d > 1)
 
     @pytest.mark.parametrize("n", [[-0.0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, -0.0]])
     def test_signed_zeros_at_dropped_modes(self, n):
@@ -619,21 +601,16 @@ class TestWorkspaceStep:
             n_want.tobytes() + c_want.tobytes()
         )
 
-    def test_lanes_run_in_a_forked_worker(self, split_everywhere):
-        # A forked child inherits the helper executor but not its thread: work
-        # submitted to that executor there would never run.
-        here = _split_step_bytes(3, 16)  # starts this process's helper thread
-        assert here[1] == 2 * STEP_TRANSFORMS[3]
+    def test_a_64_cubed_step_starts_no_thread(self):
+        # Every transform runs on its caller's thread.  A forked worker starts
+        # with its one thread, so a thread that a step or a transform made in
+        # any earlier test of this process cannot hide a new one.
         pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
         try:
-            there = pool.submit(_split_step_bytes, 3, 16).result(timeout=30)
-        except PoolTimeout:
-            for proc in pool._processes.values():  # stuck on the inherited helper
-                proc.terminate()
-            raise
+            counts = pool.submit(_threads_around_a_64_cubed_step).result(timeout=60)
         finally:
             pool.shutdown()
-        assert there == here
+        assert counts == [counts[0]] * 3
 
     def test_states_do_not_alias_the_workspace(self):
         grid = make_grid(2, 32, 20.0)
@@ -1082,6 +1059,15 @@ class TestApproxInitial:
         ones = np.ones(grid1d.shape)
         with pytest.raises(ValueError):
             approx_initial(-ones, ones, 5.0, grid1d)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["n0", "c0"])
+    def test_rejects_non_finite_data(self, field, bad):
+        grid = make_grid(2, 32, 20.0)
+        data = {"n0": np.ones(grid.shape), "c0": np.ones(grid.shape)}
+        data[field][3, 5] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            approx_initial(data["n0"], data["c0"], 4.0, grid)
 
 
 class TestPicard:
