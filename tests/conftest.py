@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,30 @@ def determinism_check(initial, params, config):
         np.array_equal(r1.final.n.values, r2.final.n.values)
         and np.array_equal(r1.final.c.values, r2.final.c.values)
     )
+
+
+def run_concurrently(callers, work):
+    """``[work(i) for i in range(callers)]``, each on its own thread, started
+    together and with frequent thread switches."""
+    got = [None] * callers
+    start = threading.Barrier(callers)
+
+    def run(i):
+        start.wait()
+        got[i] = work(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return got
 
 
 @pytest.fixture

@@ -765,6 +765,16 @@ class TestSweepCommand:
         assert main(argv) == EXIT_OK
         assert made == ([] if pool is None else [pool])
 
+    def test_cpus_counts_this_process_affinity(self, monkeypatch):
+        # The pool's cap is the CPUs this process may run on, not the host's.
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert cli._cpus() == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._cpus() == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._cpus() == 1
+
     def test_any_config_key_sets_its_rows(self, fast_config, tmp_path):
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", str(fast_config), "--out", str(out),

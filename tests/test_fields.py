@@ -27,7 +27,7 @@ from kslab.fields import (
     make_grid,
 )
 from kslab.presets import build_initial
-from conftest import dealias_mask, random_field
+from conftest import dealias_mask, random_field, run_concurrently
 
 
 class TestMakeGrid:
@@ -135,6 +135,22 @@ class TestTransformBytes:
         grid = make_grid(d, n_axis, 20.0)
         _assert_numpy_bytes(grid, np.random.default_rng(d).standard_normal(grid.shape))
 
+    def test_concurrent_callers_get_numpy_bytes(self, rng):
+        # The transforms share no buffer between calls, so callers on several
+        # threads, switching often, each get their own numpy bytes.
+        callers, rounds = 4, 10
+        grid = make_grid(3, 32, 20.0)
+        values = [rng.standard_normal(grid.shape) for _ in range(callers)]
+        want = [np.fft.rfftn(v) for v in values]
+        backs = [np.fft.irfftn(w, grid.shape, axes=range(3)).tobytes() for w in want]
+
+        def transform(i):
+            return [(_rfft(values[i]).tobytes(), _irfft(want[i], grid).tobytes())
+                    for _ in range(rounds)]
+
+        got = run_concurrently(callers, transform)
+        assert got == [[(want[i].tobytes(), backs[i])] * rounds for i in range(callers)]
+
 
 def _assert_band_bytes(grid, values):
     """``_rfft`` with ``band`` gives numpy's transform with the 2/3 rule applied
@@ -169,6 +185,23 @@ class TestBandTransform:
     def test_gives_masked_numpy_bytes(self, d, n_axis, rng):
         grid = make_grid(d, n_axis, 20.0)
         _assert_band_bytes(grid, rng.standard_normal(grid.shape))
+
+    def test_concurrent_callers_get_masked_numpy_bytes(self, rng):
+        # Each caller's band transform writes only its own ``out``.
+        callers, rounds = 4, 10
+        grid = make_grid(3, 32, 20.0)
+        keep = dealias_mask(grid)
+        values = [rng.standard_normal(grid.shape) for _ in range(callers)]
+        want = [np.fft.rfftn(v) for v in values]
+        for w in want:
+            w[~keep] = 0.0
+
+        def transform(i):
+            out = np.empty(grid.rshape, np.complex128)
+            return [_rfft(values[i], out=out, band=True).tobytes() for _ in range(rounds)]
+
+        got = run_concurrently(callers, transform)
+        assert got == [[want[i].tobytes()] * rounds for i in range(callers)]
 
 
 class TestDerivatives:

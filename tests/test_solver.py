@@ -57,7 +57,7 @@ from kslab.solver import (
     suggest_dt,
 )
 
-from conftest import dealias_mask, determinism_check
+from conftest import dealias_mask, determinism_check, run_concurrently
 
 
 @pytest.fixture
@@ -585,6 +585,23 @@ class TestWorkspaceStep:
                 assert new.n.tobytes() == n.tobytes()
                 assert state.c.values.tobytes() == c.tobytes()
                 assert [new.ledger, new.int_n, new.int_n2] == scalars
+
+    @pytest.mark.parametrize("d,n_axis", [(1, 64), (2, 32), (3, 16)])
+    def test_concurrent_steppers_match_allocating_formula(self, d, n_axis):
+        # Each stepper owns its workspace: steppers of one grid advanced on
+        # several threads at once, switching often, each give the formula's
+        # bytes for their own state.
+        grid = make_grid(d, n_axis, 20.0)
+        p = Params(d=d, **self.P)
+        states = [_random_state(grid, seed) for seed in range(3)]
+        want = [_allocating_split_step(state, p, 0.01) for state in states]
+
+        def advance(i):
+            new = _Stepper(grid, p, 0.01).advance(_carry(states[i]))
+            return new.n.tobytes(), _uncarried(grid, new).c.values.tobytes()
+
+        got = run_concurrently(len(states), advance)
+        assert got == [(n.tobytes(), c.tobytes()) for n, c, *_ in want]
 
     @pytest.mark.parametrize("n", [[-0.0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, -0.0]])
     def test_signed_zeros_at_dropped_modes(self, n):
