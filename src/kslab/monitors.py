@@ -47,8 +47,8 @@ from .fields import (
 )
 from .norms import (
     _check_support,
-    _cutoff_integral,
     _cutoff_sup,
+    cutoff_phi,
     lp_norm,
     uloc_norm,
 )
@@ -302,7 +302,8 @@ def uloc_combined_check(trace: list[FunctionalSample], params: Params) -> list[R
 def moment(state: State, j: int, k: int, center: tuple[float, ...], R: float) -> float:
     """Weighted moment integral of n^j |grad c|^(2k-2j) over the cutoff at ``center``, radius R.
 
-    One center of the sliding cutoff integral whose sup ``combined_y`` takes.
+    The direct quadrature of the integrand against ``cutoff_phi`` at ``center``,
+    which may lie on the grid or off it; nonnegative when n is.
     """
     if not (_is_integer(j) and _is_integer(k)):
         raise ValueError("moment orders j and k must be integers")
@@ -311,7 +312,7 @@ def moment(state: State, j: int, k: int, center: tuple[float, ...], R: float) ->
     integrand = state.n.values**j
     if j < k:
         integrand = integrand * state.c.grad_abs.values ** (2 * k - 2 * j)
-    return _cutoff_integral(integrand, state.grid, R, center)
+    return integrate(cutoff_phi(state.grid, center, R) * integrand)
 
 
 def moment_coefficients(k: int, tau: float, C0: float) -> dict[int, float]:

@@ -13,9 +13,8 @@ Two cutoff families are provided:
 Every localized functional is one sliding-weight integral int f(y) w(y - x) dy
 with w = ``cutoff_phi``: the moments, and the uniformly local norms
 sup_x (int phi_R(y - x) |f(y)|^p dy)^(1/p), which lie between the ball norms
-of radius R and 2R.  ``_sliding_integrals`` evaluates it for all grid-point
-centers at once as an FFT convolution with a cached weight spectrum; an
-off-grid center is served by a weight shifted by its sub-grid offset.
+of radius R and 2R.  ``_cutoff_sup`` evaluates it for all grid-point
+centers at once as an FFT convolution with a cached weight spectrum.
 """
 
 from __future__ import annotations
@@ -167,49 +166,26 @@ def cutoff_psi(grid: Grid, M: float) -> ScalarField:
 
 
 @lru_cache(maxsize=16)
-def _weight_hat(grid: Grid, radius: float, shift: tuple[float, ...]) -> np.ndarray:
-    """Half spectrum of ``cutoff_phi`` at offsets o*h + shift (offset 0 at index 0)."""
-    # Centered at the first sample minus the shift, sample o is at o*h + shift.
-    corner = tuple(-0.5 * grid.box_len - s for s in shift)
-    weight = cutoff_phi(grid, corner, radius).values
+def _weight_hat(grid: Grid, radius: float) -> np.ndarray:
+    """Half spectrum of ``cutoff_phi`` at offsets o*h (offset 0 at index 0)."""
+    weight = cutoff_phi(grid, (-0.5 * grid.box_len,) * grid.d, radius).values
     hat = _rfft(weight)
     hat.setflags(write=False)
     return hat
 
 
-def _sliding_integrals(f: np.ndarray, grid: Grid, radius: float, shift: tuple[float, ...]) -> np.ndarray:
-    """Integral of f(y) w(y - x) over y for every center x = grid point + shift.
+def _cutoff_sup(f: np.ndarray, grid: Grid, radius: float) -> float:
+    """Sup over every grid-point center x of the integral of f(y) w(y - x) over y.
 
-    Equals the direct sample sum of each center up to FFT roundoff relative
-    to the largest value; signed wherever ``f`` is.
+    One FFT convolution gives every center's direct sample sum, up to roundoff
+    relative to the largest, of either sign where the sums are near 0.
     """
+    _check_support(grid, "R", radius)
     fhat = _rfft(f)
-    np.multiply(fhat, _weight_hat(grid, radius, shift), out=fhat)
+    np.multiply(fhat, _weight_hat(grid, radius), out=fhat)
     conv = _irfft(fhat, grid, work=fhat)
     conv *= grid.spacing**grid.d
-    return conv
-
-
-def _cutoff_integral(f: np.ndarray, grid: Grid, radius: float, center: tuple[float, ...]) -> float:
-    """Integral of f against the cutoff weight at ``center``.
-
-    The center splits into its nearest grid point and the sub-grid shift from it.
-    """
-    _check_support(grid, "R", radius)
-    center = grid.check_center(center)
-    L, h, n = grid.box_len, grid.spacing, grid.n_axis
-    idx = [round((c + 0.5 * L) / h) for c in center]
-    # Same expression as Grid.axis_coords, so grid centers get shift 0.
-    shift = tuple(c - (-0.5 * L + h * i) for c, i in zip(center, idx))
-    conv = _sliding_integrals(f, grid, radius, shift)
-    return float(conv[tuple(i % n for i in idx)])
-
-
-def _cutoff_sup(f: np.ndarray, grid: Grid, radius: float) -> float:
-    """Sup over every grid-point center of the integral of f against the cutoff weight."""
-    _check_support(grid, "R", radius)
-    zero = (0.0,) * grid.d
-    return float(np.max(_sliding_integrals(f, grid, radius, zero)))
+    return float(np.max(conv))
 
 
 def uloc_norm(f: ScalarField, p: float, R: float) -> float:

@@ -42,7 +42,8 @@ def _random_modes(amps: np.ndarray, grid: Grid, amplitude: float) -> np.ndarray:
     total = total.real
     total -= total.min()
     peak = total.max()
-    return amplitude * total / peak if peak > 0 else total
+    with np.errstate(over="raise"):  # an amplitude that overflows raises, not warns
+        return amplitude * total / peak if peak > 0 else total
 
 
 def validate_initial(
@@ -82,9 +83,9 @@ def build_initial(
     validate_initial(grid, preset, amplitude, width, M, seed)
     coords = np.ix_(*[grid.axis_coords()] * grid.d)
 
-    def bump(shift: float = 0.0) -> np.ndarray:
-        """Gaussian of the preset's width centered at ``shift`` on the first axis."""
-        shifted = (coords[0] - shift, *coords[1:])
+    def bump(x0: float = 0.0) -> np.ndarray:
+        """Gaussian of the preset's width centered at ``x0`` on the first axis."""
+        shifted = (coords[0] - x0, *coords[1:])
         return np.exp(-sum(x * x for x in shifted) / (2.0 * width**2))
 
     if preset == "gaussian_bump":

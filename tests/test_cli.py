@@ -235,6 +235,19 @@ class TestRunCommand:
         assert "initial continuation gauge" in err
         assert "blowup_cap" not in err
 
+    def test_overflowing_random_modes_are_numerical_failure_without_artifacts(
+        self, tmp_path, capsys
+    ):
+        # random_smooth scales its modes to the amplitude while it samples the
+        # data, before the run starts: that overflow is a numerical failure too.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FAST_CONFIG + "init.preset=random_smooth\ninit.amplitude=1e308\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "numerical error: FloatingPointError: overflow encountered in multiply\n"
+
     def test_default_run_samples_the_initial_state_once(self, tmp_path, monkeypatch):
         times = []
         original = solver._builtin_sample
@@ -816,6 +829,20 @@ class TestSweepCommand:
         assert "init.amplitude_1: status: completed" in printed
         assert ("init.amplitude_1e+308: FloatingPointError: "
                 "the initial continuation gauge is not finite") in printed
+
+    def test_a_row_whose_random_modes_overflow_is_recorded(self, tmp_path, capsys):
+        cfg = tmp_path / "random.cfg"
+        cfg.write_text(FAST_CONFIG + "init.preset=random_smooth\n")
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out),
+                "--param", "init.amplitude", "--values", "1,1e308"]
+        assert main(argv) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("1,completed,")
+        assert rows[1].startswith("1e+308,error,nan,0,")
+        captured = capsys.readouterr()
+        assert "init.amplitude_1e+308: FloatingPointError: overflow encountered" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize(
         "param,values",

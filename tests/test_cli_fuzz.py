@@ -74,6 +74,7 @@ VALID = {
 @example(overrides={}, corruption=[("params.mu", "-1")])
 @example(overrides={}, corruption=[("grid.d", "100")])
 @example(overrides={}, corruption=[("init.amplitude", "1e308")])
+@example(overrides={"init.preset": "random_smooth"}, corruption=[("init.amplitude", "1e308")])
 @example(overrides={"grid.n_axis": "1099511627776"}, corruption=[])
 def test_run_exits_with_documented_code(overrides, corruption):
     kv = {**BASE, **overrides, **dict(corruption)}

@@ -1,4 +1,4 @@
-import importlib
+import ast
 import inspect
 import itertools
 import json
@@ -41,7 +41,7 @@ from kslab.monitors import (
     z_residual,
     z_sup_cap_check,
 )
-from kslab.norms import _cutoff_integral, _weight_hat, cutoff_phi, cutoff_phi_gradient, lp_norm
+from kslab.norms import _weight_hat, cutoff_phi, cutoff_phi_gradient, lp_norm
 from kslab.presets import build_initial
 from kslab.solver import (
     FunctionalSample,
@@ -310,9 +310,8 @@ class TestMoments:
         assert abs(vals[256] - vals[1024]) <= 1e-8 * abs(vals[1024])
 
     def test_positive_at_the_peak_of_a_run(self, grid1d):
-        # At the peak of n every moment is genuinely positive.  Far from it the
-        # integrand vanishes and the FFT sliding integral reads roundoff, of
-        # order eps * int |integrand|, of either sign.
+        # At the peak of n every moment is genuinely positive, not just
+        # nonnegative as the direct quadrature of a nonnegative integrand is.
         p = Params(chi=1.0, tau=1.0, lam=0.0, mu=1.0, d=1)
         initial = build_initial(grid1d, "gaussian_bump", 1.0, 2.5, M=9.0)
         state = run(initial, p, RunConfig(t_end=0.2, dt=1e-3, monitor_every=20)).final
@@ -411,8 +410,8 @@ def y_integrand(state, params, k):
 
 
 class TestSlidingCutoffOracle:
-    """The one-convolution moments against direct cutoff-weighted quadrature,
-    and each sup against the largest direct value over every grid-point center."""
+    """The moments against dense-matrix cutoff-weighted quadrature, and each
+    sup against the largest direct value over every grid-point center."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_moments_and_combined_functional(self, d, rng):
@@ -433,6 +432,21 @@ class TestSlidingCutoffOracle:
         else:
             want = direct(grid, R, integrand, centers)["y"]
             assert np.all(y >= want - 1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_moments_of_nonnegative_data_are_nonnegative(self, d):
+        # At the box corner the integrand is 0 or nearly so: the moment there is
+        # its own small quadrature, not the roundoff of a convolution.
+        grid = make_grid(d, 64, 20.0)
+        state = build_initial(grid, "gaussian_bump", 1.0, 1.25, M=20.0 / 4.5)
+        k, R, L = 3, 2.0, grid.box_len
+        centers = ((-0.5 * L,) * d, (0.25 * L,) * d)
+        n, gc = state.n.values, state.c.grad_abs.values
+        moments = direct(grid, R, {j: n**j * gc ** (2 * k - 2 * j) for j in range(k + 1)}, centers)
+        for j in range(k + 1):
+            got = np.array([moment(state, j, k, center, R) for center in centers])
+            assert np.all(got >= 0.0), (j, got)
+            assert np.all(np.abs(got - moments[j]) <= 1e-12 * got), (j, got, moments[j])
 
     def test_sup_away_from_the_lattice_and_the_argmax(self, grid1d):
         # n peaks on a lattice point and |grad c| is steep between two others:
@@ -728,7 +742,7 @@ class TestOdeResiduals:
                 integrand = _moment_rate(
                     state.n.values, n_t.values, state.c.grad_abs.values, g_dot, j, k
                 )
-                values[f"dm_{j}"] = _cutoff_integral(integrand, state.grid, R, center)
+                values[f"dm_{j}"] = integrate(cutoff_phi(state.grid, center, R) * integrand)
             return values
 
         res = run(initial, p, RunConfig(t_end=0.016, dt=1e-4, monitor_every=1), monitors=record)
@@ -1044,18 +1058,20 @@ def test_every_measurement_comes_from_one_fit():
 
 def test_every_sup_over_centers_is_over_every_grid_point():
     # The cutoff functionals, like the uniformly local norms, take the sup over
-    # every grid-point center: no list of centers is kept, checked or taken.
+    # every grid-point center: no list of centers is kept, checked or taken,
+    # and no weight is shifted off the grid (one center is read by quadrature).
     src = Path(monitors.__file__).parent
-    gone = ("default_centers", "_check_centers", "_cutoff_integrals")
+    # Substrings: "_cutoff_integral" also finds "_cutoff_integrals", and
+    # "check_center" finds "_check_centers".
+    gone = ("default_centers", "_cutoff_integral", "_sliding_integrals", "check_center")
     for path in sorted(src.glob("*.py")):
-        assert [name for name in gone if name in path.read_text()] == [], path.name
-        module = importlib.import_module("kslab" if path.stem == "__init__" else f"kslab.{path.stem}")
-        for obj in vars(module).values():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            members = vars(obj).values() if inspect.isclass(obj) else (obj,)
-            for fn in filter(inspect.isfunction, members):
-                assert "centers" not in inspect.signature(fn).parameters, fn.__qualname__
+        text = path.read_text()
+        assert [name for name in gone if name in text] == [], path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                assert not names & {"centers", "shift"}, (path.name, node.lineno)
 
 
 def test_one_sample_builds_one_weight_kernel():

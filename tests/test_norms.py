@@ -330,25 +330,6 @@ class TestUlocNorm:
             if d == 2:
                 assert errors[-1] <= 1e-6
 
-    def test_integrals_aligned_per_center(self, rng):
-        # The convolution must assign each weighted integral to its own
-        # center, not a shifted one; check specific off-center cutoffs, on and
-        # off the grid, against direct sums.
-        from kslab.norms import _sliding_integrals
-
-        grid = make_grid(1, 64, 20.0)
-        f = ScalarField(grid, rng.standard_normal(grid.shape) ** 2)
-        coords = grid.axis_coords()
-        for shift in (0.0, 0.1, -0.13):
-            phi_integrals = _sliding_integrals(f.values, grid, 1.5, (shift,))
-            direct = [
-                integrate(f * cutoff_phi(grid, (coords[idx] + shift,), 1.5))
-                for idx in (0, 7, 33)
-            ]
-            scale = max(abs(x) for x in direct)
-            for idx, want in zip((0, 7, 33), direct):
-                assert abs(phi_integrals[idx] - want) <= 1e-12 * scale
-
     def test_norm_axioms(self, grid2d, rng):
         f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
         g = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
